@@ -1,21 +1,74 @@
-"""Shared Euclidean distance kernels.
+"""The package's one Euclidean distance kernel.
 
-Every distance in the package goes through :func:`sq_dists` so that cached
-values, from-scratch recomputations, and coverage predicates all see
-bit-identical numbers for identical inputs.  Do not add alternative distance
-formulas (dot-product tricks and the like); they round differently and break
-the exact-consistency checks built on top of these kernels.
+Every distance in the package comes from :func:`sq_dist_matrix`; the other
+functions here are thin wrappers around it.  Cached values, from-scratch
+recomputations and coverage predicates therefore see bit-identical numbers
+for identical inputs, however the points and centers were batched: the
+squared distance between two rows never depends on which other rows were
+computed with them.
+
+The kernel works on row chunks of at most ``CHUNK_ELEMENTS`` scratch
+elements.  Each entry is the sum over dimensions of the squared coordinate
+differences, rounded the way a per-row ``einsum("ij,ij->i")`` rounds it:
+
+* d > 2: a broadcast ``einsum("bsd,bsd->bs")`` over the (rows, centers, d)
+  difference block, which runs the same inner reduction per entry as the
+  per-row form.  The order in which einsum adds up the d squares depends on
+  the SIMD width numpy was built for, so no hand-written accumulation may
+  replace it.
+* d <= 2: the per-dimension squares ``diff0**2 + diff1**2``.  A sum of at
+  most two rounded squares is one correctly rounded addition whatever the
+  order, so it equals einsum's result on any SIMD width (as long as einsum
+  rounds each square before adding it, which the test below checks),
+  without einsum's fixed cost per output entry.
+
+``tests/test_dist.py`` pins this equality against a per-row einsum.  Do not
+add alternative distance formulas (dot-product tricks and the like); they
+round differently and break the exact-consistency checks built on top of
+this kernel.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+# Bound on the scratch elements one kernel chunk allocates, and on the
+# (rows, references) blocks that callers reduce chunk by chunk.
+CHUNK_ELEMENTS = 1 << 16
+
+
+def chunk_rows(width: int) -> int:
+    """Rows per chunk when one row takes ``width`` scratch elements."""
+    return max(1, CHUNK_ELEMENTS // max(width, 1))
+
+
+def sq_dist_matrix(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(n, k) squared Euclidean distances from each point to each center."""
+    n, d = points.shape
+    k = centers.shape[0]
+    out = np.empty((n, k), dtype=np.float64)
+    step = chunk_rows(k * d)
+    # one block of coordinate differences, reused by every chunk
+    diff = np.empty((min(step, n), k, d) if d > 2 else (min(step, n), k))
+    for start in range(0, n, step):
+        rows, block = points[start : start + step], out[start : start + step]
+        part = diff[: rows.shape[0]]
+        if d > 2:
+            np.subtract(rows[:, None, :], centers, out=part)
+            np.einsum("bsd,bsd->bs", part, part, out=block)
+        else:
+            np.subtract(rows[:, :1], centers[:, 0], out=block)
+            np.square(block, out=block)
+            if d == 2:
+                np.subtract(rows[:, 1:], centers[:, 1], out=part)
+                np.square(part, out=part)
+                block += part
+    return out
+
 
 def sq_dists(points: np.ndarray, center: np.ndarray) -> np.ndarray:
     """Squared Euclidean distance from every row of ``points`` to ``center``."""
-    diff = points - center
-    return np.einsum("ij,ij->i", diff, diff)
+    return sq_dist_matrix(points, center[None, :])[:, 0]
 
 
 def dists(points: np.ndarray, center: np.ndarray) -> np.ndarray:
@@ -23,17 +76,10 @@ def dists(points: np.ndarray, center: np.ndarray) -> np.ndarray:
     return np.sqrt(sq_dists(points, center))
 
 
-def sq_dist_matrix(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """(n, k) squared distances; column j comes from the ``sq_dists`` kernel."""
-    out = np.empty((points.shape[0], centers.shape[0]), dtype=np.float64)
-    for j in range(centers.shape[0]):
-        out[:, j] = sq_dists(points, centers[j])
-    return out
-
-
 def min_sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Squared distance from every point to its nearest center, O(n) memory."""
-    best = sq_dists(points, centers[0])
-    for j in range(1, centers.shape[0]):
-        np.minimum(best, sq_dists(points, centers[j]), out=best)
-    return best
+    out = np.empty(points.shape[0])
+    step = chunk_rows(centers.shape[0] * points.shape[1])
+    for start in range(0, points.shape[0], step):
+        out[start : start + step] = sq_dist_matrix(points[start : start + step], centers).min(axis=1)
+    return out

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._dist import dists, min_sq_dists
+from ._dist import dists, min_sq_dists, sq_dist_matrix
 from .dataset import Dataset, RadiusBounds
 from .metrics import fairness_ratios
 
@@ -151,8 +151,5 @@ def build_coverage(anchor_set: AnchorSet, centers, ds: Dataset | None = None) ->
         pos = np.asarray(arr, dtype=np.float64)
     if pos.shape[0] == 0:
         raise ValueError("center set is empty")
-    m = len(anchor_set)
-    covers = np.zeros((pos.shape[0], m), dtype=bool)
-    for j in range(pos.shape[0]):
-        covers[j] = anchor_set.covers_position(pos[j])
+    covers = np.sqrt(sq_dist_matrix(pos, anchor_set.positions)) <= anchor_set.zone_radius
     return CoverageTable(covers)

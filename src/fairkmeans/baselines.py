@@ -99,7 +99,7 @@ def lloyd(
         means, sizes = cluster_means(X, labels, k)
         new_positions = positions.copy()
         for j in range(k):
-            if sizes[j] == 0:
+            if sizes[j] == 0 or np.array_equal(means[j], positions[j]):
                 continue
             members = labels == j
             if math.fsum(sq_dists(X[members], means[j])) < math.fsum(d1sq[members]):

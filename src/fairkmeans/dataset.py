@@ -18,13 +18,11 @@ from typing import Sequence
 
 import numpy as np
 
-from ._dist import sq_dists
+from ._dist import chunk_rows, sq_dist_matrix
 
-# Exact radii do n kernel passes of length n; above this size the sampled
-# mode is the documented path.
+# Exact radii compute all n**2 pairwise distances; above this size the
+# sampled mode is the documented path.
 EXACT_RADII_RECOMMENDED_MAX = 50_000
-
-_CHUNK_ELEMENTS = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -220,45 +218,49 @@ def compute_radii(
         Number of clusters the radii are relative to.
     mode : {"exact", "sampled"}
         ``exact``: delta(p) is the ``ceil(n/k)``-th smallest distance from p
-        to all n points, self-distance included.  Runs n kernel passes of
-        length n; fine up to ~50k points.
+        to all n points, self-distance included.  Computes all n**2
+        distances (in row chunks); fine up to ~50k points.
         ``sampled``: the same rank statistic over one fixed uniform sample of
         ``min(sample_size, n)`` points shared by every p, at rank
         ``ceil(sample_size / k)`` (clamped to the sample length).
     sample_size, seed : int
         Sampled mode only.
+
+    Raises a ValueError when squared distances overflow float64 and leave
+    a radius infinite; rescale the points first.
     """
     if not 1 <= k <= ds.n:
         raise ValueError(f"k={k} must be in [1, {ds.n}]")
     X = ds.points
     if mode == "exact":
-        rank = -(-ds.n // k)
-        sq = _ranked_sq_dist(X, X, rank)
-        return RadiusBounds(np.sqrt(sq), mode="exact")
-    if mode == "sampled":
+        ref, rank, extra = X, -(-ds.n // k), {}
+    elif mode == "sampled":
         if sample_size < 1:
             raise ValueError("sample_size must be at least 1")
         rng = np.random.default_rng(seed)
         s = min(sample_size, ds.n)
         sample_ids = rng.choice(ds.n, size=s, replace=False)
-        rank = min(-(-sample_size // k), s)
-        sq = _ranked_sq_dist(X, X[sample_ids], rank)
-        return RadiusBounds(np.sqrt(sq), mode="sampled", sample_size=sample_size, seed=seed)
-    raise ValueError(f"unknown radius mode {mode!r}")
+        ref, rank = X[sample_ids], min(-(-sample_size // k), s)
+        extra = {"sample_size": sample_size, "seed": seed}
+    else:
+        raise ValueError(f"unknown radius mode {mode!r}")
+    sq = _ranked_sq_dist(X, ref, rank)
+    if not np.all(np.isfinite(sq)):
+        raise ValueError(
+            "squared distances overflow float64 (coordinates too large); "
+            "rescale the points, e.g. divide them by their largest magnitude"
+        )
+    return RadiusBounds(np.sqrt(sq), mode=mode, **extra)
 
 
 def _ranked_sq_dist(X: np.ndarray, ref: np.ndarray, rank: int) -> np.ndarray:
     """rank-th smallest squared distance from each row of X to the rows of ref."""
-    n, s = X.shape[0], ref.shape[0]
-    out = np.empty(n)
-    chunk = max(1, _CHUNK_ELEMENTS // s)
-    buf = np.empty((chunk, s))
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        m = buf[: stop - start]
-        for j in range(s):
-            m[:, j] = sq_dists(X[start:stop], ref[j])
-        out[start:stop] = np.partition(m, rank - 1, axis=1)[:, rank - 1]
+    out = np.empty(X.shape[0])
+    step = chunk_rows(ref.shape[0])
+    for start in range(0, X.shape[0], step):
+        block = sq_dist_matrix(X[start : start + step], ref)
+        block.partition(rank - 1, axis=1)
+        out[start : start + step] = block[:, rank - 1]
     return out
 
 
@@ -273,16 +275,14 @@ def aspect_ratio(ds: Dataset) -> AspectRatio:
     X = ds.points
     max_sq = 0.0
     min_pos = np.inf
-    for i in range(ds.n - 1):
-        sq = sq_dists(X[i + 1 :], X[i])
-        m = float(sq.max())
-        if m > max_sq:
-            max_sq = m
+    # whole rows, so every pair is seen twice; both orders give the same bits
+    step = chunk_rows(ds.n)
+    for start in range(0, ds.n, step):
+        sq = sq_dist_matrix(X[start : start + step], X)
+        max_sq = max(max_sq, float(sq.max()))
         pos = sq[sq > 0]
         if pos.size:
-            mn = float(pos.min())
-            if mn < min_pos:
-                min_pos = mn
+            min_pos = min(min_pos, float(pos.min()))
     if not np.isfinite(min_pos):
         raise ValueError("all points are identical; aspect ratio undefined")
     return AspectRatio(float(np.sqrt(max_sq / min_pos)))

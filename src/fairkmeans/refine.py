@@ -116,9 +116,7 @@ def _responsibilities(
     m = len(anchor_set)
     if m == 0:
         return [np.empty(0, dtype=np.int64)] * k
-    dmat = np.empty((k, m))
-    for j in range(k):
-        dmat[j] = dists(anchor_set.positions, positions[j])
+    dmat = np.sqrt(sq_dist_matrix(positions, anchor_set.positions))
     covers = dmat <= anchor_set.zone_radius
     counts = covers.sum(axis=0)
     if mode == "all_zones":
@@ -184,6 +182,9 @@ def flloyd_run(
                 anchor_set.zone_radius[zones[j]],
                 cfg.bisection_steps,
             )
+            # a center that does not move cannot strictly improve its cost
+            if np.array_equal(candidate, positions[j]):
+                continue
             members = labels == j
             # strict per-cluster improvement, measured with the same kernel
             # the next assignment round will use

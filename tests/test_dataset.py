@@ -200,6 +200,13 @@ class TestComputeRadii:
         assert delta.sample_size == 100
         assert np.all(delta.delta >= 0)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_overflow_names_cause(self, mode):
+        ds = Dataset(np.random.default_rng(4).normal(size=(20, 2)) * 1e160)
+        with pytest.raises(ValueError, match="overflow float64.*rescale the points"):
+            compute_radii(ds, 2, mode=mode, sample_size=10)
+
 
 class TestAspectRatio:
     def test_examples(self):
