@@ -19,25 +19,23 @@ k = 6
 comps = rng.uniform(-8, 8, size=(k, 2))
 pts = comps[rng.integers(0, k, 1500)] + rng.normal(0, 0.7, (1500, 2))
 
-workdir = Path(tempfile.mkdtemp(prefix="fair_kmeans_demo_"))
-csv = workdir / "mixture.csv"
-np.savetxt(csv, pts, delimiter=",")
-
 results = {}
-for algorithm in ("lspp", "greedy", "vanilla"):
-    report = run_experiment(
-        ExperimentConfig(
-            input_path=csv,
-            k=k,
-            iterations=400,
-            flloyd_iters=20,
-            algorithm=algorithm,
-            trials=5,
-            seed=0,
-            out=workdir / f"{algorithm}.json",
+with tempfile.TemporaryDirectory(prefix="fair_kmeans_demo_") as tmp:
+    csv = Path(tmp) / "mixture.csv"
+    np.savetxt(csv, pts, delimiter=",")
+    for algorithm in ("lspp", "greedy", "vanilla"):
+        report = run_experiment(
+            ExperimentConfig(
+                input_path=csv,
+                k=k,
+                iterations=400,
+                flloyd_iters=20,
+                algorithm=algorithm,
+                trials=5,
+                seed=0,
+            )
         )
-    )
-    results[algorithm] = report.aggregates
+        results[algorithm] = report.aggregates
 
 print(f"{'algorithm':>10}  {'kmeans cost':>14}  {'bound ratio':>12}  {'time (s)':>9}")
 for name, agg in results.items():
@@ -48,6 +46,5 @@ for name, agg in results.items():
         f"{agg['wall_time_seconds']['mean']:>9.3f}"
     )
 
-print(f"\nJSON reports in {workdir}")
-print("the same comparison is one flag away on the command line:")
-print(f"  fair-kmeans --input {csv} --k {k} --algorithm greedy --trials 5")
+print("\nthe same comparison is one flag away on the command line:")
+print(f"  fair-kmeans --input mixture.csv --k {k} --algorithm greedy --trials 5 --out greedy.json")

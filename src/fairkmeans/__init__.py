@@ -34,7 +34,6 @@ from .experiments import ExperimentConfig, ExperimentReport, run_experiment
 from .local_search import (
     LsConfig,
     RunTrace,
-    Solution,
     SwapCandidate,
     d2_sample,
     evaluate_swaps,
@@ -45,6 +44,7 @@ from .local_search import (
 )
 from .metrics import bound_ratio, cost
 from .refine import FlConfig, assign, fair_move_center, flloyd_run
+from .solution import Solution
 
 __version__ = "0.1.0"
 

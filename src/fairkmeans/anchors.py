@@ -17,30 +17,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._dist import dists, min_sq_dists, sq_dist_matrix
+from ._dist import dists, sq_dist_matrix
 from .dataset import Dataset, RadiusBounds
-from .metrics import fairness_ratios
-
-# Zone membership lists are materialized eagerly below this size and computed
-# on demand above it.
-MEMBERSHIP_EAGER_MAX = 100_000
+from .metrics import bound_ratio
 
 
 @dataclass(frozen=True)
 class AnchorSet:
     """Seeding output: anchor ids in pick order plus their zones.
 
-    ``zone_radius[i]`` equals ``gamma * delta(anchors[i])``.  ``membership``
-    holds, per anchor, the ids of dataset points inside its zone; it is
-    ``None`` when materialization was skipped (large n), in which case use
-    :meth:`zone_members`.
+    ``zone_radius[i]`` equals ``gamma * delta(anchors[i])``.
     """
 
     anchors: np.ndarray
     positions: np.ndarray
     zone_radius: np.ndarray
     gamma: float
-    membership: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self):
         if self.anchors.shape[0] != self.zone_radius.shape[0]:
@@ -56,13 +48,6 @@ class AnchorSet:
         if len(self) == 0:
             return np.zeros(0, dtype=bool)
         return dists(self.positions, pos) <= self.zone_radius
-
-    def zone_members(self, ds: Dataset, zone: int) -> np.ndarray:
-        """Ids of dataset points inside one anchor zone."""
-        if self.membership is not None:
-            return self.membership[zone]
-        d = dists(ds.points, self.positions[zone])
-        return np.flatnonzero(d <= self.zone_radius[zone])
 
 
 @dataclass
@@ -109,13 +94,7 @@ def seed(ds: Dataset, delta: RadiusBounds, gamma: float) -> AnchorSet:
     anchors = np.asarray(picked, dtype=np.int64)
     positions = X[anchors].copy()
     zone_radius = gamma * delta.delta[anchors]
-    membership = None
-    if ds.n <= MEMBERSHIP_EAGER_MAX and len(picked) * ds.n <= 50_000_000:
-        membership = tuple(
-            np.flatnonzero(dists(X, positions[z]) <= zone_radius[z])
-            for z in range(len(picked))
-        )
-    return AnchorSet(anchors, positions, zone_radius, float(gamma), membership)
+    return AnchorSet(anchors, positions, zone_radius, float(gamma))
 
 
 def is_radius_feasible(
@@ -127,17 +106,12 @@ def is_radius_feasible(
     """Does every point have a center within ``beta * delta(p)``?
 
     Returns ``(feasible, worst_id, worst_ratio)`` where the worst offender
-    maximizes dist(p, centers)/delta(p).  Points with a zero radius must sit
-    exactly on a center (their ratio is 0 at distance 0, +inf otherwise).
+    maximizes dist(p, centers)/delta(p), as :func:`metrics.bound_ratio`
+    finds it.  Points with a zero radius must sit exactly on a center (their
+    ratio is 0 at distance 0, +inf otherwise).
     """
-    arr = np.asarray(centers)
-    pos = ds.points[arr] if arr.ndim == 1 else np.asarray(arr, dtype=np.float64)
-    if pos.shape[0] == 0:
-        raise ValueError("center set is empty")
-    d1 = np.sqrt(min_sq_dists(ds.points, pos))
-    ratios = fairness_ratios(d1, delta.delta)
-    worst = int(np.argmax(ratios))
-    return bool(ratios[worst] <= beta), worst, float(ratios[worst])
+    ratio, worst = bound_ratio(ds, delta, centers)
+    return bool(ratio <= beta), worst, ratio
 
 
 def build_coverage(anchor_set: AnchorSet, centers, ds: Dataset | None = None) -> CoverageTable:

@@ -20,10 +20,11 @@ from ._dist import sq_dist_matrix, sq_dists
 from .anchors import seed as seed_anchors
 from .dataset import Dataset, RadiusBounds
 from .errors import InfeasibleInstanceError
-from .local_search import Solution, init_solution
+from .local_search import init_solution
 from .metrics import cost as metrics_cost
 from .metrics import fairness_ratios
-from .refine import cluster_means
+from .refine import lloyd_rounds
+from .solution import Solution
 
 BRUTE_FORCE_SUBSET_LIMIT = 1_000_000
 BRUTE_FORCE_POINT_LIMIT = 2_000
@@ -76,7 +77,8 @@ def lloyd(
     iterations: int = 100,
     rel_tol: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Plain Lloyd iterations from the given center positions.
+    """Plain Lloyd iterations from the given center positions: the
+    refinement loop of :mod:`fairkmeans.refine` with no zone constraint.
 
     Returns the final positions and the cost trace (entry cost plus one value
     per round).  An empty cluster keeps its center, and a center only moves
@@ -84,37 +86,10 @@ def lloyd(
     non-increasing even in float arithmetic.  A positive ``rel_tol`` stops
     once a round's relative improvement drops below it.
     """
-    X = ds.points
-    positions = np.array(centers, dtype=np.float64)
+    positions = np.asarray(centers, dtype=np.float64)
     if positions.ndim != 2 or positions.shape[0] == 0:
         raise ValueError("centers must be a nonempty (k, d) array")
-    k = positions.shape[0]
-    rows = np.arange(ds.n)
-    M = sq_dist_matrix(X, positions)
-    labels = np.argmin(M, axis=1)
-    d1sq = M[rows, labels]
-    total = math.fsum(d1sq)
-    trace = [total]
-    for _ in range(iterations):
-        means, sizes = cluster_means(X, labels, k)
-        new_positions = positions.copy()
-        for j in range(k):
-            if sizes[j] == 0 or np.array_equal(means[j], positions[j]):
-                continue
-            members = labels == j
-            if math.fsum(sq_dists(X[members], means[j])) < math.fsum(d1sq[members]):
-                new_positions[j] = means[j]
-        positions = new_positions
-        M = sq_dist_matrix(X, positions)
-        labels = np.argmin(M, axis=1)
-        d1sq = M[rows, labels]
-        new_total = math.fsum(d1sq)
-        trace.append(new_total)
-        improvement = total - new_total
-        total = new_total
-        if rel_tol > 0 and improvement <= rel_tol * max(total, 1e-300):
-            break
-    return positions, np.asarray(trace)
+    return lloyd_rounds(ds.points, positions, None, iterations, rel_tol)
 
 
 def vanilla_kmeans(ds: Dataset, k: int, seed) -> tuple[np.ndarray, np.ndarray]:

@@ -225,7 +225,7 @@ def _run_trial(cfg: ExperimentConfig, ds: Dataset, delta: RadiusBounds, trial: i
     ls_trace = [trace.initial_cost] + trace.costs.tolist()
     fl_trace = None
     if cfg.flloyd_iters > 0:
-        sol, fl = flloyd_run(ds, sol, sol.anchor_set, FlConfig(iterations=cfg.flloyd_iters))
+        sol, fl = flloyd_run(ds, sol, cfg=FlConfig(iterations=cfg.flloyd_iters))
         fl_trace = fl.tolist()
     return sol.center_pos, ls_trace, fl_trace, trace.accepted_count
 

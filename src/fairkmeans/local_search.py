@@ -26,13 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._dist import sq_dist_matrix, sq_dists
-from .anchors import AnchorSet, CoverageTable, build_coverage, seed
+from ._dist import sq_dists
+from .anchors import AnchorSet, seed
 from .dataset import Dataset, RadiusBounds, aspect_ratio
 from .errors import InfeasibleInstanceError
 from .metrics import bound_ratio
-
-_RADIUS_SLACK = 1 + 1e-9  # float headroom on the 2*gamma postcondition
+from .solution import RADIUS_SLACK, Solution, build_state, check_solution
 
 
 @dataclass
@@ -92,113 +91,6 @@ class SwapCandidate:
     new_cost: float
 
 
-@dataclass(eq=False)
-class Solution:
-    """A k-center solution with the caches the search loop maintains.
-
-    ``center_ids`` are dataset point ids, or ``None`` once a refinement stage
-    has moved centers off the data points; ``center_pos`` is always valid.
-    ``assign``/``assign2`` hold the slot of each point's nearest and
-    second-nearest center and ``d1sq``/``d2sq`` the matching squared
-    distances (``assign2 = -1`` and ``d2sq = inf`` when k = 1).
-    ``total_cost`` is the k-means cost, kept consistent with a from-scratch
-    recomputation to 1e-9 relative.
-
-    Solutions are single-owner: only the loop that created one mutates it.
-    """
-
-    ds: Dataset
-    anchor_set: AnchorSet
-    center_ids: np.ndarray | None
-    center_pos: np.ndarray
-    assign: np.ndarray
-    assign2: np.ndarray
-    d1sq: np.ndarray
-    d2sq: np.ndarray
-    coverage: CoverageTable
-    total_cost: float
-
-    @property
-    def k(self) -> int:
-        return self.center_pos.shape[0]
-
-    @property
-    def d1(self) -> np.ndarray:
-        return np.sqrt(self.d1sq)
-
-    @property
-    def d2(self) -> np.ndarray:
-        return np.sqrt(self.d2sq)
-
-    @property
-    def nearest_center(self) -> np.ndarray | None:
-        """Per-point id of the nearest center (None after refinement)."""
-        if self.center_ids is None:
-            return None
-        return self.center_ids[self.assign]
-
-    def copy(self) -> "Solution":
-        return Solution(
-            ds=self.ds,
-            anchor_set=self.anchor_set,
-            center_ids=None if self.center_ids is None else self.center_ids.copy(),
-            center_pos=self.center_pos.copy(),
-            assign=self.assign.copy(),
-            assign2=self.assign2.copy(),
-            d1sq=self.d1sq.copy(),
-            d2sq=self.d2sq.copy(),
-            coverage=self.coverage.copy(),
-            total_cost=self.total_cost,
-        )
-
-    @classmethod
-    def build(
-        cls,
-        ds: Dataset,
-        anchor_set: AnchorSet,
-        center_ids: np.ndarray | None = None,
-        center_pos: np.ndarray | None = None,
-    ) -> "Solution":
-        """From-scratch construction of every cache; the oracle the
-        incremental updates are checked against."""
-        if center_pos is None:
-            if center_ids is None:
-                raise ValueError("need center ids or positions")
-            center_ids = np.asarray(center_ids, dtype=np.int64)
-            center_pos = ds.points[center_ids].copy()
-        else:
-            center_pos = np.array(center_pos, dtype=np.float64)
-        assign, assign2, d1sq, d2sq = _build_state(ds.points, center_pos)
-        return cls(
-            ds=ds,
-            anchor_set=anchor_set,
-            center_ids=center_ids,
-            center_pos=center_pos,
-            assign=assign,
-            assign2=assign2,
-            d1sq=d1sq,
-            d2sq=d2sq,
-            coverage=build_coverage(anchor_set, center_pos),
-            total_cost=float(d1sq.sum()),
-        )
-
-
-def _build_state(X: np.ndarray, centers: np.ndarray):
-    """Nearest/second-nearest slots and squared distances for all points."""
-    n = X.shape[0]
-    k = centers.shape[0]
-    M = sq_dist_matrix(X, centers)
-    if k == 1:
-        assign = np.zeros(n, dtype=np.int64)
-        assign2 = np.full(n, -1, dtype=np.int64)
-        return assign, assign2, M[:, 0].copy(), np.full(n, np.inf)
-    order = np.argsort(M, axis=1, kind="stable")[:, :2]
-    assign = order[:, 0].copy()
-    assign2 = order[:, 1].copy()
-    rows = np.arange(n)
-    return assign, assign2, M[rows, assign], M[rows, assign2]
-
-
 def init_solution(ds: Dataset, anchor_set: AnchorSet, k: int, seed) -> Solution:
     """Anchors plus uniform random distinct non-anchor points, caches built.
 
@@ -233,23 +125,15 @@ def d2_sample(sol: Solution, rng: np.random.Generator) -> int:
     return min(idx, sol.d1sq.shape[0] - 1)
 
 
-def swap_costs(
-    sol: Solution,
-    p: int,
-    anchor_set: AnchorSet | None = None,
-    _dpsq: np.ndarray | None = None,
-    _covers_p: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cost of swapping point p in for each center, and which swaps keep
-    every anchor zone covered.
-
-    Returns ``(new_costs, admissible)`` indexed by center slot.
-    """
-    anchor_set = sol.anchor_set if anchor_set is None else anchor_set
+def _candidate_row(sol: Solution, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Squared distance from point p to every point, and the zones p lies in."""
     X = sol.ds.points
-    dpsq = sq_dists(X, X[p]) if _dpsq is None else _dpsq
-    covers_p = anchor_set.covers_position(X[p]) if _covers_p is None else _covers_p
+    return sq_dists(X, X[p]), sol.anchor_set.covers_position(X[p])
 
+
+def _swap_costs(
+    sol: Solution, dpsq: np.ndarray, covers_p: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     a = np.minimum(sol.d1sq, dpsq)
     b = np.minimum(sol.d2sq, dpsq)
     base = float(a.sum())
@@ -263,23 +147,34 @@ def swap_costs(
     return new_costs, admissible
 
 
-def evaluate_swaps(
-    sol: Solution, p: int, anchor_set: AnchorSet | None = None
+def _best_swap(
+    sol: Solution, p: int, new_costs: np.ndarray, admissible: np.ndarray
 ) -> SwapCandidate | None:
-    """Best admissible swap for candidate point p, or None when every swap
-    would empty an anchor zone.  Ties go to the lowest center id."""
-    anchor_set = sol.anchor_set if anchor_set is None else anchor_set
-    new_costs, admissible = swap_costs(sol, p, anchor_set)
     if not admissible.any():
         return None
     best = new_costs[admissible].min()
     tied = np.flatnonzero(admissible & (new_costs == best))
     if sol.center_ids is not None:
         slot = int(tied[np.argmin(sol.center_ids[tied])])
+        old = int(sol.center_ids[slot])
     else:
-        slot = int(tied[0])
-    old = int(sol.center_ids[slot]) if sol.center_ids is not None else -1
+        slot, old = int(tied[0]), -1
     return SwapCandidate(point=int(p), slot=slot, old_center=old, new_cost=float(best))
+
+
+def swap_costs(sol: Solution, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cost of swapping point p in for each center, and which swaps keep
+    every anchor zone of ``sol.anchor_set`` covered.
+
+    Returns ``(new_costs, admissible)`` indexed by center slot.
+    """
+    return _swap_costs(sol, *_candidate_row(sol, p))
+
+
+def evaluate_swaps(sol: Solution, p: int) -> SwapCandidate | None:
+    """Best admissible swap for candidate point p, or None when every swap
+    would empty an anchor zone.  Ties go to the lowest center id."""
+    return _best_swap(sol, p, *swap_costs(sol, p))
 
 
 def _apply_swap(sol: Solution, cand: SwapCandidate, dpsq: np.ndarray, covers_p: np.ndarray) -> None:
@@ -298,7 +193,7 @@ def _apply_swap(sol: Solution, cand: SwapCandidate, dpsq: np.ndarray, covers_p: 
     affected = (sol.assign == j) | (sol.assign2 == j)
     rows = np.flatnonzero(affected)
     if rows.size:
-        a1, a2, d1, d2 = _build_state(X[rows], sol.center_pos)
+        a1, a2, d1, d2 = build_state(X[rows], sol.center_pos)
         sol.assign[rows] = a1
         sol.assign2[rows] = a2
         sol.d1sq[rows] = d1
@@ -331,9 +226,14 @@ def ls_step(
     Returns the solution and whether a swap was applied.  A zero-cost
     solution short-circuits (nothing left to sample), and a sampled point
     that already is a center can only reproduce the current solution, so it
-    is rejected without evaluation.
+    is rejected without evaluation.  Otherwise the step takes the swap
+    :func:`evaluate_swaps` picks when it is strictly cheaper.
+
+    ``anchor_set``, when given, must be ``sol.anchor_set`` itself: the
+    coverage cache belongs to that set, so any other one is a ValueError.
     """
-    anchor_set = sol.anchor_set if anchor_set is None else anchor_set
+    if anchor_set is not None and anchor_set is not sol.anchor_set:
+        raise ValueError("anchor_set must be the solution's own anchor set (sol.anchor_set)")
     if rng is None:
         rng = np.random.default_rng()
     if not sol.total_cost > 0:
@@ -341,53 +241,12 @@ def ls_step(
     p = d2_sample(sol, rng)
     if sol.center_ids is not None and p in sol.center_ids:
         return sol, False
-    X = sol.ds.points
-    dpsq = sq_dists(X, X[p])
-    covers_p = anchor_set.covers_position(X[p])
-    new_costs, admissible = swap_costs(sol, p, anchor_set, _dpsq=dpsq, _covers_p=covers_p)
-    if not admissible.any():
+    dpsq, covers_p = _candidate_row(sol, p)
+    cand = _best_swap(sol, p, *_swap_costs(sol, dpsq, covers_p))
+    if cand is None or not cand.new_cost < sol.total_cost:
         return sol, False
-    best = new_costs[admissible].min()
-    if not best < sol.total_cost:
-        return sol, False
-    tied = np.flatnonzero(admissible & (new_costs == best))
-    if sol.center_ids is not None:
-        slot = int(tied[np.argmin(sol.center_ids[tied])])
-        old = int(sol.center_ids[slot])
-    else:
-        slot, old = int(tied[0]), -1
-    cand = SwapCandidate(point=int(p), slot=slot, old_center=old, new_cost=float(best))
     _apply_swap(sol, cand, dpsq, covers_p)
     return sol, True
-
-
-def check_solution(sol: Solution, delta: RadiusBounds | None = None) -> None:
-    """Debug oracle: caches must match a from-scratch rebuild.
-
-    Verifies distances, coverage, cost coherence at 1e-9 relative, and (when
-    radii are supplied) the 2*gamma service bound.
-    """
-    fresh = Solution.build(
-        sol.ds, sol.anchor_set, center_ids=None, center_pos=sol.center_pos
-    )
-    if not np.array_equal(fresh.d1sq, sol.d1sq):
-        raise AssertionError("d1 cache out of sync with the center set")
-    if not np.array_equal(fresh.d2sq, sol.d2sq):
-        raise AssertionError("d2 cache out of sync with the center set")
-    if not np.array_equal(fresh.coverage.covers, sol.coverage.covers):
-        raise AssertionError("coverage table out of sync with the center set")
-    if len(sol.anchor_set) and not np.all(sol.coverage.counts >= 1):
-        raise AssertionError("an anchor zone lost all its centers")
-    exact = math.fsum(sol.d1sq)
-    if abs(sol.total_cost - exact) > 1e-9 * max(1.0, abs(exact)):
-        raise AssertionError("total cost drifted from the recomputed value")
-    if delta is not None:
-        ratio, worst = bound_ratio(sol.ds, delta, sol.center_pos)
-        if ratio > 2 * sol.anchor_set.gamma * _RADIUS_SLACK:
-            raise AssertionError(
-                f"point {worst} served at {ratio:.3f}x its radius, above "
-                f"{2 * sol.anchor_set.gamma}"
-            )
 
 
 def run(ds: Dataset, delta: RadiusBounds, cfg: LsConfig) -> tuple[Solution, RunTrace]:
@@ -432,7 +291,7 @@ def run(ds: Dataset, delta: RadiusBounds, cfg: LsConfig) -> tuple[Solution, RunT
 
     sol, trace = best
     ratio, worst = bound_ratio(ds, delta, sol.center_pos)
-    if ratio > 2 * cfg.gamma * _RADIUS_SLACK:
+    if ratio > 2 * cfg.gamma * RADIUS_SLACK:
         raise AssertionError(
             f"radius guarantee violated: point {worst} at {ratio:.3f}x its bound"
         )

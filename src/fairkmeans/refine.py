@@ -6,19 +6,16 @@ clamped so that no anchor zone is ever left without a center.  Centers become
 continuous positions here; the radius guarantee of the search phase carries
 through because zone coverage is preserved.
 
-A center's move is a bisection along the segment from its current position to
-the cluster mean: the largest step that keeps the center inside every zone it
-is responsible for.  Which zones a center is responsible for is set by
-``constraint_mode``:
+At the start of each round every covered zone pins exactly one of the
+centers inside it: its nearest one (lowest slot on ties), which is its only
+coverer when there is just one.  A center's move is a bisection along the
+segment from its current position to the cluster mean, the largest step that
+keeps it inside every zone pinned to it.  Pins are taken from start-of-round
+positions, so the result does not depend on move order, and each pinned
+center stays inside its zone, so every zone covered at the start of a round
+is still covered at its end.
 
-* ``"pinned"`` (default): every zone pins exactly one of the centers
-  currently inside it (its only coverer when there is one, else the nearest
-  coverer at the start of the round).  Order-independent and provably keeps
-  every zone covered.
-* ``"sole_coverer"``: only zones with exactly one coverer constrain it.
-  Weakest set, but two coverers of the same zone may both leave it in one
-  round, so coverage is not guaranteed.
-* ``"all_zones"``: a center is constrained by every zone it currently covers.
+The same loop with no zones is plain Lloyd (:func:`baselines.lloyd`).
 """
 
 from __future__ import annotations
@@ -31,24 +28,19 @@ import numpy as np
 from ._dist import dists, sq_dist_matrix, sq_dists
 from .anchors import AnchorSet, build_coverage
 from .dataset import Dataset
+from .solution import Solution, build_state
 
-CONSTRAINT_MODES = ("pinned", "sole_coverer", "all_zones")
+# Halvings in a clamped move: its error is at most |mean - center| * 2**-40.
+BISECTION_STEPS = 40
 
 
 @dataclass
 class FlConfig:
     iterations: int = 20
-    bisection_steps: int = 40
-    min_improvement: float = 0.0
-    constraint_mode: str = "pinned"
 
     def validate(self) -> None:
         if self.iterations < 0:
             raise ValueError("iterations must be nonnegative")
-        if self.bisection_steps < 1:
-            raise ValueError("bisection_steps must be at least 1")
-        if self.constraint_mode not in CONSTRAINT_MODES:
-            raise ValueError(f"constraint_mode must be one of {CONSTRAINT_MODES}")
 
 
 def assign(ds: Dataset, centers: np.ndarray) -> np.ndarray:
@@ -75,7 +67,7 @@ def fair_move_center(
     mean: np.ndarray,
     anchor_positions: np.ndarray,
     radii: np.ndarray,
-    bisection_steps: int = 40,
+    bisection_steps: int = BISECTION_STEPS,
 ) -> np.ndarray:
     """Farthest point toward ``mean`` on the segment from ``center`` that
     stays inside every constraint ball.
@@ -107,81 +99,57 @@ def fair_move_center(
     return (1.0 - lo) * center + lo * mean
 
 
-def _responsibilities(
-    anchor_set: AnchorSet, positions: np.ndarray, mode: str
-) -> list[np.ndarray]:
-    """Zones each center must stay inside this round, from start-of-round
-    positions so the result does not depend on move order."""
-    k = positions.shape[0]
-    m = len(anchor_set)
-    if m == 0:
-        return [np.empty(0, dtype=np.int64)] * k
+def _pinned_zones(
+    anchor_set: AnchorSet | None, positions: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per center, the positions and radii of the zones pinned to it this
+    round: every covered zone binds its nearest coverer (ties: lowest slot)."""
+    k, d = positions.shape
+    if anchor_set is None:
+        return [(np.empty((0, d)), np.empty(0))] * k
     dmat = np.sqrt(sq_dist_matrix(positions, anchor_set.positions))
     covers = dmat <= anchor_set.zone_radius
-    counts = covers.sum(axis=0)
-    if mode == "all_zones":
-        return [np.flatnonzero(covers[j]) for j in range(k)]
-    if mode == "sole_coverer":
-        sole = counts == 1
-        return [np.flatnonzero(covers[j] & sole) for j in range(k)]
-    # pinned: each covered zone binds its nearest coverer (ties: lowest slot)
-    pin = np.full(m, -1, dtype=np.int64)
-    covered = counts >= 1
+    covered = covers.any(axis=0)
+    pin = np.full(len(anchor_set), -1, dtype=np.int64)
     masked = np.where(covers, dmat, np.inf)
     pin[covered] = np.argmin(masked[:, covered], axis=0)
-    return [np.flatnonzero(pin == j) for j in range(k)]
+    return [(anchor_set.positions[pin == j], anchor_set.zone_radius[pin == j]) for j in range(k)]
 
 
-def flloyd_run(
-    ds: Dataset,
-    sol,
-    anchor_set: AnchorSet | None = None,
-    cfg: FlConfig | None = None,
-):
-    """Refine a solution for ``cfg.iterations`` rounds.
+def lloyd_rounds(
+    X: np.ndarray,
+    centers: np.ndarray,
+    anchor_set: AnchorSet | None,
+    iterations: int,
+    rel_tol: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Up to ``iterations`` Lloyd rounds from ``centers``, each move clamped
+    to the zones of ``anchor_set`` pinned to the center (none when
+    ``anchor_set`` is None).
 
-    Returns the refined solution (centers now continuous positions) and the
-    cost trace, one entry on entry plus one per round.  The trace is
-    non-increasing: a center move is kept only when its cluster's recomputed
-    cost strictly improves, which pins down monotonicity in float arithmetic
-    as well as in exact arithmetic.  With ``min_improvement > 0`` the loop
-    stops early once a round improves by less than that.
-
-    ``iterations = 0`` returns the input solution unchanged.
+    Returns the final positions and the cost trace, the entry cost plus one
+    value per round.  An empty cluster keeps its center, and a move is kept
+    only when its cluster's recomputed cost strictly improves, which makes
+    the trace non-increasing in float arithmetic as well as in exact
+    arithmetic.  A positive ``rel_tol`` stops once a round's relative
+    improvement drops to it or below.
     """
-    from .local_search import Solution, _build_state
-
-    cfg = FlConfig() if cfg is None else cfg
-    cfg.validate()
-    anchor_set = sol.anchor_set if anchor_set is None else anchor_set
-    X = ds.points
-    n = X.shape[0]
-    k = sol.center_pos.shape[0]
-    rows = np.arange(n)
-
-    positions = sol.center_pos.copy()
+    positions = np.array(centers, dtype=np.float64)
+    k = positions.shape[0]
+    rows = np.arange(X.shape[0])
     M = sq_dist_matrix(X, positions)
     labels = np.argmin(M, axis=1)
     d1sq = M[rows, labels]
     total = math.fsum(d1sq)
     trace = [total]
-    if cfg.iterations == 0:
-        return sol, np.asarray(trace)
-
-    for _ in range(cfg.iterations):
+    for _ in range(iterations):
         means, sizes = cluster_means(X, labels, k)
-        zones = _responsibilities(anchor_set, positions, cfg.constraint_mode)
+        zones = _pinned_zones(anchor_set, positions)
         new_positions = positions.copy()
         for j in range(k):
             if sizes[j] == 0:
                 continue
-            candidate = fair_move_center(
-                positions[j],
-                means[j],
-                anchor_set.positions[zones[j]],
-                anchor_set.zone_radius[zones[j]],
-                cfg.bisection_steps,
-            )
+            candidate = fair_move_center(positions[j], means[j], *zones[j])
             # a center that does not move cannot strictly improve its cost
             if np.array_equal(candidate, positions[j]):
                 continue
@@ -198,10 +166,31 @@ def flloyd_run(
         trace.append(new_total)
         improvement = total - new_total
         total = new_total
-        if improvement < cfg.min_improvement:
+        if rel_tol > 0 and improvement <= rel_tol * max(total, 1e-300):
             break
+    return positions, np.asarray(trace)
 
-    assign_, assign2, d1sq_, d2sq = _build_state(X, positions)
+
+def flloyd_run(ds: Dataset, sol: Solution, *, cfg: FlConfig | None = None):
+    """Refine a solution for ``cfg.iterations`` rounds within the zones of
+    ``sol.anchor_set``.
+
+    Returns the refined solution (centers now continuous positions) and the
+    cost trace, one entry on entry plus one per round; the trace is
+    non-increasing.  ``ds`` must be ``sol.ds``, else a ValueError.
+
+    ``iterations = 0`` returns the input solution unchanged.
+    """
+    if ds is not sol.ds:
+        raise ValueError("ds must be the dataset the solution was built on (sol.ds)")
+    cfg = FlConfig() if cfg is None else cfg
+    cfg.validate()
+    anchor_set = sol.anchor_set
+    positions, trace = lloyd_rounds(ds.points, sol.center_pos, anchor_set, cfg.iterations, 0.0)
+    if cfg.iterations == 0:
+        return sol, trace
+
+    assign_, assign2, d1sq, d2sq = build_state(ds.points, positions)
     coverage = build_coverage(anchor_set, positions)
     if len(anchor_set) and not np.all(coverage.counts >= 1):
         raise AssertionError("refinement left an anchor zone without a center")
@@ -212,9 +201,9 @@ def flloyd_run(
         center_pos=positions,
         assign=assign_,
         assign2=assign2,
-        d1sq=d1sq_,
+        d1sq=d1sq,
         d2sq=d2sq,
         coverage=coverage,
-        total_cost=total,
+        total_cost=float(trace[-1]),
     )
-    return refined, np.asarray(trace)
+    return refined, trace

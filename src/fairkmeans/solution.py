@@ -1,0 +1,158 @@
+"""A center set with the caches the search and refinement stages share.
+
+:class:`Solution` holds the centers plus each point's nearest and
+second-nearest center and the anchor-zone coverage table;
+:func:`build_state` computes those per-point caches from scratch, and
+:func:`check_solution` is the debug oracle that compares a solution's caches
+against a fresh rebuild.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from ._dist import sq_dist_matrix
+from .anchors import AnchorSet, CoverageTable, build_coverage
+from .dataset import Dataset, RadiusBounds
+from .metrics import bound_ratio
+
+RADIUS_SLACK = 1 + 1e-9  # float headroom on the 2*gamma postcondition
+
+
+@dataclass(eq=False)
+class Solution:
+    """A k-center solution with the caches the search loop maintains.
+
+    ``center_ids`` are dataset point ids, or ``None`` once a refinement stage
+    has moved centers off the data points; ``center_pos`` is always valid.
+    ``assign``/``assign2`` hold the slot of each point's nearest and
+    second-nearest center and ``d1sq``/``d2sq`` the matching squared
+    distances (``assign2 = -1`` and ``d2sq = inf`` when k = 1).
+    ``total_cost`` is the k-means cost, kept consistent with a from-scratch
+    recomputation to 1e-9 relative.
+
+    Solutions are single-owner: only the loop that created one mutates it.
+    """
+
+    ds: Dataset
+    anchor_set: AnchorSet
+    center_ids: np.ndarray | None
+    center_pos: np.ndarray
+    assign: np.ndarray
+    assign2: np.ndarray
+    d1sq: np.ndarray
+    d2sq: np.ndarray
+    coverage: CoverageTable
+    total_cost: float
+
+    @property
+    def k(self) -> int:
+        return self.center_pos.shape[0]
+
+    @property
+    def d1(self) -> np.ndarray:
+        return np.sqrt(self.d1sq)
+
+    @property
+    def d2(self) -> np.ndarray:
+        return np.sqrt(self.d2sq)
+
+    @property
+    def nearest_center(self) -> np.ndarray | None:
+        """Per-point id of the nearest center (None after refinement)."""
+        if self.center_ids is None:
+            return None
+        return self.center_ids[self.assign]
+
+    def copy(self) -> "Solution":
+        return Solution(
+            ds=self.ds,
+            anchor_set=self.anchor_set,
+            center_ids=None if self.center_ids is None else self.center_ids.copy(),
+            center_pos=self.center_pos.copy(),
+            assign=self.assign.copy(),
+            assign2=self.assign2.copy(),
+            d1sq=self.d1sq.copy(),
+            d2sq=self.d2sq.copy(),
+            coverage=self.coverage.copy(),
+            total_cost=self.total_cost,
+        )
+
+    @classmethod
+    def build(
+        cls,
+        ds: Dataset,
+        anchor_set: AnchorSet,
+        center_ids: np.ndarray | None = None,
+        center_pos: np.ndarray | None = None,
+    ) -> "Solution":
+        """From-scratch construction of every cache; the oracle the
+        incremental updates are checked against."""
+        if center_pos is None:
+            if center_ids is None:
+                raise ValueError("need center ids or positions")
+            center_ids = np.asarray(center_ids, dtype=np.int64)
+            center_pos = ds.points[center_ids].copy()
+        else:
+            center_pos = np.array(center_pos, dtype=np.float64)
+        assign, assign2, d1sq, d2sq = build_state(ds.points, center_pos)
+        return cls(
+            ds=ds,
+            anchor_set=anchor_set,
+            center_ids=center_ids,
+            center_pos=center_pos,
+            assign=assign,
+            assign2=assign2,
+            d1sq=d1sq,
+            d2sq=d2sq,
+            coverage=build_coverage(anchor_set, center_pos),
+            total_cost=float(d1sq.sum()),
+        )
+
+
+def build_state(X: np.ndarray, centers: np.ndarray):
+    """Nearest/second-nearest slots and squared distances for all points."""
+    n = X.shape[0]
+    k = centers.shape[0]
+    M = sq_dist_matrix(X, centers)
+    if k == 1:
+        assign = np.zeros(n, dtype=np.int64)
+        assign2 = np.full(n, -1, dtype=np.int64)
+        return assign, assign2, M[:, 0].copy(), np.full(n, np.inf)
+    order = np.argsort(M, axis=1, kind="stable")[:, :2]
+    assign = order[:, 0].copy()
+    assign2 = order[:, 1].copy()
+    rows = np.arange(n)
+    return assign, assign2, M[rows, assign], M[rows, assign2]
+
+
+def check_solution(sol: Solution, delta: RadiusBounds | None = None) -> None:
+    """Debug oracle: caches must match a from-scratch rebuild.
+
+    Verifies distances, coverage, cost coherence at 1e-9 relative, and (when
+    radii are supplied) the 2*gamma service bound.
+    """
+    fresh = Solution.build(
+        sol.ds, sol.anchor_set, center_ids=None, center_pos=sol.center_pos
+    )
+    if not np.array_equal(fresh.d1sq, sol.d1sq):
+        raise AssertionError("d1 cache out of sync with the center set")
+    if not np.array_equal(fresh.d2sq, sol.d2sq):
+        raise AssertionError("d2 cache out of sync with the center set")
+    if not np.array_equal(fresh.coverage.covers, sol.coverage.covers):
+        raise AssertionError("coverage table out of sync with the center set")
+    if len(sol.anchor_set) and not np.all(sol.coverage.counts >= 1):
+        raise AssertionError("an anchor zone lost all its centers")
+    exact = math.fsum(sol.d1sq)
+    if abs(sol.total_cost - exact) > 1e-9 * max(1.0, abs(exact)):
+        raise AssertionError("total cost drifted from the recomputed value")
+    if delta is not None:
+        ratio, worst = bound_ratio(sol.ds, delta, sol.center_pos)
+        if ratio > 2 * sol.anchor_set.gamma * RADIUS_SLACK:
+            raise AssertionError(
+                f"point {worst} served at {ratio:.3f}x its radius, above "
+                f"{2 * sol.anchor_set.gamma}"
+            )

@@ -119,6 +119,12 @@ class TestIsRadiusFeasible:
         with pytest.raises(ValueError):
             is_radius_feasible(ds, RadiusBounds(np.ones(2)), np.empty(0, dtype=int), 1.0)
 
+    def test_float_ids_rejected(self):
+        # a 1-D float array is neither an id list nor a (k, d) position array
+        ds = Dataset(np.array([[0.0], [1.0]]))
+        with pytest.raises(ValueError, match="id list or"):
+            is_radius_feasible(ds, RadiusBounds(np.ones(2)), np.array([0.0, 1.0]), 1.0)
+
 
 class TestBuildCoverage:
     def test_anchors_cover_their_own_zones(self):
@@ -146,14 +152,3 @@ class TestBuildCoverage:
         via_ids = build_coverage(aset, ids, ds)
         via_pos = build_coverage(aset, ds.points[ids])
         assert np.array_equal(via_ids.covers, via_pos.covers)
-
-
-class TestZoneMembership:
-    def test_membership_matches_on_demand(self):
-        ds, delta, k = gaussian_instance(11, n=80)
-        aset = seed(ds, delta, gamma=3.0)
-        assert aset.membership is not None
-        for z in range(len(aset)):
-            assert np.array_equal(aset.zone_members(ds, z), aset.membership[z])
-            d = dists(ds.points, aset.positions[z])
-            assert np.array_equal(aset.membership[z], np.flatnonzero(d <= aset.zone_radius[z]))

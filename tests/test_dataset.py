@@ -207,6 +207,19 @@ class TestComputeRadii:
         with pytest.raises(ValueError, match="overflow float64.*rescale the points"):
             compute_radii(ds, 2, mode=mode, sample_size=10)
 
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    @pytest.mark.parametrize("scale", [1e-170, 1e-160])
+    def test_underflow_names_cause(self, mode, scale):
+        # at 1e-170 every squared distance is 0, at 1e-160 subnormal
+        ds = Dataset(np.random.default_rng(4).normal(size=(300, 2)) * scale)
+        with pytest.raises(ValueError, match="underflow float64.*rescale the points"):
+            compute_radii(ds, 5, mode=mode, sample_size=50)
+
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_identical_points_have_zero_radii(self, mode):
+        ds = Dataset(np.full((6, 3), 1e-170))
+        assert np.array_equal(compute_radii(ds, 2, mode=mode, sample_size=4).delta, np.zeros(6))
+
 
 class TestAspectRatio:
     def test_examples(self):

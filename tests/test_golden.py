@@ -1,9 +1,13 @@
 """Golden regression: exact outputs of three small seeded instances.
 
-The values were recorded before the batched distance kernel replaced the
-per-center loops, as ``float.hex`` strings, and must be reproduced bit for
-bit: the local-search cost trace, the final center ids, the refinement cost
-trace, ``metrics.cost`` and ``bound_ratio``.  All instances have d <= 2,
+The values are ``float.hex`` strings and must be reproduced bit for bit.
+``GOLDENS`` was recorded before the batched distance kernel replaced the
+per-center loops: the local-search cost trace, the final center ids, the
+refinement cost trace, ``metrics.cost`` and ``bound_ratio``.
+``VANILLA_GOLDENS`` was recorded while ``baselines.lloyd`` still had its own
+loop, apart from the refinement's: the cost trace and final center
+positions of ``vanilla_kmeans`` (D^2 seeding plus Lloyd with its
+``rel_tol`` stop).  All instances have d <= 2,
 where every squared distance is rounded the same way on any SIMD width, so
 the goldens hold on any platform; ``test_dist.py`` covers d >= 3 against a
 per-row reference instead.
@@ -137,3 +141,97 @@ def test_outputs_match_golden(name):
     assert _hex_runs(fl) == want.fl_trace
     assert fk.cost(ds, refined.center_pos).hex() == want.cost
     assert fk.bound_ratio(ds, delta, refined.center_pos)[0].hex() == want.bound_ratio
+
+
+@dataclass(frozen=True)
+class VanillaGolden:
+    trace: tuple[tuple[str, int], ...]
+    positions: tuple[tuple[str, ...], ...]
+
+
+VANILLA_GOLDENS = {
+    "line-d1": VanillaGolden(
+        trace=(("0x1.32cd3f54c7dbbp+8", 1), ("0x1.07e964b52c5a4p+7", 2)),
+        positions=(
+            ("0x1.7e52a676030a9p+3",),
+            ("-0x1.1da0ec580f47fp+3",),
+            ("0x1.f522e2f4035c5p+1",),
+            ("-0x1.065a458c91013p-3",),
+        ),
+    ),
+    "blobs-d2-exact": VanillaGolden(
+        trace=(
+            ("0x1.8c99912629f20p+10", 1),
+            ("0x1.c36eae60c0bfap+9", 1),
+            ("0x1.bd121cba784f3p+9", 1),
+            ("0x1.bac0d7d1d2cc5p+9", 1),
+            ("0x1.ba3c316ff0f88p+9", 1),
+            ("0x1.b9db9749f7964p+9", 1),
+            ("0x1.b9d197ae4f89dp+9", 2),
+        ),
+        positions=(
+            ("-0x1.726d1c9dcce3cp+1", "-0x1.5671f3f4f1133p+0"),
+            ("0x1.9e187e3dbd15bp+2", "0x1.ca23ef0c4ddafp+1"),
+            ("-0x1.d40026d07add4p+1", "0x1.600add08bd139p+2"),
+            ("-0x1.76ff0979a7186p+2", "0x1.0bbb123ab8e76p+3"),
+            ("-0x1.26ad544d375afp+2", "-0x1.4c64ae4d257e5p+0"),
+            ("0x1.6bd58c5ebde34p+0", "0x1.ae91a1ad6263ep+2"),
+        ),
+    ),
+    "blobs-d2-sampled": VanillaGolden(
+        trace=(
+            ("0x1.634f6c6ad1d14p+15", 1),
+            ("0x1.7875bb61f279fp+14", 1),
+            ("0x1.6b4a9caeecdd5p+14", 1),
+            ("0x1.68bfe1e9d0377p+14", 1),
+            ("0x1.68022edacf61bp+14", 1),
+            ("0x1.67e42cbaf1578p+14", 1),
+            ("0x1.67ddf8e1e8131p+14", 1),
+            ("0x1.67da8ca28df85p+14", 1),
+            ("0x1.67d9bb99987dfp+14", 1),
+            ("0x1.67d8e62f0f163p+14", 1),
+            ("0x1.67d2b7b6072d1p+14", 1),
+            ("0x1.67c3e330e5023p+14", 1),
+            ("0x1.67c0190dec2a5p+14", 1),
+            ("0x1.67bbfe3f20b08p+14", 1),
+            ("0x1.67b4c8a184aa7p+14", 1),
+            ("0x1.67a7dbde445aep+14", 1),
+            ("0x1.679e6cb35473cp+14", 1),
+            ("0x1.6799aaf329bf0p+14", 1),
+            ("0x1.6794286ff8a2fp+14", 1),
+            ("0x1.678e100812d07p+14", 1),
+            ("0x1.677b0907e8d72p+14", 1),
+            ("0x1.676050712f99fp+14", 1),
+            ("0x1.6731a3e1bb68cp+14", 1),
+            ("0x1.66e9ef9b117c4p+14", 1),
+            ("0x1.66a138fa32548p+14", 1),
+            ("0x1.666f29b17d3e9p+14", 1),
+            ("0x1.6633ef73bd19ap+14", 1),
+            ("0x1.661593aba18e7p+14", 1),
+            ("0x1.660fecedfad19p+14", 1),
+            ("0x1.660d4c60b88dbp+14", 1),
+            ("0x1.660c708c97447p+14", 1),
+            ("0x1.660c161d71917p+14", 2),
+        ),
+        positions=(
+            ("-0x1.eac259f3e0573p+1", "0x1.42ccaefd83492p+4"),
+            ("-0x1.1441db40ab666p+4", "-0x1.57183cb529e22p+2"),
+            ("0x1.989cd18dff800p+4", "0x1.d951602718886p+1"),
+            ("0x1.32b9bad62a87bp+4", "-0x1.77e23e491f110p+4"),
+            ("-0x1.3cb1e83a93a27p+3", "-0x1.15ed6f7bbb4cep+4"),
+            ("-0x1.0f2b8ac00d380p+4", "-0x1.a0875953734c3p+3"),
+            ("0x1.2254d229d4964p+4", "-0x1.fcdcc3cbb37bbp+3"),
+            ("0x1.4836a3ca56199p+4", "0x1.03f77a150bdc0p+1"),
+            ("0x1.2c317bb82a9b9p+4", "-0x1.8e4346d866921p+3"),
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VANILLA_GOLDENS))
+def test_vanilla_kmeans_matches_golden(name):
+    want = VANILLA_GOLDENS[name]
+    ds, _, k = _instance(name)
+    positions, trace = fk.vanilla_kmeans(ds, k, 7)
+    assert _hex_runs(trace) == want.trace
+    assert tuple(tuple(v.hex() for v in row) for row in positions.tolist()) == want.positions

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fairkmeans import (
+    AnchorSet,
     Dataset,
     InfeasibleInstanceError,
     LsConfig,
@@ -176,6 +177,19 @@ class TestLsStep:
             ls_step(sol, aset, rng)
             costs.append(sol.total_cost)
         assert np.all(np.diff(costs) <= 0)
+
+    def test_foreign_anchor_set_rejected(self):
+        # same anchors, tiny zones: stepping with it would corrupt the
+        # coverage cache, which belongs to sol.anchor_set
+        ds, delta, aset, sol = ls_fixture(41, n=120, k=4)
+        shrunk = AnchorSet(aset.anchors, aset.positions, aset.zone_radius * 1e-6, aset.gamma)
+        before = sol.copy()
+        with pytest.raises(ValueError, match="sol.anchor_set"):
+            ls_step(sol, shrunk, np.random.default_rng(0))
+        assert np.array_equal(sol.center_ids, before.center_ids)
+        ls_step(sol, None, np.random.default_rng(0))
+        ls_step(sol, aset, np.random.default_rng(1))
+        check_solution(sol, delta)
 
     def test_zero_cost_short_circuit(self):
         ds, delta, _ = gaussian_instance(4, n=10, k=2)

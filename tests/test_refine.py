@@ -64,10 +64,10 @@ class TestFairMoveCenter:
             assert np.all(d <= radii)
 
 
-def refined_fixture(s, mode="pinned", iters=20):
+def refined_fixture(s, iters=20):
     ds, delta, k = gaussian_instance(s, n=250)
     sol, _ = run(ds, delta, LsConfig(k=k, iterations=80, seed=s))
-    refined, trace = flloyd_run(ds, sol, cfg=FlConfig(iterations=iters, constraint_mode=mode))
+    refined, trace = flloyd_run(ds, sol, cfg=FlConfig(iterations=iters))
     return ds, delta, sol, refined, trace
 
 
@@ -79,10 +79,9 @@ class TestFlloydRun:
         assert out is sol
         assert trace.size == 1
 
-    @pytest.mark.parametrize("mode", ["pinned", "all_zones"])
-    def test_cost_monotone_and_covered(self, mode):
+    def test_cost_monotone_and_covered(self):
         for s in (1, 2, 3):
-            ds, delta, sol, refined, trace = refined_fixture(10 * s, mode=mode)
+            ds, delta, sol, refined, trace = refined_fixture(10 * s)
             assert np.all(np.diff(trace) <= 0)
             assert np.all(refined.coverage.counts >= 1)
             ratio, _ = bound_ratio(ds, delta, refined.center_pos)
@@ -100,11 +99,10 @@ class TestFlloydRun:
         )
         ds = Dataset(pts)
         delta = RadiusBounds(np.full(50, 1e9))
-        aset = seed(ds, delta, gamma=3.0)
         sol, _ = run(ds, delta, LsConfig(k=2, iterations=30, seed=2))
-        refined, _ = flloyd_run(ds, sol, aset, FlConfig(iterations=60))
+        refined, _ = flloyd_run(ds, sol, cfg=FlConfig(iterations=60))
         plain, _ = lloyd(ds, sol.center_pos, iterations=60)
-        assert np.allclose(np.sort(refined.center_pos, 0), np.sort(plain, 0), atol=1e-6)
+        assert np.array_equal(refined.center_pos, plain)
 
     def test_empty_cluster_center_stays(self):
         # second center is far from all points and keeps its position
@@ -114,16 +112,14 @@ class TestFlloydRun:
         from fairkmeans.local_search import Solution
 
         sol = Solution.build(ds, aset, center_pos=np.array([[1.0], [50.0]]))
-        refined, _ = flloyd_run(ds, sol, aset, FlConfig(iterations=3))
+        refined, _ = flloyd_run(ds, sol, cfg=FlConfig(iterations=3))
         assert refined.center_pos[1, 0] == 50.0
 
-    def test_min_improvement_stops_early(self):
+    def test_foreign_dataset_rejected(self):
         ds, delta, k = gaussian_instance(9, n=120)
-        sol, _ = run(ds, delta, LsConfig(k=k, iterations=50, seed=1))
-        _, full = flloyd_run(ds, sol, cfg=FlConfig(iterations=50))
-        _, short = flloyd_run(ds, sol, cfg=FlConfig(iterations=50, min_improvement=1e9))
-        assert short.size <= 2
-        assert full.size >= short.size
+        sol, _ = run(ds, delta, LsConfig(k=k, iterations=20, seed=1))
+        with pytest.raises(ValueError, match="sol.ds"):
+            flloyd_run(Dataset(ds.points.copy()), sol, cfg=FlConfig(iterations=2))
 
     def test_deterministic(self):
         ds, delta, sol, refined_a, trace_a = refined_fixture(123)
