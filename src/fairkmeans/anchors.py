@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._dist import dists, sq_dist_matrix
-from .dataset import Dataset, RadiusBounds
+from .dataset import Dataset, RadiusBounds, check_distance_scale
 from .metrics import bound_ratio
 
 
@@ -75,11 +75,14 @@ def seed(ds: Dataset, delta: RadiusBounds, gamma: float) -> AnchorSet:
 
     Returns the full anchor list even when it exceeds a caller's k; deciding
     feasibility is the caller's job so the anchor count can be reported.
+    Points whose squared distances underflow float64 are a ValueError
+    (:func:`dataset.check_distance_scale`), whatever the radii.
     """
     if not gamma > 2:
         raise ValueError(f"gamma must exceed 2, got {gamma}")
     if len(delta) != ds.n:
         raise ValueError("radius bounds do not match the dataset")
+    check_distance_scale(ds)
     X = ds.points
     reach = gamma * delta.delta
     covered = np.zeros(ds.n, dtype=bool)

@@ -19,7 +19,6 @@ import numpy as np
 from ._dist import sq_dist_matrix, sq_dists
 from .anchors import seed as seed_anchors
 from .dataset import Dataset, RadiusBounds
-from .errors import InfeasibleInstanceError
 from .local_search import init_solution
 from .metrics import cost as metrics_cost
 from .metrics import fairness_ratios
@@ -36,12 +35,10 @@ def greedy_baseline(
     """Seeding anchors filled to k with uniform random points, no search.
 
     Identical to the local-search initialization, and therefore satisfies the
-    same 2*gamma service bound.
+    same 2*gamma service bound; InfeasibleInstanceError when seeding needs
+    more than k anchors.
     """
-    anchor_set = seed_anchors(ds, delta, gamma)
-    if len(anchor_set) > k:
-        raise InfeasibleInstanceError(len(anchor_set), k)
-    return init_solution(ds, anchor_set, k, seed)
+    return init_solution(ds, seed_anchors(ds, delta, gamma), k, seed)
 
 
 def kmeanspp_init(ds: Dataset, k: int, seed) -> np.ndarray:
@@ -89,7 +86,8 @@ def lloyd(
     positions = np.asarray(centers, dtype=np.float64)
     if positions.ndim != 2 or positions.shape[0] == 0:
         raise ValueError("centers must be a nonempty (k, d) array")
-    return lloyd_rounds(ds.points, positions, None, iterations, rel_tol)
+    positions, trace, _ = lloyd_rounds(ds.points, positions, None, iterations, rel_tol)
+    return positions, trace
 
 
 def vanilla_kmeans(ds: Dataset, k: int, seed) -> tuple[np.ndarray, np.ndarray]:

@@ -9,6 +9,7 @@ is echoed to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .experiments import ALGORITHMS, ExperimentConfig, run_experiment
@@ -23,44 +24,50 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One option per ExperimentConfig field, with the field's default."""
     p = _Parser(
         prog="fair-kmeans",
         description="Individually fair k-means experiments on CSV datasets.",
     )
-    p.add_argument("--input", required=True, help="CSV file of numeric coordinates")
-    p.add_argument(
-        "--columns",
-        default=None,
-        help="comma-separated column indices to use (default: all)",
+    p.set_defaults(
+        **{
+            f.name: f.default
+            for f in dataclasses.fields(ExperimentConfig)
+            if f.default is not dataclasses.MISSING
+        }
     )
+    p.add_argument(
+        "--input",
+        dest="input_path",
+        metavar="INPUT",
+        required=True,
+        help="CSV file of numeric coordinates",
+    )
+    p.add_argument("--columns", help="comma-separated column indices to use (default: all)")
     p.add_argument("--header", action="store_true", help="skip the first CSV row")
     p.add_argument(
         "--normalize",
         action="store_true",
         help="scale every dimension to zero mean and unit std before anything else",
     )
-    p.add_argument("--sample", type=int, default=None, help="subsample to this many points")
-    p.add_argument("--k", type=int, default=10, help="number of centers (default 10)")
-    p.add_argument("--gamma", type=float, default=3.0, help="anchor zone factor (default 3)")
-    p.add_argument(
-        "--iterations", type=int, default=500, help="local-search steps (default 500)"
-    )
+    p.add_argument("--sample", type=int, help="subsample to this many points")
+    p.add_argument("--k", type=int, help="number of centers (default %(default)s)")
+    p.add_argument("--gamma", type=float, help="anchor zone factor (default %(default)s)")
+    p.add_argument("--iterations", type=int, help="local-search steps (default %(default)s)")
     p.add_argument(
         "--flloyd-iters",
         type=int,
-        default=20,
-        help="fair Lloyd refinement rounds after the search (default 20, 0 disables)",
+        help="fair Lloyd refinement rounds after the search (default %(default)s, 0 disables)",
     )
     p.add_argument(
         "--delta-mode",
-        default=None,
         metavar="{exact,sampled:<m>}",
         help="radius computation; default: exact up to 50k points, sampled:1000 above",
     )
-    p.add_argument("--algorithm", choices=ALGORITHMS, default="lspp")
-    p.add_argument("--trials", type=int, default=10, help="independent repetitions (default 10)")
-    p.add_argument("--seed", type=int, default=0, help="base seed; trial i uses seed+i")
-    p.add_argument("--out", default=None, help="write the JSON report here")
+    p.add_argument("--algorithm", choices=ALGORITHMS)
+    p.add_argument("--trials", type=int, help="independent repetitions (default %(default)s)")
+    p.add_argument("--seed", type=int, help="base seed; trial i uses seed+i")
+    p.add_argument("--out", help="write the JSON report here")
     p.add_argument(
         "--eval-on-full",
         action="store_true",
@@ -84,23 +91,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"fair-kmeans: error: bad --columns value {args.columns!r}", file=sys.stderr)
             return 1
 
-    cfg = ExperimentConfig(
-        input_path=args.input,
-        columns=columns,
-        header=args.header,
-        normalize=args.normalize,
-        sample=args.sample,
-        k=args.k,
-        gamma=args.gamma,
-        iterations=args.iterations,
-        flloyd_iters=args.flloyd_iters,
-        delta_mode=args.delta_mode,
-        algorithm=args.algorithm,
-        trials=args.trials,
-        seed=args.seed,
-        out=args.out,
-        eval_on_full=args.eval_on_full,
-    )
+    cfg = ExperimentConfig(**{**vars(args), "columns": columns})
     try:
         report = run_experiment(cfg)
     except (OSError, ValueError) as exc:

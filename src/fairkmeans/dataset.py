@@ -227,19 +227,13 @@ def compute_radii(
         Sampled mode only.
 
     Raises a ValueError when squared distances overflow float64 and leave
-    a radius infinite, or when the points are distinct but so close that
-    every squared distance underflows (the largest per-dimension spread
-    squared is below the smallest normal float64); rescale the points first.
+    a radius infinite, or when they underflow (:func:`check_distance_scale`);
+    rescale the points first.
     """
     if not 1 <= k <= ds.n:
         raise ValueError(f"k={k} must be in [1, {ds.n}]")
+    check_distance_scale(ds)
     X = ds.points
-    spread = float(np.max(X.max(axis=0) - X.min(axis=0)))
-    if 0 < spread and spread * spread < np.finfo(np.float64).tiny:
-        raise ValueError(
-            f"squared distances underflow float64 (coordinate spread {spread:.3g}); "
-            "rescale the points, e.g. divide them by their largest coordinate spread"
-        )
     if mode == "exact":
         ref, rank, extra = X, -(-ds.n // k), {}
     elif mode == "sampled":
@@ -259,6 +253,19 @@ def compute_radii(
             "rescale the points, e.g. divide them by their largest magnitude"
         )
     return RadiusBounds(np.sqrt(sq), mode=mode, **extra)
+
+
+def check_distance_scale(ds: Dataset) -> None:
+    """ValueError when the points are distinct but so close that every
+    squared distance underflows: the largest per-dimension spread squared is
+    below the smallest normal float64.  Identical points pass."""
+    X = ds.points
+    spread = float(np.max(X.max(axis=0) - X.min(axis=0)))
+    if 0 < spread and spread * spread < np.finfo(np.float64).tiny:
+        raise ValueError(
+            f"squared distances underflow float64 (coordinate spread {spread:.3g}); "
+            "rescale the points, e.g. divide them by their largest coordinate spread"
+        )
 
 
 def _ranked_sq_dist(X: np.ndarray, ref: np.ndarray, rank: int) -> np.ndarray:

@@ -76,7 +76,7 @@ class ExperimentConfig:
         if self.sample is not None and self.sample < 1:
             raise ValueError("sample size must be positive")
         if self.delta_mode is not None:
-            parse_delta_mode(self.delta_mode, 1)
+            parse_delta_mode(self.delta_mode)
 
 
 @dataclass
@@ -183,7 +183,7 @@ def _jsonable(obj):
     return obj
 
 
-def parse_delta_mode(mode: str, n: int) -> tuple[str, int]:
+def parse_delta_mode(mode: str) -> tuple[str, int]:
     """Parse "exact" or "sampled:<m>" into (mode, sample_size)."""
     if mode == "exact":
         return "exact", 0
@@ -199,14 +199,11 @@ def parse_delta_mode(mode: str, n: int) -> tuple[str, int]:
 
 
 def _resolve_delta(cfg: ExperimentConfig, ds: Dataset) -> RadiusBounds:
-    if cfg.delta_mode is None:
-        if ds.n <= EXACT_RADII_RECOMMENDED_MAX:
-            return compute_radii(ds, cfg.k, mode="exact")
-        return compute_radii(ds, cfg.k, mode="sampled", sample_size=1000, seed=cfg.seed)
-    mode, m = parse_delta_mode(cfg.delta_mode, ds.n)
-    if mode == "exact":
-        return compute_radii(ds, cfg.k, mode="exact")
-    return compute_radii(ds, cfg.k, mode="sampled", sample_size=m, seed=cfg.seed)
+    spec = cfg.delta_mode
+    if spec is None:
+        spec = "exact" if ds.n <= EXACT_RADII_RECOMMENDED_MAX else "sampled:1000"
+    mode, m = parse_delta_mode(spec)
+    return compute_radii(ds, cfg.k, mode=mode, sample_size=m, seed=cfg.seed)
 
 
 def _run_trial(cfg: ExperimentConfig, ds: Dataset, delta: RadiusBounds, trial: int):

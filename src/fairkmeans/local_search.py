@@ -21,14 +21,13 @@ full evaluation costs O(nd) for the distance pass plus O(n + k) bookkeeping.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._dist import sq_dists
 from .anchors import AnchorSet, seed
-from .dataset import Dataset, RadiusBounds, aspect_ratio
+from .dataset import Dataset, RadiusBounds
 from .errors import InfeasibleInstanceError
 from .metrics import bound_ratio
 from .solution import RADIUS_SLACK, Solution, build_state, check_solution
@@ -38,18 +37,16 @@ from .solution import RADIUS_SLACK, Solution, build_state, check_solution
 class LsConfig:
     """Knobs for :func:`run`.
 
-    ``iterations`` is the number of local-search steps.  With
-    ``use_theoretical_iterations`` the count is derived from the instance
-    instead, ``ceil(k * ln(n * aspect_ratio))``; computing the aspect ratio
-    is quadratic in n, so reserve that flag for small inputs.
+    ``iterations`` is the number of local-search steps.  The paper's count
+    for an instance is ``math.ceil(k * math.log(n * fk.aspect_ratio(ds).value))``;
+    computing the aspect ratio is quadratic in n, so reserve it for small
+    inputs.
     """
 
     k: int
     gamma: float = 3.0
     iterations: int = 500
     seed: int = 0
-    restarts: int = 1
-    use_theoretical_iterations: bool = False
     debug_checks: bool = False
 
     def validate(self) -> None:
@@ -57,8 +54,6 @@ class LsConfig:
             raise ValueError("k must be at least 1")
         if self.iterations < 0:
             raise ValueError("iterations must be nonnegative")
-        if self.restarts < 1:
-            raise ValueError("restarts must be at least 1")
         if not self.gamma > 2:
             raise ValueError("gamma must exceed 2")
 
@@ -74,10 +69,6 @@ class RunTrace:
     @property
     def accepted_count(self) -> int:
         return int(self.accepted.sum())
-
-    @property
-    def final_cost(self) -> float:
-        return float(self.costs[-1]) if self.costs.size else self.initial_cost
 
 
 @dataclass
@@ -147,6 +138,14 @@ def _swap_costs(
     return new_costs, admissible
 
 
+def _require_center_ids(sol: Solution) -> None:
+    if sol.center_ids is None:
+        raise ValueError(
+            "local search needs centers at data points; this solution has no "
+            "center_ids (a refined solution cannot be searched)"
+        )
+
+
 def _best_swap(
     sol: Solution, p: int, new_costs: np.ndarray, admissible: np.ndarray
 ) -> SwapCandidate | None:
@@ -154,12 +153,10 @@ def _best_swap(
         return None
     best = new_costs[admissible].min()
     tied = np.flatnonzero(admissible & (new_costs == best))
-    if sol.center_ids is not None:
-        slot = int(tied[np.argmin(sol.center_ids[tied])])
-        old = int(sol.center_ids[slot])
-    else:
-        slot, old = int(tied[0]), -1
-    return SwapCandidate(point=int(p), slot=slot, old_center=old, new_cost=float(best))
+    slot = int(tied[np.argmin(sol.center_ids[tied])])
+    return SwapCandidate(
+        point=int(p), slot=slot, old_center=int(sol.center_ids[slot]), new_cost=float(best)
+    )
 
 
 def swap_costs(sol: Solution, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -173,7 +170,12 @@ def swap_costs(sol: Solution, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 def evaluate_swaps(sol: Solution, p: int) -> SwapCandidate | None:
     """Best admissible swap for candidate point p, or None when every swap
-    would empty an anchor zone.  Ties go to the lowest center id."""
+    would empty an anchor zone.  Ties go to the lowest center id.
+
+    ``sol`` must have its centers at data points (``center_ids``), else a
+    ValueError.
+    """
+    _require_center_ids(sol)
     return _best_swap(sol, p, *swap_costs(sol, p))
 
 
@@ -186,8 +188,7 @@ def _apply_swap(sol: Solution, cand: SwapCandidate, dpsq: np.ndarray, covers_p: 
     """
     X = sol.ds.points
     j = cand.slot
-    if sol.center_ids is not None:
-        sol.center_ids[j] = cand.point
+    sol.center_ids[j] = cand.point
     sol.center_pos[j] = X[cand.point]
 
     affected = (sol.assign == j) | (sol.assign2 == j)
@@ -217,9 +218,7 @@ def _apply_swap(sol: Solution, cand: SwapCandidate, dpsq: np.ndarray, covers_p: 
 
 
 def ls_step(
-    sol: Solution,
-    anchor_set: AnchorSet | None = None,
-    rng: np.random.Generator | None = None,
+    sol: Solution, anchor_set: AnchorSet | None, rng: np.random.Generator
 ) -> tuple[Solution, bool]:
     """One sampled-swap step; mutates ``sol`` in place.
 
@@ -229,17 +228,17 @@ def ls_step(
     is rejected without evaluation.  Otherwise the step takes the swap
     :func:`evaluate_swaps` picks when it is strictly cheaper.
 
-    ``anchor_set``, when given, must be ``sol.anchor_set`` itself: the
-    coverage cache belongs to that set, so any other one is a ValueError.
+    ``anchor_set`` is None or ``sol.anchor_set`` itself: the coverage cache
+    belongs to that set, so any other one is a ValueError.  So is a solution
+    without ``center_ids``: search swaps data points only.
     """
     if anchor_set is not None and anchor_set is not sol.anchor_set:
         raise ValueError("anchor_set must be the solution's own anchor set (sol.anchor_set)")
-    if rng is None:
-        rng = np.random.default_rng()
+    _require_center_ids(sol)
     if not sol.total_cost > 0:
         return sol, False
     p = d2_sample(sol, rng)
-    if sol.center_ids is not None and p in sol.center_ids:
+    if p in sol.center_ids:
         return sol, False
     dpsq, covers_p = _candidate_row(sol, p)
     cand = _best_swap(sol, p, *_swap_costs(sol, dpsq, covers_p))
@@ -250,49 +249,35 @@ def ls_step(
 
 
 def run(ds: Dataset, delta: RadiusBounds, cfg: LsConfig) -> tuple[Solution, RunTrace]:
-    """Full pipeline: seeding, random fill, ``iterations`` swap steps.
+    """Full pipeline, one seeded pass: seeding, random fill, ``iterations``
+    swap steps.
 
-    Deterministic per seed.  Raises InfeasibleInstanceError (with the anchor
-    count) when seeding needs more than k anchors.  Every returned solution
-    serves each point within ``2 * gamma * delta(p)``; this is re-checked at
-    return and cannot be disabled.
-
-    With ``restarts > 1`` the whole init-plus-search phase repeats on derived
-    seed streams and the cheapest final solution wins.
+    Init and search draw from one generator,
+    ``np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])``,
+    so the result is deterministic per seed.  Raises InfeasibleInstanceError
+    (with the anchor count) when seeding needs more than k anchors.  Every
+    returned solution serves each point within ``2 * gamma * delta(p)``;
+    this is re-checked at return and cannot be disabled.
     """
     cfg.validate()
     if cfg.k > ds.n:
         raise ValueError(f"k={cfg.k} exceeds the number of points {ds.n}")
     anchor_set = seed(ds, delta, cfg.gamma)
-    if len(anchor_set) > cfg.k:
-        raise InfeasibleInstanceError(len(anchor_set), cfg.k)
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
+    sol = init_solution(ds, anchor_set, cfg.k, rng)
+    costs = np.empty(cfg.iterations)
+    accepted = np.zeros(cfg.iterations, dtype=bool)
+    initial = sol.total_cost
+    for i in range(cfg.iterations):
+        sol, took = ls_step(sol, anchor_set, rng)
+        costs[i] = sol.total_cost
+        accepted[i] = took
+        if cfg.debug_checks and took:
+            check_solution(sol, delta)
 
-    iterations = cfg.iterations
-    if cfg.use_theoretical_iterations:
-        spread = aspect_ratio(ds).value
-        iterations = max(1, math.ceil(cfg.k * math.log(ds.n * spread)))
-
-    best: tuple[Solution, RunTrace] | None = None
-    for child in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts):
-        rng = np.random.default_rng(child)
-        sol = init_solution(ds, anchor_set, cfg.k, rng)
-        costs = np.empty(iterations)
-        accepted = np.zeros(iterations, dtype=bool)
-        initial = sol.total_cost
-        for i in range(iterations):
-            sol, took = ls_step(sol, anchor_set, rng)
-            costs[i] = sol.total_cost
-            accepted[i] = took
-            if cfg.debug_checks and took:
-                check_solution(sol, delta)
-        trace = RunTrace(initial_cost=initial, costs=costs, accepted=accepted)
-        if best is None or sol.total_cost < best[0].total_cost:
-            best = (sol, trace)
-
-    sol, trace = best
     ratio, worst = bound_ratio(ds, delta, sol.center_pos)
     if ratio > 2 * cfg.gamma * RADIUS_SLACK:
         raise AssertionError(
             f"radius guarantee violated: point {worst} at {ratio:.3f}x its bound"
         )
-    return sol, trace
+    return sol, RunTrace(initial_cost=initial, costs=costs, accepted=accepted)

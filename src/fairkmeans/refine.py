@@ -26,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._dist import dists, sq_dist_matrix, sq_dists
-from .anchors import AnchorSet, build_coverage
+from .anchors import AnchorSet
 from .dataset import Dataset
-from .solution import Solution, build_state
+from .solution import Solution
 
 # Halvings in a clamped move: its error is at most |mean - center| * 2**-40.
 BISECTION_STEPS = 40
@@ -67,7 +67,6 @@ def fair_move_center(
     mean: np.ndarray,
     anchor_positions: np.ndarray,
     radii: np.ndarray,
-    bisection_steps: int = BISECTION_STEPS,
 ) -> np.ndarray:
     """Farthest point toward ``mean`` on the segment from ``center`` that
     stays inside every constraint ball.
@@ -75,8 +74,8 @@ def fair_move_center(
     The feasible steps form an interval [0, t*] because the segment's
     intersection with each closed ball is convex and t=0 is feasible by
     precondition.  When the mean itself is feasible it is returned exactly;
-    otherwise t* is located by ``bisection_steps`` halvings, an error of at
-    most ``|mean - center| * 2**-bisection_steps``.
+    otherwise t* is located by ``BISECTION_STEPS`` halvings, an error of at
+    most ``|mean - center| * 2**-BISECTION_STEPS``.
     """
     center = np.asarray(center, dtype=np.float64)
     mean = np.asarray(mean, dtype=np.float64)
@@ -90,7 +89,7 @@ def fair_move_center(
     if feasible(1.0):
         return mean.copy()
     lo, hi = 0.0, 1.0
-    for _ in range(bisection_steps):
+    for _ in range(BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
         if feasible(mid):
             lo = mid
@@ -122,17 +121,18 @@ def lloyd_rounds(
     anchor_set: AnchorSet | None,
     iterations: int,
     rel_tol: float,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Up to ``iterations`` Lloyd rounds from ``centers``, each move clamped
     to the zones of ``anchor_set`` pinned to the center (none when
     ``anchor_set`` is None).
 
-    Returns the final positions and the cost trace, the entry cost plus one
-    value per round.  An empty cluster keeps its center, and a move is kept
-    only when its cluster's recomputed cost strictly improves, which makes
-    the trace non-increasing in float arithmetic as well as in exact
-    arithmetic.  A positive ``rel_tol`` stops once a round's relative
-    improvement drops to it or below.
+    Returns the final positions, the cost trace (the entry cost plus one
+    value per round) and the (n, k) squared distances from ``X`` to the
+    final positions that the last assignment used.  An empty cluster keeps
+    its center, and a move is kept only when its cluster's recomputed cost
+    strictly improves, which makes the trace non-increasing in float
+    arithmetic as well as in exact arithmetic.  A positive ``rel_tol`` stops
+    once a round's relative improvement drops to it or below.
     """
     positions = np.array(centers, dtype=np.float64)
     k = positions.shape[0]
@@ -168,7 +168,7 @@ def lloyd_rounds(
         total = new_total
         if rel_tol > 0 and improvement <= rel_tol * max(total, 1e-300):
             break
-    return positions, np.asarray(trace)
+    return positions, np.asarray(trace), M
 
 
 def flloyd_run(ds: Dataset, sol: Solution, *, cfg: FlConfig | None = None):
@@ -185,25 +185,14 @@ def flloyd_run(ds: Dataset, sol: Solution, *, cfg: FlConfig | None = None):
         raise ValueError("ds must be the dataset the solution was built on (sol.ds)")
     cfg = FlConfig() if cfg is None else cfg
     cfg.validate()
-    anchor_set = sol.anchor_set
-    positions, trace = lloyd_rounds(ds.points, sol.center_pos, anchor_set, cfg.iterations, 0.0)
+    positions, trace, M = lloyd_rounds(
+        ds.points, sol.center_pos, sol.anchor_set, cfg.iterations, 0.0
+    )
     if cfg.iterations == 0:
         return sol, trace
 
-    assign_, assign2, d1sq, d2sq = build_state(ds.points, positions)
-    coverage = build_coverage(anchor_set, positions)
-    if len(anchor_set) and not np.all(coverage.counts >= 1):
+    refined = Solution.from_sq_dists(ds, sol.anchor_set, None, positions, M)
+    if len(sol.anchor_set) and not np.all(refined.coverage.counts >= 1):
         raise AssertionError("refinement left an anchor zone without a center")
-    refined = Solution(
-        ds=ds,
-        anchor_set=anchor_set,
-        center_ids=None,
-        center_pos=positions,
-        assign=assign_,
-        assign2=assign2,
-        d1sq=d1sq,
-        d2sq=d2sq,
-        coverage=coverage,
-        total_cost=float(trace[-1]),
-    )
+    refined.total_cost = float(trace[-1])
     return refined, trace

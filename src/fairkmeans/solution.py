@@ -2,7 +2,8 @@
 
 :class:`Solution` holds the centers plus each point's nearest and
 second-nearest center and the anchor-zone coverage table;
-:func:`build_state` computes those per-point caches from scratch, and
+:func:`build_state` computes those per-point caches from scratch
+(:func:`nearest_two` reads them off an (n, k) squared-distance matrix), and
 :func:`check_solution` is the debug oracle that compares a solution's caches
 against a fresh rebuild.
 """
@@ -52,21 +53,6 @@ class Solution:
     def k(self) -> int:
         return self.center_pos.shape[0]
 
-    @property
-    def d1(self) -> np.ndarray:
-        return np.sqrt(self.d1sq)
-
-    @property
-    def d2(self) -> np.ndarray:
-        return np.sqrt(self.d2sq)
-
-    @property
-    def nearest_center(self) -> np.ndarray | None:
-        """Per-point id of the nearest center (None after refinement)."""
-        if self.center_ids is None:
-            return None
-        return self.center_ids[self.assign]
-
     def copy(self) -> "Solution":
         return Solution(
             ds=self.ds,
@@ -98,7 +84,22 @@ class Solution:
             center_pos = ds.points[center_ids].copy()
         else:
             center_pos = np.array(center_pos, dtype=np.float64)
-        assign, assign2, d1sq, d2sq = build_state(ds.points, center_pos)
+        return cls.from_sq_dists(
+            ds, anchor_set, center_ids, center_pos, sq_dist_matrix(ds.points, center_pos)
+        )
+
+    @classmethod
+    def from_sq_dists(
+        cls,
+        ds: Dataset,
+        anchor_set: AnchorSet,
+        center_ids: np.ndarray | None,
+        center_pos: np.ndarray,
+        M: np.ndarray,
+    ) -> "Solution":
+        """The :meth:`build` result for ``center_pos`` when the caller already
+        holds ``M = sq_dist_matrix(ds.points, center_pos)``."""
+        assign, assign2, d1sq, d2sq = nearest_two(M)
         return cls(
             ds=ds,
             anchor_set=anchor_set,
@@ -115,9 +116,13 @@ class Solution:
 
 def build_state(X: np.ndarray, centers: np.ndarray):
     """Nearest/second-nearest slots and squared distances for all points."""
-    n = X.shape[0]
-    k = centers.shape[0]
-    M = sq_dist_matrix(X, centers)
+    return nearest_two(sq_dist_matrix(X, centers))
+
+
+def nearest_two(M: np.ndarray):
+    """Nearest/second-nearest slots and squared distances, read off an (n, k)
+    squared-distance matrix; ties go to the lower slot."""
+    n, k = M.shape
     if k == 1:
         assign = np.zeros(n, dtype=np.int64)
         assign2 = np.full(n, -1, dtype=np.int64)

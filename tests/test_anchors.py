@@ -6,10 +6,13 @@ from hypothesis import strategies as st
 from fairkmeans import (
     AnchorSet,
     Dataset,
+    LsConfig,
     RadiusBounds,
     brute_force_opt,
     build_coverage,
+    greedy_baseline,
     is_radius_feasible,
+    run,
     seed,
 )
 from fairkmeans._dist import dists
@@ -89,6 +92,23 @@ class TestSeed:
                 continue
             found += 1
             assert len(seed(ds, delta, gamma=3.0)) <= k
+
+
+    def test_underflow_names_cause_with_given_radii(self):
+        # user radii skip compute_radii; the solvers' seeding still checks
+        ds = Dataset(np.random.default_rng(4).normal(size=(300, 2)) * 1e-170)
+        delta = RadiusBounds(np.full(300, 1e-171))
+        with pytest.raises(ValueError, match="underflow float64.*rescale the points"):
+            run(ds, delta, LsConfig(k=5, iterations=10, seed=0))
+        with pytest.raises(ValueError, match="underflow float64.*rescale the points"):
+            greedy_baseline(ds, delta, 3.0, 5, seed=0)
+
+    def test_identical_tiny_points_pass(self):
+        ds = Dataset(np.full((6, 3), 1e-170))
+        delta = RadiusBounds(np.full(6, 1e-171))
+        sol, _ = run(ds, delta, LsConfig(k=2, iterations=10, seed=0))
+        assert sol.total_cost == 0.0
+        assert greedy_baseline(ds, delta, 3.0, 2, seed=0).total_cost == 0.0
 
 
 class TestIsRadiusFeasible:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import fairkmeans.cli as cli
 import fairkmeans.experiments as experiments
 from fairkmeans import ExperimentConfig, InfeasibleInstanceError, run_experiment
 from fairkmeans.cli import main
@@ -116,15 +117,26 @@ class TestRunExperiment:
             run_experiment(base_config(blob_csv, algorithm="magic"))
 
     def test_parse_delta_mode(self):
-        assert parse_delta_mode("exact", 10) == ("exact", 0)
-        assert parse_delta_mode("sampled:50", 10) == ("sampled", 50)
+        assert parse_delta_mode("exact") == ("exact", 0)
+        assert parse_delta_mode("sampled:50") == ("sampled", 50)
         with pytest.raises(ValueError):
-            parse_delta_mode("sampled:x", 10)
+            parse_delta_mode("sampled:x")
         with pytest.raises(ValueError):
-            parse_delta_mode("other", 10)
+            parse_delta_mode("other")
 
 
 class TestCli:
+    def test_defaults_come_from_config(self, monkeypatch):
+        seen = []
+
+        def capture(cfg):
+            seen.append(cfg)
+            raise ValueError("stop")
+
+        monkeypatch.setattr(cli, "run_experiment", capture)
+        assert main(["--input", "x.csv"]) == 1
+        assert seen == [ExperimentConfig(input_path="x.csv")]
+
     def test_success_exit_zero(self, blob_csv, tmp_path, capsys):
         out = tmp_path / "rep.json"
         rc = main(

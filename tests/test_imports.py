@@ -1,7 +1,9 @@
-"""Import structure of the package: every import sits at module level.
+"""Import structure of the package: every import sits at module level and
+is used.
 
 A function-level import is how a circular import gets dodged; keeping them
 out means the module graph stays acyclic and visible at the top of each file.
+An import nothing references is left over from deleted code.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "fairkmeans"
 MODULES = sorted(SRC.glob("*.py"))
+SUBMODULES = [m for m in MODULES if m.name != "__init__.py"]
 
 
 @pytest.mark.parametrize("module", MODULES, ids=[m.name for m in MODULES])
@@ -26,3 +29,19 @@ def test_no_function_level_imports(module):
         if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
     assert not nested, f"imports inside functions: {nested}"
+
+
+@pytest.mark.parametrize("module", SUBMODULES, ids=[m.name for m in SUBMODULES])
+def test_module_imports_are_used(module):
+    tree = ast.parse(module.read_text(), filename=str(module))
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [f"{name} (line {line})" for name, line in bound.items() if name not in used]
+    assert not unused, f"unused imports: {unused}"

@@ -6,6 +6,7 @@ import pytest
 from fairkmeans import (
     AnchorSet,
     Dataset,
+    FlConfig,
     InfeasibleInstanceError,
     LsConfig,
     RadiusBounds,
@@ -13,6 +14,7 @@ from fairkmeans import (
     brute_force_opt,
     d2_sample,
     evaluate_swaps,
+    flloyd_run,
     init_solution,
     ls_step,
     run,
@@ -191,6 +193,16 @@ class TestLsStep:
         ls_step(sol, aset, np.random.default_rng(1))
         check_solution(sol, delta)
 
+    def test_refined_solution_rejected(self):
+        # refined centers are not data points: nothing to swap out by id
+        ds, delta, aset, sol = ls_fixture(43, n=120, k=4)
+        refined, _ = flloyd_run(ds, sol, cfg=FlConfig(iterations=2))
+        assert refined.center_ids is None
+        with pytest.raises(ValueError, match="center_ids"):
+            ls_step(refined, aset, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="center_ids"):
+            evaluate_swaps(refined, 0)
+
     def test_zero_cost_short_circuit(self):
         ds, delta, _ = gaussian_instance(4, n=10, k=2)
         aset = seed(ds, delta, gamma=3.0)
@@ -246,17 +258,24 @@ class TestRun:
         ds, delta, k = gaussian_instance(88, n=80, k=3)
         run(ds, delta, LsConfig(k=k, iterations=40, seed=1, debug_checks=True))
 
-    def test_restarts_pick_best(self):
-        ds, delta, k = gaussian_instance(21, n=120, k=4)
-        single, _ = run(ds, delta, LsConfig(k=k, iterations=30, seed=3, restarts=1))
-        multi, _ = run(ds, delta, LsConfig(k=k, iterations=30, seed=3, restarts=4))
-        assert multi.total_cost <= single.total_cost + 1e-9
-
-    def test_theoretical_iteration_count(self):
-        ds, delta, k = gaussian_instance(29, n=60, k=3)
-        cfg = LsConfig(k=k, seed=0, use_theoretical_iterations=True)
-        sol, trace = run(ds, delta, cfg)
-        assert trace.costs.size >= 1
+    def test_equals_manual_loop(self):
+        # run is one pass: init plus ls_step on one generator from the seed
+        for s in range(4):
+            ds, delta, k = gaussian_instance(21 + s, n=150, k=4)
+            sol, trace = run(ds, delta, LsConfig(k=k, iterations=60, seed=s))
+            aset = seed(ds, delta, gamma=3.0)
+            rng = np.random.default_rng(np.random.SeedSequence(s).spawn(1)[0])
+            manual = init_solution(ds, aset, k, rng)
+            initial = manual.total_cost
+            costs, accepted = [], []
+            for _ in range(60):
+                _, took = ls_step(manual, aset, rng)
+                costs.append(manual.total_cost)
+                accepted.append(took)
+            assert np.array_equal(sol.center_ids, manual.center_ids)
+            assert trace.initial_cost == initial
+            assert np.array_equal(trace.costs, costs)
+            assert np.array_equal(trace.accepted, accepted)
 
     def test_oracle_gap_on_small_instances(self):
         # median over seeds lands within 3x of the exhaustive optimum

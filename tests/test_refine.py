@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from fairkmeans import (
     FlConfig,
     LsConfig,
     RadiusBounds,
+    Solution,
     assign,
     bound_ratio,
     fair_move_center,
@@ -114,6 +117,36 @@ class TestFlloydRun:
         sol = Solution.build(ds, aset, center_pos=np.array([[1.0], [50.0]]))
         refined, _ = flloyd_run(ds, sol, cfg=FlConfig(iterations=3))
         assert refined.center_pos[1, 0] == 50.0
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_caches_match_fresh_build(self, k):
+        ds, delta, _ = gaussian_instance(60 + k, n=200, k=k)
+        sol, _ = run(ds, delta, LsConfig(k=k, iterations=40, seed=k))
+        refined, trace = flloyd_run(ds, sol, cfg=FlConfig(iterations=6))
+        fresh = Solution.build(ds, sol.anchor_set, center_pos=refined.center_pos)
+        for name in ("assign", "assign2", "d1sq", "d2sq"):
+            assert np.array_equal(getattr(refined, name), getattr(fresh, name)), name
+        assert np.array_equal(refined.coverage.covers, fresh.coverage.covers)
+        assert refined.center_ids is None
+        assert refined.total_cost == trace[-1]
+
+    def test_one_kernel_pass_per_round(self, monkeypatch):
+        # the entry assignment plus one per round; the refined caches reuse
+        # the last round's distances instead of measuring them again
+        ds, delta, k = gaussian_instance(31, n=200)
+        sol, _ = run(ds, delta, LsConfig(k=k, iterations=20, seed=1))
+        passes = []
+        for name, module in list(sys.modules.items()):
+            if name.startswith("fairkmeans") and hasattr(module, "sq_dist_matrix"):
+
+                def counting(points, centers, original=module.sq_dist_matrix):
+                    if points is ds.points:
+                        passes.append(centers.shape[0])
+                    return original(points, centers)
+
+                monkeypatch.setattr(module, "sq_dist_matrix", counting)
+        flloyd_run(ds, sol, cfg=FlConfig(iterations=5))
+        assert passes == [k] * 6
 
     def test_foreign_dataset_rejected(self):
         ds, delta, k = gaussian_instance(9, n=120)
