@@ -1,11 +1,12 @@
 """The package's one Euclidean distance kernel.
 
-Every distance in the package comes from :func:`sq_dist_matrix`; the other
-functions here are thin wrappers around it.  Cached values, from-scratch
-recomputations and coverage predicates therefore see bit-identical numbers
-for identical inputs, however the points and centers were batched: the
-squared distance between two rows never depends on which other rows were
-computed with them.
+Every distance in the package comes from :func:`sq_dist_matrix` or from
+:func:`sq_dist_blocks`, the same kernel over row blocks that reuse one
+buffer; the other functions here are thin wrappers around them.  Cached
+values, from-scratch recomputations and coverage predicates therefore see
+bit-identical numbers for identical inputs, however the points and centers
+were batched: the squared distance between two rows never depends on which
+other rows were computed with them.
 
 The kernel works on row chunks of at most ``CHUNK_ELEMENTS`` scratch
 elements.  Each entry is the sum over dimensions of the squared coordinate
@@ -44,12 +45,44 @@ def chunk_rows(width: int) -> int:
 
 def sq_dist_matrix(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """(n, k) squared Euclidean distances from each point to each center."""
+    out = np.empty((points.shape[0], centers.shape[0]), dtype=np.float64)
+    _fill(points, centers, out, _scratch(points, centers))
+    return out
+
+
+def sq_dist_blocks(points: np.ndarray, centers: np.ndarray):
+    """Yield ``(start, block)``: the squared distances from
+    ``points[start : start + len(block)]`` to ``centers``, in row blocks of
+    at most ``chunk_rows(k)`` rows.
+
+    Every block is a view of one buffer that the next block overwrites, so
+    consume (or copy) each block before asking for the next; the caller may
+    modify it in place.  Entries are bit-identical to :func:`sq_dist_matrix`.
+    """
+    n = points.shape[0]
+    step = chunk_rows(centers.shape[0])
+    buffer = np.empty((min(step, n), centers.shape[0]), dtype=np.float64)
+    diff = _scratch(points[:step], centers)
+    for start in range(0, n, step):
+        rows = points[start : start + step]
+        block = buffer[: rows.shape[0]]
+        _fill(rows, centers, block, diff)
+        yield start, block
+
+
+def _scratch(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """The coordinate-difference block one kernel chunk needs."""
     n, d = points.shape
     k = centers.shape[0]
-    out = np.empty((n, k), dtype=np.float64)
-    step = chunk_rows(k * d)
-    # one block of coordinate differences, reused by every chunk
-    diff = np.empty((min(step, n), k, d) if d > 2 else (min(step, n), k))
+    rows = min(chunk_rows(k * d), n)
+    return np.empty((rows, k, d) if d > 2 else (rows, k))
+
+
+def _fill(points: np.ndarray, centers: np.ndarray, out: np.ndarray, diff: np.ndarray) -> None:
+    """``out[:] = sq_dist_matrix(points, centers)``, chunk by chunk, with
+    ``diff`` (from :func:`_scratch`) as the difference scratch."""
+    n, d = points.shape
+    step = chunk_rows(centers.shape[0] * d)
     for start in range(0, n, step):
         rows, block = points[start : start + step], out[start : start + step]
         part = diff[: rows.shape[0]]
@@ -63,7 +96,6 @@ def sq_dist_matrix(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
                 np.subtract(rows[:, 1:], centers[:, 1], out=part)
                 np.square(part, out=part)
                 block += part
-    return out
 
 
 def sq_dists(points: np.ndarray, center: np.ndarray) -> np.ndarray:
@@ -79,7 +111,6 @@ def dists(points: np.ndarray, center: np.ndarray) -> np.ndarray:
 def min_sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Squared distance from every point to its nearest center, O(n) memory."""
     out = np.empty(points.shape[0])
-    step = chunk_rows(centers.shape[0] * points.shape[1])
-    for start in range(0, points.shape[0], step):
-        out[start : start + step] = sq_dist_matrix(points[start : start + step], centers).min(axis=1)
+    for start, block in sq_dist_blocks(points, centers):
+        block.min(axis=1, out=out[start : start + block.shape[0]])
     return out

@@ -81,7 +81,10 @@ def lloyd(
     per round).  An empty cluster keeps its center, and a center only moves
     when the recomputed cluster cost strictly improves, so the trace is
     non-increasing even in float arithmetic.  A positive ``rel_tol`` stops
-    once a round's relative improvement drops below it.
+    once a round's relative improvement drops to it or below.  A round in
+    which no center moves is a fixed point: with ``rel_tol = 0`` its cost
+    fills the rest of the trace, with a positive ``rel_tol`` the trace ends
+    at it (:func:`fairkmeans.refine.lloyd_rounds`).
     """
     positions = np.asarray(centers, dtype=np.float64)
     if positions.ndim != 2 or positions.shape[0] == 0:
@@ -92,7 +95,7 @@ def lloyd(
 
 def vanilla_kmeans(ds: Dataset, k: int, seed) -> tuple[np.ndarray, np.ndarray]:
     """D^2 seeding plus Lloyd, capped at 100 rounds or relative improvement
-    below 1e-6.  The non-fair reference point."""
+    at most 1e-6.  The non-fair reference point."""
     ids = kmeanspp_init(ds, k, seed)
     return lloyd(ds, ds.points[ids], iterations=100, rel_tol=1e-6)
 

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._dist import chunk_rows, sq_dist_matrix
+from ._dist import sq_dist_blocks
 
 # Exact radii compute all n**2 pairwise distances; above this size the
 # sampled mode is the documented path.
@@ -271,11 +271,9 @@ def check_distance_scale(ds: Dataset) -> None:
 def _ranked_sq_dist(X: np.ndarray, ref: np.ndarray, rank: int) -> np.ndarray:
     """rank-th smallest squared distance from each row of X to the rows of ref."""
     out = np.empty(X.shape[0])
-    step = chunk_rows(ref.shape[0])
-    for start in range(0, X.shape[0], step):
-        block = sq_dist_matrix(X[start : start + step], ref)
+    for start, block in sq_dist_blocks(X, ref):
         block.partition(rank - 1, axis=1)
-        out[start : start + step] = block[:, rank - 1]
+        out[start : start + block.shape[0]] = block[:, rank - 1]
     return out
 
 
@@ -291,9 +289,7 @@ def aspect_ratio(ds: Dataset) -> AspectRatio:
     max_sq = 0.0
     min_pos = np.inf
     # whole rows, so every pair is seen twice; both orders give the same bits
-    step = chunk_rows(ds.n)
-    for start in range(0, ds.n, step):
-        sq = sq_dist_matrix(X[start : start + step], X)
+    for _, sq in sq_dist_blocks(X, X):
         max_sq = max(max_sq, float(sq.max()))
         pos = sq[sq > 0]
         if pos.size:

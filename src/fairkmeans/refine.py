@@ -133,6 +133,16 @@ def lloyd_rounds(
     strictly improves, which makes the trace non-increasing in float
     arithmetic as well as in exact arithmetic.  A positive ``rel_tol`` stops
     once a round's relative improvement drops to it or below.
+
+    A round in which no center moves is a fixed point: positions, and so
+    distances, labels, means and pins, are those of the round before, and
+    every later round would repeat it.  The loop stops there.  With
+    ``rel_tol = 0`` the trace still gets one entry per remaining round (the
+    unchanged cost), so it always has ``iterations + 1`` entries; with a
+    positive ``rel_tol`` it gets one, the zero-improvement stop.  Otherwise
+    a round re-measures only the columns of the centers that moved: a
+    kernel entry never depends on the other centers, so ``M`` stays equal
+    to ``sq_dist_matrix(X, positions)``.
     """
     positions = np.array(centers, dtype=np.float64)
     k = positions.shape[0]
@@ -142,10 +152,12 @@ def lloyd_rounds(
     d1sq = M[rows, labels]
     total = math.fsum(d1sq)
     trace = [total]
-    for _ in range(iterations):
+    for done in range(iterations):
         means, sizes = cluster_means(X, labels, k)
         zones = _pinned_zones(anchor_set, positions)
-        new_positions = positions.copy()
+        moved = []
+        # every candidate reads only its own start-of-round position, so the
+        # accepted moves can be written in place
         for j in range(k):
             if sizes[j] == 0:
                 continue
@@ -157,9 +169,12 @@ def lloyd_rounds(
             # strict per-cluster improvement, measured with the same kernel
             # the next assignment round will use
             if math.fsum(sq_dists(X[members], candidate)) < math.fsum(d1sq[members]):
-                new_positions[j] = candidate
-        positions = new_positions
-        M = sq_dist_matrix(X, positions)
+                positions[j] = candidate
+                moved.append(j)
+        if not moved:
+            trace.extend([total] * (1 if rel_tol > 0 else iterations - done))
+            break
+        M[:, moved] = sq_dist_matrix(X, positions[moved])
         labels = np.argmin(M, axis=1)
         d1sq = M[rows, labels]
         new_total = math.fsum(d1sq)
@@ -177,7 +192,10 @@ def flloyd_run(ds: Dataset, sol: Solution, *, cfg: FlConfig | None = None):
 
     Returns the refined solution (centers now continuous positions) and the
     cost trace, one entry on entry plus one per round; the trace is
-    non-increasing.  ``ds`` must be ``sol.ds``, else a ValueError.
+    non-increasing.  Refinement stops computing at its fixed point, the
+    first round in which no center moves; the rounds after it repeat the
+    last cost in the trace (:func:`lloyd_rounds`).  ``ds`` must be
+    ``sol.ds``, else a ValueError.
 
     ``iterations = 0`` returns the input solution unchanged.
     """

@@ -121,17 +121,21 @@ def build_state(X: np.ndarray, centers: np.ndarray):
 
 def nearest_two(M: np.ndarray):
     """Nearest/second-nearest slots and squared distances, read off an (n, k)
-    squared-distance matrix; ties go to the lower slot."""
+    squared-distance matrix; ties go to the lower slot, as in a stable sort
+    of each row."""
     n, k = M.shape
-    if k == 1:
-        assign = np.zeros(n, dtype=np.int64)
-        assign2 = np.full(n, -1, dtype=np.int64)
-        return assign, assign2, M[:, 0].copy(), np.full(n, np.inf)
-    order = np.argsort(M, axis=1, kind="stable")[:, :2]
-    assign = order[:, 0].copy()
-    assign2 = order[:, 1].copy()
     rows = np.arange(n)
-    return assign, assign2, M[rows, assign], M[rows, assign2]
+    assign = np.argmin(M, axis=1)
+    d1sq = M[rows, assign]
+    if k == 1:
+        return assign, np.full(n, -1, dtype=np.int64), d1sq, np.full(n, np.inf)
+    rest = M.copy()
+    rest[rows, assign] = np.inf
+    assign2 = np.argmin(rest, axis=1)
+    # a row whose other entries are all inf makes argmin return slot 0 even
+    # when slot 0 is the nearest one; a stable sort puts slot 1 second there
+    assign2[assign2 == assign] = 1
+    return assign, assign2, d1sq, M[rows, assign2]
 
 
 def check_solution(sol: Solution, delta: RadiusBounds | None = None) -> None:

@@ -115,6 +115,21 @@ def test_ranked_sq_dist_matches_partition(d):
             assert np.array_equal(_ranked_sq_dist(X, ref, rank), want)
 
 
+@pytest.mark.parametrize("chunk", [1000, 5000, 20000])
+@pytest.mark.parametrize("d", [1, 2, 3, 16])
+def test_ranked_sq_dist_partial_last_chunk(monkeypatch, chunk, d):
+    # the blocks share one buffer: the last, shorter block must not read
+    # rows left over from the block before it
+    monkeypatch.setattr(_dist, "CHUNK_ELEMENTS", chunk)
+    X = points(14, 437, d)
+    ref = X[::3]
+    rows = chunk_rows(ref.shape[0])
+    assert X.shape[0] > rows and X.shape[0] % rows
+    for rank in (1, 5, ref.shape[0]):
+        want = np.partition(reference(X, ref), rank - 1, axis=1)[:, rank - 1]
+        assert np.array_equal(_ranked_sq_dist(X, ref, rank), want), rank
+
+
 def test_compute_radii_matches_reference():
     X = points(12, 500, 3)
     ds = Dataset(X)

@@ -23,6 +23,7 @@ from fairkmeans import (
 )
 from fairkmeans._dist import min_sq_dists
 from fairkmeans.local_search import check_solution
+from fairkmeans.solution import nearest_two
 from conftest import gaussian_instance
 from test_anchors import make_anchor_set
 
@@ -295,3 +296,45 @@ class TestRun:
                 for r in range(10)
             ]
             assert np.median(finals) <= 3.0 * opt[0] + 1e-12
+
+
+def reference_nearest_two(M):
+    """The first two slots of a stable sort of each row."""
+    n, k = M.shape
+    rows = np.arange(n)
+    order = np.argsort(M, axis=1, kind="stable")
+    if k == 1:
+        return order[:, 0], np.full(n, -1), M[:, 0], np.full(n, np.inf)
+    return order[:, 0], order[:, 1], M[rows, order[:, 0]], M[rows, order[:, 1]]
+
+
+class TestNearestTwo:
+    @staticmethod
+    def matrices(k):
+        rng = np.random.default_rng(k)
+        ties = rng.integers(0, 3, size=(300, k)).astype(np.float64)
+        lone = np.full((3 * k, k), np.inf)
+        lone[np.arange(3 * k), np.arange(3 * k) % k] = rng.integers(0, 2, size=3 * k)
+        mixed = ties.copy()
+        mixed[rng.random(mixed.shape) < 0.4] = np.inf
+        yield "integer ties", ties
+        yield "one finite entry per row", lone
+        yield "all-inf rows", np.full((5, k), np.inf)
+        yield "ties and inf", np.vstack([mixed, lone, np.full((2, k), np.inf)])
+        yield "continuous", rng.random((200, k))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 8])
+    def test_matches_stable_sort(self, k):
+        for name, M in self.matrices(k):
+            got, want = nearest_two(M), reference_nearest_two(M)
+            for field, a, b in zip(("assign", "assign2", "d1sq", "d2sq"), got, want):
+                assert a.dtype == b.dtype, (name, field)
+                assert np.array_equal(a, b), (name, field)
+            if k > 1:
+                assert np.all(got[0] != got[1]), name
+
+    def test_input_untouched(self):
+        M = np.random.default_rng(0).integers(0, 3, size=(50, 4)).astype(np.float64)
+        before = M.copy()
+        nearest_two(M)
+        assert np.array_equal(M, before)

@@ -1,3 +1,4 @@
+import math
 import sys
 
 import numpy as np
@@ -17,7 +18,54 @@ from fairkmeans import (
     run,
     seed,
 )
+from fairkmeans._dist import sq_dist_matrix, sq_dists
+from fairkmeans.anchors import AnchorSet
+from fairkmeans.refine import _pinned_zones, cluster_means, lloyd_rounds
 from conftest import gaussian_instance
+
+
+def reference_lloyd_rounds(X, centers, anchor_set, iterations, rel_tol):
+    """The Lloyd loop without the fixed-point stop: a full kernel pass and
+    a fresh position array every round.  Also returns how many centers
+    moved in each round it ran."""
+    positions = np.array(centers, dtype=np.float64)
+    k = positions.shape[0]
+    rows = np.arange(X.shape[0])
+    M = sq_dist_matrix(X, positions)
+    labels = np.argmin(M, axis=1)
+    d1sq = M[rows, labels]
+    total = math.fsum(d1sq)
+    trace = [total]
+    moved = []
+    for _ in range(iterations):
+        means, sizes = cluster_means(X, labels, k)
+        zones = _pinned_zones(anchor_set, positions)
+        new_positions = positions.copy()
+        for j in range(k):
+            if sizes[j] == 0:
+                continue
+            candidate = fair_move_center(positions[j], means[j], *zones[j])
+            if np.array_equal(candidate, positions[j]):
+                continue
+            members = labels == j
+            if math.fsum(sq_dists(X[members], candidate)) < math.fsum(d1sq[members]):
+                new_positions[j] = candidate
+        moved.append(int((new_positions != positions).any(axis=1).sum()))
+        positions = new_positions
+        M = sq_dist_matrix(X, positions)
+        labels = np.argmin(M, axis=1)
+        d1sq = M[rows, labels]
+        new_total = math.fsum(d1sq)
+        trace.append(new_total)
+        improvement = total - new_total
+        total = new_total
+        if rel_tol > 0 and improvement <= rel_tol * max(total, 1e-300):
+            break
+    return positions, np.asarray(trace), M, moved
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
 
 
 class TestAssign:
@@ -131,8 +179,9 @@ class TestFlloydRun:
         assert refined.total_cost == trace[-1]
 
     def test_one_kernel_pass_per_round(self, monkeypatch):
-        # the entry assignment plus one per round; the refined caches reuse
-        # the last round's distances instead of measuring them again
+        # the entry pass measures all k centers; each later round measures
+        # only the centers that moved, and the first round where none moved
+        # is the fixed point, after which the kernel is not called again
         ds, delta, k = gaussian_instance(31, n=200)
         sol, _ = run(ds, delta, LsConfig(k=k, iterations=20, seed=1))
         passes = []
@@ -145,8 +194,13 @@ class TestFlloydRun:
                     return original(points, centers)
 
                 monkeypatch.setattr(module, "sq_dist_matrix", counting)
-        flloyd_run(ds, sol, cfg=FlConfig(iterations=5))
-        assert passes == [k] * 6
+        _, trace = flloyd_run(ds, sol, cfg=FlConfig(iterations=5))
+        _, want, _, moved = reference_lloyd_rounds(
+            ds.points, sol.center_pos, sol.anchor_set, 5, 0.0
+        )
+        assert 0 in moved and moved[0] > 0
+        assert passes == [k] + moved[: moved.index(0)]
+        assert hexes(trace) == hexes(want)
 
     def test_foreign_dataset_rejected(self):
         ds, delta, k = gaussian_instance(9, n=120)
@@ -159,3 +213,61 @@ class TestFlloydRun:
         _, _, _, refined_b, trace_b = refined_fixture(123)
         assert np.array_equal(refined_a.center_pos, refined_b.center_pos)
         assert np.array_equal(trace_a, trace_b)
+
+
+def lloyd_instance(s):
+    """Points, start centers at data points, and zones around half of them
+    small enough that clamped moves occur."""
+    ds, _, k = gaussian_instance(200 + s, n=60 + 17 * s, d=1 + s % 4)
+    rng = np.random.default_rng(s)
+    ids = rng.choice(ds.n, size=k, replace=False)
+    zones = ids[: (k + 1) // 2]
+    anchor_set = AnchorSet(
+        anchors=zones,
+        positions=ds.points[zones].copy(),
+        zone_radius=rng.uniform(0.2, 2.0, zones.size),
+        gamma=3.0,
+    )
+    return ds.points, ds.points[ids], anchor_set
+
+
+class TestLloydRounds:
+    """``lloyd_rounds`` against the full-recompute loop it replaced."""
+
+    @pytest.mark.parametrize("s", range(20))
+    @pytest.mark.parametrize("zoned", [True, False])
+    def test_matches_full_recompute(self, s, zoned):
+        X, centers, anchor_set = lloyd_instance(s)
+        anchor_set = anchor_set if zoned else None
+        for iterations in (0, 1, 60):
+            for rel_tol in (0.0, 1e-6):
+                got = lloyd_rounds(X, centers, anchor_set, iterations, rel_tol)
+                want = reference_lloyd_rounds(X, centers, anchor_set, iterations, rel_tol)
+                case = (iterations, rel_tol)
+                assert np.array_equal(got[0], want[0]), case
+                assert hexes(got[1]) == hexes(want[1]), case
+                assert np.array_equal(got[2], want[2]), case
+                assert np.array_equal(got[2], sq_dist_matrix(X, got[0])), case
+                if rel_tol == 0:
+                    assert len(got[1]) == iterations + 1, case
+
+    def test_corpus_takes_every_path(self):
+        # the corpus above has clamped moves, rounds that move only some
+        # centers, and fixed points well before the last round
+        clamped = partial = fixed = 0
+        for s in range(20):
+            X, centers, anchor_set = lloyd_instance(s)
+            zoned, *_, moved = reference_lloyd_rounds(X, centers, anchor_set, 60, 0.0)
+            free = reference_lloyd_rounds(X, centers, None, 60, 0.0)[0]
+            clamped += not np.array_equal(zoned, free)
+            partial += any(0 < m < centers.shape[0] for m in moved)
+            fixed += 0 in moved[:-1]
+        assert clamped >= 10 and partial >= 10 and fixed >= 10
+
+    def test_input_centers_untouched(self):
+        # accepted moves are written in place, into the loop's own copy
+        X, centers, anchor_set = lloyd_instance(5)
+        before = centers.copy()
+        positions, _, _ = lloyd_rounds(X, centers, anchor_set, 5, 0.0)
+        assert np.array_equal(centers, before)
+        assert not np.array_equal(positions, before)
