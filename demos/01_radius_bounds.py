@@ -9,7 +9,7 @@ rank statistic over a fixed random sample is a close, much cheaper stand-in.
 
 import numpy as np
 
-from fairkmeans import Dataset, aspect_ratio, compute_radii, jl_project
+from fairkmeans import Dataset, aspect_ratio, compute_radii
 
 rng = np.random.default_rng(0)
 k = 5
@@ -44,8 +44,3 @@ print(f"loosest point {i}: ball of radius {exact.delta[i]:.3f} holds {ball} poin
       f"(needs >= {-(-ds.n // k)})")
 
 print(f"aspect ratio of the instance: {aspect_ratio(ds).value:.1f}")
-
-# random projection preserves the geometry radii are computed from
-wide = Dataset(rng.normal(size=(200, 64)))
-proj = jl_project(wide, 16, seed=2)
-print(f"projection: {wide.d} -> {proj.d} dims, n unchanged at {proj.n}")

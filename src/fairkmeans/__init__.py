@@ -9,13 +9,12 @@ returned solution serves every point within ``2 * gamma * delta(p)``
 (factor 6 at the default gamma of 3).
 """
 
-from .anchors import AnchorSet, CoverageTable, build_coverage, is_radius_feasible, seed
+from .anchors import AnchorSet, CoverageTable, build_coverage, seed
 from .baselines import (
     brute_force_opt,
     greedy_baseline,
     kmeanspp_init,
     lloyd,
-    project_to_candidates,
     vanilla_kmeans,
 )
 from .dataset import (
@@ -24,7 +23,6 @@ from .dataset import (
     RadiusBounds,
     aspect_ratio,
     compute_radii,
-    jl_project,
     load_points,
     normalize,
     subsample,
@@ -75,14 +73,11 @@ __all__ = [
     "flloyd_run",
     "greedy_baseline",
     "init_solution",
-    "is_radius_feasible",
-    "jl_project",
     "kmeanspp_init",
     "lloyd",
     "load_points",
     "ls_step",
     "normalize",
-    "project_to_candidates",
     "run",
     "run_experiment",
     "seed",

@@ -1,4 +1,4 @@
-"""Anchor seeding and the coverage predicates used by the search loops.
+"""Anchor seeding and the zone-coverage predicate used by the search loops.
 
 Seeding repeatedly picks the uncovered point with the smallest radius until
 every point p has an anchor within ``gamma * delta(p)``.  Each anchor defines
@@ -19,7 +19,6 @@ import numpy as np
 
 from ._dist import dists, sq_dist_matrix
 from .dataset import Dataset, RadiusBounds, check_distance_scale
-from .metrics import bound_ratio
 
 
 @dataclass(frozen=True)
@@ -43,12 +42,6 @@ class AnchorSet:
     def __len__(self) -> int:
         return int(self.anchors.shape[0])
 
-    def covers_position(self, pos: np.ndarray) -> np.ndarray:
-        """Boolean per zone: is ``pos`` inside it (closed ball)."""
-        if len(self) == 0:
-            return np.zeros(0, dtype=bool)
-        return dists(self.positions, pos) <= self.zone_radius
-
 
 @dataclass
 class CoverageTable:
@@ -63,9 +56,6 @@ class CoverageTable:
     @property
     def counts(self) -> np.ndarray:
         return self.covers.sum(axis=0)
-
-    def copy(self) -> "CoverageTable":
-        return CoverageTable(self.covers.copy())
 
 
 def seed(ds: Dataset, delta: RadiusBounds, gamma: float) -> AnchorSet:
@@ -100,32 +90,12 @@ def seed(ds: Dataset, delta: RadiusBounds, gamma: float) -> AnchorSet:
     return AnchorSet(anchors, positions, zone_radius, float(gamma))
 
 
-def is_radius_feasible(
-    ds: Dataset,
-    delta: RadiusBounds,
-    centers,
-    beta: float,
-) -> tuple[bool, int, float]:
-    """Does every point have a center within ``beta * delta(p)``?
-
-    Returns ``(feasible, worst_id, worst_ratio)`` where the worst offender
-    maximizes dist(p, centers)/delta(p), as :func:`metrics.bound_ratio`
-    finds it.  Points with a zero radius must sit exactly on a center (their
-    ratio is 0 at distance 0, +inf otherwise).
+def build_coverage(anchor_set: AnchorSet, positions) -> CoverageTable:
+    """Coverage table for the centers at ``positions`` (k, d): center j
+    covers zone z when its distance to the zone's anchor is at most the
+    zone radius (closed ball).  The one zone-membership test of the package.
     """
-    ratio, worst = bound_ratio(ds, delta, centers)
-    return bool(ratio <= beta), worst, ratio
-
-
-def build_coverage(anchor_set: AnchorSet, centers, ds: Dataset | None = None) -> CoverageTable:
-    """Coverage table for a center set (point ids or positions)."""
-    arr = np.asarray(centers)
-    if arr.ndim == 1:
-        if ds is None:
-            raise ValueError("center ids need the dataset to resolve positions")
-        pos = ds.points[arr]
-    else:
-        pos = np.asarray(arr, dtype=np.float64)
+    pos = np.asarray(positions, dtype=np.float64)
     if pos.shape[0] == 0:
         raise ValueError("center set is empty")
     covers = np.sqrt(sq_dist_matrix(pos, anchor_set.positions)) <= anchor_set.zone_radius

@@ -5,8 +5,6 @@
   radius bounds entirely.
 * brute force: exhaustive optimum over k-subsets for tiny instances, the
   ground truth the search is measured against.
-* candidate projection: snap continuous centers onto an allowed candidate
-  set, one distinct candidate per center.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ import numpy as np
 from ._dist import sq_dist_matrix, sq_dists
 from .anchors import seed as seed_anchors
 from .dataset import Dataset, RadiusBounds
-from .local_search import init_solution
+from .local_search import _d2_draw, init_solution
 from .metrics import cost as metrics_cost
 from .metrics import fairness_ratios
 from .refine import lloyd_rounds
@@ -51,19 +49,11 @@ def kmeanspp_init(ds: Dataset, k: int, seed) -> np.ndarray:
     chosen = [int(rng.integers(ds.n))]
     d2 = sq_dists(X, X[chosen[0]])
     for _ in range(1, k):
-        cum = np.cumsum(d2)
-        total = cum[-1]
-        if total > 0:
-            u = rng.random() * total
-            idx = min(int(np.searchsorted(cum, u, side="right")), ds.n - 1)
-            if d2[idx] == 0:  # float edge; fall back to a uniform fresh point
-                idx = -1
-        else:
-            idx = -1
-        if idx < 0:
+        idx = _d2_draw(d2, rng)
+        if idx is None or d2[idx] == 0:  # zero total or float edge: uniform fresh point
             pool = np.setdiff1d(np.arange(ds.n), np.asarray(chosen))
             idx = int(rng.choice(pool))
-        chosen.append(int(idx))
+        chosen.append(idx)
         np.minimum(d2, sq_dists(X, X[idx]), out=d2)
     return np.asarray(chosen, dtype=np.int64)
 
@@ -132,24 +122,3 @@ def brute_force_opt(
     ids = np.asarray(best, dtype=np.int64)
     return metrics_cost(ds, ids, p=2), ids
 
-
-def project_to_candidates(centers: np.ndarray, candidates: Dataset) -> np.ndarray:
-    """Replace each center position by its nearest candidate point id.
-
-    Ties go to the lowest id.  When two centers would collapse onto one
-    candidate, later centers (in input order) take their next-nearest still
-    unused candidate, so the number of distinct centers is preserved.
-    """
-    pos = np.asarray(centers, dtype=np.float64)
-    if pos.ndim != 2 or pos.shape[0] == 0:
-        raise ValueError("centers must be a nonempty (k, d) array")
-    if pos.shape[0] > candidates.n:
-        raise ValueError("more centers than candidates; cannot keep them distinct")
-    taken: set[int] = set()
-    out = []
-    for c in pos:
-        order = np.argsort(sq_dists(candidates.points, c), kind="stable")
-        pick = next(int(i) for i in order if int(i) not in taken)
-        taken.add(pick)
-        out.append(pick)
-    return np.asarray(out, dtype=np.int64)

@@ -33,13 +33,9 @@ class Dataset:
     ----------
     points : array-like of shape (n, d)
         Finite coordinates; one row per point.  Ids are the row indices.
-    source_ids : ndarray or None
-        For datasets produced by :func:`subsample`, the id each row had in
-        the dataset it was drawn from.  ``None`` for original datasets.
     """
 
     points: np.ndarray
-    source_ids: np.ndarray | None = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
@@ -54,11 +50,6 @@ class Dataset:
         pts = np.ascontiguousarray(pts)
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
-        if self.source_ids is not None:
-            src = np.asarray(self.source_ids, dtype=np.int64)
-            if src.shape != (pts.shape[0],):
-                raise ValueError("source_ids must have one entry per point")
-            object.__setattr__(self, "source_ids", src)
 
     @property
     def n(self) -> int:
@@ -67,10 +58,6 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.points.shape[1]
-
-    @property
-    def ids(self) -> np.ndarray:
-        return np.arange(self.n)
 
 
 @dataclass(frozen=True)
@@ -124,7 +111,8 @@ def load_points(
     path : str or Path
         Comma-separated file.
     columns : sequence of int, optional
-        Column indices to keep; all columns when omitted.
+        Column indices to keep, counted from 0; all columns when omitted.
+        A negative index is a ValueError.
     header : bool
         Skip the first row.
 
@@ -133,6 +121,9 @@ def load_points(
     """
     path = Path(path)
     cols = list(columns) if columns is not None else None
+    for c in cols or ():
+        if c < 0:
+            raise ValueError(f"column {c} is negative; columns count from 0")
     rows: list[list[float]] = []
     arity: int | None = None
     with open(path, newline="") as fh:
@@ -184,22 +175,21 @@ def normalize(ds: Dataset) -> Dataset:
     flat = np.flatnonzero(std == 0)
     if flat.size:
         raise ValueError(f"dimension {int(flat[0])} is constant and cannot be normalized")
-    return Dataset((ds.points - mean) / std, source_ids=ds.source_ids)
+    return Dataset((ds.points - mean) / std)
 
 
 def subsample(ds: Dataset, m: int, seed: int) -> Dataset:
     """Uniform sample of ``m`` points without replacement.
 
-    Deterministic for a given seed.  The result is re-indexed ``0..m-1``;
-    ``source_ids`` maps rows back to the original dataset (chained through
-    repeated subsampling).  With ``m == n`` the dataset is copied unchanged.
+    Deterministic for a given seed.  The rows keep their original order and
+    are re-indexed ``0..m-1``.  With ``m == n`` the dataset is copied
+    unchanged.
     """
     if not 1 <= m <= ds.n:
         raise ValueError(f"sample size {m} must be in [1, {ds.n}]")
     rng = np.random.default_rng(seed)
     idx = np.sort(rng.choice(ds.n, size=m, replace=False))
-    src = ds.source_ids[idx] if ds.source_ids is not None else idx
-    return Dataset(ds.points[idx], source_ids=src)
+    return Dataset(ds.points[idx])
 
 
 def compute_radii(
@@ -221,8 +211,9 @@ def compute_radii(
         to all n points, self-distance included.  Computes all n**2
         distances (in row chunks); fine up to ~50k points.
         ``sampled``: the same rank statistic over one fixed uniform sample of
-        ``min(sample_size, n)`` points shared by every p, at rank
-        ``ceil(sample_size / k)`` (clamped to the sample length).
+        ``s = min(sample_size, n)`` points shared by every p, at rank
+        ``ceil(s / k)``.  With ``sample_size >= n`` the sample is the whole
+        dataset and the radii equal the exact ones.
     sample_size, seed : int
         Sampled mode only.
 
@@ -242,7 +233,7 @@ def compute_radii(
         rng = np.random.default_rng(seed)
         s = min(sample_size, ds.n)
         sample_ids = rng.choice(ds.n, size=s, replace=False)
-        ref, rank = X[sample_ids], min(-(-sample_size // k), s)
+        ref, rank = X[sample_ids], -(-s // k)
         extra = {"sample_size": sample_size, "seed": seed}
     else:
         raise ValueError(f"unknown radius mode {mode!r}")
@@ -298,15 +289,3 @@ def aspect_ratio(ds: Dataset) -> AspectRatio:
         raise ValueError("all points are identical; aspect ratio undefined")
     return AspectRatio(float(np.sqrt(max_sq / min_pos)))
 
-
-def jl_project(ds: Dataset, target_dim: int, seed: int) -> Dataset:
-    """Random Gaussian projection to ``target_dim`` dimensions.
-
-    The map has independent N(0, 1) entries scaled by 1/sqrt(target_dim), so
-    squared distances are preserved in expectation.  Deterministic per seed.
-    """
-    if target_dim < 1:
-        raise ValueError("target_dim must be at least 1")
-    rng = np.random.default_rng(seed)
-    proj = rng.standard_normal((ds.d, target_dim)) / np.sqrt(target_dim)
-    return Dataset(ds.points @ proj, source_ids=ds.source_ids)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._dist import sq_dists
-from .anchors import AnchorSet, seed
+from .anchors import AnchorSet, build_coverage, seed
 from .dataset import Dataset, RadiusBounds
 from .errors import InfeasibleInstanceError
 from .metrics import bound_ratio
@@ -73,12 +73,11 @@ class RunTrace:
 
 @dataclass
 class SwapCandidate:
-    """Best admissible swap for a sampled point: remove ``old_center``
-    (slot ``slot``), insert ``point``, reaching ``new_cost``."""
+    """Best admissible swap for a sampled point: replace the center in slot
+    ``slot`` by ``point``, reaching ``new_cost``."""
 
     point: int
     slot: int
-    old_center: int
     new_cost: float
 
 
@@ -105,21 +104,30 @@ def init_solution(ds: Dataset, anchor_set: AnchorSet, k: int, seed) -> Solution:
     return sol
 
 
-def d2_sample(sol: Solution, rng: np.random.Generator) -> int:
-    """Draw a point id with probability d1(p)^2 / sum_q d1(q)^2."""
-    cum = np.cumsum(sol.d1sq)
+def _d2_draw(weights: np.ndarray, rng: np.random.Generator) -> int | None:
+    """Index i drawn with probability weights[i] / sum(weights), from one
+    uniform draw; None, with ``rng`` untouched, when the total is not
+    positive.  The D^2 draw of the search and of k-means++ seeding."""
+    cum = np.cumsum(weights)
     total = cum[-1]
     if not total > 0:
+        return None
+    idx = int(np.searchsorted(cum, rng.random() * total, side="right"))
+    return min(idx, weights.shape[0] - 1)
+
+
+def d2_sample(sol: Solution, rng: np.random.Generator) -> int:
+    """Draw a point id with probability d1(p)^2 / sum_q d1(q)^2."""
+    idx = _d2_draw(sol.d1sq, rng)
+    if idx is None:
         raise ValueError("total cost is zero; every point already sits on a center")
-    u = rng.random() * total
-    idx = int(np.searchsorted(cum, u, side="right"))
-    return min(idx, sol.d1sq.shape[0] - 1)
+    return idx
 
 
 def _candidate_row(sol: Solution, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Squared distance from point p to every point, and the zones p lies in."""
     X = sol.ds.points
-    return sq_dists(X, X[p]), sol.anchor_set.covers_position(X[p])
+    return sq_dists(X, X[p]), build_coverage(sol.anchor_set, X[p][None]).covers[0]
 
 
 def _swap_costs(
@@ -154,9 +162,7 @@ def _best_swap(
     best = new_costs[admissible].min()
     tied = np.flatnonzero(admissible & (new_costs == best))
     slot = int(tied[np.argmin(sol.center_ids[tied])])
-    return SwapCandidate(
-        point=int(p), slot=slot, old_center=int(sol.center_ids[slot]), new_cost=float(best)
-    )
+    return SwapCandidate(point=int(p), slot=slot, new_cost=float(best))
 
 
 def swap_costs(sol: Solution, p: int) -> tuple[np.ndarray, np.ndarray]:

@@ -39,7 +39,7 @@ def cost(ds: Dataset, centers, p: int = 2) -> float:
 def fairness_ratios(dist: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """Per-point dist/delta with 0/0 = 0 and positive/0 = +inf.
 
-    Shared by the feasibility predicate and the brute-force oracle so the two
+    Shared by :func:`bound_ratio` and the brute-force oracle so the two
     agree exactly, value for value.
     """
     ratios = np.zeros_like(dist)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._dist import dists, sq_dist_matrix, sq_dists
+from ._dist import dists, sq_dist_blocks, sq_dist_matrix, sq_dists
 from .anchors import AnchorSet
 from .dataset import Dataset
 from .solution import Solution
@@ -174,7 +174,9 @@ def lloyd_rounds(
         if not moved:
             trace.extend([total] * (1 if rel_tol > 0 else iterations - done))
             break
-        M[:, moved] = sq_dist_matrix(X, positions[moved])
+        # in row blocks, so no second (n, k) array is live beside M
+        for start, block in sq_dist_blocks(X, positions[moved]):
+            M[start : start + block.shape[0], moved] = block
         labels = np.argmin(M, axis=1)
         d1sq = M[rows, labels]
         new_total = math.fsum(d1sq)

@@ -53,20 +53,6 @@ class Solution:
     def k(self) -> int:
         return self.center_pos.shape[0]
 
-    def copy(self) -> "Solution":
-        return Solution(
-            ds=self.ds,
-            anchor_set=self.anchor_set,
-            center_ids=None if self.center_ids is None else self.center_ids.copy(),
-            center_pos=self.center_pos.copy(),
-            assign=self.assign.copy(),
-            assign2=self.assign2.copy(),
-            d1sq=self.d1sq.copy(),
-            d2sq=self.d2sq.copy(),
-            coverage=self.coverage.copy(),
-            total_cost=self.total_cost,
-        )
-
     @classmethod
     def build(
         cls,
@@ -122,16 +108,17 @@ def build_state(X: np.ndarray, centers: np.ndarray):
 def nearest_two(M: np.ndarray):
     """Nearest/second-nearest slots and squared distances, read off an (n, k)
     squared-distance matrix; ties go to the lower slot, as in a stable sort
-    of each row."""
+    of each row.  ``M`` is masked in place and restored before returning,
+    so no second (n, k) array is allocated."""
     n, k = M.shape
     rows = np.arange(n)
     assign = np.argmin(M, axis=1)
     d1sq = M[rows, assign]
     if k == 1:
         return assign, np.full(n, -1, dtype=np.int64), d1sq, np.full(n, np.inf)
-    rest = M.copy()
-    rest[rows, assign] = np.inf
-    assign2 = np.argmin(rest, axis=1)
+    M[rows, assign] = np.inf
+    assign2 = np.argmin(M, axis=1)
+    M[rows, assign] = d1sq
     # a row whose other entries are all inf makes argmin return slot 0 even
     # when slot 0 is the nearest one; a stable sort puts slot 1 second there
     assign2[assign2 == assign] = 1

@@ -11,7 +11,6 @@ from fairkmeans import (
     brute_force_opt,
     build_coverage,
     greedy_baseline,
-    is_radius_feasible,
     run,
     seed,
 )
@@ -111,64 +110,21 @@ class TestSeed:
         assert greedy_baseline(ds, delta, 3.0, 2, seed=0).total_cost == 0.0
 
 
-class TestIsRadiusFeasible:
-    def test_all_points_centers(self):
-        ds = Dataset(np.random.default_rng(0).normal(size=(8, 2)))
-        delta = RadiusBounds(np.ones(8))
-        ok, _, ratio = is_radius_feasible(ds, delta, np.arange(8), beta=6.0)
-        assert ok and ratio == 0.0
-
-    def test_worst_offender(self):
-        ds = Dataset(np.array([[0.0], [1.0]]))
-        delta = RadiusBounds(np.array([1.0, 0.5]))
-        ok, worst, ratio = is_radius_feasible(ds, delta, np.array([0]), beta=6.0)
-        assert ok and worst == 1 and ratio == 2.0
-        ok, _, _ = is_radius_feasible(ds, delta, np.array([0]), beta=1.5)
-        assert not ok
-
-    def test_zero_radius_handling(self):
-        ds = Dataset(np.array([[0.0], [1.0]]))
-        delta = RadiusBounds(np.array([0.0, 0.0]))
-        ok, _, ratio = is_radius_feasible(ds, delta, np.arange(2), beta=1.0)
-        assert ok and ratio == 0.0
-        ok, worst, ratio = is_radius_feasible(ds, delta, np.array([0]), beta=100.0)
-        assert not ok and worst == 1 and ratio == np.inf
-
-    def test_empty_centers(self):
-        ds = Dataset(np.zeros((2, 1)))
-        with pytest.raises(ValueError):
-            is_radius_feasible(ds, RadiusBounds(np.ones(2)), np.empty(0, dtype=int), 1.0)
-
-    def test_float_ids_rejected(self):
-        # a 1-D float array is neither an id list nor a (k, d) position array
-        ds = Dataset(np.array([[0.0], [1.0]]))
-        with pytest.raises(ValueError, match="id list or"):
-            is_radius_feasible(ds, RadiusBounds(np.ones(2)), np.array([0.0, 1.0]), 1.0)
-
-
 class TestBuildCoverage:
     def test_anchors_cover_their_own_zones(self):
         ds, delta, k = gaussian_instance(3, n=150)
         aset = seed(ds, delta, gamma=3.0)
-        table = build_coverage(aset, aset.anchors, ds)
+        table = build_coverage(aset, aset.positions)
         assert np.all(table.counts >= 1)
 
     def test_count_single_center_inside(self):
         ds = Dataset(np.array([[0.0], [2.0], [10.0]]))
         aset = make_anchor_set(ds, [0], [3.0])
-        table = build_coverage(aset, np.array([1, 2]), ds)
+        table = build_coverage(aset, ds.points[[1, 2]])
         assert table.counts.tolist() == [1]
 
     def test_uncovered_zone_detected(self):
         ds = Dataset(np.array([[0.0], [10.0]]))
         aset = make_anchor_set(ds, [0], [3.0])
-        table = build_coverage(aset, np.array([1]), ds)
+        table = build_coverage(aset, ds.points[[1]])
         assert table.counts.tolist() == [0]
-
-    def test_positions_and_ids_agree(self):
-        ds, delta, k = gaussian_instance(8, n=100)
-        aset = seed(ds, delta, gamma=3.0)
-        ids = np.arange(k)
-        via_ids = build_coverage(aset, ids, ds)
-        via_pos = build_coverage(aset, ds.points[ids])
-        assert np.array_equal(via_ids.covers, via_pos.covers)

@@ -10,10 +10,8 @@ from fairkmeans import (
     brute_force_opt,
     greedy_baseline,
     init_solution,
-    is_radius_feasible,
     kmeanspp_init,
     lloyd,
-    project_to_candidates,
     run,
     seed,
     vanilla_kmeans,
@@ -135,7 +133,7 @@ class TestBruteForce:
             brute_force_opt(ds, RadiusBounds(np.ones(60)), beta=1.0, k=12)
 
     def test_feasibility_agrees_with_predicate(self):
-        # the oracle's per-subset filter and is_radius_feasible share their
+        # the oracle's per-subset filter and metrics.bound_ratio share their
         # ratio values, so the best subset it returns must pass the check and
         # any infeasible verdict must be reproducible
         import itertools
@@ -151,29 +149,7 @@ class TestBruteForce:
         )
         for subset in itertools.combinations(range(10), 3):
             ids = np.array(subset)
-            ok, _, worst = is_radius_feasible(ds, delta, ids, beta=1.0)
+            worst, _ = bound_ratio(ds, delta, ids)
             oracle_ok = bool(np.all(ratios[:, ids].min(axis=1) <= 1.0))
-            assert oracle_ok == ok
+            assert oracle_ok == (worst <= 1.0)
             assert ratios[:, ids].min(axis=1).max() == worst
-
-
-class TestProjectToCandidates:
-    def test_nearest(self):
-        cands = Dataset(np.array([[0.0], [1.0]]))
-        ids = project_to_candidates(np.array([[0.4]]), cands)
-        assert ids.tolist() == [0]
-
-    def test_already_candidates(self):
-        cands = Dataset(np.array([[0.0], [5.0], [9.0]]))
-        ids = project_to_candidates(np.array([[5.0], [9.0]]), cands)
-        assert ids.tolist() == [1, 2]
-
-    def test_collision_takes_next_nearest(self):
-        cands = Dataset(np.array([[0.0], [10.0], [11.0]]))
-        ids = project_to_candidates(np.array([[0.1], [0.2]]), cands)
-        assert ids.tolist() == [0, 1]
-
-    def test_too_many_centers(self):
-        cands = Dataset(np.array([[0.0]]))
-        with pytest.raises(ValueError):
-            project_to_candidates(np.zeros((2, 1)), cands)

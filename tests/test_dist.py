@@ -98,10 +98,13 @@ def test_build_coverage_matches_covers_position(d):
     radii = np.sqrt(reference(X[zones], X[zones[-1:]])[:, 0])
     aset = AnchorSet(anchors=zones, positions=X[zones].copy(), zone_radius=radii, gamma=3.0)
     centers = np.concatenate([zones[::-1], np.arange(5, 200, 23)])
-    table = build_coverage(aset, centers, Dataset(X))
-    want = np.stack([aset.covers_position(X[c]) for c in centers])
+    table = build_coverage(aset, X[centers])
+    want = np.sqrt(reference(X[centers], X[zones])) <= radii
     assert np.array_equal(table.covers, want)
     assert table.covers.any() and not table.covers.all()
+    # one center at a time, as the search tests a sampled point
+    rows = np.stack([build_coverage(aset, X[c][None]).covers[0] for c in centers])
+    assert np.array_equal(rows, want)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 16])

@@ -174,6 +174,13 @@ class TestCli:
         )
         assert rc == 0
 
+    def test_negative_column_is_fatal(self, tmp_path, capsys):
+        path = tmp_path / "three.csv"
+        path.write_text("1,9,2\n3,9,4\n1,9,0\n5,9,1\n")
+        rc = main(["--input", str(path), "--columns", "-1", "--k", "2"])
+        assert rc == 1
+        assert "column -1 is negative" in capsys.readouterr().err
+
     def test_missing_file_is_fatal(self, tmp_path):
         rc = main(["--input", str(tmp_path / "nope.csv"), "--k", "2"])
         assert rc == 1

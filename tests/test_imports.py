@@ -1,5 +1,5 @@
 """Import structure of the package: every import sits at module level and
-is used.
+is used, and the public names are exactly what ``__init__.py`` imports.
 
 A function-level import is how a circular import gets dodged; keeping them
 out means the module graph stays acyclic and visible at the top of each file.
@@ -12,6 +12,8 @@ import ast
 from pathlib import Path
 
 import pytest
+
+import fairkmeans
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "fairkmeans"
 MODULES = sorted(SRC.glob("*.py"))
@@ -45,3 +47,17 @@ def test_module_imports_are_used(module):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [f"{name} (line {line})" for name, line in bound.items() if name not in used]
     assert not unused, f"unused imports: {unused}"
+
+
+def test_all_matches_package_imports():
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    ]
+    assert sorted(fairkmeans.__all__) == sorted(imported)
+    assert len(set(imported)) == len(imported)
+    for name in fairkmeans.__all__:
+        assert getattr(fairkmeans, name) is not None

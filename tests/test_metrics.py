@@ -65,6 +65,23 @@ class TestBoundRatio:
         ratio, witness = bound_ratio(ds, delta, np.array([0]))
         assert ratio == np.inf and witness == 1
 
+    def test_zero_radius_on_center(self):
+        # 0/0 is a ratio of 0: a zero-radius point sitting on a center is served
+        ds = Dataset(np.array([[0.0], [1.0]]))
+        ratio, _ = bound_ratio(ds, RadiusBounds(np.zeros(2)), np.arange(2))
+        assert ratio == 0.0
+
+    def test_empty_centers(self):
+        ds = Dataset(np.zeros((2, 1)))
+        with pytest.raises(ValueError):
+            bound_ratio(ds, RadiusBounds(np.ones(2)), np.empty(0, dtype=int))
+
+    def test_float_ids_rejected(self):
+        # a 1-D float array is neither an id list nor a (k, d) position array
+        ds = Dataset(np.array([[0.0], [1.0]]))
+        with pytest.raises(ValueError, match="id list or"):
+            bound_ratio(ds, RadiusBounds(np.ones(2)), np.array([0.0, 1.0]))
+
     def test_scale_invariance(self):
         rng = np.random.default_rng(3)
         for _ in range(10):

@@ -186,14 +186,15 @@ class TestFlloydRun:
         sol, _ = run(ds, delta, LsConfig(k=k, iterations=20, seed=1))
         passes = []
         for name, module in list(sys.modules.items()):
-            if name.startswith("fairkmeans") and hasattr(module, "sq_dist_matrix"):
+            for kernel in ("sq_dist_matrix", "sq_dist_blocks"):
+                if name.startswith("fairkmeans") and hasattr(module, kernel):
 
-                def counting(points, centers, original=module.sq_dist_matrix):
-                    if points is ds.points:
-                        passes.append(centers.shape[0])
-                    return original(points, centers)
+                    def counting(points, centers, original=getattr(module, kernel)):
+                        if points is ds.points:
+                            passes.append(centers.shape[0])
+                        return original(points, centers)
 
-                monkeypatch.setattr(module, "sq_dist_matrix", counting)
+                    monkeypatch.setattr(module, kernel, counting)
         _, trace = flloyd_run(ds, sol, cfg=FlConfig(iterations=5))
         _, want, _, moved = reference_lloyd_rounds(
             ds.points, sol.center_pos, sol.anchor_set, 5, 0.0
