@@ -59,6 +59,19 @@ class TestBoundRatio:
         ratio, witness = bound_ratio(ds, delta, np.array([0]))
         assert ratio == 2.0 and witness == 1
 
+    def test_every_point_a_center(self):
+        ds = Dataset(np.random.default_rng(0).normal(size=(8, 2)))
+        ratio, _ = bound_ratio(ds, RadiusBounds(np.ones(8)), np.arange(8))
+        assert ratio == 0.0 and ratio <= 6.0
+
+    def test_worst_offender(self):
+        # the ratio decides feasibility against a bound beta: 2 <= 6 but 2 > 1.5
+        ds = Dataset(np.array([[0.0], [1.0]]))
+        delta = RadiusBounds(np.array([1.0, 0.5]))
+        ratio, worst = bound_ratio(ds, delta, np.array([0]))
+        assert worst == 1 and ratio == 2.0
+        assert ratio <= 6.0 and not ratio <= 1.5
+
     def test_zero_radius_inf(self):
         ds = Dataset(np.array([[0.0], [1.0]]))
         delta = RadiusBounds(np.array([1.0, 0.0]))
