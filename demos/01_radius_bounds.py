@@ -43,4 +43,4 @@ ball = np.count_nonzero(np.sqrt(sq_dists(ds.points, ds.points[i])) <= exact.delt
 print(f"loosest point {i}: ball of radius {exact.delta[i]:.3f} holds {ball} points "
       f"(needs >= {-(-ds.n // k)})")
 
-print(f"aspect ratio of the instance: {aspect_ratio(ds).value:.1f}")
+print(f"aspect ratio of the instance: {aspect_ratio(ds):.1f}")

@@ -39,7 +39,7 @@ print(f"total improvement: {drop:.1f}% over {trace.size - 1} rounds")
 before, _ = bound_ratio(ds, delta, sol.center_pos)
 after, _ = bound_ratio(ds, delta, refined.center_pos)
 print(f"bound ratio {before:.2f} -> {after:.2f} (guarantee stays at 6)")
-print(f"zones covered after refinement: {np.all(refined.coverage.counts >= 1)}")
+print(f"zones covered after refinement: {refined.covers.any(axis=0).all()}")
 
 # the clamped move itself: a center walking toward an out-of-zone mean stops
 # exactly at the zone boundary

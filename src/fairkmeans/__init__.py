@@ -9,7 +9,7 @@ returned solution serves every point within ``2 * gamma * delta(p)``
 (factor 6 at the default gamma of 3).
 """
 
-from .anchors import AnchorSet, CoverageTable, build_coverage, seed
+from .anchors import AnchorSet, build_coverage, seed
 from .baselines import (
     brute_force_opt,
     greedy_baseline,
@@ -18,7 +18,6 @@ from .baselines import (
     vanilla_kmeans,
 )
 from .dataset import (
-    AspectRatio,
     Dataset,
     RadiusBounds,
     aspect_ratio,
@@ -32,9 +31,7 @@ from .experiments import ExperimentConfig, ExperimentReport, run_experiment
 from .local_search import (
     LsConfig,
     RunTrace,
-    SwapCandidate,
     d2_sample,
-    evaluate_swaps,
     init_solution,
     ls_step,
     run,
@@ -48,8 +45,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnchorSet",
-    "AspectRatio",
-    "CoverageTable",
     "Dataset",
     "ExperimentConfig",
     "ExperimentReport",
@@ -59,7 +54,6 @@ __all__ = [
     "RadiusBounds",
     "RunTrace",
     "Solution",
-    "SwapCandidate",
     "aspect_ratio",
     "assign",
     "bound_ratio",
@@ -68,7 +62,6 @@ __all__ = [
     "compute_radii",
     "cost",
     "d2_sample",
-    "evaluate_swaps",
     "fair_move_center",
     "flloyd_run",
     "greedy_baseline",

@@ -43,21 +43,6 @@ class AnchorSet:
         return int(self.anchors.shape[0])
 
 
-@dataclass
-class CoverageTable:
-    """Which centers sit inside which anchor zones.
-
-    ``covers[j, z]`` is True when center j lies in zone z; ``counts`` is the
-    per-zone total.  Any valid solution keeps every count at 1 or more.
-    """
-
-    covers: np.ndarray
-
-    @property
-    def counts(self) -> np.ndarray:
-        return self.covers.sum(axis=0)
-
-
 def seed(ds: Dataset, delta: RadiusBounds, gamma: float) -> AnchorSet:
     """Greedy covering pass: while some point p has no anchor within
     ``gamma * delta(p)``, add the uncovered point with the smallest radius
@@ -90,13 +75,13 @@ def seed(ds: Dataset, delta: RadiusBounds, gamma: float) -> AnchorSet:
     return AnchorSet(anchors, positions, zone_radius, float(gamma))
 
 
-def build_coverage(anchor_set: AnchorSet, positions) -> CoverageTable:
-    """Coverage table for the centers at ``positions`` (k, d): center j
-    covers zone z when its distance to the zone's anchor is at most the
-    zone radius (closed ball).  The one zone-membership test of the package.
+def build_coverage(anchor_set: AnchorSet, positions) -> np.ndarray:
+    """Coverage table for the centers at ``positions`` (k, d): a (k, m) bool
+    array whose entry [j, z] is True when center j's distance to zone z's
+    anchor is at most the zone radius (closed ball).  A valid solution has
+    a True in every column.  The one zone-membership test of the package.
     """
     pos = np.asarray(positions, dtype=np.float64)
     if pos.shape[0] == 0:
         raise ValueError("center set is empty")
-    covers = np.sqrt(sq_dist_matrix(pos, anchor_set.positions)) <= anchor_set.zone_radius
-    return CoverageTable(covers)
+    return np.sqrt(sq_dist_matrix(pos, anchor_set.positions)) <= anchor_set.zone_radius

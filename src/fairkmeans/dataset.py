@@ -62,17 +62,10 @@ class Dataset:
 
 @dataclass(frozen=True)
 class RadiusBounds:
-    """Per-point fairness radii and how they were computed.
-
-    ``mode`` is ``"exact"`` for the full rank statistic, ``"sampled"`` when
-    the rank was taken over a fixed random sample (``sample_size``, ``seed``),
-    and ``"given"`` for user-supplied radii.
-    """
+    """Per-point fairness radii ``delta``, one finite nonnegative value per
+    point, from :func:`compute_radii` or supplied by the user."""
 
     delta: np.ndarray
-    mode: str = "given"
-    sample_size: int | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         d = np.asarray(self.delta, dtype=np.float64)
@@ -86,17 +79,6 @@ class RadiusBounds:
 
     def __len__(self) -> int:
         return self.delta.shape[0]
-
-
-@dataclass(frozen=True)
-class AspectRatio:
-    """Max pairwise distance over min positive pairwise distance."""
-
-    value: float
-
-    def __post_init__(self):
-        if not self.value >= 1.0:
-            raise ValueError("aspect ratio is at least 1")
 
 
 def load_points(
@@ -226,7 +208,7 @@ def compute_radii(
     check_distance_scale(ds)
     X = ds.points
     if mode == "exact":
-        ref, rank, extra = X, -(-ds.n // k), {}
+        ref, rank = X, -(-ds.n // k)
     elif mode == "sampled":
         if sample_size < 1:
             raise ValueError("sample_size must be at least 1")
@@ -234,7 +216,6 @@ def compute_radii(
         s = min(sample_size, ds.n)
         sample_ids = rng.choice(ds.n, size=s, replace=False)
         ref, rank = X[sample_ids], -(-s // k)
-        extra = {"sample_size": sample_size, "seed": seed}
     else:
         raise ValueError(f"unknown radius mode {mode!r}")
     sq = _ranked_sq_dist(X, ref, rank)
@@ -243,7 +224,7 @@ def compute_radii(
             "squared distances overflow float64 (coordinates too large); "
             "rescale the points, e.g. divide them by their largest magnitude"
         )
-    return RadiusBounds(np.sqrt(sq), mode=mode, **extra)
+    return RadiusBounds(np.sqrt(sq))
 
 
 def check_distance_scale(ds: Dataset) -> None:
@@ -259,6 +240,14 @@ def check_distance_scale(ds: Dataset) -> None:
         )
 
 
+def check_point_ids(ds: Dataset, ids: np.ndarray) -> None:
+    """ValueError naming the first id outside ``[0, n)``; numpy indexing
+    would wrap a negative id around to a point from the end."""
+    bad = ids[(ids < 0) | (ids >= ds.n)]
+    if bad.size:
+        raise ValueError(f"center id {int(bad[0])} is outside [0, {ds.n})")
+
+
 def _ranked_sq_dist(X: np.ndarray, ref: np.ndarray, rank: int) -> np.ndarray:
     """rank-th smallest squared distance from each row of X to the rows of ref."""
     out = np.empty(X.shape[0])
@@ -268,8 +257,9 @@ def _ranked_sq_dist(X: np.ndarray, ref: np.ndarray, rank: int) -> np.ndarray:
     return out
 
 
-def aspect_ratio(ds: Dataset) -> AspectRatio:
-    """Ratio of the largest pairwise distance to the smallest positive one.
+def aspect_ratio(ds: Dataset) -> float:
+    """Ratio of the largest pairwise distance to the smallest positive one,
+    at least 1 by construction.
 
     Duplicate points are skipped in the minimum.  All-identical points have
     no positive distance and raise a ValueError.  Quadratic in n.
@@ -287,5 +277,5 @@ def aspect_ratio(ds: Dataset) -> AspectRatio:
             min_pos = min(min_pos, float(pos.min()))
     if not np.isfinite(min_pos):
         raise ValueError("all points are identical; aspect ratio undefined")
-    return AspectRatio(float(np.sqrt(max_sq / min_pos)))
+    return float(np.sqrt(max_sq / min_pos))
 

@@ -25,12 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._dist import sq_dists
+from ._dist import sq_dist_matrix, sq_dists
 from .anchors import AnchorSet, build_coverage, seed
 from .dataset import Dataset, RadiusBounds
 from .errors import InfeasibleInstanceError
 from .metrics import bound_ratio
-from .solution import RADIUS_SLACK, Solution, build_state, check_solution
+from .solution import RADIUS_SLACK, Solution, check_solution, nearest_two
 
 
 @dataclass
@@ -38,7 +38,7 @@ class LsConfig:
     """Knobs for :func:`run`.
 
     ``iterations`` is the number of local-search steps.  The paper's count
-    for an instance is ``math.ceil(k * math.log(n * fk.aspect_ratio(ds).value))``;
+    for an instance is ``math.ceil(k * math.log(n * fk.aspect_ratio(ds)))``;
     computing the aspect ratio is quadratic in n, so reserve it for small
     inputs.
     """
@@ -71,16 +71,6 @@ class RunTrace:
         return int(self.accepted.sum())
 
 
-@dataclass
-class SwapCandidate:
-    """Best admissible swap for a sampled point: replace the center in slot
-    ``slot`` by ``point``, reaching ``new_cost``."""
-
-    point: int
-    slot: int
-    new_cost: float
-
-
 def init_solution(ds: Dataset, anchor_set: AnchorSet, k: int, seed) -> Solution:
     """Anchors plus uniform random distinct non-anchor points, caches built.
 
@@ -99,7 +89,7 @@ def init_solution(ds: Dataset, anchor_set: AnchorSet, k: int, seed) -> Solution:
         fill = rng.choice(pool, size=k - m, replace=False)
         ids = np.concatenate([ids, np.sort(fill)])
     sol = Solution.build(ds, anchor_set, center_ids=ids.astype(np.int64))
-    if m and not np.all(sol.coverage.counts >= 1):
+    if not sol.covers.any(axis=0).all():
         raise AssertionError("anchor zones uncovered right after initialization")
     return sol
 
@@ -127,7 +117,7 @@ def d2_sample(sol: Solution, rng: np.random.Generator) -> int:
 def _candidate_row(sol: Solution, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Squared distance from point p to every point, and the zones p lies in."""
     X = sol.ds.points
-    return sq_dists(X, X[p]), build_coverage(sol.anchor_set, X[p][None]).covers[0]
+    return sq_dists(X, X[p]), build_coverage(sol.anchor_set, X[p][None])[0]
 
 
 def _swap_costs(
@@ -140,29 +130,22 @@ def _swap_costs(
     new_costs = base + corr
 
     # Removing q only breaks a zone that q alone covers and p does not enter.
-    counts = sol.coverage.counts
+    counts = sol.covers.sum(axis=0)
     critical = (counts == 1) & ~covers_p
-    admissible = ~(sol.coverage.covers & critical).any(axis=1)
+    admissible = ~(sol.covers & critical).any(axis=1)
     return new_costs, admissible
 
 
-def _require_center_ids(sol: Solution) -> None:
-    if sol.center_ids is None:
-        raise ValueError(
-            "local search needs centers at data points; this solution has no "
-            "center_ids (a refined solution cannot be searched)"
-        )
-
-
 def _best_swap(
-    sol: Solution, p: int, new_costs: np.ndarray, admissible: np.ndarray
-) -> SwapCandidate | None:
+    sol: Solution, new_costs: np.ndarray, admissible: np.ndarray
+) -> tuple[int, float] | None:
+    """``(slot, new_cost)`` of the cheapest admissible swap, ties going to
+    the lowest center id; None when every swap would empty an anchor zone."""
     if not admissible.any():
         return None
     best = new_costs[admissible].min()
     tied = np.flatnonzero(admissible & (new_costs == best))
-    slot = int(tied[np.argmin(sol.center_ids[tied])])
-    return SwapCandidate(point=int(p), slot=slot, new_cost=float(best))
+    return int(tied[np.argmin(sol.center_ids[tied])]), float(best)
 
 
 def swap_costs(sol: Solution, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -174,33 +157,23 @@ def swap_costs(sol: Solution, p: int) -> tuple[np.ndarray, np.ndarray]:
     return _swap_costs(sol, *_candidate_row(sol, p))
 
 
-def evaluate_swaps(sol: Solution, p: int) -> SwapCandidate | None:
-    """Best admissible swap for candidate point p, or None when every swap
-    would empty an anchor zone.  Ties go to the lowest center id.
-
-    ``sol`` must have its centers at data points (``center_ids``), else a
-    ValueError.
-    """
-    _require_center_ids(sol)
-    return _best_swap(sol, p, *swap_costs(sol, p))
-
-
-def _apply_swap(sol: Solution, cand: SwapCandidate, dpsq: np.ndarray, covers_p: np.ndarray) -> None:
-    """Install the swap and restore every cache.
+def _apply_swap(
+    sol: Solution, p: int, j: int, new_cost: float, dpsq: np.ndarray, covers_p: np.ndarray
+) -> None:
+    """Put point p in slot j and restore every cache.
 
     Points whose nearest or second-nearest center was the removed one get a
     full k-scan; everyone else only needs a comparison against the new
     center's distances.
     """
     X = sol.ds.points
-    j = cand.slot
-    sol.center_ids[j] = cand.point
-    sol.center_pos[j] = X[cand.point]
+    sol.center_ids[j] = p
+    sol.center_pos[j] = X[p]
 
     affected = (sol.assign == j) | (sol.assign2 == j)
     rows = np.flatnonzero(affected)
     if rows.size:
-        a1, a2, d1, d2 = build_state(X[rows], sol.center_pos)
+        a1, a2, d1, d2 = nearest_two(sq_dist_matrix(X[rows], sol.center_pos))
         sol.assign[rows] = a1
         sol.assign2[rows] = a2
         sol.d1sq[rows] = d1
@@ -219,8 +192,8 @@ def _apply_swap(sol: Solution, cand: SwapCandidate, dpsq: np.ndarray, covers_p: 
         sol.d2sq[mid] = dpsq[mid]
         sol.assign2[mid] = j
 
-    sol.coverage.covers[j, :] = covers_p
-    sol.total_cost = cand.new_cost
+    sol.covers[j, :] = covers_p
+    sol.total_cost = new_cost
 
 
 def ls_step(
@@ -231,8 +204,9 @@ def ls_step(
     Returns the solution and whether a swap was applied.  A zero-cost
     solution short-circuits (nothing left to sample), and a sampled point
     that already is a center can only reproduce the current solution, so it
-    is rejected without evaluation.  Otherwise the step takes the swap
-    :func:`evaluate_swaps` picks when it is strictly cheaper.
+    is rejected without evaluation.  Otherwise the step takes the cheapest
+    swap that keeps every anchor zone covered (:func:`swap_costs`), ties
+    going to the lowest center id, when it is strictly cheaper.
 
     ``anchor_set`` is None or ``sol.anchor_set`` itself: the coverage cache
     belongs to that set, so any other one is a ValueError.  So is a solution
@@ -240,17 +214,22 @@ def ls_step(
     """
     if anchor_set is not None and anchor_set is not sol.anchor_set:
         raise ValueError("anchor_set must be the solution's own anchor set (sol.anchor_set)")
-    _require_center_ids(sol)
+    if sol.center_ids is None:
+        raise ValueError(
+            "local search needs centers at data points; this solution has no "
+            "center_ids (a refined solution cannot be searched)"
+        )
     if not sol.total_cost > 0:
         return sol, False
     p = d2_sample(sol, rng)
     if p in sol.center_ids:
         return sol, False
     dpsq, covers_p = _candidate_row(sol, p)
-    cand = _best_swap(sol, p, *_swap_costs(sol, dpsq, covers_p))
-    if cand is None or not cand.new_cost < sol.total_cost:
+    best = _best_swap(sol, *_swap_costs(sol, dpsq, covers_p))
+    if best is None or not best[1] < sol.total_cost:
         return sol, False
-    _apply_swap(sol, cand, dpsq, covers_p)
+    slot, new_cost = best
+    _apply_swap(sol, p, slot, new_cost, dpsq, covers_p)
     return sol, True
 
 

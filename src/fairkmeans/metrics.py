@@ -7,15 +7,17 @@ import math
 import numpy as np
 
 from ._dist import min_sq_dists
-from .dataset import Dataset, RadiusBounds
+from .dataset import Dataset, RadiusBounds, check_point_ids
 
 
 def _center_positions(ds: Dataset, centers) -> np.ndarray:
-    """Accept center point ids (1-D int array) or positions (2-D array)."""
+    """Accept center point ids (1-D int array, each in ``[0, n)``) or
+    positions (2-D array)."""
     arr = np.asarray(centers)
     if arr.ndim == 1 and np.issubdtype(arr.dtype, np.integer):
         if arr.size == 0:
             raise ValueError("center set is empty")
+        check_point_ids(ds, arr)
         return ds.points[arr]
     arr = np.asarray(arr, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] == 0:
@@ -33,7 +35,7 @@ def cost(ds: Dataset, centers, p: int = 2) -> float:
         raise ValueError("p must be 1 or 2")
     pos = _center_positions(ds, centers)
     sq = min_sq_dists(ds.points, pos)
-    return math.fsum(sq) if p == 2 else math.fsum(np.sqrt(sq))
+    return math.fsum(memoryview(sq if p == 2 else np.sqrt(sq)))
 
 
 def fairness_ratios(dist: np.ndarray, delta: np.ndarray) -> np.ndarray:
@@ -53,7 +55,10 @@ def bound_ratio(ds: Dataset, delta: RadiusBounds, centers) -> tuple[float, int]:
 
     Returns the maximum ratio and the id of a point attaining it.  A point at
     positive distance with a zero radius yields +inf (reported, not raised).
+    ``delta`` must hold one radius per point, else a ValueError.
     """
+    if len(delta) != ds.n:
+        raise ValueError("radius bounds do not match the dataset")
     pos = _center_positions(ds, centers)
     d1 = np.sqrt(min_sq_dists(ds.points, pos))
     ratios = fairness_ratios(d1, delta.delta)

@@ -150,7 +150,8 @@ def lloyd_rounds(
     M = sq_dist_matrix(X, positions)
     labels = np.argmin(M, axis=1)
     d1sq = M[rows, labels]
-    total = math.fsum(d1sq)
+    # fsum over a memoryview gets Python floats without building a list
+    total = math.fsum(memoryview(d1sq))
     trace = [total]
     for done in range(iterations):
         means, sizes = cluster_means(X, labels, k)
@@ -168,7 +169,8 @@ def lloyd_rounds(
             members = labels == j
             # strict per-cluster improvement, measured with the same kernel
             # the next assignment round will use
-            if math.fsum(sq_dists(X[members], candidate)) < math.fsum(d1sq[members]):
+            new_sq = sq_dists(X[members], candidate)
+            if math.fsum(memoryview(new_sq)) < math.fsum(memoryview(d1sq[members])):
                 positions[j] = candidate
                 moved.append(j)
         if not moved:
@@ -179,7 +181,7 @@ def lloyd_rounds(
             M[start : start + block.shape[0], moved] = block
         labels = np.argmin(M, axis=1)
         d1sq = M[rows, labels]
-        new_total = math.fsum(d1sq)
+        new_total = math.fsum(memoryview(d1sq))
         trace.append(new_total)
         improvement = total - new_total
         total = new_total
@@ -212,7 +214,7 @@ def flloyd_run(ds: Dataset, sol: Solution, *, cfg: FlConfig | None = None):
         return sol, trace
 
     refined = Solution.from_sq_dists(ds, sol.anchor_set, None, positions, M)
-    if len(sol.anchor_set) and not np.all(refined.coverage.counts >= 1):
+    if not refined.covers.any(axis=0).all():
         raise AssertionError("refinement left an anchor zone without a center")
     refined.total_cost = float(trace[-1])
     return refined, trace

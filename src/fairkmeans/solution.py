@@ -2,10 +2,9 @@
 
 :class:`Solution` holds the centers plus each point's nearest and
 second-nearest center and the anchor-zone coverage table;
-:func:`build_state` computes those per-point caches from scratch
-(:func:`nearest_two` reads them off an (n, k) squared-distance matrix), and
-:func:`check_solution` is the debug oracle that compares a solution's caches
-against a fresh rebuild.
+:func:`nearest_two` reads the per-point caches off an (n, k)
+squared-distance matrix, and :func:`check_solution` is the debug oracle that
+compares a solution's caches against a fresh rebuild.
 """
 
 from __future__ import annotations
@@ -16,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._dist import sq_dist_matrix
-from .anchors import AnchorSet, CoverageTable, build_coverage
-from .dataset import Dataset, RadiusBounds
+from .anchors import AnchorSet, build_coverage
+from .dataset import Dataset, RadiusBounds, check_point_ids
 from .metrics import bound_ratio
 
 RADIUS_SLACK = 1 + 1e-9  # float headroom on the 2*gamma postcondition
@@ -32,8 +31,11 @@ class Solution:
     ``assign``/``assign2`` hold the slot of each point's nearest and
     second-nearest center and ``d1sq``/``d2sq`` the matching squared
     distances (``assign2 = -1`` and ``d2sq = inf`` when k = 1).
-    ``total_cost`` is the k-means cost, kept consistent with a from-scratch
-    recomputation to 1e-9 relative.
+    ``covers`` is the (k, m) zone table of :func:`anchors.build_coverage`:
+    ``covers[j, z]`` is True when center j lies in anchor zone z, and a
+    valid solution has a True in every column.  ``total_cost`` is the
+    k-means cost, kept consistent with a from-scratch recomputation to 1e-9
+    relative.
 
     Solutions are single-owner: only the loop that created one mutates it.
     """
@@ -46,7 +48,7 @@ class Solution:
     assign2: np.ndarray
     d1sq: np.ndarray
     d2sq: np.ndarray
-    coverage: CoverageTable
+    covers: np.ndarray
     total_cost: float
 
     @property
@@ -62,11 +64,13 @@ class Solution:
         center_pos: np.ndarray | None = None,
     ) -> "Solution":
         """From-scratch construction of every cache; the oracle the
-        incremental updates are checked against."""
+        incremental updates are checked against.  A center id outside
+        ``[0, n)`` is a ValueError."""
         if center_pos is None:
             if center_ids is None:
                 raise ValueError("need center ids or positions")
             center_ids = np.asarray(center_ids, dtype=np.int64)
+            check_point_ids(ds, center_ids)
             center_pos = ds.points[center_ids].copy()
         else:
             center_pos = np.array(center_pos, dtype=np.float64)
@@ -95,14 +99,9 @@ class Solution:
             assign2=assign2,
             d1sq=d1sq,
             d2sq=d2sq,
-            coverage=build_coverage(anchor_set, center_pos),
+            covers=build_coverage(anchor_set, center_pos),
             total_cost=float(d1sq.sum()),
         )
-
-
-def build_state(X: np.ndarray, centers: np.ndarray):
-    """Nearest/second-nearest slots and squared distances for all points."""
-    return nearest_two(sq_dist_matrix(X, centers))
 
 
 def nearest_two(M: np.ndarray):
@@ -138,11 +137,11 @@ def check_solution(sol: Solution, delta: RadiusBounds | None = None) -> None:
         raise AssertionError("d1 cache out of sync with the center set")
     if not np.array_equal(fresh.d2sq, sol.d2sq):
         raise AssertionError("d2 cache out of sync with the center set")
-    if not np.array_equal(fresh.coverage.covers, sol.coverage.covers):
+    if not np.array_equal(fresh.covers, sol.covers):
         raise AssertionError("coverage table out of sync with the center set")
-    if len(sol.anchor_set) and not np.all(sol.coverage.counts >= 1):
+    if not sol.covers.any(axis=0).all():
         raise AssertionError("an anchor zone lost all its centers")
-    exact = math.fsum(sol.d1sq)
+    exact = math.fsum(memoryview(sol.d1sq))
     if abs(sol.total_cost - exact) > 1e-9 * max(1.0, abs(exact)):
         raise AssertionError("total cost drifted from the recomputed value")
     if delta is not None:

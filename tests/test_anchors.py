@@ -114,17 +114,18 @@ class TestBuildCoverage:
     def test_anchors_cover_their_own_zones(self):
         ds, delta, k = gaussian_instance(3, n=150)
         aset = seed(ds, delta, gamma=3.0)
-        table = build_coverage(aset, aset.positions)
-        assert np.all(table.counts >= 1)
+        covers = build_coverage(aset, aset.positions)
+        assert covers.shape == (len(aset), len(aset))
+        assert covers.any(axis=0).all()
 
     def test_count_single_center_inside(self):
         ds = Dataset(np.array([[0.0], [2.0], [10.0]]))
         aset = make_anchor_set(ds, [0], [3.0])
-        table = build_coverage(aset, ds.points[[1, 2]])
-        assert table.counts.tolist() == [1]
+        covers = build_coverage(aset, ds.points[[1, 2]])
+        assert covers.tolist() == [[True], [False]]
 
     def test_uncovered_zone_detected(self):
         ds = Dataset(np.array([[0.0], [10.0]]))
         aset = make_anchor_set(ds, [0], [3.0])
-        table = build_coverage(aset, ds.points[[1]])
-        assert table.counts.tolist() == [0]
+        covers = build_coverage(aset, ds.points[[1]])
+        assert covers.tolist() == [[False]]

@@ -98,12 +98,12 @@ def test_build_coverage_matches_covers_position(d):
     radii = np.sqrt(reference(X[zones], X[zones[-1:]])[:, 0])
     aset = AnchorSet(anchors=zones, positions=X[zones].copy(), zone_radius=radii, gamma=3.0)
     centers = np.concatenate([zones[::-1], np.arange(5, 200, 23)])
-    table = build_coverage(aset, X[centers])
+    covers = build_coverage(aset, X[centers])
     want = np.sqrt(reference(X[centers], X[zones])) <= radii
-    assert np.array_equal(table.covers, want)
-    assert table.covers.any() and not table.covers.all()
+    assert np.array_equal(covers, want)
+    assert covers.any() and not covers.all()
     # one center at a time, as the search tests a sampled point
-    rows = np.stack([build_coverage(aset, X[c][None]).covers[0] for c in centers])
+    rows = np.stack([build_coverage(aset, X[c][None])[0] for c in centers])
     assert np.array_equal(rows, want)
 
 
@@ -156,4 +156,4 @@ def test_aspect_ratio_matches_pairwise_loop(d):
         sq = reference(X[i + 1 :], X[i : i + 1])[:, 0]
         max_sq = max(max_sq, float(sq.max()))
         min_pos = min(min_pos, float(sq[sq > 0].min()))
-    assert aspect_ratio(Dataset(X)).value == float(np.sqrt(max_sq / min_pos))
+    assert aspect_ratio(Dataset(X)) == float(np.sqrt(max_sq / min_pos))

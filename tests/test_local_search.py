@@ -13,7 +13,6 @@ from fairkmeans import (
     Solution,
     brute_force_opt,
     d2_sample,
-    evaluate_swaps,
     flloyd_run,
     init_solution,
     ls_step,
@@ -103,7 +102,20 @@ class TestD2Sample:
         assert abs(count - 5_000) <= 3 * sigma
 
 
+class TestSolutionBuild:
+    @pytest.mark.parametrize("bad", [-1, 10])
+    def test_center_id_out_of_range(self, bad):
+        # numpy would read a negative id as a point from the end
+        ds = Dataset(np.arange(10.0))
+        aset = make_anchor_set(ds, [0], [1e9])
+        with pytest.raises(ValueError, match=f"center id {bad} is outside"):
+            Solution.build(ds, aset, center_ids=[bad, 3])
+
+
 class TestEvaluateSwaps:
+    """Swap evaluation through :func:`swap_costs`; :func:`ls_step` makes the
+    choice among the admissible swaps (see ``TestLsStep``)."""
+
     def test_matches_naive_recomputation(self):
         rng = np.random.default_rng(99)
         for _ in range(25):
@@ -119,8 +131,8 @@ class TestEvaluateSwaps:
     def test_existing_center_is_a_noop(self):
         ds, delta, aset, sol = ls_fixture(3)
         p = int(sol.center_ids[0])
-        cand = evaluate_swaps(sol, p)
-        assert cand.new_cost == pytest.approx(sol.total_cost, rel=1e-12)
+        costs, admissible = swap_costs(sol, p)
+        assert costs[admissible].min() == pytest.approx(sol.total_cost, rel=1e-12)
 
     def test_sole_coverer_filtered(self):
         # zone around point 0 only holds center 0; candidate 4 is outside
@@ -129,14 +141,20 @@ class TestEvaluateSwaps:
         sol = Solution.build(ds, aset, center_ids=np.array([0, 2]))
         costs, admissible = swap_costs(sol, 1)
         assert not admissible[0] and admissible[1]
-        cand = evaluate_swaps(sol, 1)
-        assert sol.center_ids[cand.slot] == 2
+        # the filter, not the cost, rules out removing center 0
+        assert costs[0] < costs[1]
 
     def test_no_admissible_swap(self):
         ds = Dataset(np.array([[0.0], [4.0]]))
         aset = make_anchor_set(ds, [0], [3.0])
         sol = Solution.build(ds, aset, center_ids=np.array([0]))
-        assert evaluate_swaps(sol, 1) is None
+        _, admissible = swap_costs(sol, 1)
+        assert not admissible.any()
+        # every draw is point 1, and no swap may take it
+        rng = np.random.default_rng(0)
+        for _ in range(5):
+            assert not ls_step(sol, aset, rng)[1]
+        assert sol.center_ids.tolist() == [0]
 
 
 class TestLsStep:
@@ -152,7 +170,7 @@ class TestLsStep:
             assert np.array_equal(fresh.d1sq, sol.d1sq)
             assert np.array_equal(fresh.d2sq, sol.d2sq)
             assert np.array_equal(fresh.assign, sol.assign)
-            assert np.array_equal(fresh.coverage.covers, sol.coverage.covers)
+            assert np.array_equal(fresh.covers, sol.covers)
             assert sol.total_cost == pytest.approx(math.fsum(sol.d1sq), rel=1e-9)
             assert took_any
 
@@ -201,8 +219,19 @@ class TestLsStep:
         assert refined.center_ids is None
         with pytest.raises(ValueError, match="center_ids"):
             ls_step(refined, aset, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="center_ids"):
-            evaluate_swaps(refined, 0)
+
+    def test_tie_goes_to_lowest_center_id(self):
+        # every draw is a point at 0 (the only ones at positive cost), and
+        # swapping it for either center reaches cost 1 < 3: the removed
+        # center is id 0 in slot 1, not the lower slot 0
+        ds = Dataset(np.array([-1.0, 0.0, 0.0, 0.0, 1.0]))
+        aset = make_anchor_set(ds, [2], [10.0])
+        for s in range(5):
+            sol = Solution.build(ds, aset, center_ids=np.array([4, 0]))
+            assert sol.total_cost == 3.0
+            _, took = ls_step(sol, aset, np.random.default_rng(s))
+            assert took and sol.total_cost == 1.0
+            assert sol.center_ids[0] == 4 and sol.center_ids[1] in (1, 2, 3)
 
     def test_zero_cost_short_circuit(self):
         ds, delta, _ = gaussian_instance(4, n=10, k=2)

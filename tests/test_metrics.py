@@ -38,6 +38,13 @@ class TestCost:
         with pytest.raises(ValueError):
             cost(ds, np.empty((0, 1)), p=2)
 
+    @pytest.mark.parametrize("bad", [-1, 10])
+    def test_center_id_out_of_range(self, bad):
+        # numpy would read -1 as point 9
+        ds = Dataset(np.arange(10.0))
+        with pytest.raises(ValueError, match=f"center id {bad} is outside"):
+            cost(ds, [bad])
+
     def test_agrees_with_solution_cache(self):
         for s in range(5):
             ds, delta, k = gaussian_instance(400 + s, n=250)
@@ -88,6 +95,19 @@ class TestBoundRatio:
         ds = Dataset(np.zeros((2, 1)))
         with pytest.raises(ValueError):
             bound_ratio(ds, RadiusBounds(np.ones(2)), np.empty(0, dtype=int))
+
+    @pytest.mark.parametrize("bad", [-1, 10])
+    def test_center_id_out_of_range(self, bad):
+        ds = Dataset(np.arange(10.0))
+        with pytest.raises(ValueError, match=f"center id {bad} is outside"):
+            bound_ratio(ds, RadiusBounds(np.ones(10)), [0, bad])
+
+    @pytest.mark.parametrize("m", [1, 3, 11])
+    def test_radius_length_mismatch(self, m):
+        # one radius would otherwise be broadcast over every point
+        ds = Dataset(np.arange(10.0))
+        with pytest.raises(ValueError, match="radius bounds do not match the dataset"):
+            bound_ratio(ds, RadiusBounds(np.ones(m)), [0])
 
     def test_float_ids_rejected(self):
         # a 1-D float array is neither an id list nor a (k, d) position array

@@ -134,7 +134,7 @@ class TestFlloydRun:
         for s in (1, 2, 3):
             ds, delta, sol, refined, trace = refined_fixture(10 * s)
             assert np.all(np.diff(trace) <= 0)
-            assert np.all(refined.coverage.counts >= 1)
+            assert refined.covers.any(axis=0).all()
             ratio, _ = bound_ratio(ds, delta, refined.center_pos)
             assert ratio <= 6.0
 
@@ -174,7 +174,7 @@ class TestFlloydRun:
         fresh = Solution.build(ds, sol.anchor_set, center_pos=refined.center_pos)
         for name in ("assign", "assign2", "d1sq", "d2sq"):
             assert np.array_equal(getattr(refined, name), getattr(fresh, name)), name
-        assert np.array_equal(refined.coverage.covers, fresh.coverage.covers)
+        assert np.array_equal(refined.covers, fresh.covers)
         assert refined.center_ids is None
         assert refined.total_cost == trace[-1]
 
