@@ -2,7 +2,8 @@
 
 Every distance in the package comes from :func:`sq_dist_matrix` or from
 :func:`sq_dist_blocks`, the same kernel over row blocks that reuse one
-buffer; the other functions here are thin wrappers around them.  Cached
+buffer; the other functions here are thin wrappers around them, and
+:func:`fsum` is the one way the package adds such distances up.  Cached
 values, from-scratch recomputations and coverage predicates therefore see
 bit-identical numbers for identical inputs, however the points and centers
 were batched: the squared distance between two rows never depends on which
@@ -31,11 +32,22 @@ this kernel.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Bound on the scratch elements one kernel chunk allocates, and on the
 # (rows, references) blocks that callers reduce chunk by chunk.
 CHUNK_ELEMENTS = 1 << 16
+
+
+def fsum(a: np.ndarray) -> float:
+    """Correctly rounded sum of a float array, as ``math.fsum(a)`` gives it.
+
+    ``math.fsum`` iterates its argument; a memoryview yields Python floats
+    directly, without building a list or one numpy scalar per element.
+    """
+    return math.fsum(memoryview(np.ascontiguousarray(a)))
 
 
 def chunk_rows(width: int) -> int:

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import math
 
 import numpy as np
 
-from ._dist import min_sq_dists
+from ._dist import fsum, min_sq_dists
 from .dataset import Dataset, RadiusBounds, check_point_ids
 
 
@@ -35,7 +34,7 @@ def cost(ds: Dataset, centers, p: int = 2) -> float:
         raise ValueError("p must be 1 or 2")
     pos = _center_positions(ds, centers)
     sq = min_sq_dists(ds.points, pos)
-    return math.fsum(memoryview(sq if p == 2 else np.sqrt(sq)))
+    return fsum(sq if p == 2 else np.sqrt(sq))
 
 
 def fairness_ratios(dist: np.ndarray, delta: np.ndarray) -> np.ndarray:

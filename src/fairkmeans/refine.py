@@ -20,12 +20,11 @@ The same loop with no zones is plain Lloyd (:func:`baselines.lloyd`).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._dist import dists, sq_dist_blocks, sq_dist_matrix, sq_dists
+from ._dist import dists, fsum, sq_dist_blocks, sq_dist_matrix, sq_dists
 from .anchors import AnchorSet
 from .dataset import Dataset
 from .solution import Solution
@@ -150,8 +149,7 @@ def lloyd_rounds(
     M = sq_dist_matrix(X, positions)
     labels = np.argmin(M, axis=1)
     d1sq = M[rows, labels]
-    # fsum over a memoryview gets Python floats without building a list
-    total = math.fsum(memoryview(d1sq))
+    total = fsum(d1sq)
     trace = [total]
     for done in range(iterations):
         means, sizes = cluster_means(X, labels, k)
@@ -170,7 +168,7 @@ def lloyd_rounds(
             # strict per-cluster improvement, measured with the same kernel
             # the next assignment round will use
             new_sq = sq_dists(X[members], candidate)
-            if math.fsum(memoryview(new_sq)) < math.fsum(memoryview(d1sq[members])):
+            if fsum(new_sq) < fsum(d1sq[members]):
                 positions[j] = candidate
                 moved.append(j)
         if not moved:
@@ -181,7 +179,7 @@ def lloyd_rounds(
             M[start : start + block.shape[0], moved] = block
         labels = np.argmin(M, axis=1)
         d1sq = M[rows, labels]
-        new_total = math.fsum(memoryview(d1sq))
+        new_total = fsum(d1sq)
         trace.append(new_total)
         improvement = total - new_total
         total = new_total

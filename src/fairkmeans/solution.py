@@ -9,12 +9,11 @@ compares a solution's caches against a fresh rebuild.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._dist import sq_dist_matrix
+from ._dist import fsum, sq_dist_matrix
 from .anchors import AnchorSet, build_coverage
 from .dataset import Dataset, RadiusBounds, check_point_ids
 from .metrics import bound_ratio
@@ -141,7 +140,7 @@ def check_solution(sol: Solution, delta: RadiusBounds | None = None) -> None:
         raise AssertionError("coverage table out of sync with the center set")
     if not sol.covers.any(axis=0).all():
         raise AssertionError("an anchor zone lost all its centers")
-    exact = math.fsum(memoryview(sol.d1sq))
+    exact = fsum(sol.d1sq)
     if abs(sol.total_cost - exact) > 1e-9 * max(1.0, abs(exact)):
         raise AssertionError("total cost drifted from the recomputed value")
     if delta is not None:

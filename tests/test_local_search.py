@@ -21,7 +21,7 @@ from fairkmeans import (
     swap_costs,
 )
 from fairkmeans._dist import min_sq_dists
-from fairkmeans.local_search import check_solution
+from fairkmeans.local_search import _best_swap, check_solution
 from fairkmeans.solution import nearest_two
 from conftest import gaussian_instance
 from test_anchors import make_anchor_set
@@ -143,6 +143,8 @@ class TestEvaluateSwaps:
         assert not admissible[0] and admissible[1]
         # the filter, not the cost, rules out removing center 0
         assert costs[0] < costs[1]
+        slot, new_cost = _best_swap(sol, costs, admissible)
+        assert sol.center_ids[slot] == 2 and new_cost == costs[1]
 
     def test_no_admissible_swap(self):
         ds = Dataset(np.array([[0.0], [4.0]]))
@@ -232,6 +234,19 @@ class TestLsStep:
             _, took = ls_step(sol, aset, np.random.default_rng(s))
             assert took and sol.total_cost == 1.0
             assert sol.center_ids[0] == 4 and sol.center_ids[1] in (1, 2, 3)
+
+    def test_cheaper_swap_emptying_a_zone_rejected(self):
+        # every draw is a point at 5; swapping it for center 0 would cost
+        # 25 < 75 but empty the zone around point 0, and swapping it for
+        # center 4 costs 225, so the step must reject
+        ds = Dataset(np.array([0.0, 5.0, 5.0, 5.0, 20.0]))
+        aset = make_anchor_set(ds, [0], [1.0])
+        for s in range(5):
+            sol = Solution.build(ds, aset, center_ids=np.array([0, 4]))
+            assert sol.total_cost == 75.0
+            _, took = ls_step(sol, aset, np.random.default_rng(s))
+            assert not took
+            assert sol.center_ids.tolist() == [0, 4] and sol.total_cost == 75.0
 
     def test_zero_cost_short_circuit(self):
         ds, delta, _ = gaussian_instance(4, n=10, k=2)
