@@ -18,10 +18,11 @@ from typing import Sequence
 
 import numpy as np
 
-from ._dist import sq_dist_blocks
+from ._dist import ranked_sq_dist, sq_dist_blocks
 
-# Exact radii compute all n**2 pairwise distances; above this size the
-# sampled mode is the documented path.
+# Exact radii estimate all n**2 pairwise distances (kernel values only for
+# the pairs that can decide a radius, at d > 2); above this size the sampled
+# mode is the documented path.
 EXACT_RADII_RECOMMENDED_MAX = 50_000
 
 
@@ -190,8 +191,10 @@ def compute_radii(
         Number of clusters the radii are relative to.
     mode : {"exact", "sampled"}
         ``exact``: delta(p) is the ``ceil(n/k)``-th smallest distance from p
-        to all n points, self-distance included.  Computes all n**2
-        distances (in row chunks); fine up to ~50k points.
+        to all n points, self-distance included.  Quadratic in n: at
+        d > 2 every pair gets a dot-product estimate and only the pairs that
+        can decide a radius get kernel distances, at d <= 2 every pair gets
+        a kernel distance (in row chunks either way); fine up to ~50k points.
         ``sampled``: the same rank statistic over one fixed uniform sample of
         ``s = min(sample_size, n)`` points shared by every p, at rank
         ``ceil(s / k)``.  With ``sample_size >= n`` the sample is the whole
@@ -218,7 +221,7 @@ def compute_radii(
         ref, rank = X[sample_ids], -(-s // k)
     else:
         raise ValueError(f"unknown radius mode {mode!r}")
-    sq = _ranked_sq_dist(X, ref, rank)
+    sq = ranked_sq_dist(X, ref, rank)
     if not np.all(np.isfinite(sq)):
         raise ValueError(
             "squared distances overflow float64 (coordinates too large); "
@@ -248,13 +251,15 @@ def check_point_ids(ds: Dataset, ids: np.ndarray) -> None:
         raise ValueError(f"center id {int(bad[0])} is outside [0, {ds.n})")
 
 
-def _ranked_sq_dist(X: np.ndarray, ref: np.ndarray, rank: int) -> np.ndarray:
-    """rank-th smallest squared distance from each row of X to the rows of ref."""
-    out = np.empty(X.shape[0])
-    for start, block in sq_dist_blocks(X, ref):
-        block.partition(rank - 1, axis=1)
-        out[start : start + block.shape[0]] = block[:, rank - 1]
-    return out
+def check_center_columns(ds: Dataset, centers: np.ndarray) -> None:
+    """ValueError unless ``centers`` is a 2-D array with the points' column
+    count.  The kernel does not check it: at d <= 2 it reads only the first
+    d columns of wider centers, and narrower ones fail with an IndexError or
+    a broadcast error that does not name the cause."""
+    if centers.ndim != 2:
+        raise ValueError(f"centers must be a (k, d) array, got shape {centers.shape}")
+    if centers.shape[1] != ds.d:
+        raise ValueError(f"centers have {centers.shape[1]} columns but the points have {ds.d}")
 
 
 def aspect_ratio(ds: Dataset) -> float:

@@ -6,12 +6,12 @@ from __future__ import annotations
 import numpy as np
 
 from ._dist import fsum, min_sq_dists
-from .dataset import Dataset, RadiusBounds, check_point_ids
+from .dataset import Dataset, RadiusBounds, check_center_columns, check_point_ids
 
 
 def _center_positions(ds: Dataset, centers) -> np.ndarray:
     """Accept center point ids (1-D int array, each in ``[0, n)``) or
-    positions (2-D array)."""
+    positions (2-D array with the points' d columns)."""
     arr = np.asarray(centers)
     if arr.ndim == 1 and np.issubdtype(arr.dtype, np.integer):
         if arr.size == 0:
@@ -21,6 +21,7 @@ def _center_positions(ds: Dataset, centers) -> np.ndarray:
     arr = np.asarray(arr, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] == 0:
         raise ValueError("centers must be a nonempty id list or (k, d) array")
+    check_center_columns(ds, arr)
     return arr
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from ._dist import dists, fsum, sq_dist_blocks, sq_dist_matrix, sq_dists
 from .anchors import AnchorSet
-from .dataset import Dataset
+from .dataset import Dataset, check_center_columns
 from .solution import Solution
 
 # Halvings in a clamped move: its error is at most |mean - center| * 2**-40.
@@ -47,6 +47,7 @@ def assign(ds: Dataset, centers: np.ndarray) -> np.ndarray:
     centers = np.asarray(centers, dtype=np.float64)
     if centers.ndim != 2 or centers.shape[0] == 0:
         raise ValueError("centers must be a nonempty (k, d) array")
+    check_center_columns(ds, centers)
     return np.argmin(sq_dist_matrix(ds.points, centers), axis=1)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from ._dist import fsum, sq_dist_matrix
 from .anchors import AnchorSet, build_coverage
-from .dataset import Dataset, RadiusBounds, check_point_ids
+from .dataset import Dataset, RadiusBounds, check_center_columns, check_point_ids
 from .metrics import bound_ratio
 
 RADIUS_SLACK = 1 + 1e-9  # float headroom on the 2*gamma postcondition
@@ -64,7 +64,8 @@ class Solution:
     ) -> "Solution":
         """From-scratch construction of every cache; the oracle the
         incremental updates are checked against.  A center id outside
-        ``[0, n)`` is a ValueError."""
+        ``[0, n)``, or positions without the points' d columns, is a
+        ValueError."""
         if center_pos is None:
             if center_ids is None:
                 raise ValueError("need center ids or positions")
@@ -73,6 +74,7 @@ class Solution:
             center_pos = ds.points[center_ids].copy()
         else:
             center_pos = np.array(center_pos, dtype=np.float64)
+            check_center_columns(ds, center_pos)
         return cls.from_sq_dists(
             ds, anchor_set, center_ids, center_pos, sq_dist_matrix(ds.points, center_pos)
         )

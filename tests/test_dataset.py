@@ -228,6 +228,22 @@ class TestComputeRadii:
         with pytest.raises(ValueError, match="underflow float64.*rescale the points"):
             compute_radii(ds, 5, mode=mode, sample_size=50)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_overflow_names_cause_d8(self, mode):
+        # at d > 2 the radii's filter sees the overflow first and leaves the
+        # rows to the kernel, whose infinite distances name the cause
+        ds = Dataset(np.random.default_rng(4).normal(size=(20, 8)) * 1e160)
+        with pytest.raises(ValueError, match="overflow float64.*rescale the points"):
+            compute_radii(ds, 2, mode=mode, sample_size=10)
+
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    @pytest.mark.parametrize("scale", [1e-170, 1e-160])
+    def test_underflow_names_cause_d8(self, mode, scale):
+        ds = Dataset(np.random.default_rng(4).normal(size=(300, 8)) * scale)
+        with pytest.raises(ValueError, match="underflow float64.*rescale the points"):
+            compute_radii(ds, 5, mode=mode, sample_size=50)
+
     @pytest.mark.parametrize("mode", ["exact", "sampled"])
     def test_identical_points_have_zero_radii(self, mode):
         ds = Dataset(np.full((6, 3), 1e-170))

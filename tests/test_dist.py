@@ -4,18 +4,28 @@ Cached distances, from-scratch rebuilds and coverage predicates are compared
 with ``==`` throughout the package, so the batched kernel is held to bit
 equality with the per-center ``einsum("ij,ij->i")`` loop it replaced, for
 every dimension, batch shape, chunk boundary and coordinate scale below.
+The radii's dot-product filter is held to the same standard: the rank
+statistic it returns must equal a partition of the per-row reference.
 """
 
 from __future__ import annotations
+
+import warnings
 
 import numpy as np
 import pytest
 
 from fairkmeans import Dataset, aspect_ratio, build_coverage, compute_radii
 from fairkmeans import _dist
-from fairkmeans._dist import chunk_rows, dists, min_sq_dists, sq_dist_matrix, sq_dists
+from fairkmeans._dist import (
+    chunk_rows,
+    dists,
+    min_sq_dists,
+    ranked_sq_dist,
+    sq_dist_matrix,
+    sq_dists,
+)
 from fairkmeans.anchors import AnchorSet
-from fairkmeans.dataset import _ranked_sq_dist
 
 
 def reference(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -115,22 +125,116 @@ def test_ranked_sq_dist_matches_partition(d):
     for ref in (X, X[ref_ids]):
         for rank in (1, 7, ref.shape[0]):
             want = np.partition(reference(X, ref), rank - 1, axis=1)[:, rank - 1]
-            assert np.array_equal(_ranked_sq_dist(X, ref, rank), want)
+            assert np.array_equal(ranked_sq_dist(X, ref, rank), want)
 
 
 @pytest.mark.parametrize("chunk", [1000, 5000, 20000])
-@pytest.mark.parametrize("d", [1, 2, 3, 16])
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 16, 33])
 def test_ranked_sq_dist_partial_last_chunk(monkeypatch, chunk, d):
     # the blocks share one buffer: the last, shorter block must not read
-    # rows left over from the block before it
+    # rows left over from the block before it; the filter's products are
+    # split too, with a short last piece
     monkeypatch.setattr(_dist, "CHUNK_ELEMENTS", chunk)
+    monkeypatch.setattr(_dist, "GEMM_PRODUCTS", 700)
     X = points(14, 437, d)
     ref = X[::3]
     rows = chunk_rows(ref.shape[0])
     assert X.shape[0] > rows and X.shape[0] % rows
     for rank in (1, 5, ref.shape[0]):
         want = np.partition(reference(X, ref), rank - 1, axis=1)[:, rank - 1]
-        assert np.array_equal(_ranked_sq_dist(X, ref, rank), want), rank
+        assert np.array_equal(ranked_sq_dist(X, ref, rank), want), rank
+
+
+def ranked_reference(X, ref, rank):
+    return np.partition(reference(X, ref), rank - 1, axis=1)[:, rank - 1]
+
+
+@pytest.mark.parametrize("d", [3, 4, 8, 16, 33])
+def test_filtered_radii_match_reference(d):
+    n = 150
+    X = points(20 + d, n, d)
+    ds = Dataset(X)
+    for k in (1, 3, n):
+        want = np.sqrt(ranked_reference(X, X, -(-n // k)))
+        assert np.array_equal(compute_radii(ds, k).delta, want), k
+        # a sample of at least n points is a permutation of all of them
+        for size in (40, n, 2 * n):
+            got = compute_radii(ds, k, mode="sampled", sample_size=size, seed=d)
+            s = min(size, n)
+            ids = np.random.default_rng(d).choice(n, size=s, replace=False)
+            want = np.sqrt(ranked_reference(X, X[ids], -(-s // k)))
+            assert np.array_equal(got.delta, want), (k, size)
+
+
+def lattice(d, side):
+    axes = np.meshgrid(*[np.arange(side, dtype=np.float64)] * d, indexing="ij")
+    return np.stack([a.ravel() for a in axes], axis=1)
+
+
+@pytest.mark.parametrize("jitter", [0.0, 1e-7])
+def test_filter_two_far_lattices(jitter):
+    # the reference mean sits between two lattices 1e6 apart, so every
+    # centered norm is about 1e12 while the distances that decide a rank are
+    # small integers: exact ties at the threshold, or (with jitter) distinct
+    # values closer together than the estimate's rounding error
+    base = lattice(4, 4)
+    X = np.concatenate([base, base + 1e6])
+    X += np.random.default_rng(15).uniform(-jitter, jitter, size=X.shape)
+    for rank in (1, 2, 5, 9, 40, 100, 256, 257, 400, 512):
+        assert np.array_equal(ranked_sq_dist(X, X, rank), ranked_reference(X, X, rank)), rank
+    ref = X[::3]
+    for rank in (1, 7, 86, 87, ref.shape[0]):
+        assert np.array_equal(ranked_sq_dist(X, ref, rank), ranked_reference(X, ref, rank)), rank
+
+
+def test_filter_large_offset_unit_spacing():
+    rng = np.random.default_rng(16)
+    X = 1e8 + rng.integers(0, 6, size=(300, 5)).astype(np.float64)
+    X[:, 1] -= 2e8  # an offset of each sign
+    for ref in (X, X[rng.choice(300, size=70, replace=False)]):
+        for rank in (1, 4, 30, ref.shape[0] // 2, ref.shape[0]):
+            assert np.array_equal(ranked_sq_dist(X, ref, rank), ranked_reference(X, ref, rank))
+
+
+@pytest.mark.parametrize("d", [3, 8])
+def test_filter_duplicate_heavy_rows(d):
+    # most rows repeat one of six points: whole tie groups pass the
+    # threshold, so rows keep more than rank references
+    rng = np.random.default_rng(17)
+    base = points(18, 6, d)
+    X = np.concatenate([base[rng.integers(0, 6, size=250)], points(19, 30, d)])
+    for ref in (X, X[::4]):
+        for rank in (1, 2, 40, 41, 100, ref.shape[0]):
+            rank = min(rank, ref.shape[0])
+            assert np.array_equal(ranked_sq_dist(X, ref, rank), ranked_reference(X, ref, rank))
+
+
+@pytest.mark.parametrize("scale", 10.0 ** np.arange(-150, 151, 25))
+@pytest.mark.parametrize("d", [3, 8, 33])
+def test_filter_coordinate_scales(scale, d):
+    X, ref = points(3, 60, d, scale), points(4, 25, d, scale)
+    want = ranked_reference(X, ref, 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ranked_sq_dist(X, ref, 5)
+    assert np.array_equal(got, want)
+
+
+def test_filter_declines_near_overflow():
+    # 4 (|x - mean|² + max |y - mean|²) overflows while every distance is
+    # finite: the filter's bound would not be, so the kernel decides alone
+    X = points(21, 40, 8) * 2e153
+    ref = X[::2]
+    mean = ref.mean(axis=0)[None]
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(4 * (reference(X, mean).max() + reference(ref, mean).max()))
+    with np.errstate(over="raise"):
+        want = ranked_reference(X, ref, 3)
+    assert np.all(np.isfinite(want))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ranked_sq_dist(X, ref, 3)
+    assert np.array_equal(got, want)
 
 
 def test_compute_radii_matches_reference():

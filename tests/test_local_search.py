@@ -111,6 +111,13 @@ class TestSolutionBuild:
         with pytest.raises(ValueError, match=f"center id {bad} is outside"):
             Solution.build(ds, aset, center_ids=[bad, 3])
 
+    @pytest.mark.parametrize("cols", [1, 3])
+    def test_center_columns_mismatch(self, cols):
+        ds = Dataset(np.arange(20.0).reshape(10, 2))
+        aset = make_anchor_set(ds, [0], [1e9])
+        with pytest.raises(ValueError, match=f"centers have {cols} columns but the points have 2"):
+            Solution.build(ds, aset, center_pos=np.arange(1.0, cols + 1)[None])
+
 
 class TestEvaluateSwaps:
     """Swap evaluation through :func:`swap_costs`; :func:`ls_step` makes the

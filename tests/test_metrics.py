@@ -38,6 +38,13 @@ class TestCost:
         with pytest.raises(ValueError):
             cost(ds, np.empty((0, 1)), p=2)
 
+    @pytest.mark.parametrize("cols", [1, 3])
+    def test_center_columns_mismatch(self, cols):
+        # 3-column centers used to score 1940.0, 1-column ones an IndexError
+        ds = Dataset(np.arange(20.0).reshape(10, 2))
+        with pytest.raises(ValueError, match=f"centers have {cols} columns but the points have 2"):
+            cost(ds, np.arange(1.0, cols + 1)[None])
+
     @pytest.mark.parametrize("bad", [-1, 10])
     def test_center_id_out_of_range(self, bad):
         # numpy would read -1 as point 9
@@ -108,6 +115,12 @@ class TestBoundRatio:
         ds = Dataset(np.arange(10.0))
         with pytest.raises(ValueError, match="radius bounds do not match the dataset"):
             bound_ratio(ds, RadiusBounds(np.ones(m)), [0])
+
+    @pytest.mark.parametrize("cols", [1, 3])
+    def test_center_columns_mismatch(self, cols):
+        ds = Dataset(np.arange(20.0).reshape(10, 2))
+        with pytest.raises(ValueError, match=f"centers have {cols} columns but the points have 2"):
+            bound_ratio(ds, RadiusBounds(np.ones(10)), np.arange(1.0, cols + 1)[None])
 
     def test_float_ids_rejected(self):
         # a 1-D float array is neither an id list nor a (k, d) position array

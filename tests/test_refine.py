@@ -83,6 +83,12 @@ class TestAssign:
         ds = Dataset(np.random.default_rng(0).normal(size=(7, 2)))
         assert np.all(assign(ds, np.zeros((1, 2))) == 0)
 
+    @pytest.mark.parametrize("cols", [1, 3])
+    def test_center_columns_mismatch(self, cols):
+        ds = Dataset(np.arange(20.0).reshape(10, 2))
+        with pytest.raises(ValueError, match=f"centers have {cols} columns but the points have 2"):
+            assign(ds, np.arange(1.0, cols + 1)[None])
+
 
 class TestFairMoveCenter:
     def test_no_constraints_returns_mean(self):
