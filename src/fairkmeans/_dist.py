@@ -3,8 +3,8 @@
 Every distance in the package comes from :func:`sq_dist_matrix` or from
 :func:`sq_dist_blocks`, the same kernel over row blocks that reuse one
 buffer, or from the kernel's pair form ``einsum("ij,ij->i")`` on gathered
-differences, which :func:`ranked_sq_dist` uses for the pairs its filter
-keeps; the other functions here are thin wrappers around them, and
+differences, which the filtered functions below use for the pairs their
+filter keeps; the other functions here are thin wrappers around them, and
 :func:`fsum` is the one way the package adds such distances up.  Cached
 values, from-scratch recomputations and coverage predicates therefore see
 bit-identical numbers for identical inputs, however the points and centers
@@ -32,13 +32,18 @@ A filter may exclude, never supply, a value.  Formulas that round
 differently from the kernel (the dot-product form ``|x|² + |y|² - 2x·y`` and
 the like) may only decide which pairs cannot matter, under a proved error
 bound; every value that leaves this module comes from the kernel, so the
-exact-consistency checks built on top of it keep holding.
-:func:`ranked_sq_dist` holds the one such filter and derives its bound.
+exact-consistency checks built on top of it keep holding.  One dot-product
+filter serves the radii (:func:`ranked_sq_dist`) and the local search
+(:func:`sq_dists_below` for the candidate's distance pass,
+:func:`two_nearest_sq_dists` for an accepted swap's k-scan), through one
+bound: :func:`ranked_sq_dist`'s docstring derives it and :func:`_slack`
+computes it.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -169,17 +174,22 @@ def ranked_sq_dist(points: np.ndarray, refs: np.ndarray, rank: int) -> np.ndarra
       at most 2·gamma_{d+1}(A + B);
     * kernel: d rounded differences, squared and summed, so the kernel value
       K satisfies |K - D| <= gamma_{d+2}·D, and D <= 2(A + B);
-    * each of the thresholds ``T - 2e`` and ``T + 2e`` below rounds once,
-      by at most u|T| <= 2u(A + B).
+    * the test of an estimate against a threshold rounds by at most
+      3u(A + B): each of the thresholds ``T - 2e`` and ``T + 2e`` below
+      rounds once, by at most u|T| <= 2u(A + B), and the search's test
+      ``F + (A - e) > bound`` (:func:`sq_dists_below`) rounds ``A - e``, by
+      at most uA, and the sum, by at most u(|F| + A) <= 2u(A + B).
 
-    Summed, |F + A - K| <= (5d + 12)u(A + B) to first order in u.  The bound
-    used, per row, is ``e = (d + 8)·(2**-50·(A + max B) + 2**-1070)``: its
+    Summed, |F + A - K| <= (5d + 13)u(A + B) to first order in u, the test
+    included.  The bound used, per row, is
+    ``e = (d + 8)·(2**-50·(A + max B) + 2**-1070)`` (:func:`_slack`): its
     relative part (8d + 64)u(A + max B) leaves room for the second-order
     terms and for the rounding of A, max B and e themselves.  Its absolute
     part covers subnormal results, where each of the 3d products behind F,
     B̂ and K rounds by up to 2**-1075 absolutely.  The filter runs only
     where ``4·(A + max B)`` is finite, so no estimate or kernel value can
-    overflow.
+    overflow.  e depends on the reference only through max B, so it holds
+    for every pair of a row with any reference of the set.
 
     **Why nothing is lost.**  Let T be the rank-th smallest F in a row and
     v the rank-th smallest K, the answer.  At least rank references have
@@ -201,16 +211,39 @@ def ranked_sq_dist(points: np.ndarray, refs: np.ndarray, rank: int) -> np.ndarra
             np.subtract(refs, mean, out=centered)
             np.einsum("ij,ij->i", centered, centered, out=lifted[d])
             lifted[:d] *= -2
-            scale = sq_dists(points, mean) + lifted[d].max()
-            finite = bool(np.isfinite(4 * scale.max()))
-        if finite:
-            slack = (d + 8) * (2.0**-50 * scale + 2.0**-1070)
+            slack = _slack(d, sq_dists(points, mean) + lifted[d].max())
+        if slack is not None:
             return _filtered_ranks(points, refs, rank, mean, lifted, slack)
     out = np.empty(n)
     for start, block in sq_dist_blocks(points, refs):
         block.partition(rank - 1, axis=1)
         out[start : start + block.shape[0]] = block[:, rank - 1]
     return out
+
+
+def _slack(d: int, scale: np.ndarray) -> np.ndarray | None:
+    """The per-row bound e of :func:`ranked_sq_dist` for rows with
+    ``scale = A + max B``; None when ``4·max(scale)`` is not finite, where
+    the filter must decline."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(4 * scale.max()):
+            return None
+    return (d + 8) * (2.0**-50 * scale + 2.0**-1070)
+
+
+def _pair_sq_dists(
+    points: np.ndarray, refs: np.ndarray, owner: np.ndarray, col: np.ndarray
+) -> np.ndarray:
+    """Kernel values of the pairs ``(points[owner[i]], refs[col[i]])``, in
+    the pair form, over chunks of at most ``CHUNK_ELEMENTS`` differences."""
+    values = np.empty(owner.size)
+    step = chunk_rows(points.shape[1])
+    for lo in range(0, owner.size, step):
+        pairs = slice(lo, lo + step)
+        diff = np.take(points, owner[pairs], axis=0)
+        diff -= np.take(refs, col[pairs], axis=0)
+        np.einsum("ij,ij->i", diff, diff, out=values[pairs])
+    return values
 
 
 def _filtered_ranks(
@@ -232,7 +265,6 @@ def _filtered_ranks(
     selected = np.empty_like(estimate)
     keep = np.empty(estimate.shape, dtype=bool)
     spare = np.empty_like(keep)
-    pair_step = chunk_rows(d)
     out = np.empty(n)
     for start in range(0, n, step):
         rows = points[start : start + step]
@@ -252,12 +284,7 @@ def _filtered_ranks(
         band &= np.less_equal(est, high, out=spare[:b])
         flat = np.flatnonzero(band)
         owner, col = np.divmod(flat, m)
-        values = np.empty(flat.size)
-        for lo in range(0, flat.size, pair_step):
-            pairs = slice(lo, lo + pair_step)
-            diff = np.take(rows, owner[pairs], axis=0)
-            diff -= np.take(refs, col[pairs], axis=0)
-            np.einsum("ij,ij->i", diff, diff, out=values[pairs])
+        values = _pair_sq_dists(rows, refs, owner, col)
         if flat.size == b:
             # each row's band holds one reference, the answer
             out[start : start + b] = values
@@ -269,4 +296,104 @@ def _filtered_ranks(
         padded[owner, np.arange(flat.size) - np.repeat(np.cumsum(counts) - counts, counts)] = values
         padded.sort(axis=1)
         out[start : start + b] = padded[np.arange(b), rank - 1 - closer]
+    return out
+
+
+@dataclass(eq=False)
+class Lift:
+    """The points as the search's filter sees them: :func:`ranked_sq_dist`'s
+    set-up with the points as their own references.
+
+    Row i of ``rows`` is ``[a_i, 1]``, the point centered on the points'
+    mean and lifted for the matmul; ``norms[i]`` is A_i, ``slack[i]`` the
+    bound e_i, and ``low[i] = fl(A_i - e_i)``.  Every candidate and every
+    center is one of the points, so their B is at most ``max(norms)`` and
+    e_i holds for row i against any of them: it is computed once here, not
+    once per step.
+    """
+
+    rows: np.ndarray
+    norms: np.ndarray
+    slack: np.ndarray
+    low: np.ndarray
+
+
+def lift_points(points: np.ndarray) -> Lift | None:
+    """The search filter's state for ``points``; None where the filter
+    declines, as :func:`ranked_sq_dist` does: d <= 2, or a bound that is
+    not finite."""
+    n, d = points.shape
+    if d <= 2:
+        return None
+    rows = np.ones((n, d + 1))
+    centered = rows[:, :d]
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.subtract(points, points.mean(axis=0), out=centered)
+        norms = np.einsum("ij,ij->i", centered, centered)
+        slack = _slack(d, norms + norms.max())
+    if slack is None:
+        return None
+    return Lift(rows, norms, slack, norms - slack)
+
+
+def _lifted_refs(lift: Lift, ids: np.ndarray) -> np.ndarray:
+    """``[-2b, B̂]`` of the points ``ids``, one column per point."""
+    d = lift.rows.shape[1] - 1
+    refs = np.empty((d + 1, ids.shape[0]))
+    np.multiply(lift.rows[ids, :d].T, -2, out=refs[:d])
+    refs[d] = lift.norms[ids]
+    return refs
+
+
+def sq_dists_below(points: np.ndarray, lift: Lift, p: int, bound: np.ndarray) -> np.ndarray:
+    """Squared distance from every row of ``points`` to row ``p``, or +inf
+    for a row whose distance the filter proves above its ``bound``.
+
+    Rows get kernel values unless ``fl(F + fl(A - e)) > bound``, which
+    (:func:`ranked_sq_dist`) implies K > bound: so ``np.minimum(out,
+    bound)``, and every comparison of ``out`` with ``bound`` or with anything
+    at most ``bound``, come out as with :func:`sq_dists`, bit for bit.
+    ``lift`` is :func:`lift_points` of ``points``.
+    """
+    n, d = points.shape
+    est = np.empty(n)
+    ref = _lifted_refs(lift, np.array([p]))[:, 0]
+    step = max(1, GEMM_PRODUCTS // (d + 1))
+    for lo in range(0, n, step):
+        np.matmul(lift.rows[lo : lo + step], ref, out=est[lo : lo + step])
+    est += lift.low
+    kept = np.flatnonzero(est <= bound)
+    est.fill(np.inf)
+    est[kept] = sq_dists(points[kept], points[p])
+    return est
+
+
+def two_nearest_sq_dists(
+    points: np.ndarray, lift: Lift, rows: np.ndarray, ids: np.ndarray
+) -> np.ndarray:
+    """(len(rows), len(ids)) squared distances from ``points[rows]`` to
+    ``points[ids]``, with +inf for the pairs the filter proves farther than
+    the row's second-nearest: what ``solution.nearest_two`` reads off it
+    (slots and values, ties included) is what it reads off the kernel's
+    matrix.  Needs at least two ids; ``lift`` is :func:`lift_points` of
+    ``points``.
+
+    This is :func:`ranked_sq_dist`'s upper cut at rank 2: a center whose
+    estimate exceeds the row's second-smallest estimate T by more than 2e is
+    strictly farther than the second-nearest center, so every center at or
+    below that distance keeps its kernel value.
+    """
+    d = points.shape[1]
+    k = ids.shape[0]
+    lead = lift.rows[rows]
+    refs = _lifted_refs(lift, ids)
+    est = np.empty((rows.shape[0], k))
+    step = max(1, GEMM_PRODUCTS // (k * (d + 1)))
+    for lo in range(0, rows.shape[0], step):
+        np.matmul(lead[lo : lo + step], refs, out=est[lo : lo + step])
+    high = np.partition(est, 1, axis=1)[:, 1:2] + 2 * lift.slack[rows, None]
+    flat = np.flatnonzero(est <= high)
+    owner, col = np.divmod(flat, k)
+    out = np.full(est.shape, np.inf)
+    out.flat[flat] = _pair_sq_dists(points, points, rows[owner], ids[col])
     return out

@@ -49,7 +49,7 @@ def kmeanspp_init(ds: Dataset, k: int, seed) -> np.ndarray:
     chosen = [int(rng.integers(ds.n))]
     d2 = sq_dists(X, X[chosen[0]])
     for _ in range(1, k):
-        idx = _d2_draw(d2, rng)
+        idx = _d2_draw(np.cumsum(d2), rng)
         if idx is None or d2[idx] == 0:  # zero total or float edge: uniform fresh point
             pool = np.setdiff1d(np.arange(ds.n), np.asarray(chosen))
             idx = int(rng.choice(pool))

@@ -7,8 +7,8 @@ evaluates swapping it against every center that can be removed without
 emptying an anchor zone, and applies the cheapest swap when it strictly
 reduces the cost.
 
-Swap evaluation is incremental.  With ``dp(x) = dist(x, p)^2`` precomputed in
-one pass, the cost of ``S - {q} + {p}`` is::
+Swap evaluation is incremental.  With ``dp(x) = dist(x, p)^2`` from one
+distance pass, the cost of ``S - {q} + {p}`` is::
 
     sum_x min(d1(x)^2, dp(x))
       + sum_{x: nearest(x)=q} (min(d2(x)^2, dp(x)) - min(d1(x)^2, dp(x)))
@@ -17,20 +17,31 @@ because points not assigned to q keep their center or defect to p, while
 points assigned to q fall back to their second-nearest center or to p.  The
 per-q corrections come from one bincount over the nearest-center labels, so a
 full evaluation costs O(nd) for the distance pass plus O(n + k) bookkeeping.
+
+Only points with ``dp(x) < d2(x)^2`` can change either sum or the caches, so
+for d > 2 the distance pass is one dot-product estimate per point plus
+kernel values for the points the estimate cannot rule out
+(:func:`fairkmeans._dist.sq_dists_below`); the others take +inf, which gives
+the same sums and caches bit for bit.  An accepted swap re-scans the points
+whose nearest or second-nearest center left the same way
+(:func:`fairkmeans._dist.two_nearest_sq_dists`).  The lifted points and the
+cumsum behind the D^2 draw live on the solution while the search runs
+(``Solution._search``); the cumsum is kept until the next accepted swap.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._dist import sq_dist_matrix, sq_dists
+from ._dist import lift_points, sq_dist_matrix, sq_dists, sq_dists_below, two_nearest_sq_dists
 from .anchors import AnchorSet, build_coverage, seed
 from .dataset import Dataset, RadiusBounds
 from .errors import InfeasibleInstanceError
 from .metrics import bound_ratio
-from .solution import RADIUS_SLACK, Solution, check_solution, nearest_two
+from .solution import RADIUS_SLACK, Solution, _SearchState, check_solution, nearest_two
 
 
 @dataclass
@@ -75,7 +86,8 @@ def init_solution(ds: Dataset, anchor_set: AnchorSet, k: int, seed) -> Solution:
     """Anchors plus uniform random distinct non-anchor points, caches built.
 
     ``seed`` may be an int or a numpy Generator.  Raises
-    InfeasibleInstanceError when there are more anchors than k.
+    InfeasibleInstanceError when there are more anchors than k, and a
+    ValueError when the total cost overflows float64.
     """
     m = len(anchor_set)
     if m > k:
@@ -89,35 +101,65 @@ def init_solution(ds: Dataset, anchor_set: AnchorSet, k: int, seed) -> Solution:
         fill = rng.choice(pool, size=k - m, replace=False)
         ids = np.concatenate([ids, np.sort(fill)])
     sol = Solution.build(ds, anchor_set, center_ids=ids.astype(np.int64))
+    if not math.isfinite(sol.total_cost):
+        raise ValueError(
+            "the total cost (sum of squared distances to the nearest center) "
+            "overflows float64; rescale the points, e.g. divide them by their "
+            "largest magnitude"
+        )
     if not sol.covers.any(axis=0).all():
         raise AssertionError("anchor zones uncovered right after initialization")
     return sol
 
 
-def _d2_draw(weights: np.ndarray, rng: np.random.Generator) -> int | None:
+def _d2_draw(cum: np.ndarray, rng: np.random.Generator) -> int | None:
     """Index i drawn with probability weights[i] / sum(weights), from one
-    uniform draw; None, with ``rng`` untouched, when the total is not
-    positive.  The D^2 draw of the search and of k-means++ seeding."""
-    cum = np.cumsum(weights)
+    uniform draw, given ``cum = np.cumsum(weights)``; None, with ``rng``
+    untouched, when the total is zero.  A total that overflowed to inf is a
+    ValueError: every draw would land on the last index.  The D^2 draw of
+    the search and of k-means++ seeding."""
     total = cum[-1]
+    if not math.isfinite(total):
+        raise ValueError(
+            "the D^2 sampling weights sum to inf (float64 overflow); rescale the "
+            "points, e.g. divide them by their largest magnitude"
+        )
     if not total > 0:
         return None
     idx = int(np.searchsorted(cum, rng.random() * total, side="right"))
-    return min(idx, weights.shape[0] - 1)
+    return min(idx, cum.shape[0] - 1)
 
 
 def d2_sample(sol: Solution, rng: np.random.Generator) -> int:
     """Draw a point id with probability d1(p)^2 / sum_q d1(q)^2."""
-    idx = _d2_draw(sol.d1sq, rng)
+    idx = _d2_draw(np.cumsum(sol.d1sq), rng)
     if idx is None:
         raise ValueError("total cost is zero; every point already sits on a center")
     return idx
 
 
+def _search_state(sol: Solution) -> _SearchState:
+    """``sol._search``, built on first use; its cumsum is rebuilt after an
+    accepted swap dropped it."""
+    state = sol._search
+    if state is None:
+        state = sol._search = _SearchState(lift_points(sol.ds.points), None)
+    if state.cum is None:
+        state.cum = np.cumsum(sol.d1sq)
+    return state
+
+
 def _candidate_row(sol: Solution, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Squared distance from point p to every point, and the zones p lies in."""
+    """Squared distance from point p to every point, +inf where the search's
+    filter proves it above ``d2sq`` (see the module docstring), and the
+    zones p lies in."""
     X = sol.ds.points
-    return sq_dists(X, X[p]), build_coverage(sol.anchor_set, X[p][None])[0]
+    lift = None if sol._search is None else sol._search.lift
+    if lift is None:
+        dpsq = sq_dists(X, X[p])
+    else:
+        dpsq = sq_dists_below(X, lift, p, sol.d2sq)
+    return dpsq, build_coverage(sol.anchor_set, X[p][None])[0]
 
 
 def _swap_costs(
@@ -163,17 +205,25 @@ def _apply_swap(
     """Put point p in slot j and restore every cache.
 
     Points whose nearest or second-nearest center was the removed one get a
-    full k-scan; everyone else only needs a comparison against the new
-    center's distances.
+    k-scan, filtered when the search holds a lift and k > 2 (at k = 2 the
+    filter keeps both centers); everyone else only needs a comparison
+    against the new center's distances.  The D^2 cumsum goes stale; the
+    lift depends on the points alone and stays.
     """
     X = sol.ds.points
     sol.center_ids[j] = p
     sol.center_pos[j] = X[p]
+    state = sol._search
+    lift = None if state is None else state.lift
 
     affected = (sol.assign == j) | (sol.assign2 == j)
     rows = np.flatnonzero(affected)
     if rows.size:
-        a1, a2, d1, d2 = nearest_two(sq_dist_matrix(X[rows], sol.center_pos))
+        if lift is None or sol.k <= 2:
+            M = sq_dist_matrix(X[rows], sol.center_pos)
+        else:
+            M = two_nearest_sq_dists(X, lift, rows, sol.center_ids)
+        a1, a2, d1, d2 = nearest_two(M)
         sol.assign[rows] = a1
         sol.assign2[rows] = a2
         sol.d1sq[rows] = d1
@@ -194,6 +244,8 @@ def _apply_swap(
 
     sol.covers[j, :] = covers_p
     sol.total_cost = new_cost
+    if state is not None:
+        state.cum = None
 
 
 def ls_step(
@@ -206,7 +258,9 @@ def ls_step(
     that already is a center can only reproduce the current solution, so it
     is rejected without evaluation.  Otherwise the step takes the cheapest
     swap that keeps every anchor zone covered (:func:`swap_costs`), ties
-    going to the lowest center id, when it is strictly cheaper.
+    going to the lowest center id, when it is strictly cheaper.  The draw is
+    the one :func:`d2_sample` makes, from the cumsum kept in
+    ``sol._search``, which the first step builds.
 
     ``anchor_set`` is None or ``sol.anchor_set`` itself: the coverage cache
     belongs to that set, so any other one is a ValueError.  So is a solution
@@ -219,10 +273,8 @@ def ls_step(
             "local search needs centers at data points; this solution has no "
             "center_ids (a refined solution cannot be searched)"
         )
-    if not sol.total_cost > 0:
-        return sol, False
-    p = d2_sample(sol, rng)
-    if p in sol.center_ids:
+    p = _d2_draw(_search_state(sol).cum, rng)
+    if p is None or p in sol.center_ids:
         return sol, False
     dpsq, covers_p = _candidate_row(sol, p)
     best = _best_swap(sol, *_swap_costs(sol, dpsq, covers_p))
@@ -260,6 +312,7 @@ def run(ds: Dataset, delta: RadiusBounds, cfg: LsConfig) -> tuple[Solution, RunT
         if cfg.debug_checks and took:
             check_solution(sol, delta)
 
+    sol._search = None
     ratio, worst = bound_ratio(ds, delta, sol.center_pos)
     if ratio > 2 * cfg.gamma * RADIUS_SLACK:
         raise AssertionError(

@@ -4,21 +4,33 @@
 second-nearest center and the anchor-zone coverage table;
 :func:`nearest_two` reads the per-point caches off an (n, k)
 squared-distance matrix, and :func:`check_solution` is the debug oracle that
-compares a solution's caches against a fresh rebuild.
+compares a solution's caches against a fresh rebuild.  The search keeps
+its own state on a solution while it runs (:class:`_SearchState`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._dist import fsum, sq_dist_matrix
+from ._dist import Lift, fsum, sq_dist_matrix
 from .anchors import AnchorSet, build_coverage
 from .dataset import Dataset, RadiusBounds, check_center_columns, check_point_ids
 from .metrics import bound_ratio
 
 RADIUS_SLACK = 1 + 1e-9  # float headroom on the 2*gamma postcondition
+
+
+@dataclass(eq=False)
+class _SearchState:
+    """What the local search keeps between steps: the points' filter lift
+    (``_dist.lift_points``; None where the filter declines), and
+    ``cumsum(d1sq)`` for the D² draw, None from an accepted swap until the
+    next draw rebuilds it."""
+
+    lift: Lift | None
+    cum: np.ndarray | None
 
 
 @dataclass(eq=False)
@@ -34,7 +46,8 @@ class Solution:
     ``covers[j, z]`` is True when center j lies in anchor zone z, and a
     valid solution has a True in every column.  ``total_cost`` is the
     k-means cost, kept consistent with a from-scratch recomputation to 1e-9
-    relative.
+    relative.  ``_search`` is the search loop's :class:`_SearchState`, built
+    on its first step and dropped when :func:`local_search.run` returns.
 
     Solutions are single-owner: only the loop that created one mutates it.
     """
@@ -49,6 +62,7 @@ class Solution:
     d2sq: np.ndarray
     covers: np.ndarray
     total_cost: float
+    _search: _SearchState | None = field(default=None, repr=False)
 
     @property
     def k(self) -> int:
@@ -128,8 +142,9 @@ def nearest_two(M: np.ndarray):
 def check_solution(sol: Solution, delta: RadiusBounds | None = None) -> None:
     """Debug oracle: caches must match a from-scratch rebuild.
 
-    Verifies distances, coverage, cost coherence at 1e-9 relative, and (when
-    radii are supplied) the 2*gamma service bound.
+    Verifies distances, coverage, cost coherence at 1e-9 relative, the
+    search's D² cumsum (when it holds one) bit for bit, and (when radii are
+    supplied) the 2*gamma service bound.
     """
     fresh = Solution.build(
         sol.ds, sol.anchor_set, center_ids=None, center_pos=sol.center_pos
@@ -142,6 +157,9 @@ def check_solution(sol: Solution, delta: RadiusBounds | None = None) -> None:
         raise AssertionError("coverage table out of sync with the center set")
     if not sol.covers.any(axis=0).all():
         raise AssertionError("an anchor zone lost all its centers")
+    cum = None if sol._search is None else sol._search.cum
+    if cum is not None and not np.array_equal(cum, np.cumsum(sol.d1sq)):
+        raise AssertionError("D² cumsum cache out of sync with d1sq")
     exact = fsum(sol.d1sq)
     if abs(sol.total_cost - exact) > 1e-9 * max(1.0, abs(exact)):
         raise AssertionError("total cost drifted from the recomputed value")

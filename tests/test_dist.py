@@ -4,8 +4,9 @@ Cached distances, from-scratch rebuilds and coverage predicates are compared
 with ``==`` throughout the package, so the batched kernel is held to bit
 equality with the per-center ``einsum("ij,ij->i")`` loop it replaced, for
 every dimension, batch shape, chunk boundary and coordinate scale below.
-The radii's dot-product filter is held to the same standard: the rank
-statistic it returns must equal a partition of the per-row reference.
+The dot-product filter is held to the same standard: the rank statistic the
+radii get must equal a partition of the per-row reference, and what the
+search reads off its filtered rows must equal what it reads off the kernel.
 """
 
 from __future__ import annotations
@@ -20,12 +21,16 @@ from fairkmeans import _dist
 from fairkmeans._dist import (
     chunk_rows,
     dists,
+    lift_points,
     min_sq_dists,
     ranked_sq_dist,
     sq_dist_matrix,
     sq_dists,
+    sq_dists_below,
+    two_nearest_sq_dists,
 )
 from fairkmeans.anchors import AnchorSet
+from fairkmeans.solution import nearest_two
 
 
 def reference(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -171,15 +176,43 @@ def lattice(d, side):
     return np.stack([a.ravel() for a in axes], axis=1)
 
 
+def far_lattices(jitter):
+    base = lattice(4, 4)
+    X = np.concatenate([base, base + 1e6])
+    return X + np.random.default_rng(15).uniform(-jitter, jitter, size=X.shape)
+
+
+def offset_unit_spacing(rng):
+    X = 1e8 + rng.integers(0, 6, size=(300, 5)).astype(np.float64)
+    X[:, 1] -= 2e8  # an offset of each sign
+    return X
+
+
+def duplicate_heavy(d):
+    rng = np.random.default_rng(17)
+    base = points(18, 6, d)
+    return np.concatenate([base[rng.integers(0, 6, size=250)], points(19, 30, d)])
+
+
+# Point sets where the estimate's rounding error dwarfs the gaps between the
+# distances the search compares: centered norms near 1e12 with unit or 1e-7
+# gaps, a 1e8 offset, and whole groups of identical rows.
+ADVERSARIAL = {
+    "far lattices": lambda: far_lattices(0.0),
+    "far lattices, jitter": lambda: far_lattices(1e-7),
+    "offset 1e8": lambda: offset_unit_spacing(np.random.default_rng(16)),
+    "duplicates d=3": lambda: duplicate_heavy(3),
+    "duplicates d=8": lambda: duplicate_heavy(8),
+}
+
+
 @pytest.mark.parametrize("jitter", [0.0, 1e-7])
 def test_filter_two_far_lattices(jitter):
     # the reference mean sits between two lattices 1e6 apart, so every
     # centered norm is about 1e12 while the distances that decide a rank are
     # small integers: exact ties at the threshold, or (with jitter) distinct
     # values closer together than the estimate's rounding error
-    base = lattice(4, 4)
-    X = np.concatenate([base, base + 1e6])
-    X += np.random.default_rng(15).uniform(-jitter, jitter, size=X.shape)
+    X = far_lattices(jitter)
     for rank in (1, 2, 5, 9, 40, 100, 256, 257, 400, 512):
         assert np.array_equal(ranked_sq_dist(X, X, rank), ranked_reference(X, X, rank)), rank
     ref = X[::3]
@@ -189,8 +222,7 @@ def test_filter_two_far_lattices(jitter):
 
 def test_filter_large_offset_unit_spacing():
     rng = np.random.default_rng(16)
-    X = 1e8 + rng.integers(0, 6, size=(300, 5)).astype(np.float64)
-    X[:, 1] -= 2e8  # an offset of each sign
+    X = offset_unit_spacing(rng)
     for ref in (X, X[rng.choice(300, size=70, replace=False)]):
         for rank in (1, 4, 30, ref.shape[0] // 2, ref.shape[0]):
             assert np.array_equal(ranked_sq_dist(X, ref, rank), ranked_reference(X, ref, rank))
@@ -200,9 +232,7 @@ def test_filter_large_offset_unit_spacing():
 def test_filter_duplicate_heavy_rows(d):
     # most rows repeat one of six points: whole tie groups pass the
     # threshold, so rows keep more than rank references
-    rng = np.random.default_rng(17)
-    base = points(18, 6, d)
-    X = np.concatenate([base[rng.integers(0, 6, size=250)], points(19, 30, d)])
+    X = duplicate_heavy(d)
     for ref in (X, X[::4]):
         for rank in (1, 2, 40, 41, 100, ref.shape[0]):
             rank = min(rank, ref.shape[0])
@@ -235,6 +265,92 @@ def test_filter_declines_near_overflow():
         warnings.simplefilter("error")
         got = ranked_sq_dist(X, ref, 3)
     assert np.array_equal(got, want)
+
+
+def check_below(X, p, bound):
+    """The filtered candidate row keeps every kernel value it may need, and
+    drops only rows strictly above their bound."""
+    got = sq_dists_below(X, lift_points(X), p, bound)
+    want = reference(X, X[p : p + 1])[:, 0]
+    kept = got != np.inf
+    assert np.array_equal(got[kept], want[kept])
+    assert np.all(want[~kept] > bound[~kept])
+    assert np.array_equal(np.minimum(got, bound), np.minimum(want, bound))
+    return kept
+
+
+@pytest.mark.parametrize("name", ADVERSARIAL)
+@pytest.mark.parametrize("k", [1, 2, 100])
+def test_candidate_filter_adversarial(name, k):
+    X = ADVERSARIAL[name]()
+    n = X.shape[0]
+    ids = np.random.default_rng(k).choice(n, size=k, replace=False)
+    d2sq = nearest_two(reference(X, X[ids]))[3]
+    for p in (*ids[:3], 0, n // 2, n - 1):
+        exact = reference(X, X[p : p + 1])[:, 0]
+        kept = check_below(X, p, d2sq)
+        if k == 1:
+            assert kept.all()  # d2sq is inf
+        # a bound one ulp above the exact value, or equal to it: every row
+        # must keep its value, however close the estimate comes
+        assert check_below(X, p, np.nextafter(exact, np.inf)).all()
+        assert check_below(X, p, exact).all()
+        check_below(X, p, np.nextafter(exact, -np.inf))
+
+
+def test_candidate_filter_drops_far_rows():
+    X = points(22, 2000, 8)
+    d2sq = nearest_two(reference(X, X[:50]))[3]
+    kept = check_below(X, 7, d2sq)
+    assert 0 < kept.sum() < 0.2 * X.shape[0]
+
+
+def check_two_nearest(X, rows, ids):
+    """The filtered k-scan keeps every center at or below each row's
+    second-nearest, so nearest_two reads the same slots and values."""
+    got = two_nearest_sq_dists(X, lift_points(X), rows, ids)
+    full = reference(X[rows], X[ids])
+    kept = got != np.inf
+    assert np.array_equal(got[kept], full[kept])
+    second = np.sort(full, axis=1)[:, 1:2]
+    assert np.all(kept[full <= second])
+    for a, b in zip(nearest_two(got), nearest_two(full)):
+        assert np.array_equal(a, b)
+    return kept
+
+
+@pytest.mark.parametrize("name", ADVERSARIAL)
+@pytest.mark.parametrize("k", [2, 3, 100])
+def test_kscan_filter_adversarial(name, k):
+    X = ADVERSARIAL[name]()
+    n = X.shape[0]
+    rng = np.random.default_rng(k)
+    ids = rng.choice(n, size=k, replace=False)
+    check_two_nearest(X, np.arange(n), ids)
+    check_two_nearest(X, np.sort(rng.choice(n, size=n // 3, replace=False)), ids)
+    # centers repeating one point: a tie group at every row's nearest
+    dup = ids.copy()
+    dup[k // 2 :] = ids[0]
+    check_two_nearest(X, np.arange(n), dup)
+
+
+@pytest.mark.parametrize("gemm", [50, 700, 1 << 18])
+def test_filters_split_products(monkeypatch, gemm):
+    # the estimates' matmuls are split into pieces, with a short last one
+    monkeypatch.setattr(_dist, "GEMM_PRODUCTS", gemm)
+    X = points(23, 437, 6)
+    ids = np.arange(0, 437, 9)
+    d2sq = nearest_two(reference(X, X[ids]))[3]
+    assert 0 < check_below(X, 5, d2sq).sum() < X.shape[0]
+    kept = check_two_nearest(X, np.arange(437), ids)
+    assert kept.sum() < kept.size
+
+
+def test_lift_declines():
+    assert lift_points(points(24, 30, 2)) is None
+    with np.errstate(over="ignore"):
+        assert lift_points(points(21, 40, 8) * 2e153) is None
+    assert lift_points(points(21, 40, 8) * 1e150) is not None
 
 
 def test_compute_radii_matches_reference():

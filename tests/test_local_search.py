@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -20,11 +21,13 @@ from fairkmeans import (
     seed,
     swap_costs,
 )
+from fairkmeans import compute_radii, local_search
 from fairkmeans._dist import min_sq_dists
 from fairkmeans.local_search import _best_swap, check_solution
 from fairkmeans.solution import nearest_two
 from conftest import gaussian_instance
 from test_anchors import make_anchor_set
+from test_dist import ADVERSARIAL
 
 
 def ls_fixture(instance_seed, n=100, k=4, init_seed=0):
@@ -71,6 +74,17 @@ class TestInitSolution:
         check_solution(sol, delta)
 
 
+    def test_overflowing_total_cost_is_named(self):
+        # every squared distance is finite but their sum is not: every D^2
+        # draw would land on the last point and the search would report
+        # cost inf with no step taken
+        n = 20_000
+        ds = Dataset(np.random.default_rng(0).normal(size=(n, 2)) * 1e152)
+        delta = RadiusBounds(np.full(n, 1e156))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflow.*rescale"):
+            run(ds, delta, LsConfig(k=3, iterations=50, seed=1))
+
+
 class TestD2Sample:
     def test_probabilities_line(self):
         ds = Dataset(np.array([[0.0], [1.0], [3.0]]))
@@ -90,6 +104,16 @@ class TestD2Sample:
         sol = Solution.build(ds, aset, center_ids=np.array([0, 1]))
         with pytest.raises(ValueError, match="zero"):
             d2_sample(sol, np.random.default_rng(0))
+
+    def test_draw_from_overflowed_total_is_an_error(self):
+        rng = np.random.default_rng(0)
+        state = copy.deepcopy(rng.bit_generator.state)
+        weights = np.array([1.0, 1e308, 1e308, 1.0])
+        with np.errstate(over="ignore"):
+            cum = np.cumsum(weights)
+        with pytest.raises(ValueError, match="overflow"):
+            local_search._d2_draw(cum, rng)
+        assert rng.bit_generator.state == state
 
     def test_symmetric_pair_within_3_sigma(self):
         ds = Dataset(np.array([[0.0], [-2.0], [2.0]]))
@@ -261,6 +285,82 @@ class TestLsStep:
         sol = init_solution(ds, aset, 10, 0)
         _, took = ls_step(sol, aset, np.random.default_rng(0))
         assert not took and sol.total_cost == 0.0
+
+
+class TestSearchState:
+    """The lift and the D^2 cumsum the search keeps on a solution."""
+
+    def test_draws_equal_d2_sample(self, monkeypatch):
+        # the cached cumsum gives ls_step the draw d2_sample gives on a copy
+        # of the generator, before and after accepted swaps
+        original = local_search._d2_draw
+        draws = []
+
+        def recording(cum, rng):
+            draws.append(original(cum, rng))
+            return draws[-1]
+
+        monkeypatch.setattr(local_search, "_d2_draw", recording)
+        ds, delta, aset, sol = ls_fixture(61, n=300, k=6, init_seed=3)
+        rng = np.random.default_rng(5)
+        took = []
+        for _ in range(120):
+            want = d2_sample(sol, copy.deepcopy(rng))
+            draws.clear()
+            took.append(ls_step(sol, aset, rng)[1])
+            assert draws == [want]
+            if took[-1]:
+                assert sol._search.cum is None  # rebuilt by the next draw
+            else:
+                assert np.array_equal(sol._search.cum, np.cumsum(sol.d1sq))
+        assert 3 <= sum(took) < 100
+
+    def test_stale_cumsum_detected(self):
+        ds, delta, aset, sol = ls_fixture(62, n=200, k=4)
+        rng = np.random.default_rng(0)
+        while ls_step(sol, aset, rng)[1]:
+            pass
+        check_solution(sol, delta)
+        sol._search.cum[-1] *= 2
+        with pytest.raises(AssertionError, match="cumsum"):
+            check_solution(sol, delta)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_run_drops_search_state(self, d):
+        ds, delta, k = gaussian_instance(63, n=200, k=4, d=d)
+        sol, trace = run(ds, delta, LsConfig(k=k, iterations=40, seed=2))
+        assert trace.accepted_count and sol._search is None
+
+    @staticmethod
+    def solve(ds, delta, k, iterations):
+        sol, trace = run(ds, delta, LsConfig(k=k, iterations=iterations, seed=7))
+        caches = [sol.center_ids, sol.d1sq, sol.d2sq, sol.assign, sol.assign2, sol.covers]
+        return caches, trace, sol.total_cost
+
+    def assert_filter_changes_nothing(self, monkeypatch, ds, delta, k, iterations):
+        filtered = self.solve(ds, delta, k, iterations)
+        with monkeypatch.context() as m:
+            m.setattr(local_search, "lift_points", lambda points: None)
+            plain = self.solve(ds, delta, k, iterations)
+        for a, b in zip(filtered[0], plain[0]):
+            assert np.array_equal(a, b)
+        assert filtered[1].initial_cost == plain[1].initial_cost
+        assert np.array_equal(filtered[1].costs, plain[1].costs)
+        assert np.array_equal(filtered[1].accepted, plain[1].accepted)
+        assert filtered[2] == plain[2]
+        return filtered[1].accepted_count
+
+    @pytest.mark.parametrize("d", [3, 8, 16])
+    def test_filtered_equals_unfiltered(self, monkeypatch, d):
+        ds, delta, k = gaussian_instance(64 + d, n=1500, k=12, d=d)
+        assert self.assert_filter_changes_nothing(monkeypatch, ds, delta, k, 200) >= 5
+
+    @pytest.mark.parametrize("name", ADVERSARIAL)
+    @pytest.mark.parametrize("k", [1, 2, 100])
+    def test_filtered_equals_unfiltered_adversarial(self, monkeypatch, name, k):
+        ds = Dataset(ADVERSARIAL[name]())
+        delta = compute_radii(ds, k)
+        self.assert_filter_changes_nothing(monkeypatch, ds, delta, k, 150)
 
 
 class TestRun:
