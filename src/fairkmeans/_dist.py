@@ -2,24 +2,23 @@
 
 Every distance in the package comes from :func:`sq_dist_matrix` or from
 :func:`sq_dist_blocks`, the same kernel over row blocks that reuse one
-buffer, or from the kernel's pair form ``einsum("ij,ij->i")`` on gathered
-differences, which the filtered functions below use for the pairs their
-filter keeps; the other functions here are thin wrappers around them, and
-:func:`fsum` is the one way the package adds such distances up.  Cached
-values, from-scratch recomputations and coverage predicates therefore see
-bit-identical numbers for identical inputs, however the points and centers
-were batched: the squared distance between two rows never depends on which
-other rows were computed with them.
+buffer, or from :func:`_pair_sq_dists`, the same kernel on gathered pairs,
+which the filtered functions below use for the pairs their filter keeps; the
+other functions here are thin wrappers around them, and :func:`fsum` is the
+one way the package adds such distances up.  Cached values, from-scratch
+recomputations and coverage predicates therefore see bit-identical numbers
+for identical inputs, however the points and centers were batched: the
+squared distance between two rows never depends on which other rows were
+computed with them.
 
 The kernel works on row chunks of at most ``CHUNK_ELEMENTS`` scratch
 elements.  Each entry is the sum over dimensions of the squared coordinate
 differences, rounded the way a per-row ``einsum("ij,ij->i")`` rounds it:
 
-* d > 2: a broadcast ``einsum("bsd,bsd->bs")`` over the (rows, centers, d)
-  difference block, which runs the same inner reduction per entry as the
-  per-row form.  The order in which einsum adds up the d squares depends on
-  the SIMD width numpy was built for, so no hand-written accumulation may
-  replace it.
+* d > 2: that einsum itself (:func:`_sq_norms`, the module's one einsum),
+  on the chunk's contiguous difference block with one row per pair.  The
+  order in which einsum adds up the d squares depends on the SIMD width
+  numpy was built for, so no hand-written accumulation may replace it.
 * d <= 2: the per-dimension squares ``diff0**2 + diff1**2``.  A sum of at
   most two rounded squares is one correctly rounded addition whatever the
   order, so it equals einsum's result on any SIMD width (as long as einsum
@@ -36,8 +35,9 @@ exact-consistency checks built on top of it keep holding.  One dot-product
 filter serves the radii (:func:`ranked_sq_dist`) and the local search
 (:func:`sq_dists_below` for the candidate's distance pass,
 :func:`two_nearest_sq_dists` for an accepted swap's k-scan), through one
-bound: :func:`ranked_sq_dist`'s docstring derives it and :func:`_slack`
-computes it.
+core: :func:`_lift` builds the references' columns, :func:`_estimate` (the
+module's one matmul) the estimates, :func:`ranked_sq_dist`'s docstring
+derives the bound and :func:`_slack` computes it.
 """
 
 from __future__ import annotations
@@ -108,9 +108,18 @@ def _scratch(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.empty((rows, k, d) if d > 2 else (rows, k))
 
 
+def _sq_norms(rows: np.ndarray, out: np.ndarray) -> None:
+    """``out[i] = |rows[i]|²``, the one reduction of squares behind the
+    kernel, its pair form and the lift's norms."""
+    np.einsum("ij,ij->i", rows, rows, out=out)
+
+
 def _fill(points: np.ndarray, centers: np.ndarray, out: np.ndarray, diff: np.ndarray) -> None:
     """``out[:] = sq_dist_matrix(points, centers)``, chunk by chunk, with
-    ``diff`` (from :func:`_scratch`) as the difference scratch."""
+    ``diff`` (from :func:`_scratch`) as the difference scratch.  ``out`` is
+    C-contiguous, so each chunk of it flattens to one entry per pair as a
+    view, which the reduction writes through."""
+    assert out.flags.c_contiguous
     n, d = points.shape
     step = chunk_rows(centers.shape[0] * d)
     for start in range(0, n, step):
@@ -118,7 +127,7 @@ def _fill(points: np.ndarray, centers: np.ndarray, out: np.ndarray, diff: np.nda
         part = diff[: rows.shape[0]]
         if d > 2:
             np.subtract(rows[:, None, :], centers, out=part)
-            np.einsum("bsd,bsd->bs", part, part, out=block)
+            _sq_norms(part.reshape(-1, d), block.reshape(-1))
         else:
             np.subtract(rows[:, :1], centers[:, 0], out=block)
             np.square(block, out=block)
@@ -162,10 +171,11 @@ def ranked_sq_dist(points: np.ndarray, refs: np.ndarray, rank: int) -> np.ndarra
     and ``b = fl(y - mean)`` the centered rows, A = |a|², B = |b|², and
     u = 2**-53.  The estimate of the squared distance D = |x - y|² is
     ``F + A`` with ``F = fl(B̂ - 2 a·b)``, one matmul of ``[a, 1]`` with
-    ``[-2b, B̂]`` (scaling by -2 is exact; ``B̂`` is the computed norm).
-    Higham, *Accuracy and Stability of Numerical Algorithms*, §3.1, bounds a
-    sum of n rounded terms in any order, fused or not, by
-    ``gamma_n = n·u / (1 - n·u)`` times the sum of their magnitudes:
+    ``[-2b, B̂]`` (:func:`_estimate` with :func:`_lift`'s columns; scaling
+    by -2 is exact; ``B̂`` is the computed norm).  Higham, *Accuracy and
+    Stability of Numerical Algorithms*, §3.1, bounds a sum of n rounded
+    terms in any order, fused or not, by ``gamma_n = n·u / (1 - n·u)`` times
+    the sum of their magnitudes:
 
     * centering: |(a - b) - (x - y)| <= u(|a| + |b|), so |a - b|² differs
       from D by at most 4u(A + B);
@@ -177,7 +187,7 @@ def ranked_sq_dist(points: np.ndarray, refs: np.ndarray, rank: int) -> np.ndarra
     * the test of an estimate against a threshold rounds by at most
       3u(A + B): each of the thresholds ``T - 2e`` and ``T + 2e`` below
       rounds once, by at most u|T| <= 2u(A + B), and the search's test
-      ``F + (A - e) > bound`` (:func:`sq_dists_below`) rounds ``A - e``, by
+      ``F + (A - e) <= bound`` (:func:`sq_dists_below`) rounds ``A - e``, by
       at most uA, and the sum, by at most u(|F| + A) <= 2u(A + B).
 
     Summed, |F + A - K| <= (5d + 13)u(A + B) to first order in u, the test
@@ -197,28 +207,60 @@ def ranked_sq_dist(points: np.ndarray, refs: np.ndarray, rank: int) -> np.ndarra
     m - rank + 1 have F >= T, so K >= T + A - e for them and
     v >= T + A - e.  A reference with F > T + 2e therefore has
     K > T + A + e >= v, strictly farther than the answer, and one with
-    F < T - 2e has K < T + A - e <= v, strictly closer.  With c references
-    strictly closer, v is the (rank - c)-th smallest kernel value among the
-    references with T - 2e <= F <= T + 2e, and only those get kernel
-    values: one per row unless estimates lie within 2e of each other.
+    F < T - 2e has K < T + A - e <= v, strictly closer.  Pushing values
+    strictly below v further down, or strictly above it further up, leaves
+    the rank-th smallest unchanged: v is the rank-th smallest of the row
+    with -inf for every reference below ``T - 2e``, +inf for every one
+    above ``T + 2e``, and kernel values for the band between.  Only the
+    band gets kernel values: one per row unless estimates lie within 2e of
+    each other.
     """
     n, d = points.shape
     if d > 2:
         with np.errstate(over="ignore", invalid="ignore"):
-            mean = refs.mean(axis=0)
-            lifted = np.empty((d + 1, refs.shape[0]))
-            centered = lifted[:d].T
-            np.subtract(refs, mean, out=centered)
-            np.einsum("ij,ij->i", centered, centered, out=lifted[d])
-            lifted[:d] *= -2
-            slack = _slack(d, sq_dists(points, mean) + lifted[d].max())
+            mean, cols = _lift(refs)
+            slack = _slack(d, sq_dists(points, mean) + cols[d].max())
         if slack is not None:
-            return _filtered_ranks(points, refs, rank, mean, lifted, slack)
+            return _filtered_ranks(points, refs, rank, mean, cols, slack)
     out = np.empty(n)
     for start, block in sq_dist_blocks(points, refs):
         block.partition(rank - 1, axis=1)
         out[start : start + block.shape[0]] = block[:, rank - 1]
     return out
+
+
+def _lift(refs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(mean, cols)``: the references' mean, and ``cols = [-2b; B̂]``, the
+    (d + 1, m) right-hand side of :func:`_estimate`, one column per
+    reference."""
+    d = refs.shape[1]
+    mean = refs.mean(axis=0)
+    cols = np.empty((d + 1, refs.shape[0]))
+    centered = cols[:d].T
+    np.subtract(refs, mean, out=centered)
+    _sq_norms(centered, cols[d])
+    cols[:d] *= -2
+    return mean, cols
+
+
+def _estimate(points: np.ndarray, mean: np.ndarray, cols: np.ndarray, out: np.ndarray) -> None:
+    """``out[:] = F``, the (n, m) product of the rows ``[x - mean, 1]`` with
+    :func:`_lift`'s ``cols``, in pieces of at most ``GEMM_PRODUCTS``
+    multiply-adds.  A piece takes as many columns as all n rows allow, and
+    the rows are split only where one column holds too many: every row of a
+    piece reuses its columns, which a split into fewer rows over more
+    columns would stream again for each piece."""
+    n, d = points.shape
+    width = max(1, GEMM_PRODUCTS // ((d + 1) * max(n, 1)))
+    step = max(1, GEMM_PRODUCTS // ((d + 1) * min(width, cols.shape[1])))
+    lead = np.ones((min(step, n), d + 1))
+    for start in range(0, n, step):
+        rows = points[start : start + step]
+        b = rows.shape[0]
+        np.subtract(rows, mean, out=lead[:b, :d])
+        for lo in range(0, cols.shape[1], width):
+            piece = slice(lo, lo + width)
+            np.matmul(lead[:b], cols[:, piece], out=out[start : start + b, piece])
 
 
 def _slack(d: int, scale: np.ndarray) -> np.ndarray | None:
@@ -242,7 +284,7 @@ def _pair_sq_dists(
         pairs = slice(lo, lo + step)
         diff = np.take(points, owner[pairs], axis=0)
         diff -= np.take(refs, col[pairs], axis=0)
-        np.einsum("ij,ij->i", diff, diff, out=values[pairs])
+        _sq_norms(diff, values[pairs])
     return values
 
 
@@ -251,51 +293,41 @@ def _filtered_ranks(
     refs: np.ndarray,
     rank: int,
     mean: np.ndarray,
-    lifted: np.ndarray,
+    cols: np.ndarray,
     slack: np.ndarray,
 ) -> np.ndarray:
     """:func:`ranked_sq_dist` through the dot-product filter, in row blocks
-    of ``chunk_rows(m)`` rows: ``lifted`` is ``[-2b, B̂]`` and ``slack`` the
-    per-row bound e derived there."""
-    n, d = points.shape
+    of ``chunk_rows(m)`` rows: ``(mean, cols)`` is :func:`_lift` of
+    ``refs`` and ``slack`` the per-row bound e derived there."""
+    n = points.shape[0]
     m = refs.shape[0]
     step = chunk_rows(m)
-    lead = np.ones((min(step, n), d + 1))
-    estimate = np.empty((lead.shape[0], m))
+    estimate = np.empty((min(step, n), m))
     selected = np.empty_like(estimate)
-    keep = np.empty(estimate.shape, dtype=bool)
-    spare = np.empty_like(keep)
     out = np.empty(n)
     for start in range(0, n, step):
         rows = points[start : start + step]
         b = rows.shape[0]
-        np.subtract(rows, mean, out=lead[:b, :d])
         est = estimate[:b]
-        cols = max(1, GEMM_PRODUCTS // (b * (d + 1)))
-        for lo in range(0, m, cols):
-            np.matmul(lead[:b], lifted[:, lo : lo + cols], out=est[:, lo : lo + cols])
+        _estimate(rows, mean, cols, est)
         sel = selected[:b]
         np.copyto(sel, est)
         sel.partition(rank - 1, axis=1)
         reach = 2 * slack[start : start + b, None]
         low = sel[:, rank - 1 : rank] - reach
         high = sel[:, rank - 1 : rank] + reach
-        band = np.greater_equal(est, low, out=keep[:b])
-        band &= np.less_equal(est, high, out=spare[:b])
+        band = (est >= low) & (est <= high)
         flat = np.flatnonzero(band)
         owner, col = np.divmod(flat, m)
         values = _pair_sq_dists(rows, refs, owner, col)
-        if flat.size == b:
-            # each row's band holds one reference, the answer
-            out[start : start + b] = values
-            continue
-        # every estimate below T lies left of the partition point
-        closer = np.count_nonzero(sel[:, : rank - 1] < low, axis=1)
-        counts = np.bincount(owner, minlength=b)
-        padded = np.full((b, counts.max()), np.inf)
-        padded[owner, np.arange(flat.size) - np.repeat(np.cumsum(counts) - counts, counts)] = values
-        padded.sort(axis=1)
-        out[start : start + b] = padded[np.arange(b), rank - 1 - closer]
+        res = out[start : start + b]
+        res[owner] = values  # the answer where a row's band holds one reference
+        if flat.size > b:
+            many = np.bincount(owner, minlength=b) > 1
+            fill = np.where(est[many] < low[many], -np.inf, np.inf)
+            fill[band[many]] = values[many[owner]]
+            fill.partition(rank - 1, axis=1)
+            res[many] = fill[:, rank - 1]
     return out
 
 
@@ -304,64 +336,48 @@ class Lift:
     """The points as the search's filter sees them: :func:`ranked_sq_dist`'s
     set-up with the points as their own references.
 
-    Row i of ``rows`` is ``[a_i, 1]``, the point centered on the points'
-    mean and lifted for the matmul; ``norms[i]`` is A_i, ``slack[i]`` the
-    bound e_i, and ``low[i] = fl(A_i - e_i)``.  Every candidate and every
-    center is one of the points, so their B is at most ``max(norms)`` and
-    e_i holds for row i against any of them: it is computed once here, not
-    once per step.
+    ``mean`` and ``cols`` are :func:`_lift` of the points, and ``slack[i]``
+    is the bound e of point i as the lead row.  Every candidate and every
+    center is one of the points, so its column is ``cols[:, ids]``, its B is
+    at most ``max(cols[d])``, and e_i holds for row i against any of them:
+    it is computed once here, not once per step.
     """
 
-    rows: np.ndarray
-    norms: np.ndarray
+    mean: np.ndarray
+    cols: np.ndarray
     slack: np.ndarray
-    low: np.ndarray
 
 
 def lift_points(points: np.ndarray) -> Lift | None:
     """The search filter's state for ``points``; None where the filter
     declines, as :func:`ranked_sq_dist` does: d <= 2, or a bound that is
     not finite."""
-    n, d = points.shape
+    d = points.shape[1]
     if d <= 2:
         return None
-    rows = np.ones((n, d + 1))
-    centered = rows[:, :d]
     with np.errstate(over="ignore", invalid="ignore"):
-        np.subtract(points, points.mean(axis=0), out=centered)
-        norms = np.einsum("ij,ij->i", centered, centered)
-        slack = _slack(d, norms + norms.max())
-    if slack is None:
-        return None
-    return Lift(rows, norms, slack, norms - slack)
-
-
-def _lifted_refs(lift: Lift, ids: np.ndarray) -> np.ndarray:
-    """``[-2b, B̂]`` of the points ``ids``, one column per point."""
-    d = lift.rows.shape[1] - 1
-    refs = np.empty((d + 1, ids.shape[0]))
-    np.multiply(lift.rows[ids, :d].T, -2, out=refs[:d])
-    refs[d] = lift.norms[ids]
-    return refs
+        mean, cols = _lift(points)
+        slack = _slack(d, cols[d] + cols[d].max())
+    return None if slack is None else Lift(mean, cols, slack)
 
 
 def sq_dists_below(points: np.ndarray, lift: Lift, p: int, bound: np.ndarray) -> np.ndarray:
     """Squared distance from every row of ``points`` to row ``p``, or +inf
     for a row whose distance the filter proves above its ``bound``.
 
-    Rows get kernel values unless ``fl(F + fl(A - e)) > bound``, which
-    (:func:`ranked_sq_dist`) implies K > bound: so ``np.minimum(out,
-    bound)``, and every comparison of ``out`` with ``bound`` or with anything
-    at most ``bound``, come out as with :func:`sq_dists`, bit for bit.
-    ``lift`` is :func:`lift_points` of ``points``.
+    Point p is :func:`ranked_sq_dist`'s lead row, with every point as a
+    reference: one estimate row F of ``[a_p, 1]`` against ``lift.cols``,
+    one A (p's norm) and one e (``lift.slack[p]``).  Rows get kernel values
+    unless ``fl(F + fl(A - e)) > bound``.  The bound derived there budgets
+    this test for a row against every point, so a row that fails it has
+    K > bound: ``np.minimum(out, bound)``, and every comparison of ``out``
+    with ``bound`` or with anything at most ``bound``, come out as with
+    :func:`sq_dists`, bit for bit.  ``lift`` is :func:`lift_points` of
+    ``points``.
     """
-    n, d = points.shape
-    est = np.empty(n)
-    ref = _lifted_refs(lift, np.array([p]))[:, 0]
-    step = max(1, GEMM_PRODUCTS // (d + 1))
-    for lo in range(0, n, step):
-        np.matmul(lift.rows[lo : lo + step], ref, out=est[lo : lo + step])
-    est += lift.low
+    est = np.empty(points.shape[0])
+    _estimate(points[p : p + 1], lift.mean, lift.cols, est[None])
+    est += lift.cols[-1, p] - lift.slack[p]
     kept = np.flatnonzero(est <= bound)
     est.fill(np.inf)
     est[kept] = sq_dists(points[kept], points[p])
@@ -383,17 +399,11 @@ def two_nearest_sq_dists(
     strictly farther than the second-nearest center, so every center at or
     below that distance keeps its kernel value.
     """
-    d = points.shape[1]
-    k = ids.shape[0]
-    lead = lift.rows[rows]
-    refs = _lifted_refs(lift, ids)
-    est = np.empty((rows.shape[0], k))
-    step = max(1, GEMM_PRODUCTS // (k * (d + 1)))
-    for lo in range(0, rows.shape[0], step):
-        np.matmul(lead[lo : lo + step], refs, out=est[lo : lo + step])
+    est = np.empty((rows.shape[0], ids.shape[0]))
+    _estimate(points[rows], lift.mean, lift.cols[:, ids], est)
     high = np.partition(est, 1, axis=1)[:, 1:2] + 2 * lift.slack[rows, None]
     flat = np.flatnonzero(est <= high)
-    owner, col = np.divmod(flat, k)
+    owner, col = np.divmod(flat, ids.shape[0])
     out = np.full(est.shape, np.inf)
     out.flat[flat] = _pair_sq_dists(points, points, rows[owner], ids[col])
     return out

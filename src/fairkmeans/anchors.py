@@ -13,12 +13,21 @@ anchors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._dist import dists, sq_dist_matrix
 from .dataset import Dataset, RadiusBounds, check_distance_scale
+
+
+def _check_gamma(gamma: float) -> None:
+    """ValueError unless ``gamma`` is a finite number above 2.  An infinite
+    gamma makes the reach ``gamma * delta`` nan where delta is 0, and seeding
+    would pick such a point forever."""
+    if not (gamma > 2 and math.isfinite(gamma)):
+        raise ValueError(f"gamma must be a finite number above 2, got {gamma}")
 
 
 @dataclass(frozen=True)
@@ -36,8 +45,7 @@ class AnchorSet:
     def __post_init__(self):
         if self.anchors.shape[0] != self.zone_radius.shape[0]:
             raise ValueError("one zone radius per anchor")
-        if not self.gamma > 2:
-            raise ValueError("gamma must exceed 2")
+        _check_gamma(self.gamma)
 
     def __len__(self) -> int:
         return int(self.anchors.shape[0])
@@ -53,8 +61,7 @@ def seed(ds: Dataset, delta: RadiusBounds, gamma: float) -> AnchorSet:
     Points whose squared distances underflow float64 are a ValueError
     (:func:`dataset.check_distance_scale`), whatever the radii.
     """
-    if not gamma > 2:
-        raise ValueError(f"gamma must exceed 2, got {gamma}")
+    _check_gamma(gamma)
     if len(delta) != ds.n:
         raise ValueError("radius bounds do not match the dataset")
     check_distance_scale(ds)

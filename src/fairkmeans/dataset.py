@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -206,6 +207,8 @@ def compute_radii(
     a radius infinite, or when they underflow (:func:`check_distance_scale`);
     rescale the points first.
     """
+    _check_integer("k", k)
+    _check_integer("sample_size", sample_size)
     if not 1 <= k <= ds.n:
         raise ValueError(f"k={k} must be in [1, {ds.n}]")
     check_distance_scale(ds)
@@ -241,6 +244,16 @@ def check_distance_scale(ds: Dataset) -> None:
             f"squared distances underflow float64 (coordinate spread {spread:.3g}); "
             "rescale the points, e.g. divide them by their largest coordinate spread"
         )
+
+
+def _check_integer(name: str, value) -> None:
+    """TypeError naming ``name`` unless ``value`` is an integer, Python's or
+    numpy's; numpy would reject a float count deep inside with a message
+    that names neither."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 def check_point_ids(ds: Dataset, ids: np.ndarray) -> None:

@@ -26,7 +26,8 @@ the same sums and caches bit for bit.  An accepted swap re-scans the points
 whose nearest or second-nearest center left the same way
 (:func:`fairkmeans._dist.two_nearest_sq_dists`).  The lifted points and the
 cumsum behind the D^2 draw live on the solution while the search runs
-(``Solution._search``); the cumsum is kept until the next accepted swap.
+(``Solution._search``); both are built on the first step, and every
+accepted swap refreshes the cumsum in place, so it is never stale.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._dist import lift_points, sq_dist_matrix, sq_dists, sq_dists_below, two_nearest_sq_dists
-from .anchors import AnchorSet, build_coverage, seed
-from .dataset import Dataset, RadiusBounds
+from .anchors import AnchorSet, _check_gamma, build_coverage, seed
+from .dataset import Dataset, RadiusBounds, _check_integer
 from .errors import InfeasibleInstanceError
 from .metrics import bound_ratio
 from .solution import RADIUS_SLACK, Solution, _SearchState, check_solution, nearest_two
@@ -61,12 +62,13 @@ class LsConfig:
     debug_checks: bool = False
 
     def validate(self) -> None:
+        _check_integer("k", self.k)
+        _check_integer("iterations", self.iterations)
         if self.k < 1:
             raise ValueError("k must be at least 1")
         if self.iterations < 0:
             raise ValueError("iterations must be nonnegative")
-        if not self.gamma > 2:
-            raise ValueError("gamma must exceed 2")
+        _check_gamma(self.gamma)
 
 
 @dataclass
@@ -139,14 +141,10 @@ def d2_sample(sol: Solution, rng: np.random.Generator) -> int:
 
 
 def _search_state(sol: Solution) -> _SearchState:
-    """``sol._search``, built on first use; its cumsum is rebuilt after an
-    accepted swap dropped it."""
-    state = sol._search
-    if state is None:
-        state = sol._search = _SearchState(lift_points(sol.ds.points), None)
-    if state.cum is None:
-        state.cum = np.cumsum(sol.d1sq)
-    return state
+    """``sol._search``, with the lift and the D^2 cumsum built on first use."""
+    if sol._search is None:
+        sol._search = _SearchState(lift_points(sol.ds.points), np.cumsum(sol.d1sq))
+    return sol._search
 
 
 def _candidate_row(sol: Solution, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -207,8 +205,10 @@ def _apply_swap(
     Points whose nearest or second-nearest center was the removed one get a
     k-scan, filtered when the search holds a lift and k > 2 (at k = 2 the
     filter keeps both centers); everyone else only needs a comparison
-    against the new center's distances.  The D^2 cumsum goes stale; the
-    lift depends on the points alone and stays.
+    against the new center's distances: p becomes the nearest center of the
+    ``closer`` rows and the second-nearest of the ``mid`` rows.  The D^2
+    cumsum is refreshed in place; the lift depends on the points alone and
+    stays.
     """
     X = sol.ds.points
     sol.center_ids[j] = p
@@ -229,23 +229,19 @@ def _apply_swap(
         sol.d1sq[rows] = d1
         sol.d2sq[rows] = d2
 
-    other = np.flatnonzero(~affected)
-    if other.size:
-        dp_o = dpsq[other]
-        closer = dp_o < sol.d1sq[other]
-        idx = other[closer]
-        sol.d2sq[idx] = sol.d1sq[idx]
-        sol.assign2[idx] = sol.assign[idx]
-        sol.d1sq[idx] = dpsq[idx]
-        sol.assign[idx] = j
-        mid = other[~closer & (dp_o < sol.d2sq[other])]
-        sol.d2sq[mid] = dpsq[mid]
-        sol.assign2[mid] = j
+    closer = ~affected & (dpsq < sol.d1sq)
+    mid = ~affected & ~closer & (dpsq < sol.d2sq)
+    sol.d2sq[closer] = sol.d1sq[closer]
+    sol.assign2[closer] = sol.assign[closer]
+    sol.d1sq[closer] = dpsq[closer]
+    sol.assign[closer] = j
+    sol.d2sq[mid] = dpsq[mid]
+    sol.assign2[mid] = j
 
     sol.covers[j, :] = covers_p
     sol.total_cost = new_cost
     if state is not None:
-        state.cum = None
+        np.cumsum(sol.d1sq, out=state.cum)
 
 
 def ls_step(
@@ -260,7 +256,8 @@ def ls_step(
     swap that keeps every anchor zone covered (:func:`swap_costs`), ties
     going to the lowest center id, when it is strictly cheaper.  The draw is
     the one :func:`d2_sample` makes, from the cumsum kept in
-    ``sol._search``, which the first step builds.
+    ``sol._search``, which the first step builds and every accepted swap
+    refreshes.
 
     ``anchor_set`` is None or ``sol.anchor_set`` itself: the coverage cache
     belongs to that set, so any other one is a ValueError.  So is a solution

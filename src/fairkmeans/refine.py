@@ -26,7 +26,7 @@ import numpy as np
 
 from ._dist import dists, fsum, sq_dist_blocks, sq_dist_matrix, sq_dists
 from .anchors import AnchorSet
-from .dataset import Dataset, check_center_columns
+from .dataset import Dataset, _check_integer, check_center_columns
 from .solution import Solution
 
 # Halvings in a clamped move: its error is at most |mean - center| * 2**-40.
@@ -38,6 +38,7 @@ class FlConfig:
     iterations: int = 20
 
     def validate(self) -> None:
+        _check_integer("iterations", self.iterations)
         if self.iterations < 0:
             raise ValueError("iterations must be nonnegative")
 

@@ -5,7 +5,8 @@ second-nearest center and the anchor-zone coverage table;
 :func:`nearest_two` reads the per-point caches off an (n, k)
 squared-distance matrix, and :func:`check_solution` is the debug oracle that
 compares a solution's caches against a fresh rebuild.  The search keeps
-its own state on a solution while it runs (:class:`_SearchState`).
+its own state on a solution while it runs (:class:`_SearchState`): the
+points' filter lift and the D² cumsum, both current after every step.
 """
 
 from __future__ import annotations
@@ -26,11 +27,11 @@ RADIUS_SLACK = 1 + 1e-9  # float headroom on the 2*gamma postcondition
 class _SearchState:
     """What the local search keeps between steps: the points' filter lift
     (``_dist.lift_points``; None where the filter declines), and
-    ``cumsum(d1sq)`` for the D² draw, None from an accepted swap until the
-    next draw rebuilds it."""
+    ``cumsum(d1sq)`` for the D² draw, which every accepted swap refreshes in
+    place, so it always matches ``d1sq``."""
 
     lift: Lift | None
-    cum: np.ndarray | None
+    cum: np.ndarray
 
 
 @dataclass(eq=False)
@@ -47,7 +48,8 @@ class Solution:
     valid solution has a True in every column.  ``total_cost`` is the
     k-means cost, kept consistent with a from-scratch recomputation to 1e-9
     relative.  ``_search`` is the search loop's :class:`_SearchState`, built
-    on its first step and dropped when :func:`local_search.run` returns.
+    on its first step, kept current by every accepted swap, and dropped when
+    :func:`local_search.run` returns.
 
     Solutions are single-owner: only the loop that created one mutates it.
     """
@@ -78,8 +80,8 @@ class Solution:
     ) -> "Solution":
         """From-scratch construction of every cache; the oracle the
         incremental updates are checked against.  A center id outside
-        ``[0, n)``, or positions without the points' d columns, is a
-        ValueError."""
+        ``[0, n)``, positions without the points' d columns, or an empty
+        center set is a ValueError."""
         if center_pos is None:
             if center_ids is None:
                 raise ValueError("need center ids or positions")
@@ -89,6 +91,8 @@ class Solution:
         else:
             center_pos = np.array(center_pos, dtype=np.float64)
             check_center_columns(ds, center_pos)
+        if center_pos.shape[0] == 0:
+            raise ValueError("center set is empty")
         return cls.from_sq_dists(
             ds, anchor_set, center_ids, center_pos, sq_dist_matrix(ds.points, center_pos)
         )
@@ -143,8 +147,8 @@ def check_solution(sol: Solution, delta: RadiusBounds | None = None) -> None:
     """Debug oracle: caches must match a from-scratch rebuild.
 
     Verifies distances, coverage, cost coherence at 1e-9 relative, the
-    search's D² cumsum (when it holds one) bit for bit, and (when radii are
-    supplied) the 2*gamma service bound.
+    search's D² cumsum (whenever the search state exists) bit for bit, and
+    (when radii are supplied) the 2*gamma service bound.
     """
     fresh = Solution.build(
         sol.ds, sol.anchor_set, center_ids=None, center_pos=sol.center_pos
@@ -157,8 +161,7 @@ def check_solution(sol: Solution, delta: RadiusBounds | None = None) -> None:
         raise AssertionError("coverage table out of sync with the center set")
     if not sol.covers.any(axis=0).all():
         raise AssertionError("an anchor zone lost all its centers")
-    cum = None if sol._search is None else sol._search.cum
-    if cum is not None and not np.array_equal(cum, np.cumsum(sol.d1sq)):
+    if sol._search is not None and not np.array_equal(sol._search.cum, np.cumsum(sol.d1sq)):
         raise AssertionError("D² cumsum cache out of sync with d1sq")
     exact = fsum(sol.d1sq)
     if abs(sol.total_cost - exact) > 1e-9 * max(1.0, abs(exact)):

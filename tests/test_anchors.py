@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -53,6 +55,20 @@ class TestSeed:
         ds = Dataset(np.zeros((2, 1)))
         with pytest.raises(ValueError, match="gamma"):
             seed(ds, RadiusBounds(np.ones(2)), gamma=2.0)
+
+    @pytest.mark.parametrize("gamma", [2.0, math.inf, math.nan])
+    def test_gamma_must_be_finite_above_two(self, gamma):
+        # every radius is positive, so an infinite gamma covers every point
+        # with the first anchor instead of hanging on a nan reach
+        ds = Dataset(np.arange(4.0)[:, None])
+        delta = RadiusBounds(np.ones(4))
+        message = "gamma must be a finite number above 2"
+        with pytest.raises(ValueError, match=message):
+            seed(ds, delta, gamma=gamma)
+        with pytest.raises(ValueError, match=message):
+            make_anchor_set(ds, [0], [1.0], gamma=gamma)
+        with pytest.raises(ValueError, match=message):
+            LsConfig(k=2, gamma=gamma).validate()
 
     def test_tie_breaks_to_lowest_id(self):
         ds = Dataset(np.array([[0.0], [50.0], [100.0]]))

@@ -141,6 +141,16 @@ class TestSubsample:
 
 
 class TestComputeRadii:
+    def test_counts_must_be_integers(self):
+        ds = Dataset(np.random.default_rng(0).normal(size=(20, 3)))
+        with pytest.raises(TypeError, match="k must be an integer, got 4.0"):
+            compute_radii(ds, 4.0)
+        with pytest.raises(TypeError, match="sample_size must be an integer, got 10.0"):
+            compute_radii(ds, 4, mode="sampled", sample_size=10.0)
+        want = compute_radii(ds, 4, mode="sampled", sample_size=10).delta
+        got = compute_radii(ds, np.int64(4), mode="sampled", sample_size=np.int32(10)).delta
+        assert np.array_equal(got, want)
+
     def test_line_example(self):
         ds = Dataset(np.array([[0.0], [1.0], [2.0], [9.0]]))
         delta = compute_radii(ds, 2)

@@ -185,6 +185,14 @@ class TestCli:
         rc = main(["--input", str(tmp_path / "nope.csv"), "--k", "2"])
         assert rc == 1
 
+    def test_infinite_gamma_is_fatal(self, blob_csv, capsys):
+        rc = main(
+            ["--input", str(blob_csv), "--header", "--k", "4", "--gamma", "inf",
+             "--iterations", "10", "--trials", "1", "--flloyd-iters", "0"]
+        )
+        assert rc == 1
+        assert "gamma must be a finite number above 2" in capsys.readouterr().err
+
     def test_bad_usage_is_fatal(self):
         assert main(["--k", "2"]) == 1
         assert main(["--input", "x.csv", "--algorithm", "magic"]) == 1

@@ -61,3 +61,13 @@ def test_all_matches_package_imports():
     assert len(set(imported)) == len(imported)
     for name in fairkmeans.__all__:
         assert getattr(fairkmeans, name) is not None
+
+
+ROOT = SRC.parents[1]
+SOURCES = sorted(p for top in ("src", "tests", "bench", "demos") for p in (ROOT / top).rglob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[str(p.relative_to(ROOT)) for p in SOURCES])
+def test_parses_as_python_3_10(path):
+    # pyproject.toml declares requires-python >= 3.10
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

@@ -126,7 +126,34 @@ class TestD2Sample:
         assert abs(count - 5_000) <= 3 * sigma
 
 
+class TestConfigs:
+    @pytest.mark.parametrize(
+        "make, name",
+        [
+            (lambda: LsConfig(k=4.0), "k"),
+            (lambda: LsConfig(k=4, iterations=3.0), "iterations"),
+            (lambda: FlConfig(iterations=2.5), "iterations"),
+        ],
+        ids=["LsConfig.k", "LsConfig.iterations", "FlConfig.iterations"],
+    )
+    def test_counts_must_be_integers(self, make, name):
+        with pytest.raises(TypeError, match=f"{name} must be an integer"):
+            make().validate()
+
+    def test_numpy_integers_pass(self):
+        LsConfig(k=np.int64(4), iterations=np.int32(3)).validate()
+        FlConfig(iterations=np.uint8(2)).validate()
+
+
 class TestSolutionBuild:
+    @pytest.mark.parametrize("given", ["center_ids", "center_pos"])
+    def test_empty_center_set(self, given):
+        ds = Dataset(np.arange(20.0).reshape(10, 2))
+        aset = make_anchor_set(ds, [0], [1e9])
+        empty = {"center_ids": [], "center_pos": np.empty((0, 2))}[given]
+        with pytest.raises(ValueError, match="center set is empty"):
+            Solution.build(ds, aset, **{given: empty})
+
     @pytest.mark.parametrize("bad", [-1, 10])
     def test_center_id_out_of_range(self, bad):
         # numpy would read a negative id as a point from the end
@@ -309,10 +336,7 @@ class TestSearchState:
             draws.clear()
             took.append(ls_step(sol, aset, rng)[1])
             assert draws == [want]
-            if took[-1]:
-                assert sol._search.cum is None  # rebuilt by the next draw
-            else:
-                assert np.array_equal(sol._search.cum, np.cumsum(sol.d1sq))
+            assert np.array_equal(sol._search.cum, np.cumsum(sol.d1sq))
         assert 3 <= sum(took) < 100
 
     def test_stale_cumsum_detected(self):

@@ -46,3 +46,12 @@ def test_detector_sees_every_form():
     )
     assert len(products(ast.parse(source))) == 9
     assert products(ast.parse((SRC / "_dist.py").read_text()))
+
+
+@pytest.mark.parametrize("name", ["matmul", "einsum"])
+def test_one_matmul_and_one_einsum(name):
+    # the kernel's reduction and the filter's estimate are each written once,
+    # so a change to either (and its rounding argument) is made in one place
+    found = products(ast.parse((SRC / "_dist.py").read_text()))
+    calls = [f for f in found if f.startswith(f".{name} ")]
+    assert len(calls) == 1, f"np.{name} in _dist.py: {calls}"
