@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._dist import dists, sq_dist_matrix
-from .dataset import Dataset, RadiusBounds, check_distance_scale
+from .dataset import Dataset, RadiusBounds, check_distance_scale, check_radii
 
 
 def _check_gamma(gamma: float) -> None:
@@ -62,8 +62,7 @@ def seed(ds: Dataset, delta: RadiusBounds, gamma: float) -> AnchorSet:
     (:func:`dataset.check_distance_scale`), whatever the radii.
     """
     _check_gamma(gamma)
-    if len(delta) != ds.n:
-        raise ValueError("radius bounds do not match the dataset")
+    check_radii(ds, delta)
     check_distance_scale(ds)
     X = ds.points
     reach = gamma * delta.delta

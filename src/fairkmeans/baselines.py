@@ -16,7 +16,7 @@ import numpy as np
 
 from ._dist import sq_dist_matrix, sq_dists
 from .anchors import seed as seed_anchors
-from .dataset import Dataset, RadiusBounds
+from .dataset import Dataset, RadiusBounds, _check_integer, center_positions, check_radii
 from .local_search import _d2_draw, init_solution
 from .metrics import cost as metrics_cost
 from .metrics import fairness_ratios
@@ -42,8 +42,7 @@ def greedy_baseline(
 def kmeanspp_init(ds: Dataset, k: int, seed) -> np.ndarray:
     """Standard D^2 seeding: first center uniform, each next one drawn with
     probability proportional to squared distance to the chosen set."""
-    if not 1 <= k <= ds.n:
-        raise ValueError(f"k={k} must be in [1, {ds.n}]")
+    _check_integer("k", k, 1, ds.n)
     rng = np.random.default_rng(seed)
     X = ds.points
     chosen = [int(rng.integers(ds.n))]
@@ -66,6 +65,8 @@ def lloyd(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Plain Lloyd iterations from the given center positions: the
     refinement loop of :mod:`fairkmeans.refine` with no zone constraint.
+    ``centers`` are point ids or (k, d) positions
+    (:func:`dataset.center_positions`).
 
     Returns the final positions and the cost trace (entry cost plus one value
     per round).  An empty cluster keeps its center, and a center only moves
@@ -76,10 +77,10 @@ def lloyd(
     fills the rest of the trace, with a positive ``rel_tol`` the trace ends
     at it (:func:`fairkmeans.refine.lloyd_rounds`).
     """
-    positions = np.asarray(centers, dtype=np.float64)
-    if positions.ndim != 2 or positions.shape[0] == 0:
-        raise ValueError("centers must be a nonempty (k, d) array")
-    positions, trace, _ = lloyd_rounds(ds.points, positions, None, iterations, rel_tol)
+    _check_integer("iterations", iterations, 0)
+    positions, trace, _ = lloyd_rounds(
+        ds.points, center_positions(ds, centers), None, iterations, rel_tol
+    )
     return positions, trace
 
 
@@ -87,7 +88,7 @@ def vanilla_kmeans(ds: Dataset, k: int, seed) -> tuple[np.ndarray, np.ndarray]:
     """D^2 seeding plus Lloyd, capped at 100 rounds or relative improvement
     at most 1e-6.  The non-fair reference point."""
     ids = kmeanspp_init(ds, k, seed)
-    return lloyd(ds, ds.points[ids], iterations=100, rel_tol=1e-6)
+    return lloyd(ds, ids, iterations=100, rel_tol=1e-6)
 
 
 def brute_force_opt(
@@ -100,8 +101,8 @@ def brute_force_opt(
     uses.  Returns the best feasible (k-means cost, center ids), or None when
     no subset is feasible.  Guarded to tiny instances.
     """
-    if not 1 <= k <= ds.n:
-        raise ValueError(f"k={k} must be in [1, {ds.n}]")
+    _check_integer("k", k, 1, ds.n)
+    check_radii(ds, delta)
     if ds.n > BRUTE_FORCE_POINT_LIMIT or math.comb(ds.n, k) > BRUTE_FORCE_SUBSET_LIMIT:
         raise ValueError("instance too large for exhaustive search")
     X = ds.points

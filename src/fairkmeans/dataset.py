@@ -169,8 +169,7 @@ def subsample(ds: Dataset, m: int, seed: int) -> Dataset:
     are re-indexed ``0..m-1``.  With ``m == n`` the dataset is copied
     unchanged.
     """
-    if not 1 <= m <= ds.n:
-        raise ValueError(f"sample size {m} must be in [1, {ds.n}]")
+    _check_integer("m", m, 1, ds.n)
     rng = np.random.default_rng(seed)
     idx = np.sort(rng.choice(ds.n, size=m, replace=False))
     return Dataset(ds.points[idx])
@@ -207,17 +206,13 @@ def compute_radii(
     a radius infinite, or when they underflow (:func:`check_distance_scale`);
     rescale the points first.
     """
-    _check_integer("k", k)
-    _check_integer("sample_size", sample_size)
-    if not 1 <= k <= ds.n:
-        raise ValueError(f"k={k} must be in [1, {ds.n}]")
+    _check_integer("k", k, 1, ds.n)
     check_distance_scale(ds)
     X = ds.points
     if mode == "exact":
         ref, rank = X, -(-ds.n // k)
     elif mode == "sampled":
-        if sample_size < 1:
-            raise ValueError("sample_size must be at least 1")
+        _check_integer("sample_size", sample_size, 1)
         rng = np.random.default_rng(seed)
         s = min(sample_size, ds.n)
         sample_ids = rng.choice(ds.n, size=s, replace=False)
@@ -246,33 +241,70 @@ def check_distance_scale(ds: Dataset) -> None:
         )
 
 
-def _check_integer(name: str, value) -> None:
-    """TypeError naming ``name`` unless ``value`` is an integer, Python's or
-    numpy's; numpy would reject a float count deep inside with a message
-    that names neither."""
+def _check_integer(name: str, value, low: int, high: float = math.inf) -> None:
+    """The one check of a count: TypeError naming ``name`` unless ``value``
+    is an integer, Python's or numpy's (numpy would reject a float count deep
+    inside with a message that names neither), and ValueError unless it lies
+    in ``[low, high]``."""
     try:
         operator.index(value)
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if not low <= value <= high:
+        span = f"at least {low}" if high == math.inf else f"in [{low}, {high}]"
+        raise ValueError(f"{name}={value} must be {span}")
 
 
-def check_point_ids(ds: Dataset, ids: np.ndarray) -> None:
-    """ValueError naming the first id outside ``[0, n)``; numpy indexing
-    would wrap a negative id around to a point from the end."""
-    bad = ids[(ids < 0) | (ids >= ds.n)]
+def check_radii(ds: Dataset, delta: RadiusBounds) -> None:
+    """The one check that radii match the points: ValueError unless
+    ``delta`` holds one radius per point (numpy would broadcast a single
+    radius over every point)."""
+    if len(delta) != ds.n:
+        raise ValueError("radius bounds do not match the dataset")
+
+
+def point_ids(ds: Dataset, ids) -> np.ndarray:
+    """The one check of a list of point ids: a nonempty 1-D integer array,
+    each id in ``[0, n)`` (numpy indexing would wrap a negative id around to
+    a point from the end).  Returns a fresh int64 array; anything else is a
+    ValueError that names the fault."""
+    arr = np.asarray(ids)
+    if arr.size == 0:
+        raise ValueError("center set is empty")
+    if arr.ndim != 1 or not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError(
+            f"center ids must be a 1-D integer array, got {arr.dtype} of shape {arr.shape}"
+        )
+    bad = arr[(arr < 0) | (arr >= ds.n)]
     if bad.size:
         raise ValueError(f"center id {int(bad[0])} is outside [0, {ds.n})")
+    return arr.astype(np.int64)
 
 
-def check_center_columns(ds: Dataset, centers: np.ndarray) -> None:
-    """ValueError unless ``centers`` is a 2-D array with the points' column
-    count.  The kernel does not check it: at d <= 2 it reads only the first
-    d columns of wider centers, and narrower ones fail with an IndexError or
-    a broadcast error that does not name the cause."""
-    if centers.ndim != 2:
-        raise ValueError(f"centers must be a (k, d) array, got shape {centers.shape}")
-    if centers.shape[1] != ds.d:
-        raise ValueError(f"centers have {centers.shape[1]} columns but the points have {ds.d}")
+def center_positions(ds: Dataset, centers) -> np.ndarray:
+    """The one check of a center set: point ids (a 1-D integer array, see
+    :func:`point_ids`) or positions (a (k, d) array).  Returns a fresh
+    float64 (k, d) array.
+
+    Each fault is a ValueError that names it: an empty set, a bad id, a
+    column count other than the points' d, which the kernel does not check
+    (at d <= 2 it reads only the first d columns of wider centers, and
+    narrower ones fail without naming the cause), and any other shape or
+    dtype, such as float ids.
+    """
+    arr = np.asarray(centers)
+    if arr.size == 0:
+        raise ValueError("center set is empty")
+    if arr.ndim == 1 and np.issubdtype(arr.dtype, np.integer):
+        return ds.points[point_ids(ds, arr)]
+    if arr.ndim != 2:
+        raise ValueError(
+            f"centers must be an integer id list or a (k, d) array, got {arr.dtype} "
+            f"of shape {arr.shape}"
+        )
+    if arr.shape[1] != ds.d:
+        raise ValueError(f"centers have {arr.shape[1]} columns but the points have {ds.d}")
+    return np.array(arr, dtype=np.float64)
 
 
 def aspect_ratio(ds: Dataset) -> float:

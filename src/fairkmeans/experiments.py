@@ -20,10 +20,12 @@ from typing import Sequence
 import numpy as np
 
 from . import metrics
+from ._dist import fsum
 from .dataset import (
     EXACT_RADII_RECOMMENDED_MAX,
     Dataset,
     RadiusBounds,
+    _check_integer,
     compute_radii,
     load_points,
     normalize,
@@ -65,18 +67,25 @@ class ExperimentConfig:
     eval_on_full: bool = False
 
     def validate(self) -> None:
+        """Every field is checked here, before the CSV is opened: the
+        search and refinement settings by the configs the trials use,
+        whatever the algorithm."""
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        if self.k < 1:
-            raise ValueError("k must be positive")
-        if self.iterations < 0 or self.flloyd_iters < 0:
-            raise ValueError("iteration counts must be nonnegative")
-        if self.sample is not None and self.sample < 1:
-            raise ValueError("sample size must be positive")
+        _check_integer("trials", self.trials, 1)
+        if self.sample is not None:
+            _check_integer("sample", self.sample, 1)
         if self.delta_mode is not None:
             parse_delta_mode(self.delta_mode)
+        for stage in self._stages(self.seed):
+            stage.validate()
+
+    def _stages(self, seed: int) -> tuple[LsConfig, FlConfig]:
+        """The search and refinement configs of the trial seeded ``seed``."""
+        return (
+            LsConfig(k=self.k, gamma=self.gamma, iterations=self.iterations, seed=seed),
+            FlConfig(iterations=self.flloyd_iters),
+        )
 
 
 @dataclass
@@ -192,8 +201,7 @@ def parse_delta_mode(mode: str) -> tuple[str, int]:
             m = int(mode.split(":", 1)[1])
         except ValueError:
             raise ValueError(f"bad delta mode {mode!r}; use exact or sampled:<m>") from None
-        if m < 1:
-            raise ValueError("sampled delta mode needs a positive sample size")
+        _check_integer("sample_size", m, 1)
         return "sampled", m
     raise ValueError(f"bad delta mode {mode!r}; use exact or sampled:<m>")
 
@@ -216,13 +224,12 @@ def _run_trial(cfg: ExperimentConfig, ds: Dataset, delta: RadiusBounds, trial: i
     if cfg.algorithm == "greedy":
         sol = greedy_baseline(ds, delta, cfg.gamma, cfg.k, tseed)
         return sol.center_pos, [sol.total_cost], None, None
-    sol, trace = run(
-        ds, delta, LsConfig(k=cfg.k, gamma=cfg.gamma, iterations=cfg.iterations, seed=tseed)
-    )
+    ls_cfg, fl_cfg = cfg._stages(tseed)
+    sol, trace = run(ds, delta, ls_cfg)
     ls_trace = [trace.initial_cost] + trace.costs.tolist()
     fl_trace = None
     if cfg.flloyd_iters > 0:
-        sol, fl = flloyd_run(ds, sol, cfg=FlConfig(iterations=cfg.flloyd_iters))
+        sol, fl = flloyd_run(ds, sol, cfg=fl_cfg)
         fl_trace = fl.tolist()
     return sol.center_pos, ls_trace, fl_trace, trace.accepted_count
 
@@ -262,15 +269,17 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             )
             continue
         wall = time.perf_counter() - t0
-        ratio, witness = metrics.bound_ratio(eval_ds, eval_delta, positions)
+        # one nearest-center pass scores the trial: the same bits as
+        # metrics.cost (p = 2 and p = 1) and metrics.bound_ratio
+        sq, dist, (ratio, witness) = metrics._score(eval_ds, positions, eval_delta)
         records.append(
             TrialRecord(
                 trial=i,
                 seed=cfg.seed + i,
                 feasible=True,
                 wall_time_seconds=wall,
-                kmeans_cost=metrics.cost(eval_ds, positions, p=2),
-                kmedian_cost=metrics.cost(eval_ds, positions, p=1),
+                kmeans_cost=fsum(sq),
+                kmedian_cost=fsum(dist),
                 bound_ratio=ratio,
                 bound_witness=witness,
                 accepted_swaps=swaps,

@@ -26,8 +26,11 @@ the same sums and caches bit for bit.  An accepted swap re-scans the points
 whose nearest or second-nearest center left the same way
 (:func:`fairkmeans._dist.two_nearest_sq_dists`).  The lifted points and the
 cumsum behind the D^2 draw live on the solution while the search runs
-(``Solution._search``); both are built on the first step, and every
-accepted swap refreshes the cumsum in place, so it is never stale.
+(``Solution._search``); both are built on first use, and every accepted
+swap refreshes the cumsum in place, so it is never stale.  Every draw and
+every distance pass goes through that state, so which path runs depends on
+the input alone (the lift is None at d <= 2 or where its bound is not
+finite), never on the calls made before.
 """
 
 from __future__ import annotations
@@ -62,12 +65,8 @@ class LsConfig:
     debug_checks: bool = False
 
     def validate(self) -> None:
-        _check_integer("k", self.k)
-        _check_integer("iterations", self.iterations)
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
-        if self.iterations < 0:
-            raise ValueError("iterations must be nonnegative")
+        _check_integer("k", self.k, 1)
+        _check_integer("iterations", self.iterations, 0)
         _check_gamma(self.gamma)
 
 
@@ -91,18 +90,17 @@ def init_solution(ds: Dataset, anchor_set: AnchorSet, k: int, seed) -> Solution:
     InfeasibleInstanceError when there are more anchors than k, and a
     ValueError when the total cost overflows float64.
     """
+    _check_integer("k", k, 1, ds.n)
     m = len(anchor_set)
     if m > k:
         raise InfeasibleInstanceError(m, k)
-    if ds.n < k:
-        raise ValueError(f"k={k} exceeds the number of points {ds.n}")
     rng = np.random.default_rng(seed)
     ids = anchor_set.anchors
     if m < k:
         pool = np.setdiff1d(np.arange(ds.n), ids)
         fill = rng.choice(pool, size=k - m, replace=False)
         ids = np.concatenate([ids, np.sort(fill)])
-    sol = Solution.build(ds, anchor_set, center_ids=ids.astype(np.int64))
+    sol = Solution.build(ds, anchor_set, center_ids=ids)
     if not math.isfinite(sol.total_cost):
         raise ValueError(
             "the total cost (sum of squared distances to the nearest center) "
@@ -133,8 +131,9 @@ def _d2_draw(cum: np.ndarray, rng: np.random.Generator) -> int | None:
 
 
 def d2_sample(sol: Solution, rng: np.random.Generator) -> int:
-    """Draw a point id with probability d1(p)^2 / sum_q d1(q)^2."""
-    idx = _d2_draw(np.cumsum(sol.d1sq), rng)
+    """Draw a point id with probability d1(p)^2 / sum_q d1(q)^2: the draw
+    :func:`ls_step` makes, from the same cached cumsum."""
+    idx = _d2_draw(_search_state(sol).cum, rng)
     if idx is None:
         raise ValueError("total cost is zero; every point already sits on a center")
     return idx
@@ -152,7 +151,7 @@ def _candidate_row(sol: Solution, p: int) -> tuple[np.ndarray, np.ndarray]:
     filter proves it above ``d2sq`` (see the module docstring), and the
     zones p lies in."""
     X = sol.ds.points
-    lift = None if sol._search is None else sol._search.lift
+    lift = _search_state(sol).lift
     if lift is None:
         dpsq = sq_dists(X, X[p])
     else:
@@ -213,8 +212,8 @@ def _apply_swap(
     X = sol.ds.points
     sol.center_ids[j] = p
     sol.center_pos[j] = X[p]
-    state = sol._search
-    lift = None if state is None else state.lift
+    state = _search_state(sol)
+    lift = state.lift
 
     affected = (sol.assign == j) | (sol.assign2 == j)
     rows = np.flatnonzero(affected)
@@ -240,8 +239,7 @@ def _apply_swap(
 
     sol.covers[j, :] = covers_p
     sol.total_cost = new_cost
-    if state is not None:
-        np.cumsum(sol.d1sq, out=state.cum)
+    np.cumsum(sol.d1sq, out=state.cum)
 
 
 def ls_step(
@@ -256,7 +254,7 @@ def ls_step(
     swap that keeps every anchor zone covered (:func:`swap_costs`), ties
     going to the lowest center id, when it is strictly cheaper.  The draw is
     the one :func:`d2_sample` makes, from the cumsum kept in
-    ``sol._search``, which the first step builds and every accepted swap
+    ``sol._search``, which the first use builds and every accepted swap
     refreshes.
 
     ``anchor_set`` is None or ``sol.anchor_set`` itself: the coverage cache
@@ -294,8 +292,6 @@ def run(ds: Dataset, delta: RadiusBounds, cfg: LsConfig) -> tuple[Solution, RunT
     this is re-checked at return and cannot be disabled.
     """
     cfg.validate()
-    if cfg.k > ds.n:
-        raise ValueError(f"k={cfg.k} exceeds the number of points {ds.n}")
     anchor_set = seed(ds, delta, cfg.gamma)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
     sol = init_solution(ds, anchor_set, cfg.k, rng)

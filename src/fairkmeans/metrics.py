@@ -2,40 +2,10 @@
 
 from __future__ import annotations
 
-
 import numpy as np
 
 from ._dist import fsum, min_sq_dists
-from .dataset import Dataset, RadiusBounds, check_center_columns, check_point_ids
-
-
-def _center_positions(ds: Dataset, centers) -> np.ndarray:
-    """Accept center point ids (1-D int array, each in ``[0, n)``) or
-    positions (2-D array with the points' d columns)."""
-    arr = np.asarray(centers)
-    if arr.ndim == 1 and np.issubdtype(arr.dtype, np.integer):
-        if arr.size == 0:
-            raise ValueError("center set is empty")
-        check_point_ids(ds, arr)
-        return ds.points[arr]
-    arr = np.asarray(arr, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] == 0:
-        raise ValueError("centers must be a nonempty id list or (k, d) array")
-    check_center_columns(ds, arr)
-    return arr
-
-
-def cost(ds: Dataset, centers, p: int = 2) -> float:
-    """Sum over points of dist(point, centers)**p for p in {1, 2}.
-
-    Accumulated with compensated summation so values stay comparable at
-    1e-9 relative tolerance even for very large n.
-    """
-    if p not in (1, 2):
-        raise ValueError("p must be 1 or 2")
-    pos = _center_positions(ds, centers)
-    sq = min_sq_dists(ds.points, pos)
-    return fsum(sq if p == 2 else np.sqrt(sq))
+from .dataset import Dataset, RadiusBounds, center_positions, check_radii
 
 
 def fairness_ratios(dist: np.ndarray, delta: np.ndarray) -> np.ndarray:
@@ -50,6 +20,39 @@ def fairness_ratios(dist: np.ndarray, delta: np.ndarray) -> np.ndarray:
     return ratios
 
 
+def _score(
+    ds: Dataset, centers, delta: RadiusBounds | None = None
+) -> tuple[np.ndarray, np.ndarray, tuple[float, int] | None]:
+    """What every score reads off one nearest-center pass: each point's
+    squared distance and distance to its nearest center, and, given radii,
+    :func:`bound_ratio`'s pair (else None).  :func:`cost`,
+    :func:`bound_ratio` and the experiment harness all take their values
+    from here, so each gives the same bits as the others."""
+    if delta is not None:
+        check_radii(ds, delta)
+    sq = min_sq_dists(ds.points, center_positions(ds, centers))
+    dist = np.sqrt(sq)
+    if delta is None:
+        return sq, dist, None
+    ratios = fairness_ratios(dist, delta.delta)
+    worst = int(np.argmax(ratios))
+    return sq, dist, (float(ratios[worst]), worst)
+
+
+def cost(ds: Dataset, centers, p: int = 2) -> float:
+    """Sum over points of dist(point, centers)**p for p in {1, 2}.
+
+    ``centers`` are point ids or (k, d) positions
+    (:func:`dataset.center_positions`).  Accumulated with compensated
+    summation so values stay comparable at 1e-9 relative tolerance even for
+    very large n.
+    """
+    if p not in (1, 2):
+        raise ValueError("p must be 1 or 2")
+    sq, dist, _ = _score(ds, centers)
+    return fsum(sq if p == 2 else dist)
+
+
 def bound_ratio(ds: Dataset, delta: RadiusBounds, centers) -> tuple[float, int]:
     """Worst fairness violation, max over points of dist(p, S)/delta(p).
 
@@ -57,10 +60,4 @@ def bound_ratio(ds: Dataset, delta: RadiusBounds, centers) -> tuple[float, int]:
     positive distance with a zero radius yields +inf (reported, not raised).
     ``delta`` must hold one radius per point, else a ValueError.
     """
-    if len(delta) != ds.n:
-        raise ValueError("radius bounds do not match the dataset")
-    pos = _center_positions(ds, centers)
-    d1 = np.sqrt(min_sq_dists(ds.points, pos))
-    ratios = fairness_ratios(d1, delta.delta)
-    worst = int(np.argmax(ratios))
-    return float(ratios[worst]), worst
+    return _score(ds, centers, delta)[2]

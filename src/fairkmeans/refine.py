@@ -26,7 +26,7 @@ import numpy as np
 
 from ._dist import dists, fsum, sq_dist_blocks, sq_dist_matrix, sq_dists
 from .anchors import AnchorSet
-from .dataset import Dataset, _check_integer, check_center_columns
+from .dataset import Dataset, _check_integer, center_positions
 from .solution import Solution
 
 # Halvings in a clamped move: its error is at most |mean - center| * 2**-40.
@@ -38,18 +38,14 @@ class FlConfig:
     iterations: int = 20
 
     def validate(self) -> None:
-        _check_integer("iterations", self.iterations)
-        if self.iterations < 0:
-            raise ValueError("iterations must be nonnegative")
+        _check_integer("iterations", self.iterations, 0)
 
 
 def assign(ds: Dataset, centers: np.ndarray) -> np.ndarray:
-    """Index of the nearest center for every point, lowest index on ties."""
-    centers = np.asarray(centers, dtype=np.float64)
-    if centers.ndim != 2 or centers.shape[0] == 0:
-        raise ValueError("centers must be a nonempty (k, d) array")
-    check_center_columns(ds, centers)
-    return np.argmin(sq_dist_matrix(ds.points, centers), axis=1)
+    """Index of the nearest center for every point, lowest index on ties.
+    ``centers`` are point ids or (k, d) positions
+    (:func:`dataset.center_positions`)."""
+    return np.argmin(sq_dist_matrix(ds.points, center_positions(ds, centers)), axis=1)
 
 
 def cluster_means(X: np.ndarray, labels: np.ndarray, k: int):

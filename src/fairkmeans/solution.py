@@ -17,7 +17,7 @@ import numpy as np
 
 from ._dist import Lift, fsum, sq_dist_matrix
 from .anchors import AnchorSet, build_coverage
-from .dataset import Dataset, RadiusBounds, check_center_columns, check_point_ids
+from .dataset import Dataset, RadiusBounds, center_positions, point_ids
 from .metrics import bound_ratio
 
 RADIUS_SLACK = 1 + 1e-9  # float headroom on the 2*gamma postcondition
@@ -47,9 +47,9 @@ class Solution:
     ``covers[j, z]`` is True when center j lies in anchor zone z, and a
     valid solution has a True in every column.  ``total_cost`` is the
     k-means cost, kept consistent with a from-scratch recomputation to 1e-9
-    relative.  ``_search`` is the search loop's :class:`_SearchState`, built
-    on its first step, kept current by every accepted swap, and dropped when
-    :func:`local_search.run` returns.
+    relative.  ``_search`` is the search's :class:`_SearchState`, built
+    on first use (the first step, draw or swap evaluation), kept current by
+    every accepted swap, and dropped when :func:`local_search.run` returns.
 
     Solutions are single-owner: only the loop that created one mutates it.
     """
@@ -79,20 +79,18 @@ class Solution:
         center_pos: np.ndarray | None = None,
     ) -> "Solution":
         """From-scratch construction of every cache; the oracle the
-        incremental updates are checked against.  A center id outside
-        ``[0, n)``, positions without the points' d columns, or an empty
-        center set is a ValueError."""
+        incremental updates are checked against.  ``center_ids`` must be a
+        1-D array of point ids (:func:`dataset.point_ids`) and
+        ``center_pos`` a (k, d) array (:func:`dataset.center_positions`);
+        anything else is a ValueError.  Both are copied, so the search never
+        writes to the caller's arrays."""
         if center_pos is None:
             if center_ids is None:
                 raise ValueError("need center ids or positions")
-            center_ids = np.asarray(center_ids, dtype=np.int64)
-            check_point_ids(ds, center_ids)
-            center_pos = ds.points[center_ids].copy()
+            center_ids = point_ids(ds, center_ids)
+            center_pos = ds.points[center_ids]
         else:
-            center_pos = np.array(center_pos, dtype=np.float64)
-            check_center_columns(ds, center_pos)
-        if center_pos.shape[0] == 0:
-            raise ValueError("center set is empty")
+            center_pos = center_positions(ds, np.asarray(center_pos, dtype=np.float64))
         return cls.from_sq_dists(
             ds, anchor_set, center_ids, center_pos, sq_dist_matrix(ds.points, center_pos)
         )

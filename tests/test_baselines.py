@@ -153,3 +153,57 @@ class TestBruteForce:
             oracle_ok = bool(np.all(ratios[:, ids].min(axis=1) <= 1.0))
             assert oracle_ok == (worst <= 1.0)
             assert ratios[:, ids].min(axis=1).max() == worst
+
+
+class TestInputChecks:
+    """Bad input to a baseline gets an error that names its cause, from the
+    one check of each kind in ``dataset.py``, never a silent answer."""
+
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda ds, delta: kmeanspp_init(ds, 4.0, 0), "k"),
+            (lambda ds, delta: vanilla_kmeans(ds, 4.0, 0), "k"),
+            (lambda ds, delta: greedy_baseline(ds, delta, 3.0, 4.0, 0), "k"),
+            (lambda ds, delta: brute_force_opt(ds, delta, 6.0, 2.0), "k"),
+            (lambda ds, delta: lloyd(ds, ds.points[:2], iterations=2.5), "iterations"),
+        ],
+        ids=["kmeanspp_init", "vanilla_kmeans", "greedy_baseline", "brute_force_opt", "lloyd"],
+    )
+    def test_counts_must_be_integers(self, call, name):
+        ds = Dataset(np.random.default_rng(0).normal(size=(10, 2)))
+        delta = RadiusBounds(np.full(10, 1e9))
+        with pytest.raises(TypeError, match=f"{name} must be an integer, got"):
+            call(ds, delta)
+
+    @pytest.mark.parametrize(
+        "points, centers",
+        [
+            # used to return [[1, 2, 3]] at cost 1940.0
+            (np.arange(20.0).reshape(10, 2), [[1.0, 2.0, 3.0]]),
+            # used to return the 2-column centers unchanged
+            (np.arange(10.0), [[2.0, 2.0], [7.0, 7.0]]),
+        ],
+        ids=["wider", "narrower-d1"],
+    )
+    @pytest.mark.parametrize("iterations", [0, 5])
+    def test_lloyd_center_columns(self, points, centers, iterations):
+        ds = Dataset(points)
+        cols = len(centers[0])
+        message = f"centers have {cols} columns but the points have {ds.d}"
+        with pytest.raises(ValueError, match=message):
+            lloyd(ds, np.array(centers), iterations=iterations)
+
+    def test_lloyd_takes_ids_as_their_points(self):
+        ds = Dataset(np.random.default_rng(1).normal(size=(40, 3)))
+        ids = np.array([3, 17, 29])
+        a = lloyd(ds, ids, iterations=4)
+        b = lloyd(ds, ds.points[ids], iterations=4)
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+    @pytest.mark.parametrize("m", [1, 7, 9])
+    def test_brute_force_radius_length_mismatch(self, m):
+        # one radius used to be broadcast over all 8 points: (5.91, [1, 7])
+        ds = Dataset(np.random.default_rng(0).normal(size=(8, 2)))
+        with pytest.raises(ValueError, match="radius bounds do not match the dataset"):
+            brute_force_opt(ds, RadiusBounds(np.ones(m)), 6.0, 2)

@@ -126,6 +126,11 @@ class TestSubsample:
         with pytest.raises(ValueError):
             subsample(ds, 4, seed=0)
 
+    def test_size_must_be_integer(self):
+        ds = Dataset(np.arange(10.0).reshape(5, 2))
+        with pytest.raises(TypeError, match="m must be an integer, got 3.0"):
+            subsample(ds, 3.0, seed=0)
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
     def test_deterministic_and_chained_ids(self, seed):

@@ -1,11 +1,21 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 import fairkmeans.cli as cli
 import fairkmeans.experiments as experiments
-from fairkmeans import ExperimentConfig, InfeasibleInstanceError, run_experiment
+import fairkmeans.metrics as metrics
+from fairkmeans import (
+    ExperimentConfig,
+    InfeasibleInstanceError,
+    bound_ratio,
+    compute_radii,
+    cost,
+    load_points,
+    run_experiment,
+)
 from fairkmeans.cli import main
 from fairkmeans.experiments import parse_delta_mode
 
@@ -115,6 +125,47 @@ class TestRunExperiment:
             run_experiment(base_config(blob_csv, trials=0))
         with pytest.raises(ValueError):
             run_experiment(base_config(blob_csv, algorithm="magic"))
+
+    @pytest.mark.parametrize("algorithm", experiments.ALGORITHMS)
+    @pytest.mark.parametrize(
+        "field, value, error, message",
+        [
+            ("gamma", math.inf, ValueError, "gamma must be a finite number above 2"),
+            ("gamma", 1.0, ValueError, "gamma must be a finite number above 2"),
+            ("trials", 2.5, TypeError, "trials must be an integer, got 2.5"),
+            ("sample", 20.0, TypeError, "sample must be an integer, got 20.0"),
+            ("k", 4.0, TypeError, "k must be an integer, got 4.0"),
+        ],
+        ids=["gamma-inf", "gamma-1", "trials-float", "sample-float", "k-float"],
+    )
+    def test_config_checked_before_reading(self, tmp_path, algorithm, field, value, error, message):
+        # each used to pass validation and fail only at the missing file
+        cfg = ExperimentConfig(
+            input_path=tmp_path / "missing.csv", algorithm=algorithm, **{field: value}
+        )
+        with pytest.raises(error, match=message):
+            run_experiment(cfg)
+
+    def test_one_scoring_pass_per_trial(self, blob_csv, monkeypatch):
+        # greedy trials make no other nearest-center pass, so every call is
+        # scoring; the report equals the public metrics bit for bit
+        original = metrics.min_sq_dists
+        seen = []
+
+        def recording(points, centers):
+            seen.append(centers.copy())
+            return original(points, centers)
+
+        monkeypatch.setattr(metrics, "min_sq_dists", recording)
+        rep = run_experiment(base_config(blob_csv, algorithm="greedy", trials=3))
+        monkeypatch.undo()
+        assert len(seen) == 3
+        ds = load_points(blob_csv, header=True)
+        delta = compute_radii(ds, 4)
+        for trial, centers in zip(rep.trials, seen):
+            assert trial.kmeans_cost == cost(ds, centers, p=2)
+            assert trial.kmedian_cost == cost(ds, centers, p=1)
+            assert (trial.bound_ratio, trial.bound_witness) == bound_ratio(ds, delta, centers)
 
     def test_parse_delta_mode(self):
         assert parse_delta_mode("exact") == ("exact", 0)

@@ -169,6 +169,33 @@ class TestSolutionBuild:
         with pytest.raises(ValueError, match=f"centers have {cols} columns but the points have 2"):
             Solution.build(ds, aset, center_pos=np.arange(1.0, cols + 1)[None])
 
+    @pytest.mark.parametrize("ids", [[1.5, 2.0], np.array([1.0, 2.0]), [[0, 1]]])
+    def test_ids_must_be_a_1d_integer_array(self, ids):
+        # float ids used to be truncated: [1.5, 2.0] built the solution [1, 2];
+        # a 2-D integer list must not be read as positions
+        ds = Dataset(np.arange(20.0).reshape(10, 2))
+        aset = make_anchor_set(ds, [0], [1e9])
+        with pytest.raises(ValueError, match="center ids must be a 1-D integer array"):
+            Solution.build(ds, aset, center_ids=ids)
+
+    def test_ids_copied(self):
+        # the search writes to sol.center_ids, never to the caller's array
+        ds, delta, aset, _ = ls_fixture(66, n=120, k=4)
+        ids = init_solution(ds, aset, 4, 0).center_ids.copy()
+        given = ids.copy()
+        sol = Solution.build(ds, aset, center_ids=given)
+        rng = np.random.default_rng(1)
+        for _ in range(60):
+            ls_step(sol, aset, rng)
+        assert not np.array_equal(sol.center_ids, ids)
+        assert np.array_equal(given, ids)
+
+    def test_init_solution_k_must_be_integer(self):
+        ds = Dataset(np.arange(20.0).reshape(10, 2))
+        aset = make_anchor_set(ds, [0], [1e9])
+        with pytest.raises(TypeError, match="k must be an integer, got 4.0"):
+            init_solution(ds, aset, 4.0, 0)
+
 
 class TestEvaluateSwaps:
     """Swap evaluation through :func:`swap_costs`; :func:`ls_step` makes the
@@ -348,6 +375,20 @@ class TestSearchState:
         sol._search.cum[-1] *= 2
         with pytest.raises(AssertionError, match="cumsum"):
             check_solution(sol, delta)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_one_path_whatever_the_calls_before(self, d):
+        # d2_sample and swap_costs build and read the state ls_step uses, so
+        # the filter runs on a fresh solution exactly when it would on a
+        # stepped one: wherever the lift exists (d > 2 here)
+        ds, delta, k = gaussian_instance(65, n=200, k=4, d=d)
+        sol = init_solution(ds, seed(ds, delta, 3.0), k, 0)
+        p = d2_sample(sol, np.random.default_rng(0))
+        state = sol._search
+        assert state is not None and (state.lift is None) == (d <= 2)
+        swap_costs(sol, p)
+        assert sol._search is state
+        check_solution(sol, delta)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_run_drops_search_state(self, d):
