@@ -4,8 +4,10 @@ Every distance in the package comes from :func:`sq_dist_matrix` or from
 :func:`sq_dist_blocks`, the same kernel over row blocks that reuse one
 buffer, or from :func:`_pair_sq_dists`, the same kernel on gathered pairs,
 which the filtered functions below use for the pairs their filter keeps; the
-other functions here are thin wrappers around them, and :func:`fsum` is the
-one way the package adds such distances up.  Cached values, from-scratch
+other functions here are thin wrappers around them.  :func:`fsum` adds such
+distances up, correctly rounded, for the reported costs; the search's
+cached total and its swap costs use numpy's ``.sum()`` instead, which
+``solution.check_solution`` holds to 1e-9 of it.  Cached values, from-scratch
 recomputations and coverage predicates therefore see bit-identical numbers
 for identical inputs, however the points and centers were batched: the
 squared distance between two rows never depends on which other rows were
@@ -35,7 +37,9 @@ exact-consistency checks built on top of it keep holding.  One dot-product
 filter serves the radii (:func:`ranked_sq_dist`) and the local search
 (:func:`sq_dists_below` for the candidate's distance pass,
 :func:`two_nearest_sq_dists` for an accepted swap's k-scan), through one
-core: :func:`_lift` builds the references' columns, :func:`_estimate` (the
+core: :func:`lift_points` alone decides where the filter applies, and
+every filtered function returns the kernel's values where it declines;
+:func:`_lift` builds the references' columns, :func:`_estimate` (the
 module's one matmul) the estimates, :func:`ranked_sq_dist`'s docstring
 derives the bound and :func:`_slack` computes it.
 """
@@ -160,12 +164,11 @@ def ranked_sq_dist(points: np.ndarray, refs: np.ndarray, rank: int) -> np.ndarra
     rows of ``refs``: column ``rank - 1`` of the kernel's (n, m) matrix
     after a per-row ``partition``, bit for bit.
 
-    For d <= 2, and whenever the bound below is not finite, that is how it
-    is computed, in row blocks of :func:`sq_dist_blocks`.  Otherwise a
-    dot-product estimate decides which references can hold the answer, and
-    only those pairs get kernel values (:func:`_filtered_ranks`).  At
-    d <= 2 the kernel is about as cheap per pair as the estimate, so the
-    filter would only add its selection and gathers.
+    Where the filter declines (:func:`lift_points`: d <= 2, or a bound
+    below that is not finite), that is how it is computed, in row blocks of
+    :func:`sq_dist_blocks`.  Otherwise a dot-product estimate decides which
+    references can hold the answer, and only those pairs get kernel values
+    (:func:`_filtered_ranks`).
 
     **The bound.**  Let ``mean`` be the reference mean, ``a = fl(x - mean)``
     and ``b = fl(y - mean)`` the centered rows, A = |a|², B = |b|², and
@@ -215,14 +218,10 @@ def ranked_sq_dist(points: np.ndarray, refs: np.ndarray, rank: int) -> np.ndarra
     band gets kernel values: one per row unless estimates lie within 2e of
     each other.
     """
-    n, d = points.shape
-    if d > 2:
-        with np.errstate(over="ignore", invalid="ignore"):
-            mean, cols = _lift(refs)
-            slack = _slack(d, sq_dists(points, mean) + cols[d].max())
-        if slack is not None:
-            return _filtered_ranks(points, refs, rank, mean, cols, slack)
-    out = np.empty(n)
+    lift = lift_points(refs, rows=points)
+    if lift is not None:
+        return _filtered_ranks(points, refs, rank, lift)
+    out = np.empty(points.shape[0])
     for start, block in sq_dist_blocks(points, refs):
         block.partition(rank - 1, axis=1)
         out[start : start + block.shape[0]] = block[:, rank - 1]
@@ -288,17 +287,10 @@ def _pair_sq_dists(
     return values
 
 
-def _filtered_ranks(
-    points: np.ndarray,
-    refs: np.ndarray,
-    rank: int,
-    mean: np.ndarray,
-    cols: np.ndarray,
-    slack: np.ndarray,
-) -> np.ndarray:
+def _filtered_ranks(points: np.ndarray, refs: np.ndarray, rank: int, lift: Lift) -> np.ndarray:
     """:func:`ranked_sq_dist` through the dot-product filter, in row blocks
-    of ``chunk_rows(m)`` rows: ``(mean, cols)`` is :func:`_lift` of
-    ``refs`` and ``slack`` the per-row bound e derived there."""
+    of ``chunk_rows(m)`` rows; ``lift`` is :func:`lift_points` of ``refs``
+    with ``points`` as its rows."""
     n = points.shape[0]
     m = refs.shape[0]
     step = chunk_rows(m)
@@ -309,11 +301,11 @@ def _filtered_ranks(
         rows = points[start : start + step]
         b = rows.shape[0]
         est = estimate[:b]
-        _estimate(rows, mean, cols, est)
+        _estimate(rows, lift.mean, lift.cols, est)
         sel = selected[:b]
         np.copyto(sel, est)
         sel.partition(rank - 1, axis=1)
-        reach = 2 * slack[start : start + b, None]
+        reach = 2 * lift.slack[start : start + b, None]
         low = sel[:, rank - 1 : rank] - reach
         high = sel[:, rank - 1 : rank] + reach
         band = (est >= low) & (est <= high)
@@ -333,14 +325,15 @@ def _filtered_ranks(
 
 @dataclass(eq=False)
 class Lift:
-    """The points as the search's filter sees them: :func:`ranked_sq_dist`'s
-    set-up with the points as their own references.
+    """Rows as the dot-product filter sees them, against a reference set:
+    :func:`ranked_sq_dist`'s set-up, built by :func:`lift_points`.
 
-    ``mean`` and ``cols`` are :func:`_lift` of the points, and ``slack[i]``
-    is the bound e of point i as the lead row.  Every candidate and every
-    center is one of the points, so its column is ``cols[:, ids]``, its B is
-    at most ``max(cols[d])``, and e_i holds for row i against any of them:
-    it is computed once here, not once per step.
+    ``mean`` and ``cols`` are :func:`_lift` of the references, and
+    ``slack[i]`` is the bound e of row i as the lead row.  In the search the
+    points are their own references: every candidate and every center is
+    one of them, so its column is ``cols[:, ids]``, its B is at most
+    ``max(cols[d])``, and e_i holds for row i against any of them; it is
+    computed once per search, not once per step.
     """
 
     mean: np.ndarray
@@ -348,20 +341,28 @@ class Lift:
     slack: np.ndarray
 
 
-def lift_points(points: np.ndarray) -> Lift | None:
-    """The search filter's state for ``points``; None where the filter
-    declines, as :func:`ranked_sq_dist` does: d <= 2, or a bound that is
-    not finite."""
-    d = points.shape[1]
+def lift_points(refs: np.ndarray, rows: np.ndarray | None = None) -> Lift | None:
+    """The filter's state for ``rows`` (``refs`` themselves when None)
+    against ``refs``; None where the filter declines: d <= 2, where the
+    kernel costs about as much per pair as the estimate, or a bound that is
+    not finite.  The one place that decides where the filter applies; the
+    filtered functions below take None and then return the kernel's values.
+
+    A row's A is the centered norm the lift computes for it as a reference,
+    or, for separate rows, the kernel's squared distance to the mean."""
+    d = refs.shape[1]
     if d <= 2:
         return None
     with np.errstate(over="ignore", invalid="ignore"):
-        mean, cols = _lift(points)
-        slack = _slack(d, cols[d] + cols[d].max())
+        mean, cols = _lift(refs)
+        norms = cols[d] if rows is None else sq_dists(rows, mean)
+        slack = _slack(d, norms + cols[d].max())
     return None if slack is None else Lift(mean, cols, slack)
 
 
-def sq_dists_below(points: np.ndarray, lift: Lift, p: int, bound: np.ndarray) -> np.ndarray:
+def sq_dists_below(
+    points: np.ndarray, lift: Lift | None, p: int, bound: np.ndarray
+) -> np.ndarray:
     """Squared distance from every row of ``points`` to row ``p``, or +inf
     for a row whose distance the filter proves above its ``bound``.
 
@@ -373,8 +374,10 @@ def sq_dists_below(points: np.ndarray, lift: Lift, p: int, bound: np.ndarray) ->
     K > bound: ``np.minimum(out, bound)``, and every comparison of ``out``
     with ``bound`` or with anything at most ``bound``, come out as with
     :func:`sq_dists`, bit for bit.  ``lift`` is :func:`lift_points` of
-    ``points``.
+    ``points``; with None every row gets its kernel value.
     """
+    if lift is None:
+        return sq_dists(points, points[p])
     est = np.empty(points.shape[0])
     _estimate(points[p : p + 1], lift.mean, lift.cols, est[None])
     est += lift.cols[-1, p] - lift.slack[p]
@@ -385,20 +388,23 @@ def sq_dists_below(points: np.ndarray, lift: Lift, p: int, bound: np.ndarray) ->
 
 
 def two_nearest_sq_dists(
-    points: np.ndarray, lift: Lift, rows: np.ndarray, ids: np.ndarray
+    points: np.ndarray, lift: Lift | None, rows: np.ndarray, ids: np.ndarray
 ) -> np.ndarray:
     """(len(rows), len(ids)) squared distances from ``points[rows]`` to
     ``points[ids]``, with +inf for the pairs the filter proves farther than
     the row's second-nearest: what ``solution.nearest_two`` reads off it
     (slots and values, ties included) is what it reads off the kernel's
-    matrix.  Needs at least two ids; ``lift`` is :func:`lift_points` of
-    ``points``.
+    matrix.  ``lift`` is :func:`lift_points` of ``points``; with None, or
+    with at most two ids (the filter keeps both), every pair gets its
+    kernel value.
 
     This is :func:`ranked_sq_dist`'s upper cut at rank 2: a center whose
     estimate exceeds the row's second-smallest estimate T by more than 2e is
     strictly farther than the second-nearest center, so every center at or
     below that distance keeps its kernel value.
     """
+    if lift is None or ids.shape[0] <= 2:
+        return sq_dist_matrix(points[rows], points[ids])
     est = np.empty((rows.shape[0], ids.shape[0]))
     _estimate(points[rows], lift.mean, lift.cols[:, ids], est)
     high = np.partition(est, 1, axis=1)[:, 1:2] + 2 * lift.slack[rows, None]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._dist import dists, sq_dist_matrix
-from .dataset import Dataset, RadiusBounds, check_distance_scale, check_radii
+from .dataset import Dataset, RadiusBounds, check_distance_scale, check_positions, check_radii
 
 
 def _check_gamma(gamma: float) -> None:
@@ -85,9 +85,8 @@ def build_coverage(anchor_set: AnchorSet, positions) -> np.ndarray:
     """Coverage table for the centers at ``positions`` (k, d): a (k, m) bool
     array whose entry [j, z] is True when center j's distance to zone z's
     anchor is at most the zone radius (closed ball).  A valid solution has
-    a True in every column.  The one zone-membership test of the package.
+    a True in every column.  ``positions`` must have the anchors' d
+    columns (:func:`dataset.check_positions`), else a ValueError.
     """
-    pos = np.asarray(positions, dtype=np.float64)
-    if pos.shape[0] == 0:
-        raise ValueError("center set is empty")
+    pos = check_positions(positions, anchor_set.positions.shape[1])
     return np.sqrt(sq_dist_matrix(pos, anchor_set.positions)) <= anchor_set.zone_radius

@@ -32,9 +32,12 @@ def greedy_baseline(
 ) -> Solution:
     """Seeding anchors filled to k with uniform random points, no search.
 
-    Identical to the local-search initialization, and therefore satisfies the
-    same 2*gamma service bound; InfeasibleInstanceError when seeding needs
-    more than k anchors.
+    The local search's initialization (:func:`local_search.init_solution`),
+    so it satisfies the same 2*gamma service bound; InfeasibleInstanceError
+    when seeding needs more than k anchors.  It draws from
+    ``np.random.default_rng(seed)`` itself, while :func:`local_search.run`
+    spawns its generator from ``SeedSequence(seed)``, so the two pick
+    different fill points for the same seed.
     """
     return init_solution(ds, seed_anchors(ds, delta, gamma), k, seed)
 

@@ -96,7 +96,7 @@ def load_points(
         Comma-separated file.
     columns : sequence of int, optional
         Column indices to keep, counted from 0; all columns when omitted.
-        A negative index is a ValueError.
+        A negative index is a ValueError, a non-integer one a TypeError.
     header : bool
         Skip the first row.
 
@@ -106,6 +106,7 @@ def load_points(
     path = Path(path)
     cols = list(columns) if columns is not None else None
     for c in cols or ():
+        _check_integer("column", c, -math.inf)
         if c < 0:
             raise ValueError(f"column {c} is negative; columns count from 0")
     rows: list[list[float]] = []
@@ -273,7 +274,8 @@ def point_ids(ds: Dataset, ids) -> np.ndarray:
         raise ValueError("center set is empty")
     if arr.ndim != 1 or not np.issubdtype(arr.dtype, np.integer):
         raise ValueError(
-            f"center ids must be a 1-D integer array, got {arr.dtype} of shape {arr.shape}"
+            f"center ids must be a 1-D integer array, got {arr.dtype} of shape {arr.shape} "
+            "(a center set is an integer id list or a (k, d) array of positions)"
         )
     bad = arr[(arr < 0) | (arr >= ds.n)]
     if bad.size:
@@ -281,30 +283,31 @@ def point_ids(ds: Dataset, ids) -> np.ndarray:
     return arr.astype(np.int64)
 
 
-def center_positions(ds: Dataset, centers) -> np.ndarray:
-    """The one check of a center set: point ids (a 1-D integer array, see
-    :func:`point_ids`) or positions (a (k, d) array).  Returns a fresh
-    float64 (k, d) array.
-
-    Each fault is a ValueError that names it: an empty set, a bad id, a
-    column count other than the points' d, which the kernel does not check
-    (at d <= 2 it reads only the first d columns of wider centers, and
-    narrower ones fail without naming the cause), and any other shape or
-    dtype, such as float ids.
-    """
-    arr = np.asarray(centers)
+def check_positions(positions, d: int) -> np.ndarray:
+    """The one check of a set of positions: a nonempty (k, d) array, d
+    columns as the points have (the kernel does not check it: at d <= 2 it
+    reads only the first d columns of wider positions, and narrower ones
+    fail without naming the cause).  Returns a fresh float64 array; anything
+    else is a ValueError that names the fault."""
+    arr = np.asarray(positions)
     if arr.size == 0:
         raise ValueError("center set is empty")
-    if arr.ndim == 1 and np.issubdtype(arr.dtype, np.integer):
-        return ds.points[point_ids(ds, arr)]
     if arr.ndim != 2:
-        raise ValueError(
-            f"centers must be an integer id list or a (k, d) array, got {arr.dtype} "
-            f"of shape {arr.shape}"
-        )
-    if arr.shape[1] != ds.d:
-        raise ValueError(f"centers have {arr.shape[1]} columns but the points have {ds.d}")
+        raise ValueError(f"positions must be a (k, d) array, got {arr.dtype} of shape {arr.shape}")
+    if arr.shape[1] != d:
+        raise ValueError(f"centers have {arr.shape[1]} columns but the points have {d}")
     return np.array(arr, dtype=np.float64)
+
+
+def center_positions(ds: Dataset, centers) -> np.ndarray:
+    """The one check of a center set: a 1-D array is point ids
+    (:func:`point_ids`), anything else positions (:func:`check_positions`).
+    Returns a fresh float64 (k, d) array; each fault, such as float ids, is
+    a ValueError that names it."""
+    arr = np.asarray(centers)
+    if arr.ndim == 1:
+        return ds.points[point_ids(ds, arr)]
+    return check_positions(arr, ds.d)
 
 
 def aspect_ratio(ds: Dataset) -> float:

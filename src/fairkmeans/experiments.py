@@ -67,18 +67,19 @@ class ExperimentConfig:
     eval_on_full: bool = False
 
     def validate(self) -> None:
-        """Every field is checked here, before the CSV is opened: the
-        search and refinement settings by the configs the trials use,
-        whatever the algorithm."""
+        """Every field is checked here, before the CSV is opened, whatever
+        the algorithm, and each error names the field: k, gamma and
+        iterations by the search config the trials use, whose fields have
+        the same names."""
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
         _check_integer("trials", self.trials, 1)
+        _check_integer("flloyd_iters", self.flloyd_iters, 0)
         if self.sample is not None:
             _check_integer("sample", self.sample, 1)
         if self.delta_mode is not None:
             parse_delta_mode(self.delta_mode)
-        for stage in self._stages(self.seed):
-            stage.validate()
+        self._stages(self.seed)[0].validate()
 
     def _stages(self, seed: int) -> tuple[LsConfig, FlConfig]:
         """The search and refinement configs of the trial seeded ``seed``."""

@@ -19,18 +19,18 @@ per-q corrections come from one bincount over the nearest-center labels, so a
 full evaluation costs O(nd) for the distance pass plus O(n + k) bookkeeping.
 
 Only points with ``dp(x) < d2(x)^2`` can change either sum or the caches, so
-for d > 2 the distance pass is one dot-product estimate per point plus
-kernel values for the points the estimate cannot rule out
-(:func:`fairkmeans._dist.sq_dists_below`); the others take +inf, which gives
-the same sums and caches bit for bit.  An accepted swap re-scans the points
-whose nearest or second-nearest center left the same way
-(:func:`fairkmeans._dist.two_nearest_sq_dists`).  The lifted points and the
-cumsum behind the D^2 draw live on the solution while the search runs
-(``Solution._search``); both are built on first use, and every accepted
-swap refreshes the cumsum in place, so it is never stale.  Every draw and
-every distance pass goes through that state, so which path runs depends on
-the input alone (the lift is None at d <= 2 or where its bound is not
-finite), never on the calls made before.
+the distance pass may give +inf to the points a dot-product estimate rules
+out (:func:`fairkmeans._dist.sq_dists_below`), which gives the same sums and
+caches bit for bit.  An accepted swap re-scans the points whose nearest or
+second-nearest center left the same way
+(:func:`fairkmeans._dist.two_nearest_sq_dists`).  Whether the filter
+applies is decided in ``_dist`` alone, from the points
+(:func:`fairkmeans._dist.lift_points`); the search passes the lift through.
+The lift and the cumsum behind the D^2 draw live on the solution while the
+search runs (``Solution._search``); both are built on first use, and every
+accepted swap refreshes the cumsum in place, so it is never stale.  Every
+draw and every distance pass goes through that state, so which path runs
+depends on the input alone, never on the calls made before.
 """
 
 from __future__ import annotations
@@ -40,12 +40,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._dist import lift_points, sq_dist_matrix, sq_dists, sq_dists_below, two_nearest_sq_dists
+from ._dist import lift_points, sq_dists_below, two_nearest_sq_dists
 from .anchors import AnchorSet, _check_gamma, build_coverage, seed
 from .dataset import Dataset, RadiusBounds, _check_integer
 from .errors import InfeasibleInstanceError
-from .metrics import bound_ratio
-from .solution import RADIUS_SLACK, Solution, _SearchState, check_solution, nearest_two
+from .solution import Solution, _SearchState, check_guarantee, check_solution, nearest_two
 
 
 @dataclass
@@ -107,8 +106,7 @@ def init_solution(ds: Dataset, anchor_set: AnchorSet, k: int, seed) -> Solution:
             "overflows float64; rescale the points, e.g. divide them by their "
             "largest magnitude"
         )
-    if not sol.covers.any(axis=0).all():
-        raise AssertionError("anchor zones uncovered right after initialization")
+    check_guarantee(sol)
     return sol
 
 
@@ -151,11 +149,7 @@ def _candidate_row(sol: Solution, p: int) -> tuple[np.ndarray, np.ndarray]:
     filter proves it above ``d2sq`` (see the module docstring), and the
     zones p lies in."""
     X = sol.ds.points
-    lift = _search_state(sol).lift
-    if lift is None:
-        dpsq = sq_dists(X, X[p])
-    else:
-        dpsq = sq_dists_below(X, lift, p, sol.d2sq)
+    dpsq = sq_dists_below(X, _search_state(sol).lift, p, sol.d2sq)
     return dpsq, build_coverage(sol.anchor_set, X[p][None])[0]
 
 
@@ -202,8 +196,8 @@ def _apply_swap(
     """Put point p in slot j and restore every cache.
 
     Points whose nearest or second-nearest center was the removed one get a
-    k-scan, filtered when the search holds a lift and k > 2 (at k = 2 the
-    filter keeps both centers); everyone else only needs a comparison
+    k-scan (:func:`fairkmeans._dist.two_nearest_sq_dists`, which decides
+    whether its filter applies); everyone else only needs a comparison
     against the new center's distances: p becomes the nearest center of the
     ``closer`` rows and the second-nearest of the ``mid`` rows.  The D^2
     cumsum is refreshed in place; the lift depends on the points alone and
@@ -213,16 +207,11 @@ def _apply_swap(
     sol.center_ids[j] = p
     sol.center_pos[j] = X[p]
     state = _search_state(sol)
-    lift = state.lift
 
     affected = (sol.assign == j) | (sol.assign2 == j)
     rows = np.flatnonzero(affected)
     if rows.size:
-        if lift is None or sol.k <= 2:
-            M = sq_dist_matrix(X[rows], sol.center_pos)
-        else:
-            M = two_nearest_sq_dists(X, lift, rows, sol.center_ids)
-        a1, a2, d1, d2 = nearest_two(M)
+        a1, a2, d1, d2 = nearest_two(two_nearest_sq_dists(X, state.lift, rows, sol.center_ids))
         sol.assign[rows] = a1
         sol.assign2[rows] = a2
         sol.d1sq[rows] = d1
@@ -289,7 +278,8 @@ def run(ds: Dataset, delta: RadiusBounds, cfg: LsConfig) -> tuple[Solution, RunT
     so the result is deterministic per seed.  Raises InfeasibleInstanceError
     (with the anchor count) when seeding needs more than k anchors.  Every
     returned solution serves each point within ``2 * gamma * delta(p)``;
-    this is re-checked at return and cannot be disabled.
+    this is re-checked at return (:func:`solution.check_guarantee`) and
+    cannot be disabled.
     """
     cfg.validate()
     anchor_set = seed(ds, delta, cfg.gamma)
@@ -306,9 +296,5 @@ def run(ds: Dataset, delta: RadiusBounds, cfg: LsConfig) -> tuple[Solution, RunT
             check_solution(sol, delta)
 
     sol._search = None
-    ratio, worst = bound_ratio(ds, delta, sol.center_pos)
-    if ratio > 2 * cfg.gamma * RADIUS_SLACK:
-        raise AssertionError(
-            f"radius guarantee violated: point {worst} at {ratio:.3f}x its bound"
-        )
+    check_guarantee(sol, delta)
     return sol, RunTrace(initial_cost=initial, costs=costs, accepted=accepted)

@@ -26,8 +26,8 @@ import numpy as np
 
 from ._dist import dists, fsum, sq_dist_blocks, sq_dist_matrix, sq_dists
 from .anchors import AnchorSet
-from .dataset import Dataset, _check_integer, center_positions
-from .solution import Solution
+from .dataset import Dataset, _check_integer, center_positions, check_positions
+from .solution import Solution, check_guarantee
 
 # Halvings in a clamped move: its error is at most |mean - center| * 2**-40.
 BISECTION_STEPS = 40
@@ -73,11 +73,18 @@ def fair_move_center(
     precondition.  When the mean itself is feasible it is returned exactly;
     otherwise t* is located by ``BISECTION_STEPS`` halvings, an error of at
     most ``|mean - center| * 2**-BISECTION_STEPS``.
+
+    ``center`` and ``mean`` are positions of d coordinates and
+    ``anchor_positions`` a (m, d) array (:func:`dataset.check_positions`),
+    with one radius per anchor; anything else is a ValueError.
     """
-    center = np.asarray(center, dtype=np.float64)
-    mean = np.asarray(mean, dtype=np.float64)
-    if anchor_positions.shape[0] == 0:
-        return mean.copy()
+    center = check_positions([center], np.size(center))[0]
+    mean = check_positions([mean], center.size)[0]
+    if np.shape(radii) != np.shape(anchor_positions)[:1]:
+        raise ValueError(f"need one radius per anchor position, got {np.shape(radii)} radii")
+    if np.size(radii) == 0:
+        return mean
+    anchor_positions = check_positions(anchor_positions, center.size)
 
     def feasible(t: float) -> bool:
         pos = (1.0 - t) * center + t * mean
@@ -210,7 +217,6 @@ def flloyd_run(ds: Dataset, sol: Solution, *, cfg: FlConfig | None = None):
         return sol, trace
 
     refined = Solution.from_sq_dists(ds, sol.anchor_set, None, positions, M)
-    if not refined.covers.any(axis=0).all():
-        raise AssertionError("refinement left an anchor zone without a center")
+    check_guarantee(refined)
     refined.total_cost = float(trace[-1])
     return refined, trace

@@ -3,8 +3,11 @@
 :class:`Solution` holds the centers plus each point's nearest and
 second-nearest center and the anchor-zone coverage table;
 :func:`nearest_two` reads the per-point caches off an (n, k)
-squared-distance matrix, and :func:`check_solution` is the debug oracle that
-compares a solution's caches against a fresh rebuild.  The search keeps
+squared-distance matrix, :func:`check_solution` is the debug oracle that
+compares a solution's caches against a fresh rebuild, and
+:func:`check_guarantee` is the one check that a solution keeps the promise:
+a center in every anchor zone, and each point served within
+``2 * gamma * delta(p)``.  The search keeps
 its own state on a solution while it runs (:class:`_SearchState`): the
 points' filter lift and the D² cumsum, both current after every step.
 """
@@ -144,9 +147,10 @@ def nearest_two(M: np.ndarray):
 def check_solution(sol: Solution, delta: RadiusBounds | None = None) -> None:
     """Debug oracle: caches must match a from-scratch rebuild.
 
-    Verifies distances, coverage, cost coherence at 1e-9 relative, the
-    search's D² cumsum (whenever the search state exists) bit for bit, and
-    (when radii are supplied) the 2*gamma service bound.
+    Verifies distances, the coverage table, cost coherence at 1e-9
+    relative, the search's D² cumsum (whenever the search state exists) bit
+    for bit, and then the promise (:func:`check_guarantee`, with the
+    2*gamma service bound when radii are supplied).
     """
     fresh = Solution.build(
         sol.ds, sol.anchor_set, center_ids=None, center_pos=sol.center_pos
@@ -157,13 +161,26 @@ def check_solution(sol: Solution, delta: RadiusBounds | None = None) -> None:
         raise AssertionError("d2 cache out of sync with the center set")
     if not np.array_equal(fresh.covers, sol.covers):
         raise AssertionError("coverage table out of sync with the center set")
-    if not sol.covers.any(axis=0).all():
-        raise AssertionError("an anchor zone lost all its centers")
     if sol._search is not None and not np.array_equal(sol._search.cum, np.cumsum(sol.d1sq)):
         raise AssertionError("D² cumsum cache out of sync with d1sq")
     exact = fsum(sol.d1sq)
     if abs(sol.total_cost - exact) > 1e-9 * max(1.0, abs(exact)):
         raise AssertionError("total cost drifted from the recomputed value")
+    check_guarantee(sol, delta)
+
+
+def check_guarantee(sol: Solution, delta: RadiusBounds | None = None) -> None:
+    """The one check of the promise: AssertionError naming an anchor zone
+    that holds no center, so that some point may be served beyond
+    ``2 * gamma * delta(p)``, and, given the radii, naming the worst point
+    served beyond that bound (with ``RADIUS_SLACK`` float headroom).  Reads
+    the solution's coverage table, so its caches must be current."""
+    empty = np.flatnonzero(~sol.covers.any(axis=0))
+    if empty.size:
+        zone = int(empty[0])
+        raise AssertionError(
+            f"anchor zone {zone} (of anchor {sol.anchor_set.anchors[zone]}) holds no center"
+        )
     if delta is not None:
         ratio, worst = bound_ratio(sol.ds, delta, sol.center_pos)
         if ratio > 2 * sol.anchor_set.gamma * RADIUS_SLACK:

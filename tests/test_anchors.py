@@ -145,3 +145,26 @@ class TestBuildCoverage:
         aset = make_anchor_set(ds, [0], [3.0])
         covers = build_coverage(aset, ds.points[[1]])
         assert covers.tolist() == [[False]]
+
+    @pytest.mark.parametrize(
+        "positions, message",
+        [
+            ([[0.0]], "centers have 1 columns but the points have 2"),
+            ([[0.0, 1.0, 2.0]], "centers have 3 columns but the points have 2"),
+            (np.empty((0, 2)), "center set is empty"),
+            ([0.0, 1.0], r"positions must be a \(k, d\) array"),
+        ],
+        ids=["narrower", "wider", "empty", "1-D"],
+    )
+    def test_positions_checked(self, positions, message):
+        # narrower positions used to be compared on the anchors' first
+        # column alone and return a table
+        ds = Dataset(np.arange(20.0).reshape(10, 2))
+        aset = make_anchor_set(ds, [0, 5], [3.0, 3.0])
+        with pytest.raises(ValueError, match=message):
+            build_coverage(aset, positions)
+
+
+def test_anchor_set_needs_one_radius_per_anchor():
+    with pytest.raises(ValueError, match="one zone radius per anchor"):
+        AnchorSet(np.array([0, 1]), np.zeros((2, 1)), np.ones(3), 3.0)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fairkmeans import (
     Dataset,
+    RadiusBounds,
     aspect_ratio,
     compute_radii,
     load_points,
@@ -69,6 +70,25 @@ class TestLoadPoints:
         path = write_csv(tmp_path, "1,2,3\n4,5,6\n")
         with pytest.raises(ValueError, match="column -1 is negative"):
             load_points(path, columns=[0, -1])
+
+    @pytest.mark.parametrize(
+        "text, columns, error, message",
+        [
+            ("0,inf\n1,2\n", None, ValueError, "row 1, column 1: value 'inf' is not finite"),
+            ("1,2\n3,4\n", [5], ValueError, "row 1 has no column 5"),
+            ("1,2\n3,4\n", [0.5], TypeError, "column must be an integer, got 0.5"),
+        ],
+        ids=["inf", "missing-column", "float-column"],
+    )
+    def test_bad_values_named(self, tmp_path, text, columns, error, message):
+        # a float column used to raise "list indices must be integers or
+        # slices, not float"
+        with pytest.raises(error, match=message):
+            load_points(write_csv(tmp_path, text), columns=columns)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = write_csv(tmp_path, "1,2\n\n3,4\n  \n5,6\n")
+        assert np.array_equal(load_points(path).points, [[1, 2], [3, 4], [5, 6]])
 
     def test_ragged_rows_rejected(self, tmp_path):
         path = write_csv(tmp_path, "1,2\n3\n")
@@ -284,3 +304,25 @@ class TestAspectRatio:
     def test_equals_one_iff_equidistant(self):
         tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]])
         assert aspect_ratio(Dataset(tri)) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Dataset(np.zeros((2, 2, 2))), "points must be a 2-dimensional array"),
+        (lambda: RadiusBounds(np.array([1.0, -1.0])), "finite and nonnegative"),
+        (lambda: RadiusBounds(np.array([1.0, np.nan])), "finite and nonnegative"),
+        (lambda: RadiusBounds(np.ones((2, 1))), "delta must be a 1-dimensional array"),
+        (lambda: normalize(Dataset(np.ones((1, 2)))), "normalization needs at least 2 points"),
+        (lambda: aspect_ratio(Dataset(np.ones((1, 2)))), "aspect ratio needs at least 2 points"),
+        (
+            lambda: compute_radii(Dataset(np.arange(6.0)), 2, mode="nope"),
+            "unknown radius mode 'nope'",
+        ),
+    ],
+    ids=["3-D-points", "negative-radius", "nan-radius", "2-D-radii", "normalize-one",
+         "aspect-one", "radius-mode"],
+)
+def test_bad_input_named(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()

@@ -135,8 +135,13 @@ class TestRunExperiment:
             ("trials", 2.5, TypeError, "trials must be an integer, got 2.5"),
             ("sample", 20.0, TypeError, "sample must be an integer, got 20.0"),
             ("k", 4.0, TypeError, "k must be an integer, got 4.0"),
+            ("flloyd_iters", 2.5, TypeError, "flloyd_iters must be an integer, got 2.5"),
+            ("flloyd_iters", -1, ValueError, "flloyd_iters=-1 must be at least 0"),
         ],
-        ids=["gamma-inf", "gamma-1", "trials-float", "sample-float", "k-float"],
+        ids=[
+            "gamma-inf", "gamma-1", "trials-float", "sample-float", "k-float",
+            "flloyd-iters-float", "flloyd-iters-negative",
+        ],
     )
     def test_config_checked_before_reading(self, tmp_path, algorithm, field, value, error, message):
         # each used to pass validation and fail only at the missing file
@@ -166,6 +171,17 @@ class TestRunExperiment:
             assert trial.kmeans_cost == cost(ds, centers, p=2)
             assert trial.kmedian_cost == cost(ds, centers, p=1)
             assert (trial.bound_ratio, trial.bound_witness) == bound_ratio(ds, delta, centers)
+
+    def test_infinite_ratio_written_as_string(self):
+        # JSON has no infinity; the README promises the string "inf"
+        trial = experiments.TrialRecord(
+            trial=0, seed=0, feasible=True, wall_time_seconds=0.0, bound_ratio=math.inf
+        )
+        aggregates = {"bound_ratio": {"mean": math.inf, "std": math.nan}}
+        report = experiments.ExperimentReport({}, 2, 1, 2, [trial], aggregates, 1)
+        data = json.loads(report.to_json())
+        assert data["trials"][0]["bound_ratio"] == "inf"
+        assert data["aggregates"]["bound_ratio"] == {"mean": "inf", "std": "nan"}
 
     def test_parse_delta_mode(self):
         assert parse_delta_mode("exact") == ("exact", 0)
@@ -231,6 +247,16 @@ class TestCli:
         rc = main(["--input", str(path), "--columns", "-1", "--k", "2"])
         assert rc == 1
         assert "column -1 is negative" in capsys.readouterr().err
+
+    def test_bad_columns_value_is_fatal(self, capsys):
+        assert main(["--input", "x.csv", "--columns", "a,b"]) == 1
+        assert "bad --columns value 'a,b'" in capsys.readouterr().err
+
+    def test_negative_flloyd_iters_names_the_flag(self, tmp_path, capsys):
+        # it used to be reported as a complaint about "iterations"
+        rc = main(["--input", str(tmp_path / "missing.csv"), "--flloyd-iters", "-1"])
+        assert rc == 1
+        assert "flloyd_iters=-1 must be at least 0" in capsys.readouterr().err
 
     def test_missing_file_is_fatal(self, tmp_path):
         rc = main(["--input", str(tmp_path / "nope.csv"), "--k", "2"])

@@ -428,6 +428,52 @@ class TestSearchState:
         self.assert_filter_changes_nothing(monkeypatch, ds, delta, k, 150)
 
 
+class TestCheckGuarantee:
+    """Each caller of ``check_guarantee`` raises when its solution breaks
+    the promise.  The solver cannot produce such a solution, so the faults
+    are planted: a zone that sits away from its anchor point, or no zones
+    at all with radii the centers do not meet."""
+
+    @staticmethod
+    def line4():
+        return Dataset(np.array([[0.0], [1.0], [10.0], [11.0]]))
+
+    @staticmethod
+    def zone_off_its_anchor():
+        return AnchorSet(np.array([0]), np.array([[100.0]]), np.array([1.0]), 3.0)
+
+    @staticmethod
+    def no_zones():
+        return AnchorSet(np.empty(0, dtype=np.int64), np.empty((0, 1)), np.empty(0), 3.0)
+
+    def test_init_solution(self):
+        with pytest.raises(AssertionError, match="anchor zone 0 .* holds no center"):
+            init_solution(self.line4(), self.zone_off_its_anchor(), 2, 0)
+
+    def test_run(self, monkeypatch):
+        monkeypatch.setattr(local_search, "seed", lambda ds, delta, gamma: self.no_zones())
+        with pytest.raises(AssertionError, match="served at"):
+            run(self.line4(), RadiusBounds(np.full(4, 0.01)), LsConfig(k=1, iterations=5))
+
+    def test_flloyd_run(self):
+        ds = self.line4()
+        sol = Solution.build(ds, self.zone_off_its_anchor(), center_ids=[0, 2])
+        with pytest.raises(AssertionError, match="anchor zone 0 .* holds no center"):
+            flloyd_run(ds, sol, cfg=FlConfig(iterations=2))
+
+    def test_check_solution_zone(self):
+        sol = Solution.build(self.line4(), self.zone_off_its_anchor(), center_ids=[0, 2])
+        with pytest.raises(AssertionError, match="anchor zone 0 .* holds no center"):
+            check_solution(sol)
+
+    def test_check_solution_radii(self):
+        ds = self.line4()
+        sol = Solution.build(ds, self.no_zones(), center_ids=[0])
+        check_solution(sol, RadiusBounds(np.full(4, 11 / 6)))
+        with pytest.raises(AssertionError, match="point 3 served at 11.000x"):
+            check_solution(sol, RadiusBounds(np.ones(4)))
+
+
 class TestRun:
     def test_zero_iterations_returns_init(self):
         ds, delta, k = gaussian_instance(17, n=50, k=3)

@@ -1,9 +1,11 @@
-"""Every input check of the package sits in ``dataset.py``.
+"""Every input check of the package sits in ``dataset.py``, and the check
+of the promise in ``solution.check_guarantee``.
 
-Three decisions are made once there and called from every public entry:
-what a center set is (``center_positions``, with ``point_ids`` for an
-id list), what a count is
-(``_check_integer``) and whether radii match the points (``check_radii``).
+Four decisions are made once in ``dataset.py`` and called from every
+public entry: what a set of positions is (``check_positions``), what a
+center set is (``center_positions``, with ``point_ids`` for an id list),
+what a count is (``_check_integer``) and whether radii match the points
+(``check_radii``).
 A second copy elsewhere would drift from the first, as copies did before:
 one accepted float ids, another read only the first d columns of wider
 centers.  The forms below are how such a copy is written: an integer test
@@ -23,7 +25,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "fairkmeans"
 MODULES = sorted(m for m in SRC.glob("*.py") if m.name != "dataset.py")
-CHECKS = {"point_ids", "center_positions", "_check_integer", "check_radii"}
+CHECKS = {"check_positions", "point_ids", "center_positions", "_check_integer", "check_radii"}
 INTEGER_TESTS = {"index", "issubdtype"}
 
 
@@ -75,3 +77,24 @@ def test_each_check_defined_once_in_dataset():
     tree = ast.parse((SRC / "dataset.py").read_text())
     defs = [n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name in CHECKS]
     assert sorted(defs) == sorted(CHECKS)
+
+
+def test_radius_slack_read_only_in_check_guarantee():
+    # the 2*gamma bound is checked in one function, so its float headroom
+    # is read nowhere else
+    reads = []
+    for module in sorted(SRC.glob("*.py")):
+        tree = ast.parse(module.read_text(), filename=str(module))
+        owner = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    owner.setdefault(node, fn.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id == "RADIUS_SLACK":
+                if isinstance(node.ctx, ast.Load):
+                    reads.append((module.name, owner.get(node)))
+            elif isinstance(node, ast.ImportFrom):
+                if any(a.name == "RADIUS_SLACK" for a in node.names):
+                    reads.append((module.name, "import"))
+    assert reads == [("solution.py", "check_guarantee")]

@@ -55,3 +55,17 @@ def test_one_matmul_and_one_einsum(name):
     found = products(ast.parse((SRC / "_dist.py").read_text()))
     calls = [f for f in found if f.startswith(f".{name} ")]
     assert len(calls) == 1, f"np.{name} in _dist.py: {calls}"
+
+
+def test_search_takes_only_the_filter_from_dist():
+    # lift_points decides where the filter applies, and the filtered
+    # functions fall back to the kernel themselves, so the search never
+    # chooses between a filtered and a plain pass
+    tree = ast.parse((SRC / "local_search.py").read_text())
+    names = {
+        a.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "_dist"
+        for a in node.names
+    }
+    assert names == {"lift_points", "sq_dists_below", "two_nearest_sq_dists"}

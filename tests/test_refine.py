@@ -3,15 +3,19 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairkmeans import (
     Dataset,
     FlConfig,
+    InfeasibleInstanceError,
     LsConfig,
     RadiusBounds,
     Solution,
     assign,
     bound_ratio,
+    compute_radii,
     fair_move_center,
     flloyd_run,
     lloyd,
@@ -119,6 +123,24 @@ class TestFairMoveCenter:
             out = fair_move_center(center, mean, anchors, radii)
             d = np.sqrt(((anchors - out) ** 2).sum(1))
             assert np.all(d <= radii)
+
+
+    @pytest.mark.parametrize(
+        "center, mean, anchors, radii, message",
+        [
+            ([0.0], [1.0], [0.0], [1.0], r"positions must be a \(k, d\) array"),
+            ([[0.0, 0.0]], [[1.0, 1.0]], [[0.0, 0.0]], [1.0], r"\(k, d\) array"),
+            ([0.0, 0.0], [1.0], [[0.0, 0.0]], [1.0], "centers have 1 columns but the points have 2"),
+            ([0.0, 0.0], [1.0, 1.0], [[0.0, 0.0, 0.0]], [1.0], "centers have 3 columns"),
+            ([0.0, 0.0], [1.0, 1.0], [[0.0, 0.0]], [1.0, 2.0], "one radius per anchor"),
+        ],
+        ids=["1-D-anchors", "2-D-center", "narrower-mean", "wider-anchors", "radii-count"],
+    )
+    def test_bad_inputs_named(self, center, mean, anchors, radii, message):
+        # 1-D anchors used to fail inside the kernel without naming the cause
+        args = [np.array(a, dtype=float) for a in (center, mean, anchors, radii)]
+        with pytest.raises(ValueError, match=message):
+            fair_move_center(*args)
 
 
 def refined_fixture(s, iters=20):
@@ -278,3 +300,47 @@ class TestLloydRounds:
         positions, _, _ = lloyd_rounds(X, centers, anchor_set, 5, 0.0)
         assert np.array_equal(centers, before)
         assert not np.array_equal(positions, before)
+
+
+def scaled_pipeline(points, k, mode, seed):
+    """Radii, search and refinement of one instance; None when seeding
+    needs more than k anchors."""
+    ds = Dataset(points)
+    delta = compute_radii(ds, k, mode=mode, sample_size=25, seed=seed)
+    try:
+        sol, trace = run(ds, delta, LsConfig(k=k, iterations=40, seed=seed))
+    except InfeasibleInstanceError:
+        return None
+    refined, fl = flloyd_run(ds, sol, cfg=FlConfig(iterations=5))
+    traces = np.concatenate([[trace.initial_cost], trace.costs, fl])
+    return delta.delta, sol.center_ids, trace.accepted, refined.center_pos, traces
+
+
+@given(
+    seed=st.integers(0, 2**16),
+    e=st.integers(-30, 40),
+    d=st.sampled_from([1, 2, 3, 6]),
+    k=st.integers(1, 7),
+    mode=st.sampled_from(["exact", "sampled"]),
+)
+@settings(max_examples=30, deadline=None)
+def test_power_of_two_scaling_is_exact(seed, e, d, k, mode):
+    # scaling by 2**e is exact in float64 away from overflow and underflow,
+    # and every decision compares quantities that scale alike, so the
+    # solution scales bit for bit: ids and flags equal, lengths times 2**e,
+    # costs times 4**e
+    rng = np.random.default_rng(seed)
+    comps = rng.uniform(-8, 8, size=(k, d))
+    points = comps[rng.integers(0, k, size=60)] + rng.normal(size=(60, d))
+    base = scaled_pipeline(points, k, mode, seed)
+    scaled = scaled_pipeline(points * 2.0**e, k, mode, seed)
+    if base is None:
+        assert scaled is None
+        return
+    delta, ids, accepted, centers, traces = base
+    delta_s, ids_s, accepted_s, centers_s, traces_s = scaled
+    assert np.array_equal(ids_s, ids)
+    assert np.array_equal(accepted_s, accepted)
+    assert np.array_equal(delta_s, delta * 2.0**e)
+    assert np.array_equal(centers_s, centers * 2.0**e)
+    assert np.array_equal(traces_s, traces * 4.0**e)
