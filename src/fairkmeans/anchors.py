@@ -34,7 +34,10 @@ def _check_gamma(gamma: float) -> None:
 class AnchorSet:
     """Seeding output: anchor ids in pick order plus their zones.
 
-    ``zone_radius[i]`` equals ``gamma * delta(anchors[i])``.
+    ``zone_radius[i]`` equals ``gamma * delta(anchors[i])``.  A set of m
+    anchors has 1-D ``anchors`` and ``zone_radius`` of length m, finite
+    and nonnegative radii, and (m, d) ``positions``; m = 0 is valid.  Each
+    fault is a ValueError that names it.
     """
 
     anchors: np.ndarray
@@ -43,8 +46,17 @@ class AnchorSet:
     gamma: float
 
     def __post_init__(self):
-        if self.anchors.shape[0] != self.zone_radius.shape[0]:
+        if self.anchors.ndim != 1:
+            raise ValueError(f"anchors must be a 1-D id array, got shape {self.anchors.shape}")
+        if self.positions.ndim != 2 or self.positions.shape[0] != self.anchors.shape[0]:
+            raise ValueError(
+                f"anchor positions must be one row per anchor, got shape "
+                f"{self.positions.shape} for {self.anchors.shape[0]} anchors"
+            )
+        if self.zone_radius.shape != self.anchors.shape:
             raise ValueError("one zone radius per anchor")
+        if not np.all(np.isfinite(self.zone_radius)) or np.any(self.zone_radius < 0):
+            raise ValueError("zone radii must be finite and nonnegative")
         _check_gamma(self.gamma)
 
     def __len__(self) -> int:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import math
 import operator
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -102,6 +103,18 @@ def load_points(
 
     Row order is preserved as point ids.  Parse failures report the
     1-based file row and column of the offending value.
+
+    The reference reader is a per-value loop over ``csv.reader``
+    (:func:`_read_rows`): it decides every doubtful file and is the one
+    source of the named errors.  numpy's C parser (``np.loadtxt``) reads
+    the file first, all columns, and hands it back to the loop unchanged
+    when the file holds a ``"`` byte (quoting is the only way ``csv``
+    splits fields or records differently from a plain split), when some
+    line is longer than ``csv.field_size_limit()`` (the loop rejects such a
+    field, numpy does not), when numpy raises or warns, when it finds no
+    rows, when a selected column is missing, or when a selected value is
+    not finite.  Where it is kept, its result equals the loop's bit for
+    bit, sign of zero included.
     """
     path = Path(path)
     cols = list(columns) if columns is not None else None
@@ -109,43 +122,98 @@ def load_points(
         _check_integer("column", c, -math.inf)
         if c < 0:
             raise ValueError(f"column {c} is negative; columns count from 0")
+    points = _read_fast(path, cols, header)
+    return Dataset(_read_rows(path, cols, header) if points is None else points)
+
+
+def _read_fast(path: Path, cols: list[int] | None, header: bool) -> np.ndarray | None:
+    """:func:`load_points`' values from ``np.loadtxt``, or None where the
+    loop must decide.  The two checks run on the raw bytes: ``"``, CR and
+    LF are one byte each in any ASCII-compatible encoding and every other
+    char is at least one, so the byte length of a line bounds its length
+    in chars."""
+    try:
+        data = path.read_bytes()
+        if b'"' in data or _has_long_line(data, csv.field_size_limit()):
+            return None
+        del data
+        # any exception or warning declines: the loop then raises its own
+        # named error or reads what numpy could not
+        with open(path, newline="") as fh, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            points = np.loadtxt(
+                fh, delimiter=",", comments=None, skiprows=int(header), ndmin=2, dtype=np.float64
+            )
+        if cols is not None:
+            points = points[:, cols]
+    except Exception:
+        return None
+    if points.shape[0] == 0 or not np.all(np.isfinite(points)):
+        return None
+    return points
+
+
+def _has_long_line(data: bytes, limit: int) -> bool:
+    """True when some line of ``data`` holds more than ``limit`` bytes; a
+    CR or LF ends a line, as it ends a csv record.  Each step looks for the
+    last line end in the next ``limit + 1`` bytes, so two steps advance by
+    at least ``limit`` bytes."""
+    start = 0
+    while len(data) - start > limit:
+        stop = start + limit + 1
+        end = max(data.rfind(b"\n", start, stop), data.rfind(b"\r", start, stop))
+        if end < 0:
+            return True
+        start = end + 1
+    return False
+
+
+def _read_rows(path: Path, cols: list[int] | None, header: bool) -> np.ndarray:
+    """:func:`load_points`' reference reader: one ``float`` per selected
+    value, each fault a ValueError naming the file row (the csv record,
+    counted from 1) and, for a value, its column."""
     rows: list[list[float]] = []
     arity: int | None = None
+    lineno = 0
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        for lineno, raw in enumerate(reader, start=1):
-            if header and lineno == 1:
-                continue
-            if not raw or (len(raw) == 1 and raw[0].strip() == ""):
-                continue
-            if arity is None:
-                arity = len(raw)
-            elif len(raw) != arity:
-                raise ValueError(
-                    f"{path}: row {lineno} has {len(raw)} fields, expected {arity}"
-                )
-            use = cols if cols is not None else range(len(raw))
-            parsed = []
-            for c in use:
-                if c >= len(raw):
-                    raise ValueError(f"{path}: row {lineno} has no column {c}")
-                text = raw[c].strip()
-                try:
-                    val = float(text)
-                except ValueError:
+        try:
+            for lineno, raw in enumerate(reader, start=1):
+                if header and lineno == 1:
+                    continue
+                if not raw or (len(raw) == 1 and raw[0].strip() == ""):
+                    continue
+                if arity is None:
+                    arity = len(raw)
+                elif len(raw) != arity:
                     raise ValueError(
-                        f"{path}: row {lineno}, column {c}: "
-                        f"could not parse {text!r} as a number"
-                    ) from None
-                if not math.isfinite(val):
-                    raise ValueError(
-                        f"{path}: row {lineno}, column {c}: value {text!r} is not finite"
+                        f"{path}: row {lineno} has {len(raw)} fields, expected {arity}"
                     )
-                parsed.append(val)
-            rows.append(parsed)
+                use = cols if cols is not None else range(len(raw))
+                parsed = []
+                for c in use:
+                    if c >= len(raw):
+                        raise ValueError(f"{path}: row {lineno} has no column {c}")
+                    text = raw[c].strip()
+                    try:
+                        val = float(text)
+                    except ValueError:
+                        raise ValueError(
+                            f"{path}: row {lineno}, column {c}: "
+                            f"could not parse {text!r} as a number"
+                        ) from None
+                    if not math.isfinite(val):
+                        raise ValueError(
+                            f"{path}: row {lineno}, column {c}: value {text!r} is not finite"
+                        )
+                    parsed.append(val)
+                rows.append(parsed)
+        except csv.Error as exc:
+            # csv's own faults, such as a field over csv.field_size_limit()
+            raise ValueError(f"{path}: row {lineno + 1}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    return Dataset(np.array(rows, dtype=np.float64))
+    return np.array(rows, dtype=np.float64)
 
 
 def normalize(ds: Dataset) -> Dataset:

@@ -215,9 +215,10 @@ def _resolve_delta(cfg: ExperimentConfig, ds: Dataset) -> RadiusBounds:
     return compute_radii(ds, cfg.k, mode=mode, sample_size=m, seed=cfg.seed)
 
 
-def _run_trial(cfg: ExperimentConfig, ds: Dataset, delta: RadiusBounds, trial: int):
+def _run_trial(cfg: ExperimentConfig, ds: Dataset, delta: RadiusBounds | None, trial: int):
     """Returns (center positions, ls trace list, flloyd trace list or None,
-    accepted swap count or None)."""
+    accepted swap count or None).  ``delta`` is None only for vanilla
+    trials, which read no radii."""
     tseed = cfg.seed + trial
     if cfg.algorithm == "vanilla":
         positions, trace = vanilla_kmeans(ds, cfg.k, tseed)
@@ -245,12 +246,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         ds = subsample(ds_full, cfg.sample, cfg.seed)
     else:
         ds = ds_full
-    delta = _resolve_delta(cfg, ds)
-
-    eval_ds, eval_delta = ds, delta
-    if cfg.eval_on_full and ds is not ds_full:
-        eval_ds = ds_full
-        eval_delta = _resolve_delta(cfg, ds_full)
+    on_full = cfg.eval_on_full and ds is not ds_full
+    # a vanilla trial reads no radii, so the solving set needs them only
+    # when it is also the scoring set
+    delta = None
+    if cfg.algorithm != "vanilla" or not on_full:
+        delta = _resolve_delta(cfg, ds)
+    eval_ds, eval_delta = (ds_full, _resolve_delta(cfg, ds_full)) if on_full else (ds, delta)
 
     records: list[TrialRecord] = []
     for i in range(cfg.trials):

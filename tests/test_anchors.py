@@ -168,3 +168,30 @@ class TestBuildCoverage:
 def test_anchor_set_needs_one_radius_per_anchor():
     with pytest.raises(ValueError, match="one zone radius per anchor"):
         AnchorSet(np.array([0, 1]), np.zeros((2, 1)), np.ones(3), 3.0)
+
+
+@pytest.mark.parametrize(
+    "anchors, positions, zone_radius, message",
+    [
+        ([0, 1], np.zeros((3, 2)), [1.0, 1.0], r"got shape \(3, 2\) for 2 anchors"),
+        ([0, 1], np.zeros(2), [1.0, 1.0], r"got shape \(2,\) for 2 anchors"),
+        ([[0, 1]], np.zeros((1, 2)), [1.0], "anchors must be a 1-D id array"),
+        ([0, 1], np.zeros((2, 2)), [[1.0], [1.0]], "one zone radius per anchor"),
+        ([0, 1], np.zeros((2, 2)), [1.0, np.nan], "zone radii must be finite and nonnegative"),
+        ([0, 1], np.zeros((2, 2)), [1.0, np.inf], "zone radii must be finite and nonnegative"),
+        ([0, 1], np.zeros((2, 2)), [-1.0, 1.0], "zone radii must be finite and nonnegative"),
+    ],
+    ids=["too-many-rows", "1-D-positions", "2-D-anchors", "2-D-radii", "nan", "inf", "negative"],
+)
+def test_anchor_set_checks_its_shape(anchors, positions, zone_radius, message):
+    # each used to be accepted; build_coverage then failed with numpy's
+    # broadcast error or "IndexError: tuple index out of range"
+    with pytest.raises(ValueError, match=message):
+        AnchorSet(np.array(anchors), positions, np.array(zone_radius), 3.0)
+
+
+def test_anchor_set_accepts_seed_output_and_no_zones():
+    ds, delta, _ = gaussian_instance(5, n=120, d=3)
+    assert len(seed(ds, delta, gamma=3.0)) > 0  # seed builds its AnchorSet itself
+    empty = AnchorSet(np.empty(0, dtype=np.int64), np.empty((0, 3)), np.empty(0), 3.0)
+    assert len(empty) == 0

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from fairkmeans import (
     normalize,
     subsample,
 )
+from fairkmeans import dataset
 from fairkmeans._dist import sq_dists
 
 
@@ -22,6 +25,58 @@ def rows_of(ds, sub):
     match = (sub.points[:, None, :] == ds.points[None, :, :]).all(axis=2)
     assert np.all(match.sum(axis=1) == 1)
     return match.argmax(axis=1)
+
+
+# (text, columns, header, whether numpy's reader is kept): each value or
+# layout on which numpy's parser and the csv loop could disagree
+LOADER_CASES = {
+    "17-digit": (
+        "0.10000000000000001,-2.7182818284590451\n3.1415926535897931,1e-5\n", None, False, True
+    ),
+    "subnormal": (
+        "4.9406564584124654e-324,2.2250738585072009e-308\n1e-320,-5e-324\n", None, False, True
+    ),
+    "max-float": ("1.7976931348623157e308,-1.7976931348623157e308\n", None, False, True),
+    "signed-zero": ("-0,0\n-0.0,+0\n", None, False, True),
+    "bare-point": ("+.5,1.\n-.25,2.e1\n", None, False, True),
+    "underscore": ("1_0,2\n", None, False, False),
+    "blanks": (" 1 ,\t2\t\n3,  4\n", None, False, True),
+    "nbsp": ("\xa01\xa0,2\n", None, False, True),
+    "vt-ff": ("\x0b1,\x0c2\x0c\n", None, False, True),
+    "arabic-digit": ("\u0661,2\n", None, False, False),
+    "quoted": ('"1",2\n3,4\n', None, False, False),
+    "quote-in-header": ('"x,y\n1,2\n3,4\n', None, True, False),
+    "blank-lines": ("1,2\n\n3,4\n\n", None, False, True),
+    "space-line-1-col": ("1\n  \n2\n", None, False, False),
+    "space-line-2-col": ("1,2\n \t \n3,4\n", None, False, False),
+    "lone-cr": ("1,2\r3,4\r", None, False, True),
+    "lone-cr-header": ("x,y\r\r1,2\r3,4", None, True, True),
+    "lone-cr-space-line": ("1\r \r2\r", None, False, False),
+    "crlf": ("1,2\r\n\r\n3,4\r\n", None, False, True),
+    "header-blank-first": ("\nx,y\n1,2\n", None, True, False),
+    "header-blank-crlf": ("\r\n1,2\r\n3,4\r\n", None, True, True),
+    "header-space-line": ("  \n1\n2\n", None, True, True),
+    "header": ("x,y\n1,2\n", None, True, True),
+    "header-only": ("x,y\n", None, True, False),
+    "inf": ("1,inf\n", None, False, False),
+    "nan": ("nan,1\n", None, False, False),
+    "Infinity": ("2,-Infinity\n", None, False, False),
+    "1e400": ("1e400,1\n", None, False, False),
+    "inf-unselected": ("1,inf\n2,3\n", [0], False, True),
+    "over-limit-field": ("0." + "0" * 140_000 + "1,1\n", None, False, False),
+    "empty-file": ("", None, False, False),
+    "blank-file": ("\n\n\r\n", None, False, False),
+    "nul": ("1,2\x00\n", None, False, False),
+    "text-unselected": ("1,foo,2\n3,bar,4\n", [0, 2], False, False),
+    "reordered": ("1,2,3\n4,5,6\n", [2, 0, 2], False, True),
+    "no-columns": ("1,2\n", [], False, True),
+    "ragged-prefix": ("1,2,3\n4,5\n", [0], False, False),
+    "column-past-end": ("1,2\n3,4\n", [2], False, False),
+}
+LOADER_IDS = list(LOADER_CASES)
+# maps every byte to "1", CR or LF
+LINE_BYTES = bytes(b"1\r\n"[i % 3] for i in range(256))
+LOADER_CORPUS = list(LOADER_CASES.values())
 
 
 def write_csv(tmp_path, text, name="data.csv"):
@@ -77,8 +132,14 @@ class TestLoadPoints:
             ("0,inf\n1,2\n", None, ValueError, "row 1, column 1: value 'inf' is not finite"),
             ("1,2\n3,4\n", [5], ValueError, "row 1 has no column 5"),
             ("1,2\n3,4\n", [0.5], TypeError, "column must be an integer, got 0.5"),
+            (
+                "1,2\n3," + "0" * 140_000 + "\n",
+                None,
+                ValueError,
+                r"row 2: field larger than field limit \(131072\)",
+            ),
         ],
-        ids=["inf", "missing-column", "float-column"],
+        ids=["inf", "missing-column", "float-column", "over-size-field"],
     )
     def test_bad_values_named(self, tmp_path, text, columns, error, message):
         # a float column used to raise "list indices must be integers or
@@ -103,6 +164,53 @@ class TestLoadPoints:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_points(tmp_path / "nope.csv")
+
+    @pytest.mark.parametrize("text, columns, header, fast", LOADER_CORPUS, ids=LOADER_IDS)
+    def test_fast_path_equals_the_loop(self, tmp_path, text, columns, header, fast):
+        # the loop is the reference: where numpy's reader is kept, its values
+        # equal the loop's bit for bit (sign of zero included); where the
+        # loop raises, load_points raises the loop's message
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            expected = Dataset(dataset._read_rows(path, columns, header)).points
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                load_points(path, columns=columns, header=header)
+            assert str(got.value) == str(exc)
+            expected = None
+        else:
+            got = load_points(path, columns=columns, header=header).points
+            assert got.shape == expected.shape
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+        points = dataset._read_fast(path, columns, header)
+        assert (points is not None) == fast
+        if fast and expected is not None:
+            assert np.array_equal(points.view(np.uint64), expected.view(np.uint64))
+
+    @given(st.binary(max_size=40).map(lambda b: b.translate(LINE_BYTES)), st.integers(0, 8))
+    @settings(max_examples=200, deadline=None)
+    def test_long_line_check(self, data, limit):
+        longest = max(len(line) for line in re.split(rb"[\r\n]", data))
+        assert dataset._has_long_line(data, limit) == (longest > limit)
+
+    def test_numpy_warnings_do_not_leak(self, tmp_path):
+        # np.loadtxt warns "input contained no data"; the loop names it
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="no data rows"):
+                load_points(write_csv(tmp_path, "x,y\n"), header=True)
+        assert seen == []
+
+    def test_plain_csv_skips_the_loop(self, tmp_path, monkeypatch):
+        def no_loop(*args, **kwargs):
+            raise AssertionError("csv.reader called")
+
+        monkeypatch.setattr(dataset.csv, "reader", no_loop)
+        path = write_csv(tmp_path, "x,y\n0.5,-0\n1e-3,2\n")
+        points = load_points(path, columns=[1, 0], header=True).points
+        assert np.array_equal(points, [[-0.0, 0.5], [2.0, 1e-3]])
+        assert math.copysign(1.0, points[0, 0]) == -1.0
 
 
 class TestNormalize:

@@ -106,6 +106,41 @@ class TestRunExperiment:
             > sample_only.aggregates["kmeans_cost"]["mean"]
         )
 
+    @pytest.mark.parametrize(
+        "algorithm, sample, eval_on_full, sizes",
+        [
+            ("vanilla", 80, True, [300]),
+            ("vanilla", 80, False, [80]),
+            ("vanilla", None, True, [300]),
+            ("lspp", 80, True, [80, 300]),
+            ("greedy", 80, True, [80, 300]),
+            ("lspp", None, True, [300]),
+        ],
+    )
+    def test_radii_computed_only_where_read(
+        self, blob_csv, monkeypatch, algorithm, sample, eval_on_full, sizes
+    ):
+        # a vanilla trial reads no radii; the scoring set's are computed once
+        seen = []
+        original = experiments.compute_radii
+
+        def recording(ds, *args, **kwargs):
+            seen.append(ds.n)
+            return original(ds, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "compute_radii", recording)
+        cfg = base_config(
+            blob_csv, algorithm=algorithm, sample=sample, eval_on_full=eval_on_full, trials=1
+        )
+        run_experiment(cfg)
+        assert seen == sizes
+
+    def test_vanilla_sample_below_k_named(self, blob_csv):
+        # the trial names the fault the sample's unread radii used to name
+        cfg = base_config(blob_csv, algorithm="vanilla", sample=3, eval_on_full=True)
+        with pytest.raises(ValueError, match=r"k=4 must be in \[1, 3\]"):
+            run_experiment(cfg)
+
     def test_sampled_delta_mode(self, blob_csv):
         rep = run_experiment(base_config(blob_csv, delta_mode="sampled:40", trials=1))
         assert rep.feasible_trials == 1
@@ -257,6 +292,13 @@ class TestCli:
         rc = main(["--input", str(tmp_path / "missing.csv"), "--flloyd-iters", "-1"])
         assert rc == 1
         assert "flloyd_iters=-1 must be at least 0" in capsys.readouterr().err
+
+    def test_over_size_field_is_fatal(self, tmp_path, capsys):
+        # csv's own error used to escape as a traceback
+        path = tmp_path / "wide.csv"
+        path.write_text("1,2\n3," + "0" * 140_000 + "\n")
+        assert main(["--input", str(path), "--k", "1"]) == 1
+        assert "row 2: field larger than field limit (131072)" in capsys.readouterr().err
 
     def test_missing_file_is_fatal(self, tmp_path):
         rc = main(["--input", str(tmp_path / "nope.csv"), "--k", "2"])

@@ -30,6 +30,11 @@ from test_anchors import make_anchor_set
 from test_dist import ADVERSARIAL
 
 
+def with_exact_radii(points, k):
+    ds = Dataset(points)
+    return ds, compute_radii(ds, k), k
+
+
 def ls_fixture(instance_seed, n=100, k=4, init_seed=0):
     ds, delta, _ = gaussian_instance(instance_seed, n=n, k=k)
     aset = seed(ds, delta, gamma=3.0)
@@ -517,9 +522,26 @@ class TestRun:
             run(ds, delta, LsConfig(k=2, iterations=10, seed=0))
         assert err.value.anchors_needed == 3
 
-    def test_debug_checks_run_clean(self):
-        ds, delta, k = gaussian_instance(88, n=80, k=3)
-        run(ds, delta, LsConfig(k=k, iterations=40, seed=1, debug_checks=True))
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: gaussian_instance(88, n=80, k=3),
+            # 6 distinct points, 15 copies each
+            lambda: with_exact_radii(
+                np.repeat(np.random.default_rng(3).normal(size=(6, 2)), 15, axis=0), 4
+            ),
+            lambda: gaussian_instance(89, n=60, k=1),
+            lambda: gaussian_instance(90, n=12, k=12),
+            lambda: gaussian_instance(91, n=80, k=4, d=1),
+        ],
+        ids=["mixture", "duplicates", "k=1", "k=n", "d=1"],
+    )
+    def test_debug_checks_run_clean(self, make):
+        ds, delta, k = make()
+        _, trace = run(ds, delta, LsConfig(k=k, iterations=40, seed=1, debug_checks=True))
+        # the checks run after each accepted step; at k = n the cost is 0
+        # and no step can be accepted
+        assert trace.accepted.any() or k == ds.n
 
     def test_equals_manual_loop(self):
         # run is one pass: init plus ls_step on one generator from the seed

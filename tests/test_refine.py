@@ -25,6 +25,7 @@ from fairkmeans import (
 from fairkmeans._dist import sq_dist_matrix, sq_dists
 from fairkmeans.anchors import AnchorSet
 from fairkmeans.refine import _pinned_zones, cluster_means, lloyd_rounds
+from fairkmeans.solution import RADIUS_SLACK
 from conftest import gaussian_instance
 
 
@@ -344,3 +345,27 @@ def test_power_of_two_scaling_is_exact(seed, e, d, k, mode):
     assert np.array_equal(delta_s, delta * 2.0**e)
     assert np.array_equal(centers_s, centers * 2.0**e)
     assert np.array_equal(traces_s, traces * 4.0**e)
+
+
+@given(
+    seed=st.integers(0, 2**16),
+    d=st.sampled_from([1, 2, 3, 6]),
+    k=st.integers(1, 7),
+    shift=st.floats(-1e4, 1e4),
+)
+@settings(max_examples=25, deadline=None)
+def test_bound_holds_under_translation_and_permutation(seed, d, k, shift):
+    # the 6x promise against exact radii, on the points as drawn and on a
+    # shuffled, shifted copy; the two solutions may differ
+    rng = np.random.default_rng(seed)
+    comps = rng.uniform(-8, 8, size=(k, d))
+    points = comps[rng.integers(0, k, size=60)] + rng.normal(size=(60, d))
+    moved = points[rng.permutation(60)] + shift * rng.uniform(0.5, 1.0, size=d)
+    limit = 2 * 3.0 * RADIUS_SLACK
+    for X in (points, moved):
+        ds = Dataset(X)
+        delta = compute_radii(ds, k)
+        sol, _ = run(ds, delta, LsConfig(k=k, gamma=3.0, iterations=40, seed=seed))
+        assert bound_ratio(ds, delta, sol.center_pos)[0] <= limit
+        refined, _ = flloyd_run(ds, sol, cfg=FlConfig(iterations=5))
+        assert bound_ratio(ds, delta, refined.center_pos)[0] <= limit
