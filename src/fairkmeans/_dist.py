@@ -34,14 +34,25 @@ differently from the kernel (the dot-product form ``|x|² + |y|² - 2x·y`` and
 the like) may only decide which pairs cannot matter, under a proved error
 bound; every value that leaves this module comes from the kernel, so the
 exact-consistency checks built on top of it keep holding.  One dot-product
-filter serves the radii (:func:`ranked_sq_dist`) and the local search
-(:func:`sq_dists_below` for the candidate's distance pass,
-:func:`two_nearest_sq_dists` for an accepted swap's k-scan), through one
-core: :func:`lift_points` alone decides where the filter applies, and
-every filtered function returns the kernel's values where it declines;
+filter serves, through one core:
+
+* the radii (:func:`ranked_sq_dist`);
+* every score (:func:`min_sq_dists`, its rank 1: ``metrics.cost``,
+  ``metrics.bound_ratio`` and the harness's trial scores);
+* the search's distance pass for a candidate (:func:`sq_dists_below`);
+* every full nearest-center pass (:func:`two_nearest_sq_dists`,
+  its rank-2 cut): ``solution.Solution.build``, so ``init_solution``,
+  ``greedy_baseline`` and ``check_solution``, an accepted swap's k-scan,
+  and ``refine.assign``.
+
+:func:`lift_points` alone decides where the filter applies, and every
+filtered function returns the kernel's values where it declines;
 :func:`_lift` builds the references' columns, :func:`_estimate` (the
 module's one matmul) the estimates, :func:`ranked_sq_dist`'s docstring
-derives the bound and :func:`_slack` computes it.
+derives the bound and :func:`_slack` computes it.  The passes that read
+every entry take the full kernel: refinement's incremental (n, k) matrix
+(``refine.lloyd_rounds``), the zone tests against anchors, the
+brute-force oracle and ``aspect_ratio``.
 """
 
 from __future__ import annotations
@@ -152,11 +163,9 @@ def dists(points: np.ndarray, center: np.ndarray) -> np.ndarray:
 
 
 def min_sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Squared distance from every point to its nearest center, O(n) memory."""
-    out = np.empty(points.shape[0])
-    for start, block in sq_dist_blocks(points, centers):
-        block.min(axis=1, out=out[start : start + block.shape[0]])
-    return out
+    """Squared distance from every point to its nearest center, O(n) memory:
+    :func:`ranked_sq_dist` at rank 1."""
+    return ranked_sq_dist(points, centers, 1)
 
 
 def ranked_sq_dist(points: np.ndarray, refs: np.ndarray, rank: int) -> np.ndarray:
@@ -166,9 +175,9 @@ def ranked_sq_dist(points: np.ndarray, refs: np.ndarray, rank: int) -> np.ndarra
 
     Where the filter declines (:func:`lift_points`: d <= 2, or a bound
     below that is not finite), that is how it is computed, in row blocks of
-    :func:`sq_dist_blocks`.  Otherwise a dot-product estimate decides which
-    references can hold the answer, and only those pairs get kernel values
-    (:func:`_filtered_ranks`).
+    :func:`sq_dist_blocks`.
+    Otherwise a dot-product estimate decides which references can hold the
+    answer, and only those pairs get kernel values (:func:`_filtered_ranks`).
 
     **The bound.**  Let ``mean`` be the reference mean, ``a = fl(x - mean)``
     and ``b = fl(y - mean)`` the centered rows, A = |a|², B = |b|², and
@@ -223,9 +232,28 @@ def ranked_sq_dist(points: np.ndarray, refs: np.ndarray, rank: int) -> np.ndarra
         return _filtered_ranks(points, refs, rank, lift)
     out = np.empty(points.shape[0])
     for start, block in sq_dist_blocks(points, refs):
-        block.partition(rank - 1, axis=1)
-        out[start : start + block.shape[0]] = block[:, rank - 1]
+        out[start : start + block.shape[0]] = _nth_smallest(block, rank)
     return out
+
+
+def _nth_smallest(block: np.ndarray, rank: int) -> np.ndarray:
+    """The rank-th smallest entry of each row of ``block``.  Above rank 2 a
+    partition, which reorders the rows; at ranks 1 and 2 a row minimum
+    (with one smallest entry masked at rank 2, and then restored), which
+    gives the same values at a fraction of a partition's cost on rows as
+    short as a center set, and leaves ``block`` as it was."""
+    if rank > 2:
+        block.partition(rank - 1, axis=1)
+        return block[:, rank - 1]
+    if rank == 1:
+        return block.min(axis=1)
+    lead = np.arange(block.shape[0])
+    first = block.argmin(axis=1)
+    smallest = block[lead, first]
+    block[lead, first] = np.inf
+    second = block.min(axis=1)
+    block[lead, first] = smallest
+    return second
 
 
 def _lift(refs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -264,21 +292,26 @@ def _estimate(points: np.ndarray, mean: np.ndarray, cols: np.ndarray, out: np.nd
 
 def _slack(d: int, scale: np.ndarray) -> np.ndarray | None:
     """The per-row bound e of :func:`ranked_sq_dist` for rows with
-    ``scale = A + max B``; None when ``4·max(scale)`` is not finite, where
-    the filter must decline."""
+    ``scale = A + max B``, computed in place of ``scale``, so that no
+    temporary of one value per row is made; None when ``4·max(scale)`` is
+    not finite, where the filter must decline."""
     with np.errstate(over="ignore", invalid="ignore"):
         if not np.isfinite(4 * scale.max()):
             return None
-    return (d + 8) * (2.0**-50 * scale + 2.0**-1070)
+    scale *= 2.0**-50
+    scale += 2.0**-1070
+    scale *= d + 8
+    return scale
 
 
 def _pair_sq_dists(
     points: np.ndarray, refs: np.ndarray, owner: np.ndarray, col: np.ndarray
 ) -> np.ndarray:
     """Kernel values of the pairs ``(points[owner[i]], refs[col[i]])``, in
-    the pair form, over chunks of at most ``CHUNK_ELEMENTS`` differences."""
+    the pair form, over chunks whose two gathered blocks hold at most
+    ``CHUNK_ELEMENTS`` values together."""
     values = np.empty(owner.size)
-    step = chunk_rows(points.shape[1])
+    step = chunk_rows(2 * points.shape[1])
     for lo in range(0, owner.size, step):
         pairs = slice(lo, lo + step)
         diff = np.take(points, owner[pairs], axis=0)
@@ -287,27 +320,38 @@ def _pair_sq_dists(
     return values
 
 
+def _ranked_estimates(points: np.ndarray, lift: Lift, rank: int):
+    """Yield ``(start, rows, est, T)`` for the row blocks
+    ``rows = points[start : start + chunk_rows(m)]``: ``est`` holds their
+    estimates F against the m references of ``lift`` (a view of a buffer
+    the next block overwrites) and ``T`` the rank-th smallest F of each
+    row, as a column."""
+    n = points.shape[0]
+    step = chunk_rows(lift.cols.shape[1])
+    estimate = np.empty((min(step, n), lift.cols.shape[1]))
+    # a partition reorders the rows it reads, so ranks above 2 read a copy
+    selected = np.empty_like(estimate) if rank > 2 else estimate
+    for start in range(0, n, step):
+        rows = points[start : start + step]
+        est = estimate[: rows.shape[0]]
+        _estimate(rows, lift.mean, lift.cols, est)
+        sel = selected[: rows.shape[0]]
+        if rank > 2:
+            np.copyto(sel, est)
+        yield start, rows, est, _nth_smallest(sel, rank)[:, None]
+
+
 def _filtered_ranks(points: np.ndarray, refs: np.ndarray, rank: int, lift: Lift) -> np.ndarray:
     """:func:`ranked_sq_dist` through the dot-product filter, in row blocks
     of ``chunk_rows(m)`` rows; ``lift`` is :func:`lift_points` of ``refs``
     with ``points`` as its rows."""
-    n = points.shape[0]
     m = refs.shape[0]
-    step = chunk_rows(m)
-    estimate = np.empty((min(step, n), m))
-    selected = np.empty_like(estimate)
-    out = np.empty(n)
-    for start in range(0, n, step):
-        rows = points[start : start + step]
+    out = np.empty(points.shape[0])
+    for start, rows, est, T in _ranked_estimates(points, lift, rank):
         b = rows.shape[0]
-        est = estimate[:b]
-        _estimate(rows, lift.mean, lift.cols, est)
-        sel = selected[:b]
-        np.copyto(sel, est)
-        sel.partition(rank - 1, axis=1)
         reach = 2 * lift.slack[start : start + b, None]
-        low = sel[:, rank - 1 : rank] - reach
-        high = sel[:, rank - 1 : rank] + reach
+        low = T - reach
+        high = T + reach
         band = (est >= low) & (est <= high)
         flat = np.flatnonzero(band)
         owner, col = np.divmod(flat, m)
@@ -318,8 +362,7 @@ def _filtered_ranks(points: np.ndarray, refs: np.ndarray, rank: int, lift: Lift)
             many = np.bincount(owner, minlength=b) > 1
             fill = np.where(est[many] < low[many], -np.inf, np.inf)
             fill[band[many]] = values[many[owner]]
-            fill.partition(rank - 1, axis=1)
-            res[many] = fill[:, rank - 1]
+            res[many] = _nth_smallest(fill, rank)
     return out
 
 
@@ -329,9 +372,9 @@ class Lift:
     :func:`ranked_sq_dist`'s set-up, built by :func:`lift_points`.
 
     ``mean`` and ``cols`` are :func:`_lift` of the references, and
-    ``slack[i]`` is the bound e of row i as the lead row.  In the search the
-    points are their own references: every candidate and every center is
-    one of them, so its column is ``cols[:, ids]``, its B is at most
+    ``slack[i]`` is the bound e of row i as the lead row.  In the search's
+    candidate pass the points are their own references: every candidate is
+    one of them, so its column is ``cols[:, p]``, its B is at most
     ``max(cols[d])``, and e_i holds for row i against any of them; it is
     computed once per search, not once per step.
     """
@@ -355,8 +398,9 @@ def lift_points(refs: np.ndarray, rows: np.ndarray | None = None) -> Lift | None
         return None
     with np.errstate(over="ignore", invalid="ignore"):
         mean, cols = _lift(refs)
-        norms = cols[d] if rows is None else sq_dists(rows, mean)
-        slack = _slack(d, norms + cols[d].max())
+        scale = cols[d].copy() if rows is None else sq_dists(rows, mean)
+        scale += cols[d].max()
+        slack = _slack(d, scale)
     return None if slack is None else Lift(mean, cols, slack)
 
 
@@ -387,29 +431,32 @@ def sq_dists_below(
     return est
 
 
-def two_nearest_sq_dists(
-    points: np.ndarray, lift: Lift | None, rows: np.ndarray, ids: np.ndarray
-) -> np.ndarray:
-    """(len(rows), len(ids)) squared distances from ``points[rows]`` to
-    ``points[ids]``, with +inf for the pairs the filter proves farther than
-    the row's second-nearest: what ``solution.nearest_two`` reads off it
-    (slots and values, ties included) is what it reads off the kernel's
-    matrix.  ``lift`` is :func:`lift_points` of ``points``; with None, or
-    with at most two ids (the filter keeps both), every pair gets its
+def two_nearest_sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(n, k) squared distances from ``points`` to ``centers``, with +inf
+    for the pairs the filter proves farther than the row's second-nearest:
+    what ``solution.nearest_two`` reads off it (slots and values, ties
+    included), and the argmin of each row, are what it reads off
+    :func:`sq_dist_matrix`.  Where the filter declines
+    (:func:`lift_points` of ``centers`` with ``points`` as its rows), or
+    with at most two centers (the filter keeps both), every pair gets its
     kernel value.
 
     This is :func:`ranked_sq_dist`'s upper cut at rank 2: a center whose
     estimate exceeds the row's second-smallest estimate T by more than 2e is
     strictly farther than the second-nearest center, so every center at or
-    below that distance keeps its kernel value.
+    below that distance keeps its kernel value.  Rows are cut in blocks of
+    ``chunk_rows(k)`` (:func:`_ranked_estimates`), so no (n, k) array is
+    live beside the result.
     """
-    if lift is None or ids.shape[0] <= 2:
-        return sq_dist_matrix(points[rows], points[ids])
-    est = np.empty((rows.shape[0], ids.shape[0]))
-    _estimate(points[rows], lift.mean, lift.cols[:, ids], est)
-    high = np.partition(est, 1, axis=1)[:, 1:2] + 2 * lift.slack[rows, None]
-    flat = np.flatnonzero(est <= high)
-    owner, col = np.divmod(flat, ids.shape[0])
-    out = np.full(est.shape, np.inf)
-    out.flat[flat] = _pair_sq_dists(points, points, rows[owner], ids[col])
+    k = centers.shape[0]
+    lift = None if k <= 2 else lift_points(centers, rows=points)
+    if lift is None:
+        return sq_dist_matrix(points, centers)
+    out = np.full((points.shape[0], k), np.inf)
+    for start, rows, est, T in _ranked_estimates(points, lift, 2):
+        b = rows.shape[0]
+        high = T + 2 * lift.slack[start : start + b, None]
+        flat = np.flatnonzero(est <= high)
+        owner, col = np.divmod(flat, k)
+        out[start : start + b].flat[flat] = _pair_sq_dists(rows, centers, owner, col)
     return out

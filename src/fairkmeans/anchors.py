@@ -19,7 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._dist import dists, sq_dist_matrix
-from .dataset import Dataset, RadiusBounds, check_distance_scale, check_positions, check_radii
+from .dataset import (
+    Dataset,
+    RadiusBounds,
+    _check_integers,
+    check_distance_scale,
+    check_positions,
+    check_radii,
+)
 
 
 def _check_gamma(gamma: float) -> None:
@@ -36,8 +43,10 @@ class AnchorSet:
 
     ``zone_radius[i]`` equals ``gamma * delta(anchors[i])``.  A set of m
     anchors has 1-D ``anchors`` and ``zone_radius`` of length m, finite
-    and nonnegative radii, and (m, d) ``positions``; m = 0 is valid.  Each
-    fault is a ValueError that names it.
+    and nonnegative radii, and (m, d) ``positions``; m = 0 is valid.  The
+    fields are stored as int64 ids and float64 positions and radii; ids
+    that are not integers are a TypeError, and each other fault is a
+    ValueError that names it.
     """
 
     anchors: np.ndarray
@@ -46,6 +55,9 @@ class AnchorSet:
     gamma: float
 
     def __post_init__(self):
+        object.__setattr__(self, "anchors", _check_integers("anchors", self.anchors))
+        for name in ("positions", "zone_radius"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         if self.anchors.ndim != 1:
             raise ValueError(f"anchors must be a 1-D id array, got shape {self.anchors.shape}")
         if self.positions.ndim != 2 or self.positions.shape[0] != self.anchors.shape[0]:

@@ -44,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="CSV file of numeric coordinates",
     )
     p.add_argument("--columns", help="comma-separated column indices to use (default: all)")
-    p.add_argument("--header", action="store_true", help="skip the first CSV row")
+    p.add_argument("--header", action="store_true", help="skip the first non-blank CSV row")
     p.add_argument(
         "--normalize",
         action="store_true",

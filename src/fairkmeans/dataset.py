@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import math
 import operator
+import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -99,7 +100,9 @@ def load_points(
         Column indices to keep, counted from 0; all columns when omitted.
         A negative index is a ValueError, a non-integer one a TypeError.
     header : bool
-        Skip the first row.
+        Skip the first non-blank row, the one the column names are on.
+        Blank rows (no field, or one field of whitespace) are skipped
+        anywhere in the file, so blank rows before the header are too.
 
     Row order is preserved as point ids.  Parse failures report the
     1-based file row and column of the offending value.
@@ -109,12 +112,14 @@ def load_points(
     source of the named errors.  numpy's C parser (``np.loadtxt``) reads
     the file first, all columns, and hands it back to the loop unchanged
     when the file holds a ``"`` byte (quoting is the only way ``csv``
-    splits fields or records differently from a plain split), when some
-    line is longer than ``csv.field_size_limit()`` (the loop rejects such a
-    field, numpy does not), when numpy raises or warns, when it finds no
-    rows, when a selected column is missing, or when a selected value is
-    not finite.  Where it is kept, its result equals the loop's bit for
-    bit, sign of zero included.
+    splits fields or records differently from a plain split), when
+    ``header`` is set and the first line may be blank (numpy would skip it
+    in place of the header), when some line is longer than
+    ``csv.field_size_limit()`` (the loop rejects such a field, numpy does
+    not), when numpy raises or warns, when it finds no rows, when a
+    selected column is missing, or when a selected value is not finite.
+    Where it is kept, its result equals the loop's bit for bit, sign of
+    zero included.
     """
     path = Path(path)
     cols = list(columns) if columns is not None else None
@@ -131,10 +136,13 @@ def _read_fast(path: Path, cols: list[int] | None, header: bool) -> np.ndarray |
     loop must decide.  The two checks run on the raw bytes: ``"``, CR and
     LF are one byte each in any ASCII-compatible encoding and every other
     char is at least one, so the byte length of a line bounds its length
-    in chars."""
+    in chars.  A first line without a printable ASCII byte may be blank to
+    the loop, whose ``str.strip`` also removes non-ASCII whitespace."""
     try:
         data = path.read_bytes()
         if b'"' in data or _has_long_line(data, csv.field_size_limit()):
+            return None
+        if header and re.match(rb"[^!-~\r\n]*(?:[\r\n]|\Z)", data):
             return None
         del data
         # any exception or warning declines: the loop then raises its own
@@ -179,9 +187,10 @@ def _read_rows(path: Path, cols: list[int] | None, header: bool) -> np.ndarray:
         reader = csv.reader(fh)
         try:
             for lineno, raw in enumerate(reader, start=1):
-                if header and lineno == 1:
-                    continue
                 if not raw or (len(raw) == 1 and raw[0].strip() == ""):
+                    continue
+                if header:
+                    header = False
                     continue
                 if arity is None:
                     arity = len(raw)
@@ -322,6 +331,16 @@ def _check_integer(name: str, value, low: int, high: float = math.inf) -> None:
     if not low <= value <= high:
         span = f"at least {low}" if high == math.inf else f"in [{low}, {high}]"
         raise ValueError(f"{name}={value} must be {span}")
+
+
+def _check_integers(name: str, values) -> np.ndarray:
+    """The one integer test of an id array: ``values`` as int64, and a
+    TypeError naming ``name`` unless its entries are integers (an empty
+    array passes whatever its dtype).  Its shape is the caller's check."""
+    arr = np.asarray(values)
+    if arr.size and not np.issubdtype(arr.dtype, np.integer):
+        raise TypeError(f"{name} must be integer point ids, got {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
 
 
 def check_radii(ds: Dataset, delta: RadiusBounds) -> None:

@@ -22,15 +22,17 @@ Only points with ``dp(x) < d2(x)^2`` can change either sum or the caches, so
 the distance pass may give +inf to the points a dot-product estimate rules
 out (:func:`fairkmeans._dist.sq_dists_below`), which gives the same sums and
 caches bit for bit.  An accepted swap re-scans the points whose nearest or
-second-nearest center left the same way
-(:func:`fairkmeans._dist.two_nearest_sq_dists`).  Whether the filter
-applies is decided in ``_dist`` alone, from the points
-(:func:`fairkmeans._dist.lift_points`); the search passes the lift through.
-The lift and the cumsum behind the D^2 draw live on the solution while the
-search runs (``Solution._search``); both are built on first use, and every
-accepted swap refreshes the cumsum in place, so it is never stale.  Every
-draw and every distance pass goes through that state, so which path runs
-depends on the input alone, never on the calls made before.
+second-nearest center left with the filtered nearest-center pass that
+builds every solution (:func:`fairkmeans._dist.two_nearest_sq_dists`).
+Whether the filter applies is decided in ``_dist`` alone
+(:func:`fairkmeans._dist.lift_points`): for the candidate pass from the
+points, whose lift the search passes through, and for the k-scan from
+the centers.  The points' lift and the cumsum behind the D^2 draw live on
+the solution while the search runs (``Solution._search``); both are built
+on first use, and every accepted swap refreshes the cumsum in place, so it
+is never stale.  Every draw and every candidate pass goes through that
+state, so which path runs depends on the input alone, never on the calls
+made before.
 """
 
 from __future__ import annotations
@@ -196,8 +198,9 @@ def _apply_swap(
     """Put point p in slot j and restore every cache.
 
     Points whose nearest or second-nearest center was the removed one get a
-    k-scan (:func:`fairkmeans._dist.two_nearest_sq_dists`, which decides
-    whether its filter applies); everyone else only needs a comparison
+    k-scan against the new center set
+    (:func:`fairkmeans._dist.two_nearest_sq_dists`, which decides whether
+    its filter applies); everyone else only needs a comparison
     against the new center's distances: p becomes the nearest center of the
     ``closer`` rows and the second-nearest of the ``mid`` rows.  The D^2
     cumsum is refreshed in place; the lift depends on the points alone and
@@ -211,7 +214,7 @@ def _apply_swap(
     affected = (sol.assign == j) | (sol.assign2 == j)
     rows = np.flatnonzero(affected)
     if rows.size:
-        a1, a2, d1, d2 = nearest_two(two_nearest_sq_dists(X, state.lift, rows, sol.center_ids))
+        a1, a2, d1, d2 = nearest_two(two_nearest_sq_dists(X[rows], sol.center_pos))
         sol.assign[rows] = a1
         sol.assign2[rows] = a2
         sol.d1sq[rows] = d1

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._dist import dists, fsum, sq_dist_blocks, sq_dist_matrix, sq_dists
+from ._dist import dists, fsum, sq_dist_blocks, sq_dist_matrix, sq_dists, two_nearest_sq_dists
 from .anchors import AnchorSet
 from .dataset import Dataset, _check_integer, center_positions, check_positions
 from .solution import Solution, check_guarantee
@@ -44,8 +44,9 @@ class FlConfig:
 def assign(ds: Dataset, centers: np.ndarray) -> np.ndarray:
     """Index of the nearest center for every point, lowest index on ties.
     ``centers`` are point ids or (k, d) positions
-    (:func:`dataset.center_positions`)."""
-    return np.argmin(sq_dist_matrix(ds.points, center_positions(ds, centers)), axis=1)
+    (:func:`dataset.center_positions`).  Read off the filtered pass
+    (``_dist.two_nearest_sq_dists``), whose row minima are the kernel's."""
+    return np.argmin(two_nearest_sq_dists(ds.points, center_positions(ds, centers)), axis=1)
 
 
 def cluster_means(X: np.ndarray, labels: np.ndarray, k: int):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._dist import Lift, fsum, sq_dist_matrix
+from ._dist import Lift, fsum, two_nearest_sq_dists
 from .anchors import AnchorSet, build_coverage
 from .dataset import Dataset, RadiusBounds, center_positions, point_ids
 from .metrics import bound_ratio
@@ -95,7 +95,7 @@ class Solution:
         else:
             center_pos = center_positions(ds, np.asarray(center_pos, dtype=np.float64))
         return cls.from_sq_dists(
-            ds, anchor_set, center_ids, center_pos, sq_dist_matrix(ds.points, center_pos)
+            ds, anchor_set, center_ids, center_pos, two_nearest_sq_dists(ds.points, center_pos)
         )
 
     @classmethod
@@ -108,7 +108,10 @@ class Solution:
         M: np.ndarray,
     ) -> "Solution":
         """The :meth:`build` result for ``center_pos`` when the caller already
-        holds ``M = sq_dist_matrix(ds.points, center_pos)``."""
+        holds ``M``, the (n, k) squared distances from ``ds.points`` to
+        ``center_pos``.  ``M`` may hold +inf for centers farther than a
+        row's second-nearest (``_dist.two_nearest_sq_dists``), since
+        :func:`nearest_two` reads nothing beyond it."""
         assign, assign2, d1sq, d2sq = nearest_two(M)
         return cls(
             ds=ds,

@@ -190,6 +190,19 @@ def test_anchor_set_checks_its_shape(anchors, positions, zone_radius, message):
         AnchorSet(np.array(anchors), positions, np.array(zone_radius), 3.0)
 
 
+def test_anchor_set_converts_its_fields():
+    # lists used to fail with "'list' object has no attribute 'ndim'"
+    aset = AnchorSet([0], [[0.0]], [1], 3.0)
+    assert aset.anchors.dtype == np.int64 and np.array_equal(aset.anchors, [0])
+    assert aset.positions.dtype == np.float64 and aset.positions.shape == (1, 1)
+    assert aset.zone_radius.dtype == np.float64 and np.array_equal(aset.zone_radius, [1.0])
+    assert np.array_equal(build_coverage(aset, np.array([[0.5], [2.0]])), [[True], [False]])
+    assert len(AnchorSet([], np.empty((0, 2)), [], 3.0)) == 0
+    for ids in ([0.0], [True]):
+        with pytest.raises(TypeError, match="anchors must be integer point ids"):
+            AnchorSet(ids, [[0.0]], [1.0], 3.0)
+
+
 def test_anchor_set_accepts_seed_output_and_no_zones():
     ds, delta, _ = gaussian_instance(5, n=120, d=3)
     assert len(seed(ds, delta, gamma=3.0)) > 0  # seed builds its AnchorSet itself

@@ -54,8 +54,8 @@ LOADER_CASES = {
     "lone-cr-space-line": ("1\r \r2\r", None, False, False),
     "crlf": ("1,2\r\n\r\n3,4\r\n", None, False, True),
     "header-blank-first": ("\nx,y\n1,2\n", None, True, False),
-    "header-blank-crlf": ("\r\n1,2\r\n3,4\r\n", None, True, True),
-    "header-space-line": ("  \n1\n2\n", None, True, True),
+    "header-blank-crlf": ("\r\n1,2\r\n3,4\r\n", None, True, False),
+    "header-space-line": ("  \n1\n2\n", None, True, False),
     "header": ("x,y\n1,2\n", None, True, True),
     "header-only": ("x,y\n", None, True, False),
     "inf": ("1,inf\n", None, False, False),
@@ -110,6 +110,22 @@ class TestLoadPoints:
         ds = load_points(path, header=True)
         assert ds.n == 2 and ds.d == 2
         assert np.array_equal(ds.points, [[0, 0], [1, 0]])
+
+    @pytest.mark.parametrize(
+        "text, want",
+        [
+            ("\nx,y\n1,2\n", [[1, 2]]),
+            ("\r\n1,2\r\n3,4\r\n", [[3, 4]]),
+            ("  \n1\n2\n", [[2]]),
+            ("\xa0\nx,y\n5,6\n", [[5, 6]]),
+        ],
+        ids=["blank", "blank-crlf", "spaces", "nbsp"],
+    )
+    def test_header_is_the_first_nonblank_row(self, tmp_path, text, want):
+        # blank rows are skipped everywhere, before the header too
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert np.array_equal(load_points(path, header=True).points, want)
 
     def test_parse_error_names_row(self, tmp_path):
         path = write_csv(tmp_path, "x,y\n0,0\nabc,1\n")

@@ -15,6 +15,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairkmeans import Dataset, aspect_ratio, build_coverage, compute_radii
 from fairkmeans import _dist
@@ -75,6 +77,7 @@ def test_small_chunks(monkeypatch, chunk):
                 P = points(n, n, d)
                 assert np.array_equal(sq_dist_matrix(P, C), reference(P, C)), (d, k, n)
                 assert np.array_equal(min_sq_dists(P, C), reference(P, C).min(axis=1))
+                check_cut(P, C)
 
 
 @pytest.mark.parametrize("scale", 10.0 ** np.arange(-150, 151, 25))
@@ -305,17 +308,19 @@ def test_candidate_filter_drops_far_rows():
     assert 0 < kept.sum() < 0.2 * X.shape[0]
 
 
-def check_two_nearest(X, rows, ids):
-    """The filtered k-scan keeps every center at or below each row's
-    second-nearest, so nearest_two reads the same slots and values."""
-    got = two_nearest_sq_dists(X, lift_points(X), rows, ids)
-    full = reference(X[rows], X[ids])
+def check_cut(P, C):
+    """The filtered nearest-center pass keeps the kernel's value of every
+    center at or below each row's second-nearest, so nearest_two and the
+    argmin read the same slots and values off it as off the kernel."""
+    got = two_nearest_sq_dists(P, C)
+    full = reference(P, C)
     kept = got != np.inf
     assert np.array_equal(got[kept], full[kept])
-    second = np.sort(full, axis=1)[:, 1:2]
+    second = np.sort(full, axis=1)[:, min(1, C.shape[0] - 1), None]
     assert np.all(kept[full <= second])
     for a, b in zip(nearest_two(got), nearest_two(full)):
         assert np.array_equal(a, b)
+    assert np.array_equal(np.argmin(got, axis=1), np.argmin(full, axis=1))
     return kept
 
 
@@ -326,12 +331,57 @@ def test_kscan_filter_adversarial(name, k):
     n = X.shape[0]
     rng = np.random.default_rng(k)
     ids = rng.choice(n, size=k, replace=False)
-    check_two_nearest(X, np.arange(n), ids)
-    check_two_nearest(X, np.sort(rng.choice(n, size=n // 3, replace=False)), ids)
+    check_cut(X, X[ids])
+    check_cut(X[np.sort(rng.choice(n, size=n // 3, replace=False))], X[ids])
     # centers repeating one point: a tie group at every row's nearest
     dup = ids.copy()
     dup[k // 2 :] = ids[0]
-    check_two_nearest(X, np.arange(n), dup)
+    check_cut(X, X[dup])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    d=st.sampled_from([3, 8, 16]),
+    n=st.integers(1, 40),
+    k=st.sampled_from(["1", "2", "3", "n"]),
+    spread=st.integers(1, 4),
+    corners=st.booleans(),
+    jitter=st.sampled_from([0.0, 1e-7]),
+    scale=st.sampled_from([1.0, 2.0**-30, 1e150, "edge"]),
+    off_points=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_filtered_pass_equals_the_kernel(
+    d, n, k, spread, corners, jitter, scale, off_points, seed
+):
+    # rows on a small integer grid (or its corners) repeat each other and
+    # tie at many distances; centers are drawn with repeats, some on the
+    # rows and some on the grid off them.  At the "edge" scale (about
+    # 1e152-1e153) every distance stays below 1e308 while 4 (A + max B)
+    # overflows for most corner sets, so the lift declines there.
+    rng = np.random.default_rng(seed)
+    k = n if k == "n" else int(k)
+
+    def grid(rows):
+        if corners:
+            return spread * rng.choice([-1, 1], size=(rows, d))
+        return rng.integers(-spread, spread + 1, size=(rows, d))
+
+    P = grid(n) + jitter * rng.standard_normal((n, d))
+    C = P[rng.integers(0, n, size=k)]
+    off = rng.random(k) < off_points
+    C[off] = grid(off.sum())
+    if scale == "edge":
+        scale = np.sqrt(1e308 / (4 * d * spread**2))
+    P, C = P * scale, C * scale
+    check_cut(P, C)
+    assert np.array_equal(min_sq_dists(P, C), reference(P, C).min(axis=1))
+
+
+def test_filtered_pass_cuts_far_centers():
+    P, C = points(25, 3000, 8), points(26, 100, 8)
+    kept = check_cut(P, C)
+    assert kept.sum() < 0.2 * kept.size
 
 
 @pytest.mark.parametrize("gemm", [50, 700, 1 << 18])
@@ -342,7 +392,7 @@ def test_filters_split_products(monkeypatch, gemm):
     ids = np.arange(0, 437, 9)
     d2sq = nearest_two(reference(X, X[ids]))[3]
     assert 0 < check_below(X, 5, d2sq).sum() < X.shape[0]
-    kept = check_two_nearest(X, np.arange(437), ids)
+    kept = check_cut(X, X[ids])
     assert kept.sum() < kept.size
 
 

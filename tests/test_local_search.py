@@ -21,7 +21,7 @@ from fairkmeans import (
     seed,
     swap_costs,
 )
-from fairkmeans import compute_radii, local_search
+from fairkmeans import _dist, compute_radii, local_search
 from fairkmeans._dist import min_sq_dists
 from fairkmeans.local_search import _best_swap, check_solution
 from fairkmeans.solution import nearest_two
@@ -409,8 +409,11 @@ class TestSearchState:
 
     def assert_filter_changes_nothing(self, monkeypatch, ds, delta, k, iterations):
         filtered = self.solve(ds, delta, k, iterations)
+        # no lift anywhere: the candidate pass, the k-scan and
+        # Solution.build (init and the debug oracle) all run the plain kernel
         with monkeypatch.context() as m:
             m.setattr(local_search, "lift_points", lambda points: None)
+            m.setattr(_dist, "lift_points", lambda refs, rows=None: None)
             plain = self.solve(ds, delta, k, iterations)
         for a, b in zip(filtered[0], plain[0]):
             assert np.array_equal(a, b)

@@ -1,10 +1,11 @@
 """Every input check of the package sits in ``dataset.py``, and the check
 of the promise in ``solution.check_guarantee``.
 
-Four decisions are made once in ``dataset.py`` and called from every
+Five decisions are made once in ``dataset.py`` and called from every
 public entry: what a set of positions is (``check_positions``), what a
 center set is (``center_positions``, with ``point_ids`` for an id list),
-what a count is (``_check_integer``) and whether radii match the points
+what a count is (``_check_integer``), what an array of ids holds
+(``_check_integers``, for anchor sets) and whether radii match the points
 (``check_radii``).
 A second copy elsewhere would drift from the first, as copies did before:
 one accepted float ids, another read only the first d columns of wider
@@ -25,7 +26,14 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "fairkmeans"
 MODULES = sorted(m for m in SRC.glob("*.py") if m.name != "dataset.py")
-CHECKS = {"check_positions", "point_ids", "center_positions", "_check_integer", "check_radii"}
+CHECKS = {
+    "check_positions",
+    "point_ids",
+    "center_positions",
+    "_check_integer",
+    "_check_integers",
+    "check_radii",
+}
 INTEGER_TESTS = {"index", "issubdtype"}
 
 

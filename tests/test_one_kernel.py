@@ -57,15 +57,30 @@ def test_one_matmul_and_one_einsum(name):
     assert len(calls) == 1, f"np.{name} in _dist.py: {calls}"
 
 
-def test_search_takes_only_the_filter_from_dist():
-    # lift_points decides where the filter applies, and the filtered
-    # functions fall back to the kernel themselves, so the search never
-    # chooses between a filtered and a plain pass
-    tree = ast.parse((SRC / "local_search.py").read_text())
-    names = {
+def dist_imports(module: str) -> set[str]:
+    tree = ast.parse((SRC / module).read_text())
+    return {
         a.name
         for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom) and node.module == "_dist"
         for a in node.names
     }
-    assert names == {"lift_points", "sq_dists_below", "two_nearest_sq_dists"}
+
+
+def test_search_takes_only_the_filter_from_dist():
+    # lift_points decides where the filter applies, and the filtered
+    # functions fall back to the kernel themselves, so the search never
+    # chooses between a filtered and a plain pass
+    assert dist_imports("local_search.py") == {
+        "lift_points",
+        "sq_dists_below",
+        "two_nearest_sq_dists",
+    }
+
+
+@pytest.mark.parametrize("module", ["solution.py", "metrics.py"])
+def test_builds_and_scores_take_the_filtered_pass(module):
+    # Solution.build and the scores read only each row's nearest or two
+    # nearest centers, so they go through the filter's cut, never the full
+    # (n, k) kernel matrix
+    assert not dist_imports(module) & {"sq_dist_matrix", "sq_dist_blocks"}
