@@ -9,7 +9,7 @@ returned solution serves every point within ``2 * gamma * delta(p)``
 (factor 6 at the default gamma of 3).
 """
 
-from .anchors import AnchorSet, build_coverage, seed
+from .anchors import AnchorSet, build_coverage, fair_move_center, seed
 from .baselines import (
     brute_force_opt,
     greedy_baseline,
@@ -38,7 +38,7 @@ from .local_search import (
     swap_costs,
 )
 from .metrics import bound_ratio, cost
-from .refine import FlConfig, assign, fair_move_center, flloyd_run
+from .refine import FlConfig, assign, flloyd_run
 from .solution import Solution
 
 __version__ = "0.1.0"

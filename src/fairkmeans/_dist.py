@@ -387,14 +387,16 @@ class Lift:
 def lift_points(refs: np.ndarray, rows: np.ndarray | None = None) -> Lift | None:
     """The filter's state for ``rows`` (``refs`` themselves when None)
     against ``refs``; None where the filter declines: d <= 2, where the
-    kernel costs about as much per pair as the estimate, or a bound that is
-    not finite.  The one place that decides where the filter applies; the
-    filtered functions below take None and then return the kernel's values.
+    kernel costs about as much per pair as the estimate, at most two
+    references, where an estimate costs as much as the kernel value it
+    could save, or a bound that is not finite.  The one place that decides
+    where the filter applies; the filtered functions below take None and
+    then return the kernel's values.
 
     A row's A is the centered norm the lift computes for it as a reference,
     or, for separate rows, the kernel's squared distance to the mean."""
-    d = refs.shape[1]
-    if d <= 2:
+    m, d = refs.shape
+    if d <= 2 or m <= 2:
         return None
     with np.errstate(over="ignore", invalid="ignore"):
         mean, cols = _lift(refs)
@@ -437,9 +439,9 @@ def two_nearest_sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     what ``solution.nearest_two`` reads off it (slots and values, ties
     included), and the argmin of each row, are what it reads off
     :func:`sq_dist_matrix`.  Where the filter declines
-    (:func:`lift_points` of ``centers`` with ``points`` as its rows), or
-    with at most two centers (the filter keeps both), every pair gets its
-    kernel value.
+    (:func:`lift_points` of ``centers`` with ``points`` as its rows, which
+    declines at most two centers, since the cut would keep both), every
+    pair gets its kernel value.
 
     This is :func:`ranked_sq_dist`'s upper cut at rank 2: a center whose
     estimate exceeds the row's second-smallest estimate T by more than 2e is
@@ -449,7 +451,7 @@ def two_nearest_sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     live beside the result.
     """
     k = centers.shape[0]
-    lift = None if k <= 2 else lift_points(centers, rows=points)
+    lift = lift_points(centers, rows=points)
     if lift is None:
         return sq_dist_matrix(points, centers)
     out = np.full((points.shape[0], k), np.inf)

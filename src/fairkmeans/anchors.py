@@ -1,4 +1,4 @@
-"""Anchor seeding and the zone-coverage predicate used by the search loops.
+"""Anchor seeding and the zone geometry every stage reads.
 
 Seeding repeatedly picks the uncovered point with the smallest radius until
 every point p has an anchor within ``gamma * delta(p)``.  Each anchor defines
@@ -9,6 +9,19 @@ within ``2 * gamma * delta(p)``.
 Picked radii are non-decreasing and the anchors' delta-balls are pairwise
 disjoint, so on a feasible instance the procedure never returns more than k
 anchors.
+
+Whether a position lies in a zone is decided here, by one comparison
+(:func:`_zones`), for the coverage table the search and the promise check
+read (:func:`build_coverage`) and for refinement's pins and clamped moves
+(:func:`clamped_moves`, :func:`fair_move_center`), so no two of them can
+disagree on a boundary.  At the start of each refinement round every
+covered zone pins exactly one of the centers inside it: its nearest one
+(lowest slot on ties), which is its only coverer when there is just one.  A
+center's move is a bisection along the segment from its current position to
+the cluster mean, the largest step that keeps it inside every zone pinned
+to it.  Pins are taken from start-of-round positions, so the result does
+not depend on move order, and each pinned center stays inside its zone, so
+every zone covered at the start of a round is still covered at its end.
 """
 
 from __future__ import annotations
@@ -28,6 +41,9 @@ from .dataset import (
     check_radii,
 )
 
+# Halvings in a clamped move: its error is at most |mean - center| * 2**-40.
+BISECTION_STEPS = 40
+
 
 def _check_gamma(gamma: float) -> None:
     """ValueError unless ``gamma`` is a finite number above 2.  An infinite
@@ -43,10 +59,10 @@ class AnchorSet:
 
     ``zone_radius[i]`` equals ``gamma * delta(anchors[i])``.  A set of m
     anchors has 1-D ``anchors`` and ``zone_radius`` of length m, finite
-    and nonnegative radii, and (m, d) ``positions``; m = 0 is valid.  The
-    fields are stored as int64 ids and float64 positions and radii; ids
-    that are not integers are a TypeError, and each other fault is a
-    ValueError that names it.
+    and nonnegative radii, and finite (m, d) ``positions``; m = 0 is
+    valid.  The fields are stored as int64 ids and float64 positions and
+    radii; ids that are not integers are a TypeError, and each other fault
+    is a ValueError that names it.
     """
 
     anchors: np.ndarray
@@ -69,6 +85,8 @@ class AnchorSet:
             raise ValueError("one zone radius per anchor")
         if not np.all(np.isfinite(self.zone_radius)) or np.any(self.zone_radius < 0):
             raise ValueError("zone radii must be finite and nonnegative")
+        if not np.all(np.isfinite(self.positions)):
+            raise ValueError("anchor positions hold non-finite coordinates (NaN or inf)")
         _check_gamma(self.gamma)
 
     def __len__(self) -> int:
@@ -99,18 +117,89 @@ def seed(ds: Dataset, delta: RadiusBounds, gamma: float) -> AnchorSet:
         pick = int(open_ids[np.argmin(delta.delta[open_ids])])
         picked.append(pick)
         covered |= dists(X, X[pick]) <= reach
-    anchors = np.asarray(picked, dtype=np.int64)
-    positions = X[anchors].copy()
-    zone_radius = gamma * delta.delta[anchors]
-    return AnchorSet(anchors, positions, zone_radius, float(gamma))
+    return AnchorSet(picked, X[picked], gamma * delta.delta[picked], float(gamma))
+
+
+def _zones(positions: np.ndarray, anchor_positions: np.ndarray, radii: np.ndarray):
+    """The (k, m) distances from ``positions`` to the anchors, and whether
+    each lies in the anchor's zone of radius ``radii`` (closed ball): the
+    package's one zone-membership test."""
+    dist = np.sqrt(sq_dist_matrix(positions, anchor_positions))
+    return dist, dist <= radii
 
 
 def build_coverage(anchor_set: AnchorSet, positions) -> np.ndarray:
     """Coverage table for the centers at ``positions`` (k, d): a (k, m) bool
-    array whose entry [j, z] is True when center j's distance to zone z's
-    anchor is at most the zone radius (closed ball).  A valid solution has
-    a True in every column.  ``positions`` must have the anchors' d
-    columns (:func:`dataset.check_positions`), else a ValueError.
+    array whose entry [j, z] is True when center j lies in zone z
+    (:func:`_zones`).  A valid solution has a True in every column.
+    ``positions`` must have the anchors' d columns
+    (:func:`dataset.check_positions`), else a ValueError.
     """
     pos = check_positions(positions, anchor_set.positions.shape[1])
-    return np.sqrt(sq_dist_matrix(pos, anchor_set.positions)) <= anchor_set.zone_radius
+    return _zones(pos, anchor_set.positions, anchor_set.zone_radius)[1]
+
+
+def fair_move_center(
+    center: np.ndarray,
+    mean: np.ndarray,
+    anchor_positions: np.ndarray,
+    radii: np.ndarray,
+) -> np.ndarray:
+    """Farthest point toward ``mean`` on the segment from ``center`` that
+    stays inside every constraint ball.
+
+    The feasible steps form an interval [0, t*] because the segment's
+    intersection with each closed ball is convex and t=0 is feasible by
+    precondition.  When the mean itself is feasible it is returned exactly;
+    otherwise t* is located by ``BISECTION_STEPS`` halvings, an error of at
+    most ``|mean - center| * 2**-BISECTION_STEPS``.
+
+    ``center`` and ``mean`` are positions of d coordinates and
+    ``anchor_positions`` a (m, d) array (:func:`dataset.check_positions`),
+    with one radius per anchor; anything else is a ValueError.
+    """
+    center = check_positions([center], np.size(center))[0]
+    mean = check_positions([mean], center.size)[0]
+    if np.shape(radii) != np.shape(anchor_positions)[:1]:
+        raise ValueError(f"need one radius per anchor position, got {np.shape(radii)} radii")
+    if np.size(radii) == 0:
+        return mean
+    anchor_positions = check_positions(anchor_positions, center.size)
+
+    def feasible(t: float) -> bool:
+        pos = (1.0 - t) * center + t * mean
+        return bool(_zones(pos[None], anchor_positions, radii)[1].all())
+
+    if feasible(1.0):
+        return mean.copy()
+    lo, hi = 0.0, 1.0
+    for _ in range(BISECTION_STEPS):
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return (1.0 - lo) * center + lo * mean
+
+
+def _pins(anchor_set: AnchorSet, positions: np.ndarray) -> np.ndarray:
+    """Per zone, the slot of the center it pins for a refinement round from
+    ``positions``: its nearest coverer, lowest slot on ties; -1 for a zone
+    no center covers."""
+    dist, covers = _zones(positions, anchor_set.positions, anchor_set.zone_radius)
+    covered = covers.any(axis=0)
+    pin = np.full(len(anchor_set), -1)
+    pin[covered] = np.argmin(np.where(covers, dist, np.inf)[:, covered], axis=0)
+    return pin
+
+
+def clamped_moves(anchor_set: AnchorSet, positions: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """Every center's candidate for one refinement round: row j is
+    :func:`fair_move_center` from ``positions[j]``, the start-of-round
+    position, toward ``means[j]``, within the zones pinned to center j
+    (the module docstring's rule).  A (k, d) array; whichever candidates
+    a round takes, every zone covered at ``positions`` stays covered."""
+    k = positions.shape[0]
+    pin = _pins(anchor_set, positions)
+    zones = [(anchor_set.positions[pin == j], anchor_set.zone_radius[pin == j]) for j in range(k)]
+    return np.array([fair_move_center(positions[j], means[j], *zones[j]) for j in range(k)])

@@ -371,11 +371,13 @@ def point_ids(ds: Dataset, ids) -> np.ndarray:
 
 
 def check_positions(positions, d: int) -> np.ndarray:
-    """The one check of a set of positions: a nonempty (k, d) array, d
-    columns as the points have (the kernel does not check it: at d <= 2 it
-    reads only the first d columns of wider positions, and narrower ones
-    fail without naming the cause).  Returns a fresh float64 array; anything
-    else is a ValueError that names the fault."""
+    """The one check of a set of positions: a nonempty (k, d) array of
+    finite values, d columns as the points have (the kernel does not check
+    it: at d <= 2 it reads only the first d columns of wider positions, and
+    narrower ones fail without naming the cause; a NaN center's distances
+    are NaN, which argmin picks as nearest and no comparison rejects).
+    Returns a fresh float64 array; anything else is a ValueError that names
+    the fault."""
     arr = np.asarray(positions)
     if arr.size == 0:
         raise ValueError("center set is empty")
@@ -383,7 +385,10 @@ def check_positions(positions, d: int) -> np.ndarray:
         raise ValueError(f"positions must be a (k, d) array, got {arr.dtype} of shape {arr.shape}")
     if arr.shape[1] != d:
         raise ValueError(f"centers have {arr.shape[1]} columns but the points have {d}")
-    return np.array(arr, dtype=np.float64)
+    arr = np.array(arr, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise ValueError("positions hold non-finite coordinates (NaN or inf)")
+    return arr
 
 
 def center_positions(ds: Dataset, centers) -> np.ndarray:

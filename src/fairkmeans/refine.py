@@ -6,14 +6,8 @@ clamped so that no anchor zone is ever left without a center.  Centers become
 continuous positions here; the radius guarantee of the search phase carries
 through because zone coverage is preserved.
 
-At the start of each round every covered zone pins exactly one of the
-centers inside it: its nearest one (lowest slot on ties), which is its only
-coverer when there is just one.  A center's move is a bisection along the
-segment from its current position to the cluster mean, the largest step that
-keeps it inside every zone pinned to it.  Pins are taken from start-of-round
-positions, so the result does not depend on move order, and each pinned
-center stays inside its zone, so every zone covered at the start of a round
-is still covered at its end.
+Each round's candidate moves, with the pins that clamp them, come from
+:func:`anchors.clamped_moves`; this module decides only which moves pay.
 
 The same loop with no zones is plain Lloyd (:func:`baselines.lloyd`).
 """
@@ -24,13 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._dist import dists, fsum, sq_dist_blocks, sq_dist_matrix, sq_dists, two_nearest_sq_dists
-from .anchors import AnchorSet
-from .dataset import Dataset, _check_integer, center_positions, check_positions
+from ._dist import fsum, sq_dist_blocks, sq_dist_matrix, sq_dists, two_nearest_sq_dists
+from .anchors import AnchorSet, clamped_moves
+from .dataset import Dataset, _check_integer, center_positions
 from .solution import Solution, check_guarantee
-
-# Halvings in a clamped move: its error is at most |mean - center| * 2**-40.
-BISECTION_STEPS = 40
 
 
 @dataclass
@@ -58,66 +49,6 @@ def cluster_means(X: np.ndarray, labels: np.ndarray, k: int):
     nonempty = sizes > 0
     means[nonempty] /= sizes[nonempty, None]
     return means, sizes
-
-
-def fair_move_center(
-    center: np.ndarray,
-    mean: np.ndarray,
-    anchor_positions: np.ndarray,
-    radii: np.ndarray,
-) -> np.ndarray:
-    """Farthest point toward ``mean`` on the segment from ``center`` that
-    stays inside every constraint ball.
-
-    The feasible steps form an interval [0, t*] because the segment's
-    intersection with each closed ball is convex and t=0 is feasible by
-    precondition.  When the mean itself is feasible it is returned exactly;
-    otherwise t* is located by ``BISECTION_STEPS`` halvings, an error of at
-    most ``|mean - center| * 2**-BISECTION_STEPS``.
-
-    ``center`` and ``mean`` are positions of d coordinates and
-    ``anchor_positions`` a (m, d) array (:func:`dataset.check_positions`),
-    with one radius per anchor; anything else is a ValueError.
-    """
-    center = check_positions([center], np.size(center))[0]
-    mean = check_positions([mean], center.size)[0]
-    if np.shape(radii) != np.shape(anchor_positions)[:1]:
-        raise ValueError(f"need one radius per anchor position, got {np.shape(radii)} radii")
-    if np.size(radii) == 0:
-        return mean
-    anchor_positions = check_positions(anchor_positions, center.size)
-
-    def feasible(t: float) -> bool:
-        pos = (1.0 - t) * center + t * mean
-        return bool(np.all(dists(anchor_positions, pos) <= radii))
-
-    if feasible(1.0):
-        return mean.copy()
-    lo, hi = 0.0, 1.0
-    for _ in range(BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return (1.0 - lo) * center + lo * mean
-
-
-def _pinned_zones(
-    anchor_set: AnchorSet | None, positions: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per center, the positions and radii of the zones pinned to it this
-    round: every covered zone binds its nearest coverer (ties: lowest slot)."""
-    k, d = positions.shape
-    if anchor_set is None:
-        return [(np.empty((0, d)), np.empty(0))] * k
-    dmat = np.sqrt(sq_dist_matrix(positions, anchor_set.positions))
-    covers = dmat <= anchor_set.zone_radius
-    covered = covers.any(axis=0)
-    pin = np.full(len(anchor_set), -1, dtype=np.int64)
-    masked = np.where(covers, dmat, np.inf)
-    pin[covered] = np.argmin(masked[:, covered], axis=0)
-    return [(anchor_set.positions[pin == j], anchor_set.zone_radius[pin == j]) for j in range(k)]
 
 
 def lloyd_rounds(
@@ -159,27 +90,21 @@ def lloyd_rounds(
     trace = [total]
     for done in range(iterations):
         means, sizes = cluster_means(X, labels, k)
-        zones = _pinned_zones(anchor_set, positions)
+        # an empty cluster keeps its center: its mean is its position
+        means[sizes == 0] = positions[sizes == 0]
+        candidates = means if anchor_set is None else clamped_moves(anchor_set, positions, means)
         moved = []
-        # every candidate reads only its own start-of-round position, so the
-        # accepted moves can be written in place
-        for j in range(k):
-            if sizes[j] == 0:
-                continue
-            candidate = fair_move_center(positions[j], means[j], *zones[j])
-            # a center that does not move cannot strictly improve its cost
-            if np.array_equal(candidate, positions[j]):
-                continue
+        # a center that does not move cannot strictly improve its cost
+        for j in np.flatnonzero((candidates != positions).any(axis=1)):
             members = labels == j
             # strict per-cluster improvement, measured with the same kernel
             # the next assignment round will use
-            new_sq = sq_dists(X[members], candidate)
-            if fsum(new_sq) < fsum(d1sq[members]):
-                positions[j] = candidate
+            if fsum(sq_dists(X[members], candidates[j])) < fsum(d1sq[members]):
                 moved.append(j)
         if not moved:
             trace.extend([total] * (1 if rel_tol > 0 else iterations - done))
             break
+        positions[moved] = candidates[moved]
         # in row blocks, so no second (n, k) array is live beside M
         for start, block in sq_dist_blocks(X, positions[moved]):
             M[start : start + block.shape[0], moved] = block

@@ -450,3 +450,35 @@ class TestAspectRatio:
 def test_bad_input_named(make, message):
     with pytest.raises(ValueError, match=message):
         make()
+
+
+def non_finite_cases():
+    """One call per entry point that takes positions, each given a NaN or
+    an infinite coordinate.  Each used to answer silently: the NaN center
+    won every point (ratio 0, cost nan), the NaN mean moved a center to
+    ``[nan, 0.]``, and a NaN anchor's zone later held no center."""
+    import fairkmeans as fk
+
+    ds = Dataset(np.arange(20.0).reshape(10, 2))
+    ds4 = Dataset(np.arange(40.0).reshape(10, 4))
+    aset = fk.AnchorSet([0, 5], ds.points[[0, 5]], [3.0, 3.0], 3.0)
+    nan = [[np.nan, np.nan]]
+    return {
+        "cost": lambda: fk.cost(ds, nan),
+        "bound_ratio": lambda: fk.bound_ratio(ds, compute_radii(ds, 2), nan),
+        "bound_ratio-d4": lambda: fk.bound_ratio(ds4, compute_radii(ds4, 2), [[np.nan] * 4]),
+        "assign": lambda: fk.assign(ds, [[0.0, 1.0], [np.nan, np.nan]]),
+        "lloyd": lambda: fk.lloyd(ds, [[0.0, np.inf], [4.0, 5.0]]),
+        "Solution.build": lambda: fk.Solution.build(ds, aset, center_pos=nan),
+        "build_coverage": lambda: fk.build_coverage(aset, [[0.0, 1.0], [-np.inf, 0.0]]),
+        "fair_move_center": lambda: fk.fair_move_center(
+            [0.0, 1.0], [np.nan, 0.0], aset.positions, aset.zone_radius
+        ),
+        "AnchorSet": lambda: fk.AnchorSet([0], [[np.nan, 0.0]], [1.0], 3.0),
+    }
+
+
+@pytest.mark.parametrize("entry", list(non_finite_cases()))
+def test_non_finite_positions_named(entry):
+    with pytest.raises(ValueError, match=r"non-finite coordinates \(NaN or inf\)"):
+        non_finite_cases()[entry]()

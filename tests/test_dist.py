@@ -31,7 +31,7 @@ from fairkmeans._dist import (
     sq_dists_below,
     two_nearest_sq_dists,
 )
-from fairkmeans.anchors import AnchorSet
+from fairkmeans.anchors import AnchorSet, _pins, clamped_moves
 from fairkmeans.solution import nearest_two
 
 
@@ -123,6 +123,16 @@ def test_build_coverage_matches_covers_position(d):
     # one center at a time, as the search tests a sampled point
     rows = np.stack([build_coverage(aset, X[c][None])[0] for c in centers])
     assert np.array_equal(rows, want)
+    # refinement's pins and clamped moves read the same table: each covered
+    # zone pins one of its coverers (center 51 is listed twice, a tie), and
+    # each candidate stays in every zone pinned to it
+    pin = _pins(aset, X[centers])
+    covered = np.flatnonzero(covers.any(axis=0))
+    assert np.array_equal(np.flatnonzero(pin >= 0), covered)
+    assert covers[pin[covered], covered].all()
+    means = points(10, centers.size, d, scale=4.0)
+    moved = build_coverage(aset, clamped_moves(aset, X[centers], means))
+    assert moved[pin[covered], covered].all()
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 16])
@@ -401,6 +411,27 @@ def test_lift_declines():
     with np.errstate(over="ignore"):
         assert lift_points(points(21, 40, 8) * 2e153) is None
     assert lift_points(points(21, 40, 8) * 1e150) is not None
+    # two references: an estimate costs as much as the value it could save
+    X = points(25, 40, 8)
+    assert lift_points(X[:2], rows=X) is None and lift_points(X[:2]) is None
+    assert lift_points(X[:3], rows=X) is not None
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_two_nearest_leaves_the_decline_to_lift(monkeypatch, k):
+    # lift_points alone decides where the filter applies: the pass asks it
+    # even where it declines, and then every pair gets its kernel value
+    calls = []
+
+    def spy(refs, rows=None):
+        calls.append(refs.shape[0])
+        return lift_points(refs, rows)
+
+    monkeypatch.setattr(_dist, "lift_points", spy)
+    X = points(26, 50, 8)
+    got = two_nearest_sq_dists(X, X[:k])
+    assert calls == [k]
+    assert np.array_equal(got, reference(X, X[:k]))
 
 
 def test_compute_radii_matches_reference():

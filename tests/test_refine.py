@@ -23,8 +23,8 @@ from fairkmeans import (
     seed,
 )
 from fairkmeans._dist import sq_dist_matrix, sq_dists
-from fairkmeans.anchors import AnchorSet
-from fairkmeans.refine import _pinned_zones, cluster_means, lloyd_rounds
+from fairkmeans.anchors import AnchorSet, clamped_moves
+from fairkmeans.refine import cluster_means, lloyd_rounds
 from fairkmeans.solution import RADIUS_SLACK
 from conftest import gaussian_instance
 
@@ -44,12 +44,12 @@ def reference_lloyd_rounds(X, centers, anchor_set, iterations, rel_tol):
     moved = []
     for _ in range(iterations):
         means, sizes = cluster_means(X, labels, k)
-        zones = _pinned_zones(anchor_set, positions)
+        candidates = means if anchor_set is None else clamped_moves(anchor_set, positions, means)
         new_positions = positions.copy()
         for j in range(k):
             if sizes[j] == 0:
                 continue
-            candidate = fair_move_center(positions[j], means[j], *zones[j])
+            candidate = candidates[j]
             if np.array_equal(candidate, positions[j]):
                 continue
             members = labels == j
