@@ -40,10 +40,11 @@ filter serves, through one core:
 * every score (:func:`min_sq_dists`, its rank 1: ``metrics.cost``,
   ``metrics.bound_ratio`` and the harness's trial scores);
 * the search's distance pass for a candidate (:func:`sq_dists_below`);
-* every full nearest-center pass (:func:`two_nearest_sq_dists`,
-  its rank-2 cut): ``solution.Solution.build``, so ``init_solution``,
-  ``greedy_baseline`` and ``check_solution``, an accepted swap's k-scan,
-  and ``refine.assign``.
+* every nearest-two pass (:func:`two_nearest`, its rank-2 cut, read off
+  by :func:`_nearest_two` before it leaves the module):
+  ``solution.Solution.build``, so ``init_solution``, ``greedy_baseline``,
+  ``check_solution`` and the refined solution of ``refine.flloyd_run``;
+  an accepted swap's k-scan; and ``refine.assign``.
 
 :func:`lift_points` alone decides where the filter applies, and every
 filtered function returns the kernel's values where it declines;
@@ -238,22 +239,38 @@ def ranked_sq_dist(points: np.ndarray, refs: np.ndarray, rank: int) -> np.ndarra
 
 def _nth_smallest(block: np.ndarray, rank: int) -> np.ndarray:
     """The rank-th smallest entry of each row of ``block``.  Above rank 2 a
-    partition, which reorders the rows; at ranks 1 and 2 a row minimum
-    (with one smallest entry masked at rank 2, and then restored), which
-    gives the same values at a fraction of a partition's cost on rows as
-    short as a center set, and leaves ``block`` as it was."""
+    partition, which reorders the rows; at rank 1 a row minimum and at
+    rank 2 the second value :func:`_nearest_two` reads, which give the same
+    values at a fraction of a partition's cost on rows as short as a center
+    set, and leave ``block`` as it was."""
     if rank > 2:
         block.partition(rank - 1, axis=1)
         return block[:, rank - 1]
     if rank == 1:
         return block.min(axis=1)
-    lead = np.arange(block.shape[0])
-    first = block.argmin(axis=1)
-    smallest = block[lead, first]
-    block[lead, first] = np.inf
-    second = block.min(axis=1)
-    block[lead, first] = smallest
-    return second
+    return _nearest_two(block)[3]
+
+
+def _nearest_two(M: np.ndarray):
+    """``(assign, assign2, d1sq, d2sq)``: the slots and values of each row's
+    smallest and second-smallest entry of ``M``, ties going to the lower
+    slot, as in a stable sort of each row (``assign2 = -1`` and
+    ``d2sq = inf`` when M has one column).  The smallest entry is masked in
+    place and restored before returning, so no second (n, k) array is
+    allocated."""
+    n, k = M.shape
+    rows = np.arange(n)
+    assign = np.argmin(M, axis=1)
+    d1sq = M[rows, assign]
+    if k == 1:
+        return assign, np.full(n, -1, dtype=np.int64), d1sq, np.full(n, np.inf)
+    M[rows, assign] = np.inf
+    assign2 = np.argmin(M, axis=1)
+    M[rows, assign] = d1sq
+    # a row whose other entries are all inf makes argmin return slot 0 even
+    # when slot 0 is the smallest one; a stable sort puts slot 1 second there
+    assign2[assign2 == assign] = 1
+    return assign, assign2, d1sq, M[rows, assign2]
 
 
 def _lift(refs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -433,32 +450,33 @@ def sq_dists_below(
     return est
 
 
-def two_nearest_sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """(n, k) squared distances from ``points`` to ``centers``, with +inf
-    for the pairs the filter proves farther than the row's second-nearest:
-    what ``solution.nearest_two`` reads off it (slots and values, ties
-    included), and the argmin of each row, are what it reads off
-    :func:`sq_dist_matrix`.  Where the filter declines
-    (:func:`lift_points` of ``centers`` with ``points`` as its rows, which
-    declines at most two centers, since the cut would keep both), every
-    pair gets its kernel value.
+def two_nearest(points: np.ndarray, centers: np.ndarray):
+    """``(assign, assign2, d1sq, d2sq)``: the slot and squared distance of
+    each point's nearest and second-nearest center, ties going to the lower
+    slot, as :func:`_nearest_two` reads them off :func:`sq_dist_matrix`
+    (``assign2 = -1`` and ``d2sq = inf`` for one center).  Where the filter
+    declines (:func:`lift_points` of ``centers`` with ``points`` as its
+    rows, which declines at most two centers, since the cut would keep
+    both), that is how they are computed.
 
-    This is :func:`ranked_sq_dist`'s upper cut at rank 2: a center whose
-    estimate exceeds the row's second-smallest estimate T by more than 2e is
-    strictly farther than the second-nearest center, so every center at or
-    below that distance keeps its kernel value.  Rows are cut in blocks of
-    ``chunk_rows(k)`` (:func:`_ranked_estimates`), so no (n, k) array is
-    live beside the result.
+    Otherwise this is :func:`ranked_sq_dist`'s upper cut at rank 2: a
+    center whose estimate exceeds the row's second-smallest estimate T by
+    more than 2e is strictly farther than the second-nearest center, so it
+    gets +inf and every center at or below that distance its kernel value,
+    and the read-off gives the kernel's slots and values, ties included.
+    Rows are cut in blocks of ``chunk_rows(k)`` (:func:`_ranked_estimates`),
+    so no (n, k) array is live beside the cut one, which never leaves this
+    function.
     """
     k = centers.shape[0]
     lift = lift_points(centers, rows=points)
     if lift is None:
-        return sq_dist_matrix(points, centers)
-    out = np.full((points.shape[0], k), np.inf)
+        return _nearest_two(sq_dist_matrix(points, centers))
+    cut = np.full((points.shape[0], k), np.inf)
     for start, rows, est, T in _ranked_estimates(points, lift, 2):
         b = rows.shape[0]
         high = T + 2 * lift.slack[start : start + b, None]
         flat = np.flatnonzero(est <= high)
         owner, col = np.divmod(flat, k)
-        out[start : start + b].flat[flat] = _pair_sq_dists(rows, centers, owner, col)
-    return out
+        cut[start : start + b].flat[flat] = _pair_sq_dists(rows, centers, owner, col)
+    return _nearest_two(cut)

@@ -248,6 +248,7 @@ def subsample(ds: Dataset, m: int, seed: int) -> Dataset:
     unchanged.
     """
     _check_integer("m", m, 1, ds.n)
+    _check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     idx = np.sort(rng.choice(ds.n, size=m, replace=False))
     return Dataset(ds.points[idx])
@@ -291,6 +292,7 @@ def compute_radii(
         ref, rank = X, -(-ds.n // k)
     elif mode == "sampled":
         _check_integer("sample_size", sample_size, 1)
+        _check_integer("seed", seed, 0)
         rng = np.random.default_rng(seed)
         s = min(sample_size, ds.n)
         sample_ids = rng.choice(ds.n, size=s, replace=False)

@@ -22,8 +22,8 @@ Only points with ``dp(x) < d2(x)^2`` can change either sum or the caches, so
 the distance pass may give +inf to the points a dot-product estimate rules
 out (:func:`fairkmeans._dist.sq_dists_below`), which gives the same sums and
 caches bit for bit.  An accepted swap re-scans the points whose nearest or
-second-nearest center left with the filtered nearest-center pass that
-builds every solution (:func:`fairkmeans._dist.two_nearest_sq_dists`).
+second-nearest center left with the nearest-two pass that builds every
+solution (:func:`fairkmeans._dist.two_nearest`).
 Whether the filter applies is decided in ``_dist`` alone
 (:func:`fairkmeans._dist.lift_points`): for the candidate pass from the
 points, whose lift the search passes through, and for the k-scan from
@@ -42,11 +42,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._dist import lift_points, sq_dists_below, two_nearest_sq_dists
+from ._dist import lift_points, sq_dists_below, two_nearest
 from .anchors import AnchorSet, _check_gamma, build_coverage, seed
 from .dataset import Dataset, RadiusBounds, _check_integer
 from .errors import InfeasibleInstanceError
-from .solution import Solution, _SearchState, check_guarantee, check_solution, nearest_two
+from .solution import Solution, _SearchState, check_guarantee
 
 
 @dataclass
@@ -56,18 +56,18 @@ class LsConfig:
     ``iterations`` is the number of local-search steps.  The paper's count
     for an instance is ``math.ceil(k * math.log(n * fk.aspect_ratio(ds)))``;
     computing the aspect ratio is quadratic in n, so reserve it for small
-    inputs.
+    inputs.  ``seed`` is a non-negative integer.
     """
 
     k: int
     gamma: float = 3.0
     iterations: int = 500
     seed: int = 0
-    debug_checks: bool = False
 
     def validate(self) -> None:
         _check_integer("k", self.k, 1)
         _check_integer("iterations", self.iterations, 0)
+        _check_integer("seed", self.seed, 0)
         _check_gamma(self.gamma)
 
 
@@ -198,9 +198,9 @@ def _apply_swap(
     """Put point p in slot j and restore every cache.
 
     Points whose nearest or second-nearest center was the removed one get a
-    k-scan against the new center set
-    (:func:`fairkmeans._dist.two_nearest_sq_dists`, which decides whether
-    its filter applies); everyone else only needs a comparison
+    k-scan against the new center set: the nearest-two pass
+    (:func:`fairkmeans._dist.two_nearest`, which decides whether its filter
+    applies) writes their four caches.  Everyone else only needs a comparison
     against the new center's distances: p becomes the nearest center of the
     ``closer`` rows and the second-nearest of the ``mid`` rows.  The D^2
     cumsum is refreshed in place; the lift depends on the points alone and
@@ -214,11 +214,9 @@ def _apply_swap(
     affected = (sol.assign == j) | (sol.assign2 == j)
     rows = np.flatnonzero(affected)
     if rows.size:
-        a1, a2, d1, d2 = nearest_two(two_nearest_sq_dists(X[rows], sol.center_pos))
-        sol.assign[rows] = a1
-        sol.assign2[rows] = a2
-        sol.d1sq[rows] = d1
-        sol.d2sq[rows] = d2
+        sol.assign[rows], sol.assign2[rows], sol.d1sq[rows], sol.d2sq[rows] = two_nearest(
+            X[rows], sol.center_pos
+        )
 
     closer = ~affected & (dpsq < sol.d1sq)
     mid = ~affected & ~closer & (dpsq < sol.d2sq)
@@ -295,8 +293,6 @@ def run(ds: Dataset, delta: RadiusBounds, cfg: LsConfig) -> tuple[Solution, RunT
         sol, took = ls_step(sol, anchor_set, rng)
         costs[i] = sol.total_cost
         accepted[i] = took
-        if cfg.debug_checks and took:
-            check_solution(sol, delta)
 
     sol._search = None
     check_guarantee(sol, delta)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._dist import fsum, sq_dist_blocks, sq_dist_matrix, sq_dists, two_nearest_sq_dists
+from ._dist import fsum, sq_dist_blocks, sq_dist_matrix, sq_dists, two_nearest
 from .anchors import AnchorSet, clamped_moves
 from .dataset import Dataset, _check_integer, center_positions
 from .solution import Solution, check_guarantee
@@ -35,9 +35,9 @@ class FlConfig:
 def assign(ds: Dataset, centers: np.ndarray) -> np.ndarray:
     """Index of the nearest center for every point, lowest index on ties.
     ``centers`` are point ids or (k, d) positions
-    (:func:`dataset.center_positions`).  Read off the filtered pass
-    (``_dist.two_nearest_sq_dists``), whose row minima are the kernel's."""
-    return np.argmin(two_nearest_sq_dists(ds.points, center_positions(ds, centers)), axis=1)
+    (:func:`dataset.center_positions`).  The nearest slots of the
+    nearest-two pass (``_dist.two_nearest``), which are the kernel's."""
+    return two_nearest(ds.points, center_positions(ds, centers))[0]
 
 
 def cluster_means(X: np.ndarray, labels: np.ndarray, k: int):
@@ -57,18 +57,17 @@ def lloyd_rounds(
     anchor_set: AnchorSet | None,
     iterations: int,
     rel_tol: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Up to ``iterations`` Lloyd rounds from ``centers``, each move clamped
     to the zones of ``anchor_set`` pinned to the center (none when
     ``anchor_set`` is None).
 
-    Returns the final positions, the cost trace (the entry cost plus one
-    value per round) and the (n, k) squared distances from ``X`` to the
-    final positions that the last assignment used.  An empty cluster keeps
-    its center, and a move is kept only when its cluster's recomputed cost
-    strictly improves, which makes the trace non-increasing in float
-    arithmetic as well as in exact arithmetic.  A positive ``rel_tol`` stops
-    once a round's relative improvement drops to it or below.
+    Returns the final positions and the cost trace (the entry cost plus one
+    value per round).  An empty cluster keeps its center, and a move is
+    kept only when its cluster's recomputed cost strictly improves, which
+    makes the trace non-increasing in float arithmetic as well as in exact
+    arithmetic.  A positive ``rel_tol`` stops once a round's relative
+    improvement drops to it or below.
 
     A round in which no center moves is a fixed point: positions, and so
     distances, labels, means and pins, are those of the round before, and
@@ -116,7 +115,7 @@ def lloyd_rounds(
         total = new_total
         if rel_tol > 0 and improvement <= rel_tol * max(total, 1e-300):
             break
-    return positions, np.asarray(trace), M
+    return positions, np.asarray(trace)
 
 
 def flloyd_run(ds: Dataset, sol: Solution, *, cfg: FlConfig | None = None):
@@ -127,8 +126,10 @@ def flloyd_run(ds: Dataset, sol: Solution, *, cfg: FlConfig | None = None):
     cost trace, one entry on entry plus one per round; the trace is
     non-increasing.  Refinement stops computing at its fixed point, the
     first round in which no center moves; the rounds after it repeat the
-    last cost in the trace (:func:`lloyd_rounds`).  ``ds`` must be
-    ``sol.ds``, else a ValueError.
+    last cost in the trace (:func:`lloyd_rounds`).  The refined solution's
+    caches come from :meth:`Solution.build` at the final positions, and its
+    ``total_cost`` is the trace's last, correctly rounded, entry.  ``ds``
+    must be ``sol.ds``, else a ValueError.
 
     ``iterations = 0`` returns the input solution unchanged.
     """
@@ -136,13 +137,11 @@ def flloyd_run(ds: Dataset, sol: Solution, *, cfg: FlConfig | None = None):
         raise ValueError("ds must be the dataset the solution was built on (sol.ds)")
     cfg = FlConfig() if cfg is None else cfg
     cfg.validate()
-    positions, trace, M = lloyd_rounds(
-        ds.points, sol.center_pos, sol.anchor_set, cfg.iterations, 0.0
-    )
+    positions, trace = lloyd_rounds(ds.points, sol.center_pos, sol.anchor_set, cfg.iterations, 0.0)
     if cfg.iterations == 0:
         return sol, trace
 
-    refined = Solution.from_sq_dists(ds, sol.anchor_set, None, positions, M)
+    refined = Solution.build(ds, sol.anchor_set, center_pos=positions)
     check_guarantee(refined)
     refined.total_cost = float(trace[-1])
     return refined, trace

@@ -1,15 +1,14 @@
 """A center set with the caches the search and refinement stages share.
 
 :class:`Solution` holds the centers plus each point's nearest and
-second-nearest center and the anchor-zone coverage table;
-:func:`nearest_two` reads the per-point caches off an (n, k)
-squared-distance matrix, :func:`check_solution` is the debug oracle that
-compares a solution's caches against a fresh rebuild, and
-:func:`check_guarantee` is the one check that a solution keeps the promise:
-a center in every anchor zone, and each point served within
-``2 * gamma * delta(p)``.  The search keeps
-its own state on a solution while it runs (:class:`_SearchState`): the
-points' filter lift and the D² cumsum, both current after every step.
+second-nearest center, which the one nearest-two pass
+(``_dist.two_nearest``) computes, and the anchor-zone coverage table.
+:func:`check_solution` is the debug oracle that compares a solution's
+caches against a fresh rebuild, and :func:`check_guarantee` is the one
+check that a solution keeps the promise: a center in every anchor zone, and
+each point served within ``2 * gamma * delta(p)``.  The search keeps its
+own state on a solution while it runs (:class:`_SearchState`): the points'
+filter lift and the D² cumsum, both current after every step.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._dist import Lift, fsum, two_nearest_sq_dists
+from ._dist import Lift, fsum, two_nearest
 from .anchors import AnchorSet, build_coverage
 from .dataset import Dataset, RadiusBounds, center_positions, point_ids
 from .metrics import bound_ratio
@@ -94,25 +93,7 @@ class Solution:
             center_pos = ds.points[center_ids]
         else:
             center_pos = center_positions(ds, np.asarray(center_pos, dtype=np.float64))
-        return cls.from_sq_dists(
-            ds, anchor_set, center_ids, center_pos, two_nearest_sq_dists(ds.points, center_pos)
-        )
-
-    @classmethod
-    def from_sq_dists(
-        cls,
-        ds: Dataset,
-        anchor_set: AnchorSet,
-        center_ids: np.ndarray | None,
-        center_pos: np.ndarray,
-        M: np.ndarray,
-    ) -> "Solution":
-        """The :meth:`build` result for ``center_pos`` when the caller already
-        holds ``M``, the (n, k) squared distances from ``ds.points`` to
-        ``center_pos``.  ``M`` may hold +inf for centers farther than a
-        row's second-nearest (``_dist.two_nearest_sq_dists``), since
-        :func:`nearest_two` reads nothing beyond it."""
-        assign, assign2, d1sq, d2sq = nearest_two(M)
+        assign, assign2, d1sq, d2sq = two_nearest(ds.points, center_pos)
         return cls(
             ds=ds,
             anchor_set=anchor_set,
@@ -125,26 +106,6 @@ class Solution:
             covers=build_coverage(anchor_set, center_pos),
             total_cost=float(d1sq.sum()),
         )
-
-
-def nearest_two(M: np.ndarray):
-    """Nearest/second-nearest slots and squared distances, read off an (n, k)
-    squared-distance matrix; ties go to the lower slot, as in a stable sort
-    of each row.  ``M`` is masked in place and restored before returning,
-    so no second (n, k) array is allocated."""
-    n, k = M.shape
-    rows = np.arange(n)
-    assign = np.argmin(M, axis=1)
-    d1sq = M[rows, assign]
-    if k == 1:
-        return assign, np.full(n, -1, dtype=np.int64), d1sq, np.full(n, np.inf)
-    M[rows, assign] = np.inf
-    assign2 = np.argmin(M, axis=1)
-    M[rows, assign] = d1sq
-    # a row whose other entries are all inf makes argmin return slot 0 even
-    # when slot 0 is the nearest one; a stable sort puts slot 1 second there
-    assign2[assign2 == assign] = 1
-    return assign, assign2, d1sq, M[rows, assign2]
 
 
 def check_solution(sol: Solution, delta: RadiusBounds | None = None) -> None:

@@ -431,24 +431,54 @@ class TestAspectRatio:
 
 
 @pytest.mark.parametrize(
-    "make, message",
+    "make, error, message",
     [
-        (lambda: Dataset(np.zeros((2, 2, 2))), "points must be a 2-dimensional array"),
-        (lambda: RadiusBounds(np.array([1.0, -1.0])), "finite and nonnegative"),
-        (lambda: RadiusBounds(np.array([1.0, np.nan])), "finite and nonnegative"),
-        (lambda: RadiusBounds(np.ones((2, 1))), "delta must be a 1-dimensional array"),
-        (lambda: normalize(Dataset(np.ones((1, 2)))), "normalization needs at least 2 points"),
-        (lambda: aspect_ratio(Dataset(np.ones((1, 2)))), "aspect ratio needs at least 2 points"),
+        (lambda: Dataset(np.zeros((2, 2, 2))), ValueError, "points must be a 2-dimensional array"),
+        (lambda: RadiusBounds(np.array([1.0, -1.0])), ValueError, "finite and nonnegative"),
+        (lambda: RadiusBounds(np.array([1.0, np.nan])), ValueError, "finite and nonnegative"),
+        (lambda: RadiusBounds(np.ones((2, 1))), ValueError, "delta must be a 1-dimensional array"),
+        (
+            lambda: normalize(Dataset(np.ones((1, 2)))),
+            ValueError,
+            "normalization needs at least 2 points",
+        ),
+        (
+            lambda: aspect_ratio(Dataset(np.ones((1, 2)))),
+            ValueError,
+            "aspect ratio needs at least 2 points",
+        ),
         (
             lambda: compute_radii(Dataset(np.arange(6.0)), 2, mode="nope"),
+            ValueError,
             "unknown radius mode 'nope'",
+        ),
+        (
+            lambda: compute_radii(Dataset(np.arange(6.0)), 2, mode="sampled", seed=-1),
+            ValueError,
+            "seed=-1 must be at least 0",
+        ),
+        (
+            lambda: compute_radii(Dataset(np.arange(6.0)), 2, mode="sampled", seed=1.5),
+            TypeError,
+            "seed must be an integer, got 1.5",
+        ),
+        (
+            lambda: subsample(Dataset(np.arange(6.0)), 2, -1),
+            ValueError,
+            "seed=-1 must be at least 0",
+        ),
+        (
+            lambda: subsample(Dataset(np.arange(6.0)), 2, 1.5),
+            TypeError,
+            "seed must be an integer, got 1.5",
         ),
     ],
     ids=["3-D-points", "negative-radius", "nan-radius", "2-D-radii", "normalize-one",
-         "aspect-one", "radius-mode"],
+         "aspect-one", "radius-mode", "radii-seed-negative", "radii-seed-float",
+         "subsample-seed-negative", "subsample-seed-float"],
 )
-def test_bad_input_named(make, message):
-    with pytest.raises(ValueError, match=message):
+def test_bad_input_named(make, error, message):
+    with pytest.raises(error, match=message):
         make()
 
 

@@ -29,10 +29,9 @@ from fairkmeans._dist import (
     sq_dist_matrix,
     sq_dists,
     sq_dists_below,
-    two_nearest_sq_dists,
+    two_nearest,
 )
 from fairkmeans.anchors import AnchorSet, _pins, clamped_moves
-from fairkmeans.solution import nearest_two
 
 
 def reference(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -46,6 +45,20 @@ def reference(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
 def points(seed, n, d, scale=1.0):
     return np.random.default_rng(seed).normal(size=(n, d)) * scale
+
+
+def reference_nearest_two(M):
+    """``(assign, assign2, d1sq, d2sq)``: the first two slots of a stable
+    sort of each row of M, and their values."""
+    n, k = M.shape
+    rows = np.arange(n)
+    order = np.argsort(M, axis=1, kind="stable")
+    if k == 1:
+        return order[:, 0], np.full(n, -1), M[:, 0], np.full(n, np.inf)
+    return order[:, 0], order[:, 1], M[rows, order[:, 0]], M[rows, order[:, 1]]
+
+
+NEAREST_TWO = ("assign", "assign2", "d1sq", "d2sq")
 
 
 @pytest.mark.parametrize("d", [*range(1, 101), 128])
@@ -298,7 +311,7 @@ def test_candidate_filter_adversarial(name, k):
     X = ADVERSARIAL[name]()
     n = X.shape[0]
     ids = np.random.default_rng(k).choice(n, size=k, replace=False)
-    d2sq = nearest_two(reference(X, X[ids]))[3]
+    d2sq = reference_nearest_two(reference(X, X[ids]))[3]
     for p in (*ids[:3], 0, n // 2, n - 1):
         exact = reference(X, X[p : p + 1])[:, 0]
         kept = check_below(X, p, d2sq)
@@ -313,25 +326,35 @@ def test_candidate_filter_adversarial(name, k):
 
 def test_candidate_filter_drops_far_rows():
     X = points(22, 2000, 8)
-    d2sq = nearest_two(reference(X, X[:50]))[3]
+    d2sq = reference_nearest_two(reference(X, X[:50]))[3]
     kept = check_below(X, 7, d2sq)
     assert 0 < kept.sum() < 0.2 * X.shape[0]
 
 
 def check_cut(P, C):
-    """The filtered nearest-center pass keeps the kernel's value of every
-    center at or below each row's second-nearest, so nearest_two and the
-    argmin read the same slots and values off it as off the kernel."""
-    got = two_nearest_sq_dists(P, C)
-    full = reference(P, C)
-    kept = got != np.inf
-    assert np.array_equal(got[kept], full[kept])
-    second = np.sort(full, axis=1)[:, min(1, C.shape[0] - 1), None]
-    assert np.all(kept[full <= second])
-    for a, b in zip(nearest_two(got), nearest_two(full)):
-        assert np.array_equal(a, b)
-    assert np.array_equal(np.argmin(got, axis=1), np.argmin(full, axis=1))
-    return kept
+    """The nearest-two pass gives the slots and values of each row's two
+    nearest centers that a stable sort of the kernel's full matrix gives,
+    ties included, with the same dtypes."""
+    got = two_nearest(P, C)
+    want = reference_nearest_two(reference(P, C))
+    for field, a, b in zip(NEAREST_TWO, got, want):
+        assert a.dtype == b.dtype, field
+        assert np.array_equal(a, b), field
+
+
+def cut_pairs(monkeypatch, P, C):
+    """The number of (point, center) pairs that get kernel values in the
+    nearest-two pass of ``P`` against ``C``."""
+    pairs = []
+
+    def counting(points, refs, owner, col, original=_dist._pair_sq_dists):
+        pairs.append(owner.size)
+        return original(points, refs, owner, col)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_dist, "_pair_sq_dists", counting)
+        two_nearest(P, C)
+    return sum(pairs)
 
 
 @pytest.mark.parametrize("name", ADVERSARIAL)
@@ -388,10 +411,10 @@ def test_filtered_pass_equals_the_kernel(
     assert np.array_equal(min_sq_dists(P, C), reference(P, C).min(axis=1))
 
 
-def test_filtered_pass_cuts_far_centers():
+def test_filtered_pass_cuts_far_centers(monkeypatch):
     P, C = points(25, 3000, 8), points(26, 100, 8)
-    kept = check_cut(P, C)
-    assert kept.sum() < 0.2 * kept.size
+    check_cut(P, C)
+    assert cut_pairs(monkeypatch, P, C) < 0.2 * P.shape[0] * C.shape[0]
 
 
 @pytest.mark.parametrize("gemm", [50, 700, 1 << 18])
@@ -400,10 +423,10 @@ def test_filters_split_products(monkeypatch, gemm):
     monkeypatch.setattr(_dist, "GEMM_PRODUCTS", gemm)
     X = points(23, 437, 6)
     ids = np.arange(0, 437, 9)
-    d2sq = nearest_two(reference(X, X[ids]))[3]
+    d2sq = reference_nearest_two(reference(X, X[ids]))[3]
     assert 0 < check_below(X, 5, d2sq).sum() < X.shape[0]
-    kept = check_cut(X, X[ids])
-    assert kept.sum() < kept.size
+    check_cut(X, X[ids])
+    assert cut_pairs(monkeypatch, X, X[ids]) < X.shape[0] * ids.size
 
 
 def test_lift_declines():
@@ -429,9 +452,10 @@ def test_two_nearest_leaves_the_decline_to_lift(monkeypatch, k):
 
     monkeypatch.setattr(_dist, "lift_points", spy)
     X = points(26, 50, 8)
-    got = two_nearest_sq_dists(X, X[:k])
+    got = two_nearest(X, X[:k])
     assert calls == [k]
-    assert np.array_equal(got, reference(X, X[:k]))
+    for field, a, b in zip(NEAREST_TWO, got, reference_nearest_two(reference(X, X[:k]))):
+        assert np.array_equal(a, b), field
 
 
 def test_compute_radii_matches_reference():

@@ -172,10 +172,20 @@ class TestRunExperiment:
             ("k", 4.0, TypeError, "k must be an integer, got 4.0"),
             ("flloyd_iters", 2.5, TypeError, "flloyd_iters must be an integer, got 2.5"),
             ("flloyd_iters", -1, ValueError, "flloyd_iters=-1 must be at least 0"),
+            ("seed", -1, ValueError, "seed=-1 must be at least 0"),
+            ("seed", 1.5, TypeError, "seed must be an integer, got 1.5"),
+            (
+                "out",
+                "no-such-directory/report.json",
+                ValueError,
+                "out='no-such-directory/report.json': "
+                "directory 'no-such-directory' does not exist",
+            ),
         ],
         ids=[
             "gamma-inf", "gamma-1", "trials-float", "sample-float", "k-float",
-            "flloyd-iters-float", "flloyd-iters-negative",
+            "flloyd-iters-float", "flloyd-iters-negative", "seed-negative", "seed-float",
+            "out-missing-directory",
         ],
     )
     def test_config_checked_before_reading(self, tmp_path, algorithm, field, value, error, message):

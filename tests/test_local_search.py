@@ -22,12 +22,12 @@ from fairkmeans import (
     swap_costs,
 )
 from fairkmeans import _dist, compute_radii, local_search
-from fairkmeans._dist import min_sq_dists
-from fairkmeans.local_search import _best_swap, check_solution
-from fairkmeans.solution import nearest_two
+from fairkmeans._dist import _nearest_two, _nth_smallest, min_sq_dists
+from fairkmeans.local_search import _best_swap
+from fairkmeans.solution import check_solution
 from conftest import gaussian_instance
 from test_anchors import make_anchor_set
-from test_dist import ADVERSARIAL
+from test_dist import ADVERSARIAL, reference_nearest_two
 
 
 def with_exact_radii(points, k):
@@ -137,16 +137,17 @@ class TestConfigs:
         [
             (lambda: LsConfig(k=4.0), "k"),
             (lambda: LsConfig(k=4, iterations=3.0), "iterations"),
+            (lambda: LsConfig(k=4, seed=1.5), "seed"),
             (lambda: FlConfig(iterations=2.5), "iterations"),
         ],
-        ids=["LsConfig.k", "LsConfig.iterations", "FlConfig.iterations"],
+        ids=["LsConfig.k", "LsConfig.iterations", "LsConfig.seed", "FlConfig.iterations"],
     )
     def test_counts_must_be_integers(self, make, name):
         with pytest.raises(TypeError, match=f"{name} must be an integer"):
             make().validate()
 
     def test_numpy_integers_pass(self):
-        LsConfig(k=np.int64(4), iterations=np.int32(3)).validate()
+        LsConfig(k=np.int64(4), iterations=np.int32(3), seed=np.int64(5)).validate()
         FlConfig(iterations=np.uint8(2)).validate()
 
 
@@ -540,11 +541,19 @@ class TestRun:
         ids=["mixture", "duplicates", "k=1", "k=n", "d=1"],
     )
     def test_debug_checks_run_clean(self, make):
+        # the oracle after each accepted step of a seeded search; at k = n
+        # the cost is 0 and no step can be accepted
         ds, delta, k = make()
-        _, trace = run(ds, delta, LsConfig(k=k, iterations=40, seed=1, debug_checks=True))
-        # the checks run after each accepted step; at k = n the cost is 0
-        # and no step can be accepted
-        assert trace.accepted.any() or k == ds.n
+        anchor_set = seed(ds, delta, gamma=3.0)
+        rng = np.random.default_rng(np.random.SeedSequence(1).spawn(1)[0])
+        sol = init_solution(ds, anchor_set, k, rng)
+        accepted = 0
+        for _ in range(40):
+            _, took = ls_step(sol, anchor_set, rng)
+            if took:
+                check_solution(sol, delta)
+                accepted += 1
+        assert accepted or k == ds.n
 
     def test_equals_manual_loop(self):
         # run is one pass: init plus ls_step on one generator from the seed
@@ -585,17 +594,10 @@ class TestRun:
             assert np.median(finals) <= 3.0 * opt[0] + 1e-12
 
 
-def reference_nearest_two(M):
-    """The first two slots of a stable sort of each row."""
-    n, k = M.shape
-    rows = np.arange(n)
-    order = np.argsort(M, axis=1, kind="stable")
-    if k == 1:
-        return order[:, 0], np.full(n, -1), M[:, 0], np.full(n, np.inf)
-    return order[:, 0], order[:, 1], M[rows, order[:, 0]], M[rows, order[:, 1]]
-
-
 class TestNearestTwo:
+    """``_dist._nearest_two``, the read-off behind the nearest-two pass and
+    ``_nth_smallest`` at rank 2."""
+
     @staticmethod
     def matrices(k):
         rng = np.random.default_rng(k)
@@ -613,15 +615,18 @@ class TestNearestTwo:
     @pytest.mark.parametrize("k", [1, 2, 3, 8])
     def test_matches_stable_sort(self, k):
         for name, M in self.matrices(k):
-            got, want = nearest_two(M), reference_nearest_two(M)
+            got, want = _nearest_two(M), reference_nearest_two(M)
             for field, a, b in zip(("assign", "assign2", "d1sq", "d2sq"), got, want):
                 assert a.dtype == b.dtype, (name, field)
                 assert np.array_equal(a, b), (name, field)
             if k > 1:
                 assert np.all(got[0] != got[1]), name
+            assert np.array_equal(_nth_smallest(M, 2), got[3]), name
 
     def test_input_untouched(self):
         M = np.random.default_rng(0).integers(0, 3, size=(50, 4)).astype(np.float64)
         before = M.copy()
-        nearest_two(M)
+        _nearest_two(M)
+        assert np.array_equal(M, before)
+        _nth_smallest(M, 2)
         assert np.array_equal(M, before)

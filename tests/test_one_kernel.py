@@ -74,7 +74,7 @@ def test_search_takes_only_the_filter_from_dist():
     assert dist_imports("local_search.py") == {
         "lift_points",
         "sq_dists_below",
-        "two_nearest_sq_dists",
+        "two_nearest",
     }
 
 
@@ -84,3 +84,32 @@ def test_builds_and_scores_take_the_filtered_pass(module):
     # nearest centers, so they go through the filter's cut, never the full
     # (n, k) kernel matrix
     assert not dist_imports(module) & {"sq_dist_matrix", "sq_dist_blocks"}
+
+
+def test_one_nearest_two_read_off():
+    # each row's two nearest centers are read off the filter's cut in one
+    # place, _dist._nearest_two (argmin, mask with inf, argmin, restore),
+    # so the cut never leaves _dist: no other function masks an argmin's
+    # picks, and no constructor takes a distance matrix
+    from fairkmeans.solution import Solution
+
+    masking = []
+    for module in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                body = ast.dump(node)
+                if "attr='argmin'" in body and inf_stores(node):
+                    masking.append(f"{module.name}:{node.name}")
+    assert masking == ["_dist.py:_nearest_two"]
+    assert not hasattr(Solution, "from_sq_dists")
+
+
+def inf_stores(node: ast.AST) -> bool:
+    """Whether ``node`` stores ``np.inf`` into a subscript."""
+    return any(
+        isinstance(n, ast.Assign)
+        and any(isinstance(t, ast.Subscript) for t in n.targets)
+        and isinstance(n.value, ast.Attribute)
+        and n.value.attr == "inf"
+        for n in ast.walk(node)
+    )
