@@ -42,9 +42,8 @@ filter serves, through one core:
 * the search's distance pass for a candidate (:func:`sq_dists_below`);
 * every nearest-two pass (:func:`two_nearest`, its rank-2 cut, read off
   by :func:`_nearest_two` before it leaves the module):
-  ``solution.Solution.build``, so ``init_solution``, ``greedy_baseline``,
-  ``check_solution`` and the refined solution of ``refine.flloyd_run``;
-  an accepted swap's k-scan; and ``refine.assign``.
+  ``solution.Solution.build``, so ``init_solution``, ``greedy_baseline``
+  and ``check_solution``; an accepted swap's k-scan; and ``refine.assign``.
 
 :func:`lift_points` alone decides where the filter applies, and every
 filtered function returns the kernel's values where it declines;
@@ -52,8 +51,9 @@ filtered function returns the kernel's values where it declines;
 module's one matmul) the estimates, :func:`ranked_sq_dist`'s docstring
 derives the bound and :func:`_slack` computes it.  The passes that read
 every entry take the full kernel: refinement's incremental (n, k) matrix
-(``refine.lloyd_rounds``), the zone tests against anchors, the
-brute-force oracle and ``aspect_ratio``.
+(``refine.lloyd_rounds``, whose last matrix :func:`_nearest_two` reads for
+the refined solution), the zone tests against anchors, the brute-force
+oracle and ``aspect_ratio``.
 """
 
 from __future__ import annotations

@@ -81,7 +81,7 @@ def lloyd(
     at it (:func:`fairkmeans.refine.lloyd_rounds`).
     """
     _check_integer("iterations", iterations, 0)
-    return lloyd_rounds(ds.points, center_positions(ds, centers), None, iterations, rel_tol)
+    return lloyd_rounds(ds.points, center_positions(ds, centers), None, iterations, rel_tol)[:2]
 
 
 def vanilla_kmeans(ds: Dataset, k: int, seed) -> tuple[np.ndarray, np.ndarray]:

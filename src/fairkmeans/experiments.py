@@ -70,7 +70,8 @@ class ExperimentConfig:
         """Every field is checked here, before the CSV is opened, whatever
         the algorithm, and each error names the field: k, gamma, iterations
         and seed by the search config the trials use, whose fields have the
-        same names.  An ``out`` in a missing directory names both."""
+        same names.  An ``out`` in a missing directory names both, and an
+        ``out`` that is a directory is an error too."""
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
         _check_integer("trials", self.trials, 1)
@@ -80,10 +81,14 @@ class ExperimentConfig:
         if self.delta_mode is not None:
             parse_delta_mode(self.delta_mode)
         self._stages(self.seed)[0].validate()
-        if self.out is not None and not Path(self.out).parent.is_dir():
-            raise ValueError(
-                f"out={str(self.out)!r}: directory {str(Path(self.out).parent)!r} does not exist"
-            )
+        if self.out is not None:
+            out = Path(self.out)
+            if not out.parent.is_dir():
+                raise ValueError(
+                    f"out={str(out)!r}: directory {str(out.parent)!r} does not exist"
+                )
+            if out.is_dir():
+                raise ValueError(f"out={str(out)!r} is a directory")
 
     def _stages(self, seed: int) -> tuple[LsConfig, FlConfig]:
         """The search and refinement configs of the trial seeded ``seed``."""

@@ -22,8 +22,8 @@ Only points with ``dp(x) < d2(x)^2`` can change either sum or the caches, so
 the distance pass may give +inf to the points a dot-product estimate rules
 out (:func:`fairkmeans._dist.sq_dists_below`), which gives the same sums and
 caches bit for bit.  An accepted swap re-scans the points whose nearest or
-second-nearest center left with the nearest-two pass that builds every
-solution (:func:`fairkmeans._dist.two_nearest`).
+second-nearest center left with the nearest-two pass of
+``Solution.build`` (:func:`fairkmeans._dist.two_nearest`).
 Whether the filter applies is decided in ``_dist`` alone
 (:func:`fairkmeans._dist.lift_points`): for the candidate pass from the
 points, whose lift the search passes through, and for the k-scan from

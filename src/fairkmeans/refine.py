@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._dist import fsum, sq_dist_blocks, sq_dist_matrix, sq_dists, two_nearest
-from .anchors import AnchorSet, clamped_moves
+from ._dist import _nearest_two, fsum, sq_dist_blocks, sq_dist_matrix, sq_dists, two_nearest
+from .anchors import AnchorSet, build_coverage, clamped_moves
 from .dataset import Dataset, _check_integer, center_positions
 from .solution import Solution, check_guarantee
 
@@ -57,17 +57,20 @@ def lloyd_rounds(
     anchor_set: AnchorSet | None,
     iterations: int,
     rel_tol: float,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Up to ``iterations`` Lloyd rounds from ``centers``, each move clamped
     to the zones of ``anchor_set`` pinned to the center (none when
     ``anchor_set`` is None).
 
-    Returns the final positions and the cost trace (the entry cost plus one
-    value per round).  An empty cluster keeps its center, and a move is
-    kept only when its cluster's recomputed cost strictly improves, which
-    makes the trace non-increasing in float arithmetic as well as in exact
-    arithmetic.  A positive ``rel_tol`` stops once a round's relative
-    improvement drops to it or below.
+    Returns the final positions, the cost trace (the entry cost plus one
+    value per round) and each point's nearest and second-nearest center at
+    the final positions, ``(assign, assign2, d1sq, d2sq)`` as the
+    nearest-two pass gives them, read off the loop's last matrix by the
+    pass's read-off (``_dist._nearest_two``).  An empty cluster keeps its
+    center, and a move is kept only when its cluster's recomputed cost
+    strictly improves, which makes the trace non-increasing in float
+    arithmetic as well as in exact arithmetic.  A positive ``rel_tol`` stops
+    once a round's relative improvement drops to it or below.
 
     A round in which no center moves is a fixed point: positions, and so
     distances, labels, means and pins, are those of the round before, and
@@ -80,9 +83,19 @@ def lloyd_rounds(
     to ``sq_dist_matrix(X, positions)``.
     """
     positions = np.array(centers, dtype=np.float64)
+    M = sq_dist_matrix(X, positions)
+    trace = _rounds(X, positions, M, anchor_set, iterations, rel_tol)
+    # read off once the rounds' per-point arrays are freed, so that it takes
+    # no more memory than a round
+    return positions, trace, _nearest_two(M)
+
+
+def _rounds(X, positions, M, anchor_set, iterations, rel_tol) -> np.ndarray:
+    """The loop of :func:`lloyd_rounds`, with its arguments: moves
+    ``positions`` and re-measures their columns of ``M`` in place, and
+    returns the trace."""
     k = positions.shape[0]
     rows = np.arange(X.shape[0])
-    M = sq_dist_matrix(X, positions)
     labels = np.argmin(M, axis=1)
     d1sq = M[rows, labels]
     total = fsum(d1sq)
@@ -115,7 +128,7 @@ def lloyd_rounds(
         total = new_total
         if rel_tol > 0 and improvement <= rel_tol * max(total, 1e-300):
             break
-    return positions, np.asarray(trace)
+    return np.asarray(trace)
 
 
 def flloyd_run(ds: Dataset, sol: Solution, *, cfg: FlConfig | None = None):
@@ -127,9 +140,10 @@ def flloyd_run(ds: Dataset, sol: Solution, *, cfg: FlConfig | None = None):
     non-increasing.  Refinement stops computing at its fixed point, the
     first round in which no center moves; the rounds after it repeat the
     last cost in the trace (:func:`lloyd_rounds`).  The refined solution's
-    caches come from :meth:`Solution.build` at the final positions, and its
-    ``total_cost`` is the trace's last, correctly rounded, entry.  ``ds``
-    must be ``sol.ds``, else a ValueError.
+    nearest-two caches are those :func:`lloyd_rounds` reads off its last
+    matrix, equal to :meth:`Solution.build`'s at the final positions without
+    a second pass, and its ``total_cost`` is the trace's last, correctly
+    rounded, entry.  ``ds`` must be ``sol.ds``, else a ValueError.
 
     ``iterations = 0`` returns the input solution unchanged.
     """
@@ -137,11 +151,14 @@ def flloyd_run(ds: Dataset, sol: Solution, *, cfg: FlConfig | None = None):
         raise ValueError("ds must be the dataset the solution was built on (sol.ds)")
     cfg = FlConfig() if cfg is None else cfg
     cfg.validate()
-    positions, trace = lloyd_rounds(ds.points, sol.center_pos, sol.anchor_set, cfg.iterations, 0.0)
+    positions, trace, nearest = lloyd_rounds(
+        ds.points, sol.center_pos, sol.anchor_set, cfg.iterations, 0.0
+    )
     if cfg.iterations == 0:
         return sol, trace
 
-    refined = Solution.build(ds, sol.anchor_set, center_pos=positions)
+    covers = build_coverage(sol.anchor_set, positions)
+    # the read-off's (assign, assign2, d1sq, d2sq) are the fields in order
+    refined = Solution(ds, sol.anchor_set, None, positions, *nearest, covers, float(trace[-1]))
     check_guarantee(refined)
-    refined.total_cost = float(trace[-1])
     return refined, trace

@@ -1,8 +1,10 @@
 """A center set with the caches the search and refinement stages share.
 
 :class:`Solution` holds the centers plus each point's nearest and
-second-nearest center, which the one nearest-two pass
-(``_dist.two_nearest``) computes, and the anchor-zone coverage table.
+second-nearest center, which :meth:`Solution.build` takes from the one
+nearest-two pass (``_dist.two_nearest``) and a refined solution from the
+pass's read-off of refinement's last matrix, and the anchor-zone coverage
+table.
 :func:`check_solution` is the debug oracle that compares a solution's
 caches against a fresh rebuild, and :func:`check_guarantee` is the one
 check that a solution keeps the promise: a center in every anchor zone, and

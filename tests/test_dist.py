@@ -344,15 +344,21 @@ def check_cut(P, C):
 
 def cut_pairs(monkeypatch, P, C):
     """The number of (point, center) pairs that get kernel values in the
-    nearest-two pass of ``P`` against ``C``."""
+    nearest-two pass of ``P`` against ``C``: the filter's kept pairs, or
+    every pair where the pass takes the full kernel matrix instead."""
     pairs = []
 
     def counting(points, refs, owner, col, original=_dist._pair_sq_dists):
         pairs.append(owner.size)
         return original(points, refs, owner, col)
 
+    def full(points, centers, original=_dist.sq_dist_matrix):
+        pairs.append(points.shape[0] * centers.shape[0])
+        return original(points, centers)
+
     with monkeypatch.context() as patch:
         patch.setattr(_dist, "_pair_sq_dists", counting)
+        patch.setattr(_dist, "sq_dist_matrix", full)
         two_nearest(P, C)
     return sum(pairs)
 
@@ -414,7 +420,7 @@ def test_filtered_pass_equals_the_kernel(
 def test_filtered_pass_cuts_far_centers(monkeypatch):
     P, C = points(25, 3000, 8), points(26, 100, 8)
     check_cut(P, C)
-    assert cut_pairs(monkeypatch, P, C) < 0.2 * P.shape[0] * C.shape[0]
+    assert 0 < cut_pairs(monkeypatch, P, C) < 0.2 * P.shape[0] * C.shape[0]
 
 
 @pytest.mark.parametrize("gemm", [50, 700, 1 << 18])
@@ -426,7 +432,7 @@ def test_filters_split_products(monkeypatch, gemm):
     d2sq = reference_nearest_two(reference(X, X[ids]))[3]
     assert 0 < check_below(X, 5, d2sq).sum() < X.shape[0]
     check_cut(X, X[ids])
-    assert cut_pairs(monkeypatch, X, X[ids]) < X.shape[0] * ids.size
+    assert 0 < cut_pairs(monkeypatch, X, X[ids]) < X.shape[0] * ids.size
 
 
 def test_lift_declines():

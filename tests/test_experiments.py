@@ -181,11 +181,12 @@ class TestRunExperiment:
                 "out='no-such-directory/report.json': "
                 "directory 'no-such-directory' does not exist",
             ),
+            ("out", ".", ValueError, "out='.' is a directory"),
         ],
         ids=[
             "gamma-inf", "gamma-1", "trials-float", "sample-float", "k-float",
             "flloyd-iters-float", "flloyd-iters-negative", "seed-negative", "seed-float",
-            "out-missing-directory",
+            "out-missing-directory", "out-directory",
         ],
     )
     def test_config_checked_before_reading(self, tmp_path, algorithm, field, value, error, message):

@@ -27,6 +27,7 @@ from fairkmeans.anchors import AnchorSet, clamped_moves
 from fairkmeans.refine import cluster_means, lloyd_rounds
 from fairkmeans.solution import RADIUS_SLACK
 from conftest import gaussian_instance
+from test_dist import NEAREST_TWO, reference_nearest_two
 
 
 def reference_lloyd_rounds(X, centers, anchor_set, iterations, rel_tol):
@@ -210,10 +211,8 @@ class TestFlloydRun:
     def test_one_kernel_pass_per_round(self, monkeypatch):
         # the entry pass measures all k centers; each later round measures
         # only the centers that moved, and the first round where none moved
-        # is the fixed point, after which the loop calls the kernel no more.
-        # The refined solution is then built by the filtered nearest-two
-        # pass, whose one full-row kernel call is the lift's distance from
-        # each point to the centers' mean
+        # is the fixed point, after which the kernel is not called again:
+        # the refined solution's caches are read off the loop's last matrix
         ds, delta, k = gaussian_instance(31, n=200)
         sol, _ = run(ds, delta, LsConfig(k=k, iterations=20, seed=1))
         passes = []
@@ -232,7 +231,7 @@ class TestFlloydRun:
             ds.points, sol.center_pos, sol.anchor_set, 5, 0.0
         )
         assert 0 in moved and moved[0] > 0
-        assert passes == [k] + moved[: moved.index(0)] + [1]
+        assert passes == [k] + moved[: moved.index(0)]
         assert hexes(trace) == hexes(want)
 
     def test_foreign_dataset_rejected(self):
@@ -274,11 +273,17 @@ class TestLloydRounds:
         anchor_set = anchor_set if zoned else None
         for iterations in (0, 1, 60):
             for rel_tol in (0.0, 1e-6):
-                positions, trace = lloyd_rounds(X, centers, anchor_set, iterations, rel_tol)
+                positions, trace, nearest = lloyd_rounds(
+                    X, centers, anchor_set, iterations, rel_tol
+                )
                 want = reference_lloyd_rounds(X, centers, anchor_set, iterations, rel_tol)
                 case = (iterations, rel_tol)
                 assert np.array_equal(positions, want[0]), case
                 assert hexes(trace) == hexes(want[1]), case
+                # the read-off of the last matrix, as the full kernel gives it
+                expected = reference_nearest_two(sq_dist_matrix(X, positions))
+                for field, a, b in zip(NEAREST_TWO, nearest, expected):
+                    assert a.dtype == b.dtype and np.array_equal(a, b), (case, field)
                 if rel_tol == 0:
                     assert len(trace) == iterations + 1, case
 
@@ -299,7 +304,7 @@ class TestLloydRounds:
         # accepted moves are written in place, into the loop's own copy
         X, centers, anchor_set = lloyd_instance(5)
         before = centers.copy()
-        positions, _ = lloyd_rounds(X, centers, anchor_set, 5, 0.0)
+        positions, _, _ = lloyd_rounds(X, centers, anchor_set, 5, 0.0)
         assert np.array_equal(centers, before)
         assert not np.array_equal(positions, before)
 
