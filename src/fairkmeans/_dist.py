@@ -393,7 +393,7 @@ class Lift:
     candidate pass the points are their own references: every candidate is
     one of them, so its column is ``cols[:, p]``, its B is at most
     ``max(cols[d])``, and e_i holds for row i against any of them; it is
-    computed once per search, not once per step.
+    computed once per dataset (``Dataset.lift``), not once per step.
     """
 
     mean: np.ndarray

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._dist import sq_dist_matrix, sq_dists
 from .anchors import seed as seed_anchors
-from .dataset import Dataset, RadiusBounds, _check_integer, center_positions, check_radii
+from .dataset import Dataset, RadiusBounds, _check_integer, _rng, center_positions, check_radii
 from .local_search import _d2_draw, init_solution
 from .metrics import cost as metrics_cost
 from .metrics import fairness_ratios
@@ -46,7 +46,7 @@ def kmeanspp_init(ds: Dataset, k: int, seed) -> np.ndarray:
     """Standard D^2 seeding: first center uniform, each next one drawn with
     probability proportional to squared distance to the chosen set."""
     _check_integer("k", k, 1, ds.n)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     X = ds.points
     chosen = [int(rng.integers(ds.n))]
     d2 = sq_dists(X, X[chosen[0]])

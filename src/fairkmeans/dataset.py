@@ -11,6 +11,7 @@ instead of the full dataset.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import operator
 import re
@@ -21,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._dist import ranked_sq_dist, sq_dist_blocks
+from ._dist import Lift, lift_points, ranked_sq_dist, sq_dist_blocks
 
 # Exact radii estimate all n**2 pairwise distances (kernel values only for
 # the pairs that can decide a radius, at d > 2); above this size the sampled
@@ -37,6 +38,10 @@ class Dataset:
     ----------
     points : array-like of shape (n, d)
         Finite coordinates; one row per point.  Ids are the row indices.
+
+    ``lift`` is the points' filter lift for the search's candidate pass
+    (``_dist.lift_points`` of the points; None where the filter declines),
+    built on first read and kept: it depends on the points alone.
     """
 
     points: np.ndarray
@@ -62,6 +67,10 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.points.shape[1]
+
+    @functools.cached_property
+    def lift(self) -> Lift | None:
+        return lift_points(self.points)
 
 
 @dataclass(frozen=True)
@@ -228,15 +237,30 @@ def _read_rows(path: Path, cols: list[int] | None, header: bool) -> np.ndarray:
 def normalize(ds: Dataset) -> Dataset:
     """Shift and scale every dimension to zero mean and unit population std.
 
-    A constant dimension cannot be scaled and raises a ValueError naming it.
+    A dimension that cannot be scaled raises a ValueError naming it: one
+    whose mean or std overflows float64, one whose std underflows to 0
+    although its values differ, and a constant one.
     """
     if ds.n < 2:
         raise ValueError("normalization needs at least 2 points")
-    mean = ds.points.mean(axis=0)
-    std = ds.points.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = ds.points.mean(axis=0)
+        std = ds.points.std(axis=0)
+    wide = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
+    if wide.size:
+        raise ValueError(
+            f"dimension {int(wide[0])} spans too wide a range to normalize (its mean "
+            "or std overflows float64); rescale it, e.g. divide it by its largest magnitude"
+        )
     flat = np.flatnonzero(std == 0)
     if flat.size:
-        raise ValueError(f"dimension {int(flat[0])} is constant and cannot be normalized")
+        dim = int(flat[0])
+        if np.ptp(ds.points[:, dim]) > 0:
+            raise ValueError(
+                f"dimension {dim} spans too narrow a range to normalize (its std "
+                "underflows to 0); rescale it, e.g. divide it by its coordinate spread"
+            )
+        raise ValueError(f"dimension {dim} is constant and cannot be normalized")
     return Dataset((ds.points - mean) / std)
 
 
@@ -333,6 +357,16 @@ def _check_integer(name: str, value, low: int, high: float = math.inf) -> None:
     if not low <= value <= high:
         span = f"at least {low}" if high == math.inf else f"in [{low}, {high}]"
         raise ValueError(f"{name}={value} must be {span}")
+
+
+def _rng(seed) -> np.random.Generator:
+    """The one check of a seed that may be a generator: a numpy Generator
+    passes through, anything else must be a non-negative integer
+    (:func:`_check_integer`) and seeds a fresh one."""
+    if isinstance(seed, np.random.Generator):
+        return seed
+    _check_integer("seed", seed, 0)
+    return np.random.default_rng(seed)
 
 
 def _check_integers(name: str, values) -> np.ndarray:

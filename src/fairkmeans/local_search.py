@@ -26,13 +26,11 @@ second-nearest center left with the nearest-two pass of
 ``Solution.build`` (:func:`fairkmeans._dist.two_nearest`).
 Whether the filter applies is decided in ``_dist`` alone
 (:func:`fairkmeans._dist.lift_points`): for the candidate pass from the
-points, whose lift the search passes through, and for the k-scan from
-the centers.  The points' lift and the cumsum behind the D^2 draw live on
-the solution while the search runs (``Solution._search``); both are built
-on first use, and every accepted swap refreshes the cumsum in place, so it
-is never stale.  Every draw and every candidate pass goes through that
-state, so which path runs depends on the input alone, never on the calls
-made before.
+points, whose lift the dataset builds once (``Dataset.lift``), and for the
+k-scan from the centers.  The D^2 draw reads the solution's cumsum cache
+(``Solution.cum``), which every accepted swap refreshes in place.  Nothing
+else is kept between steps, and a draw or a swap evaluation changes
+nothing it reads.
 """
 
 from __future__ import annotations
@@ -42,11 +40,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._dist import lift_points, sq_dists_below, two_nearest
+from ._dist import sq_dists_below, two_nearest
 from .anchors import AnchorSet, _check_gamma, build_coverage, seed
-from .dataset import Dataset, RadiusBounds, _check_integer
+from .dataset import Dataset, RadiusBounds, _check_integer, _rng
 from .errors import InfeasibleInstanceError
-from .solution import Solution, _SearchState, check_guarantee
+from .solution import Solution, check_guarantee
 
 
 @dataclass
@@ -92,10 +90,10 @@ def init_solution(ds: Dataset, anchor_set: AnchorSet, k: int, seed) -> Solution:
     ValueError when the total cost overflows float64.
     """
     _check_integer("k", k, 1, ds.n)
+    rng = _rng(seed)
     m = len(anchor_set)
     if m > k:
         raise InfeasibleInstanceError(m, k)
-    rng = np.random.default_rng(seed)
     ids = anchor_set.anchors
     if m < k:
         pool = np.setdiff1d(np.arange(ds.n), ids)
@@ -133,17 +131,10 @@ def _d2_draw(cum: np.ndarray, rng: np.random.Generator) -> int | None:
 def d2_sample(sol: Solution, rng: np.random.Generator) -> int:
     """Draw a point id with probability d1(p)^2 / sum_q d1(q)^2: the draw
     :func:`ls_step` makes, from the same cached cumsum."""
-    idx = _d2_draw(_search_state(sol).cum, rng)
+    idx = _d2_draw(sol.cum, rng)
     if idx is None:
         raise ValueError("total cost is zero; every point already sits on a center")
     return idx
-
-
-def _search_state(sol: Solution) -> _SearchState:
-    """``sol._search``, with the lift and the D^2 cumsum built on first use."""
-    if sol._search is None:
-        sol._search = _SearchState(lift_points(sol.ds.points), np.cumsum(sol.d1sq))
-    return sol._search
 
 
 def _candidate_row(sol: Solution, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -151,7 +142,7 @@ def _candidate_row(sol: Solution, p: int) -> tuple[np.ndarray, np.ndarray]:
     filter proves it above ``d2sq`` (see the module docstring), and the
     zones p lies in."""
     X = sol.ds.points
-    dpsq = sq_dists_below(X, _search_state(sol).lift, p, sol.d2sq)
+    dpsq = sq_dists_below(X, sol.ds.lift, p, sol.d2sq)
     return dpsq, build_coverage(sol.anchor_set, X[p][None])[0]
 
 
@@ -187,8 +178,11 @@ def swap_costs(sol: Solution, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Cost of swapping point p in for each center, and which swaps keep
     every anchor zone of ``sol.anchor_set`` covered.
 
-    Returns ``(new_costs, admissible)`` indexed by center slot.
+    Returns ``(new_costs, admissible)`` indexed by center slot.  ``p`` is a
+    point id in ``[0, n)``; anything else is a TypeError or ValueError
+    naming it.
     """
+    _check_integer("p", p, 0, sol.ds.n - 1)
     return _swap_costs(sol, *_candidate_row(sol, p))
 
 
@@ -203,13 +197,11 @@ def _apply_swap(
     applies) writes their four caches.  Everyone else only needs a comparison
     against the new center's distances: p becomes the nearest center of the
     ``closer`` rows and the second-nearest of the ``mid`` rows.  The D^2
-    cumsum is refreshed in place; the lift depends on the points alone and
-    stays.
+    cumsum is refreshed in place.
     """
     X = sol.ds.points
     sol.center_ids[j] = p
     sol.center_pos[j] = X[p]
-    state = _search_state(sol)
 
     affected = (sol.assign == j) | (sol.assign2 == j)
     rows = np.flatnonzero(affected)
@@ -229,7 +221,7 @@ def _apply_swap(
 
     sol.covers[j, :] = covers_p
     sol.total_cost = new_cost
-    np.cumsum(sol.d1sq, out=state.cum)
+    np.cumsum(sol.d1sq, out=sol.cum)
 
 
 def ls_step(
@@ -243,9 +235,7 @@ def ls_step(
     is rejected without evaluation.  Otherwise the step takes the cheapest
     swap that keeps every anchor zone covered (:func:`swap_costs`), ties
     going to the lowest center id, when it is strictly cheaper.  The draw is
-    the one :func:`d2_sample` makes, from the cumsum kept in
-    ``sol._search``, which the first use builds and every accepted swap
-    refreshes.
+    the one :func:`d2_sample` makes, from ``sol.cum``.
 
     ``anchor_set`` is None or ``sol.anchor_set`` itself: the coverage cache
     belongs to that set, so any other one is a ValueError.  So is a solution
@@ -258,7 +248,7 @@ def ls_step(
             "local search needs centers at data points; this solution has no "
             "center_ids (a refined solution cannot be searched)"
         )
-    p = _d2_draw(_search_state(sol).cum, rng)
+    p = _d2_draw(sol.cum, rng)
     if p is None or p in sol.center_ids:
         return sol, False
     dpsq, covers_p = _candidate_row(sol, p)
@@ -294,6 +284,5 @@ def run(ds: Dataset, delta: RadiusBounds, cfg: LsConfig) -> tuple[Solution, RunT
         costs[i] = sol.total_cost
         accepted[i] = took
 
-    sol._search = None
     check_guarantee(sol, delta)
     return sol, RunTrace(initial_cost=initial, costs=costs, accepted=accepted)

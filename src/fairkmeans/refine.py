@@ -142,8 +142,9 @@ def flloyd_run(ds: Dataset, sol: Solution, *, cfg: FlConfig | None = None):
     last cost in the trace (:func:`lloyd_rounds`).  The refined solution's
     nearest-two caches are those :func:`lloyd_rounds` reads off its last
     matrix, equal to :meth:`Solution.build`'s at the final positions without
-    a second pass, and its ``total_cost`` is the trace's last, correctly
-    rounded, entry.  ``ds`` must be ``sol.ds``, else a ValueError.
+    a second pass, its D² cumsum is built from them, and its ``total_cost``
+    is the trace's last, correctly rounded, entry.  ``ds`` must be
+    ``sol.ds``, else a ValueError.
 
     ``iterations = 0`` returns the input solution unchanged.
     """
@@ -158,7 +159,10 @@ def flloyd_run(ds: Dataset, sol: Solution, *, cfg: FlConfig | None = None):
         return sol, trace
 
     covers = build_coverage(sol.anchor_set, positions)
-    # the read-off's (assign, assign2, d1sq, d2sq) are the fields in order
-    refined = Solution(ds, sol.anchor_set, None, positions, *nearest, covers, float(trace[-1]))
+    # the read-off's (assign, assign2, d1sq, d2sq) are the fields in order,
+    # and the D² cumsum is that of its d1sq
+    cum = np.cumsum(nearest[2])
+    total = float(trace[-1])
+    refined = Solution(ds, sol.anchor_set, None, positions, *nearest, cum, covers, total)
     check_guarantee(refined)
     return refined, trace

@@ -8,34 +8,24 @@ table.
 :func:`check_solution` is the debug oracle that compares a solution's
 caches against a fresh rebuild, and :func:`check_guarantee` is the one
 check that a solution keeps the promise: a center in every anchor zone, and
-each point served within ``2 * gamma * delta(p)``.  The search keeps its
-own state on a solution while it runs (:class:`_SearchState`): the points'
-filter lift and the D² cumsum, both current after every step.
+each point served within ``2 * gamma * delta(p)``.  The D² cumsum the
+search draws from is one more cache, kept like the distances; the points'
+filter lift depends on the points alone and belongs to the dataset
+(``Dataset.lift``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._dist import Lift, fsum, two_nearest
+from ._dist import fsum, two_nearest
 from .anchors import AnchorSet, build_coverage
 from .dataset import Dataset, RadiusBounds, center_positions, point_ids
 from .metrics import bound_ratio
 
 RADIUS_SLACK = 1 + 1e-9  # float headroom on the 2*gamma postcondition
-
-
-@dataclass(eq=False)
-class _SearchState:
-    """What the local search keeps between steps: the points' filter lift
-    (``_dist.lift_points``; None where the filter declines), and
-    ``cumsum(d1sq)`` for the D² draw, which every accepted swap refreshes in
-    place, so it always matches ``d1sq``."""
-
-    lift: Lift | None
-    cum: np.ndarray
 
 
 @dataclass(eq=False)
@@ -46,14 +36,13 @@ class Solution:
     has moved centers off the data points; ``center_pos`` is always valid.
     ``assign``/``assign2`` hold the slot of each point's nearest and
     second-nearest center and ``d1sq``/``d2sq`` the matching squared
-    distances (``assign2 = -1`` and ``d2sq = inf`` when k = 1).
+    distances (``assign2 = -1`` and ``d2sq = inf`` when k = 1), and ``cum``
+    is ``np.cumsum(d1sq)``, the running total the search's D² draw reads.
     ``covers`` is the (k, m) zone table of :func:`anchors.build_coverage`:
     ``covers[j, z]`` is True when center j lies in anchor zone z, and a
     valid solution has a True in every column.  ``total_cost`` is the
     k-means cost, kept consistent with a from-scratch recomputation to 1e-9
-    relative.  ``_search`` is the search's :class:`_SearchState`, built
-    on first use (the first step, draw or swap evaluation), kept current by
-    every accepted swap, and dropped when :func:`local_search.run` returns.
+    relative.
 
     Solutions are single-owner: only the loop that created one mutates it.
     """
@@ -66,9 +55,9 @@ class Solution:
     assign2: np.ndarray
     d1sq: np.ndarray
     d2sq: np.ndarray
+    cum: np.ndarray
     covers: np.ndarray
     total_cost: float
-    _search: _SearchState | None = field(default=None, repr=False)
 
     @property
     def k(self) -> int:
@@ -105,6 +94,7 @@ class Solution:
             assign2=assign2,
             d1sq=d1sq,
             d2sq=d2sq,
+            cum=np.cumsum(d1sq),
             covers=build_coverage(anchor_set, center_pos),
             total_cost=float(d1sq.sum()),
         )
@@ -113,10 +103,10 @@ class Solution:
 def check_solution(sol: Solution, delta: RadiusBounds | None = None) -> None:
     """Debug oracle: caches must match a from-scratch rebuild.
 
-    Verifies distances, the coverage table, cost coherence at 1e-9
-    relative, the search's D² cumsum (whenever the search state exists) bit
-    for bit, and then the promise (:func:`check_guarantee`, with the
-    2*gamma service bound when radii are supplied).
+    Verifies distances, the D² cumsum and the coverage table bit for bit,
+    cost coherence at 1e-9 relative, and then the promise
+    (:func:`check_guarantee`, with the 2*gamma service bound when radii are
+    supplied).
     """
     fresh = Solution.build(
         sol.ds, sol.anchor_set, center_ids=None, center_pos=sol.center_pos
@@ -125,10 +115,10 @@ def check_solution(sol: Solution, delta: RadiusBounds | None = None) -> None:
         raise AssertionError("d1 cache out of sync with the center set")
     if not np.array_equal(fresh.d2sq, sol.d2sq):
         raise AssertionError("d2 cache out of sync with the center set")
+    if not np.array_equal(fresh.cum, sol.cum):
+        raise AssertionError("D² cumsum cache out of sync with the center set")
     if not np.array_equal(fresh.covers, sol.covers):
         raise AssertionError("coverage table out of sync with the center set")
-    if sol._search is not None and not np.array_equal(sol._search.cum, np.cumsum(sol.d1sq)):
-        raise AssertionError("D² cumsum cache out of sync with d1sq")
     exact = fsum(sol.d1sq)
     if abs(sol.total_cost - exact) > 1e-9 * max(1.0, abs(exact)):
         raise AssertionError("total cost drifted from the recomputed value")

@@ -238,6 +238,23 @@ class TestNormalize:
         with pytest.raises(ValueError, match="dimension 0"):
             normalize(Dataset(np.array([[5.0], [5.0]])))
 
+    def test_overflowing_std_named(self):
+        # the std overflowed to inf and the column normalized to all zeros
+        pts = np.array([[1e200, 0.0], [-1e200, 1.0], [1e200, 2.0]])
+        with pytest.raises(ValueError, match="dimension 0 spans too wide a range"):
+            normalize(Dataset(pts))
+
+    def test_overflowing_mean_named(self):
+        # finite input used to be reported as "coordinates must be finite"
+        with pytest.raises(ValueError, match="dimension 0 spans too wide a range"):
+            normalize(Dataset(np.array([[1e308], [1e308], [0.0]])))
+
+    def test_underflowing_std_named(self):
+        # a spread of 1e-170 used to be reported as constant
+        pts = np.array([[0.0, 0.0], [1.0, 1e-170]])
+        with pytest.raises(ValueError, match="dimension 1 spans too narrow a range"):
+            normalize(Dataset(pts))
+
     def test_three_points_population_std(self):
         out = normalize(Dataset(np.array([[0.0], [1.0], [2.0]])))
         r = math.sqrt(1.5)
@@ -480,6 +497,34 @@ class TestAspectRatio:
 def test_bad_input_named(make, error, message):
     with pytest.raises(error, match=message):
         make()
+
+
+@pytest.mark.parametrize(
+    "entry", ["init_solution", "greedy_baseline", "kmeanspp_init", "vanilla_kmeans"]
+)
+@pytest.mark.parametrize(
+    "seed, error, message",
+    [
+        (-1, ValueError, "seed=-1 must be at least 0"),
+        (1.5, TypeError, "seed must be an integer, got 1.5"),
+    ],
+    ids=["negative", "float"],
+)
+def test_bad_seed_named(entry, seed, error, message):
+    # the entries whose seed may also be a Generator; numpy's own errors
+    # named neither the seed nor the entry
+    import fairkmeans as fk
+
+    ds = Dataset(np.arange(6.0))
+    delta = compute_radii(ds, 2)
+    calls = {
+        "init_solution": lambda: fk.init_solution(ds, fk.seed(ds, delta, 3.0), 2, seed),
+        "greedy_baseline": lambda: fk.greedy_baseline(ds, delta, 3.0, 2, seed),
+        "kmeanspp_init": lambda: fk.kmeanspp_init(ds, 2, seed),
+        "vanilla_kmeans": lambda: fk.vanilla_kmeans(ds, 2, seed),
+    }
+    with pytest.raises(error, match=message):
+        calls[entry]()
 
 
 def non_finite_cases():

@@ -21,7 +21,7 @@ from fairkmeans import (
     seed,
     swap_costs,
 )
-from fairkmeans import _dist, compute_radii, local_search
+from fairkmeans import _dist, compute_radii, dataset, local_search
 from fairkmeans._dist import _nearest_two, _nth_smallest, min_sq_dists
 from fairkmeans.local_search import _best_swap
 from fairkmeans.solution import check_solution
@@ -219,6 +219,24 @@ class TestEvaluateSwaps:
                 naive = math.fsum(min_sq_dists(ds.points, pos))
                 assert costs[j] == pytest.approx(naive, rel=1e-9)
 
+    @pytest.mark.parametrize("d", [2, 4])
+    @pytest.mark.parametrize(
+        "p, error, message",
+        [
+            (-1, ValueError, r"p=-1 must be in \[0, 299\]"),
+            (300, ValueError, r"p=300 must be in \[0, 299\]"),
+            (2.5, TypeError, "p must be an integer, got 2.5"),
+        ],
+        ids=["negative", "n", "float"],
+    )
+    def test_point_id_checked(self, d, p, error, message):
+        # p = -1 used to wrap to point n-1 at d <= 2 and to price swaps
+        # from unset memory at d > 2; n and 2.5 failed inside numpy
+        ds, delta, k = gaussian_instance(67, n=300, k=4, d=d)
+        sol = init_solution(ds, seed(ds, delta, 3.0), k, 0)
+        with pytest.raises(error, match=message):
+            swap_costs(sol, p)
+
     def test_existing_center_is_a_noop(self):
         ds, delta, aset, sol = ls_fixture(3)
         p = int(sol.center_ids[0])
@@ -348,7 +366,8 @@ class TestLsStep:
 
 
 class TestSearchState:
-    """The lift and the D^2 cumsum the search keeps on a solution."""
+    """What the search reads between steps: the solution's D^2 cumsum cache
+    and the dataset's lift, with no state of its own."""
 
     def test_draws_equal_d2_sample(self, monkeypatch):
         # the cached cumsum gives ls_step the draw d2_sample gives on a copy
@@ -364,43 +383,58 @@ class TestSearchState:
         ds, delta, aset, sol = ls_fixture(61, n=300, k=6, init_seed=3)
         rng = np.random.default_rng(5)
         took = []
+        assert np.array_equal(sol.cum, np.cumsum(sol.d1sq))
         for _ in range(120):
             want = d2_sample(sol, copy.deepcopy(rng))
             draws.clear()
             took.append(ls_step(sol, aset, rng)[1])
             assert draws == [want]
-            assert np.array_equal(sol._search.cum, np.cumsum(sol.d1sq))
+            assert np.array_equal(sol.cum, np.cumsum(sol.d1sq))
         assert 3 <= sum(took) < 100
 
     def test_stale_cumsum_detected(self):
+        # on a stepped solution, a fresh one and a refined one alike
         ds, delta, aset, sol = ls_fixture(62, n=200, k=4)
         rng = np.random.default_rng(0)
         while ls_step(sol, aset, rng)[1]:
             pass
-        check_solution(sol, delta)
-        sol._search.cum[-1] *= 2
-        with pytest.raises(AssertionError, match="cumsum"):
-            check_solution(sol, delta)
+        fresh = Solution.build(ds, aset, center_ids=sol.center_ids)
+        refined, _ = flloyd_run(ds, sol, cfg=FlConfig(iterations=3))
+        for each in (sol, fresh, refined):
+            check_solution(each, delta)
+            each.cum[-1] *= 2
+            with pytest.raises(AssertionError, match="cumsum"):
+                check_solution(each, delta)
 
     @pytest.mark.parametrize("d", [2, 3])
-    def test_one_path_whatever_the_calls_before(self, d):
-        # d2_sample and swap_costs build and read the state ls_step uses, so
-        # the filter runs on a fresh solution exactly when it would on a
-        # stepped one: wherever the lift exists (d > 2 here)
+    def test_draw_and_swap_costs_change_nothing(self, d):
+        # the public reads attach nothing to the solution and write nothing
+        # into its caches, whether or not the lift exists (d > 2 here)
         ds, delta, k = gaussian_instance(65, n=200, k=4, d=d)
         sol = init_solution(ds, seed(ds, delta, 3.0), k, 0)
+        before = dict(vars(sol))
+        arrays = {name: v.copy() for name, v in before.items() if isinstance(v, np.ndarray)}
         p = d2_sample(sol, np.random.default_rng(0))
-        state = sol._search
-        assert state is not None and (state.lift is None) == (d <= 2)
         swap_costs(sol, p)
-        assert sol._search is state
+        assert vars(sol).keys() == before.keys()
+        assert all(vars(sol)[name] is v for name, v in before.items())
+        assert all(np.array_equal(vars(sol)[name], v) for name, v in arrays.items())
+        assert (ds.lift is None) == (d <= 2)
         check_solution(sol, delta)
 
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_run_drops_search_state(self, d):
-        ds, delta, k = gaussian_instance(63, n=200, k=4, d=d)
-        sol, trace = run(ds, delta, LsConfig(k=k, iterations=40, seed=2))
-        assert trace.accepted_count and sol._search is None
+    def test_lift_built_once_per_dataset(self, monkeypatch):
+        calls = []
+
+        def counting(points):
+            calls.append(points)
+            return _dist.lift_points(points)
+
+        monkeypatch.setattr(dataset, "lift_points", counting)
+        ds, delta, k = gaussian_instance(63, n=200, k=4, d=3)
+        for s in (2, 3):
+            sol, trace = run(ds, delta, LsConfig(k=k, iterations=40, seed=s))
+            assert trace.accepted_count
+        assert len(calls) == 1 and calls[0] is ds.points
 
     @staticmethod
     def solve(ds, delta, k, iterations):
@@ -411,11 +445,14 @@ class TestSearchState:
     def assert_filter_changes_nothing(self, monkeypatch, ds, delta, k, iterations):
         filtered = self.solve(ds, delta, k, iterations)
         # no lift anywhere: the candidate pass, the k-scan and
-        # Solution.build (init and the debug oracle) all run the plain kernel
+        # Solution.build (init and the debug oracle) all run the plain
+        # kernel.  A fresh dataset, since ds keeps the lift it has built.
+        plain_ds = Dataset(ds.points)
         with monkeypatch.context() as m:
-            m.setattr(local_search, "lift_points", lambda points: None)
+            m.setattr(dataset, "lift_points", lambda points: None)
             m.setattr(_dist, "lift_points", lambda refs, rows=None: None)
-            plain = self.solve(ds, delta, k, iterations)
+            plain = self.solve(plain_ds, delta, k, iterations)
+        assert vars(plain_ds).get("lift") is None
         for a, b in zip(filtered[0], plain[0]):
             assert np.array_equal(a, b)
         assert filtered[1].initial_cost == plain[1].initial_cost
