@@ -36,9 +36,11 @@ from .dataset import (
     Dataset,
     RadiusBounds,
     _check_integers,
+    as_floats,
     check_distance_scale,
     check_positions,
     check_radii,
+    check_radius_values,
 )
 
 # Halvings in a clamped move: its error is at most |mean - center| * 2**-40.
@@ -59,10 +61,11 @@ class AnchorSet:
 
     ``zone_radius[i]`` equals ``gamma * delta(anchors[i])``.  A set of m
     anchors has 1-D ``anchors`` and ``zone_radius`` of length m, finite
-    and nonnegative radii, and finite (m, d) ``positions``; m = 0 is
-    valid.  The fields are stored as int64 ids and float64 positions and
-    radii; ids that are not integers are a TypeError, and each other fault
-    is a ValueError that names it.
+    and nonnegative radii (:func:`dataset.check_radius_values`), and finite
+    (m, d) ``positions``; m = 0 is valid.  The fields are stored as int64
+    ids and fresh float64 positions and radii (:func:`dataset.as_floats`);
+    ids that are not integers and complex values are a TypeError, and each
+    other fault is a ValueError that names it.
     """
 
     anchors: np.ndarray
@@ -72,8 +75,8 @@ class AnchorSet:
 
     def __post_init__(self):
         object.__setattr__(self, "anchors", _check_integers("anchors", self.anchors))
-        for name in ("positions", "zone_radius"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+        object.__setattr__(self, "positions", as_floats("anchor positions", self.positions))
+        object.__setattr__(self, "zone_radius", as_floats("zone radii", self.zone_radius))
         if self.anchors.ndim != 1:
             raise ValueError(f"anchors must be a 1-D id array, got shape {self.anchors.shape}")
         if self.positions.ndim != 2 or self.positions.shape[0] != self.anchors.shape[0]:
@@ -83,8 +86,7 @@ class AnchorSet:
             )
         if self.zone_radius.shape != self.anchors.shape:
             raise ValueError("one zone radius per anchor")
-        if not np.all(np.isfinite(self.zone_radius)) or np.any(self.zone_radius < 0):
-            raise ValueError("zone radii must be finite and nonnegative")
+        check_radius_values("zone radii", self.zone_radius)
         if not np.all(np.isfinite(self.positions)):
             raise ValueError("anchor positions hold non-finite coordinates (NaN or inf)")
         _check_gamma(self.gamma)
@@ -149,28 +151,48 @@ def fair_move_center(
     stays inside every constraint ball.
 
     The feasible steps form an interval [0, t*] because the segment's
-    intersection with each closed ball is convex and t=0 is feasible by
-    precondition.  When the mean itself is feasible it is returned exactly;
-    otherwise t* is located by ``BISECTION_STEPS`` halvings, an error of at
-    most ``|mean - center| * 2**-BISECTION_STEPS``.
+    intersection with each closed ball is convex and t=0 is feasible: the
+    center must lie in every ball, which is checked.  When the mean itself
+    is feasible it is returned exactly; otherwise t* is located by
+    ``BISECTION_STEPS`` halvings, an error of at most
+    ``|mean - center| * 2**-BISECTION_STEPS``.
 
     ``center`` and ``mean`` are positions of d coordinates and
     ``anchor_positions`` a (m, d) array (:func:`dataset.check_positions`),
-    with one radius per anchor; anything else is a ValueError.
+    with one finite nonnegative radius per anchor
+    (:func:`dataset.check_radius_values`), and ``center`` must lie in every
+    ball; anything else is a ValueError.
     """
     center = check_positions([center], np.size(center))[0]
     mean = check_positions([mean], center.size)[0]
-    if np.shape(radii) != np.shape(anchor_positions)[:1]:
-        raise ValueError(f"need one radius per anchor position, got {np.shape(radii)} radii")
-    if np.size(radii) == 0:
+    radii = as_floats("radii", radii)
+    if radii.shape != np.shape(anchor_positions)[:1]:
+        raise ValueError(f"need one radius per anchor position, got {radii.shape} radii")
+    check_radius_values("radii", radii)
+    if radii.size == 0:
         return mean
-    anchor_positions = check_positions(anchor_positions, center.size)
+    return _move(center, mean, check_positions(anchor_positions, center.size), radii)
+
+
+def _move(center: np.ndarray, mean: np.ndarray, anchor_positions: np.ndarray, radii: np.ndarray):
+    """:func:`fair_move_center` on inputs already checked: float64 arrays of
+    d, d, (m, d) and m values.  Only the precondition is tested here."""
+    # a center no zone is pinned to moves to its mean
+    if radii.size == 0:
+        return mean
 
     def feasible(t: float) -> bool:
         pos = (1.0 - t) * center + t * mean
         return bool(_zones(pos[None], anchor_positions, radii)[1].all())
 
-    if feasible(1.0):
+    # the precondition and the whole step, in one zone test
+    inside = _zones(np.stack([center, mean]), anchor_positions, radii)[1]
+    outside = np.flatnonzero(~inside[0])
+    if outside.size:
+        raise ValueError(
+            f"center lies outside constraint ball {int(outside[0])}; it must start inside every ball"
+        )
+    if inside[1].all():
         return mean.copy()
     lo, hi = 0.0, 1.0
     for _ in range(BISECTION_STEPS):
@@ -198,8 +220,10 @@ def clamped_moves(anchor_set: AnchorSet, positions: np.ndarray, means: np.ndarra
     :func:`fair_move_center` from ``positions[j]``, the start-of-round
     position, toward ``means[j]``, within the zones pinned to center j
     (the module docstring's rule).  A (k, d) array; whichever candidates
-    a round takes, every zone covered at ``positions`` stays covered."""
+    a round takes, every zone covered at ``positions`` stays covered.
+    ``positions`` and ``means`` are the refinement loop's own float64
+    arrays, so the moves skip :func:`fair_move_center`'s input checks."""
     k = positions.shape[0]
     pin = _pins(anchor_set, positions)
     zones = [(anchor_set.positions[pin == j], anchor_set.zone_radius[pin == j]) for j in range(k)]
-    return np.array([fair_move_center(positions[j], means[j], *zones[j]) for j in range(k)])
+    return np.array([_move(positions[j], means[j], *zones[j]) for j in range(k)])

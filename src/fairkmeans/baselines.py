@@ -16,7 +16,15 @@ import numpy as np
 
 from ._dist import sq_dist_matrix, sq_dists
 from .anchors import seed as seed_anchors
-from .dataset import Dataset, RadiusBounds, _check_integer, _rng, center_positions, check_radii
+from .dataset import (
+    Dataset,
+    RadiusBounds,
+    _check_integer,
+    _rng,
+    center_positions,
+    check_distance_scale,
+    check_radii,
+)
 from .local_search import _d2_draw, init_solution
 from .metrics import cost as metrics_cost
 from .metrics import fairness_ratios
@@ -44,9 +52,12 @@ def greedy_baseline(
 
 def kmeanspp_init(ds: Dataset, k: int, seed) -> np.ndarray:
     """Standard D^2 seeding: first center uniform, each next one drawn with
-    probability proportional to squared distance to the chosen set."""
+    probability proportional to squared distance to the chosen set.  Points
+    whose squared distances underflow are a ValueError
+    (:func:`dataset.check_distance_scale`): every draw would be uniform."""
     _check_integer("k", k, 1, ds.n)
     rng = _rng(seed)
+    check_distance_scale(ds)
     X = ds.points
     chosen = [int(rng.integers(ds.n))]
     d2 = sq_dists(X, X[chosen[0]])
@@ -78,9 +89,12 @@ def lloyd(
     once a round's relative improvement drops to it or below.  A round in
     which no center moves is a fixed point: with ``rel_tol = 0`` its cost
     fills the rest of the trace, with a positive ``rel_tol`` the trace ends
-    at it (:func:`fairkmeans.refine.lloyd_rounds`).
+    at it (:func:`fairkmeans.refine.lloyd_rounds`).  Points whose squared
+    distances underflow (:func:`dataset.check_distance_scale`), and an
+    entry cost that overflows, are a ValueError.
     """
     _check_integer("iterations", iterations, 0)
+    check_distance_scale(ds)
     return lloyd_rounds(ds.points, center_positions(ds, centers), None, iterations, rel_tol)[:2]
 
 

@@ -39,15 +39,18 @@ class Dataset:
     points : array-like of shape (n, d)
         Finite coordinates; one row per point.  Ids are the row indices.
 
-    ``lift`` is the points' filter lift for the search's candidate pass
-    (``_dist.lift_points`` of the points; None where the filter declines),
-    built on first read and kept: it depends on the points alone.
+    The points are copied (:func:`as_floats`) and the copy is made
+    read-only, so the caller's array stays writable and later changes to it
+    do not reach the dataset.  ``lift`` is the points' filter lift for the
+    search's candidate pass (``_dist.lift_points`` of the points; None where
+    the filter declines), built on first read and kept: it depends on the
+    points alone.
     """
 
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
+        pts = as_floats("points", self.points)
         if pts.ndim == 1:
             pts = pts.reshape(-1, 1)
         if pts.ndim != 2:
@@ -56,7 +59,6 @@ class Dataset:
             raise ValueError("dataset needs at least one point and one dimension")
         if not np.all(np.isfinite(pts)):
             raise ValueError("coordinates must be finite (no NaN or infinity)")
-        pts = np.ascontiguousarray(pts)
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
@@ -72,21 +74,27 @@ class Dataset:
     def lift(self) -> Lift | None:
         return lift_points(self.points)
 
+    @functools.cached_property
+    def _spread(self) -> float:
+        """The largest per-dimension coordinate spread, which
+        :func:`check_distance_scale` reads at every entry."""
+        return float(np.max(self.points.max(axis=0) - self.points.min(axis=0)))
+
 
 @dataclass(frozen=True)
 class RadiusBounds:
     """Per-point fairness radii ``delta``, one finite nonnegative value per
-    point, from :func:`compute_radii` or supplied by the user."""
+    point (:func:`check_radius_values`), from :func:`compute_radii` or
+    supplied by the user.  Stored as a read-only copy, as
+    :class:`Dataset` stores its points."""
 
     delta: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.delta, dtype=np.float64)
+        d = as_floats("delta", self.delta)
         if d.ndim != 1:
             raise ValueError("delta must be a 1-dimensional array")
-        if not np.all(np.isfinite(d)) or np.any(d < 0):
-            raise ValueError("radii must be finite and nonnegative")
-        d = np.ascontiguousarray(d)
+        check_radius_values("radii", d)
         d.setflags(write=False)
         object.__setattr__(self, "delta", d)
 
@@ -335,13 +343,25 @@ def compute_radii(
 def check_distance_scale(ds: Dataset) -> None:
     """ValueError when the points are distinct but so close that every
     squared distance underflows: the largest per-dimension spread squared is
-    below the smallest normal float64.  Identical points pass."""
-    X = ds.points
-    spread = float(np.max(X.max(axis=0) - X.min(axis=0)))
+    below the smallest normal float64.  Identical points pass.  The spread
+    is computed once per dataset."""
+    spread = ds._spread
     if 0 < spread and spread * spread < np.finfo(np.float64).tiny:
         raise ValueError(
             f"squared distances underflow float64 (coordinate spread {spread:.3g}); "
             "rescale the points, e.g. divide them by their largest coordinate spread"
+        )
+
+
+def check_cost_scale(total: float) -> None:
+    """ValueError when a total cost (a sum of squared distances to the
+    nearest center) overflowed float64: every cost compared with it would
+    read inf, and the search and refinement would stall on it."""
+    if not math.isfinite(total):
+        raise ValueError(
+            "the total cost (sum of squared distances to the nearest center) "
+            "overflows float64; rescale the points, e.g. divide them by their "
+            "largest magnitude"
         )
 
 
@@ -379,6 +399,26 @@ def _check_integers(name: str, values) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
+def as_floats(name: str, values) -> np.ndarray:
+    """The one conversion of outside values to floats: a fresh C-ordered
+    float64 array, never the caller's own, so that freezing or writing it
+    leaves theirs alone.  Complex values are a TypeError naming ``name``
+    (numpy would drop their imaginary parts behind a ComplexWarning)."""
+    arr = np.asarray(values)
+    if np.iscomplexobj(arr):
+        raise TypeError(f"{name} must be real numbers, got {arr.dtype}")
+    return np.array(arr, dtype=np.float64, order="C")
+
+
+def check_radius_values(name: str, radii: np.ndarray) -> None:
+    """The one rule for radii, per point or per anchor zone: ValueError,
+    with ``name`` as its subject, unless every value is finite and
+    nonnegative (a NaN radius fails every comparison, an infinite one
+    passes every one)."""
+    if not np.all(np.isfinite(radii)) or np.any(radii < 0):
+        raise ValueError(f"{name} must be finite and nonnegative")
+
+
 def check_radii(ds: Dataset, delta: RadiusBounds) -> None:
     """The one check that radii match the points: ValueError unless
     ``delta`` holds one radius per point (numpy would broadcast a single
@@ -412,8 +452,8 @@ def check_positions(positions, d: int) -> np.ndarray:
     it: at d <= 2 it reads only the first d columns of wider positions, and
     narrower ones fail without naming the cause; a NaN center's distances
     are NaN, which argmin picks as nearest and no comparison rejects).
-    Returns a fresh float64 array; anything else is a ValueError that names
-    the fault."""
+    Returns a fresh float64 array (:func:`as_floats`); anything else is a
+    ValueError that names the fault."""
     arr = np.asarray(positions)
     if arr.size == 0:
         raise ValueError("center set is empty")
@@ -421,7 +461,7 @@ def check_positions(positions, d: int) -> np.ndarray:
         raise ValueError(f"positions must be a (k, d) array, got {arr.dtype} of shape {arr.shape}")
     if arr.shape[1] != d:
         raise ValueError(f"centers have {arr.shape[1]} columns but the points have {d}")
-    arr = np.array(arr, dtype=np.float64)
+    arr = as_floats("positions", arr)
     if not np.isfinite(arr).all():
         raise ValueError("positions hold non-finite coordinates (NaN or inf)")
     return arr
@@ -443,10 +483,13 @@ def aspect_ratio(ds: Dataset) -> float:
     at least 1 by construction.
 
     Duplicate points are skipped in the minimum.  All-identical points have
-    no positive distance and raise a ValueError.  Quadratic in n.
+    no positive distance and raise a ValueError, and so do distinct points
+    whose squared distances underflow (:func:`check_distance_scale`).
+    Quadratic in n.
     """
     if ds.n < 2:
         raise ValueError("aspect ratio needs at least 2 points")
+    check_distance_scale(ds)
     X = ds.points
     max_sq = 0.0
     min_pos = np.inf

@@ -117,13 +117,35 @@ class TrialRecord:
 
 @dataclass
 class ExperimentReport:
+    """A run's dataset sizes and trial records.  ``feasible_trials`` and
+    ``aggregates`` are read off the trials: ``aggregates`` maps each
+    aggregated field to the mean and population std over the feasible
+    trials that have it, or to None when none has it.  An infinite value
+    (a bound ratio over a zero radius) gives mean inf and std nan, which the
+    JSON report writes as the strings "inf" and "nan"."""
+
     config: dict
     n: int
     d: int
     n_full: int
     trials: list[TrialRecord]
-    aggregates: dict
-    feasible_trials: int
+
+    @property
+    def feasible_trials(self) -> int:
+        return sum(t.feasible for t in self.trials)
+
+    @property
+    def aggregates(self) -> dict:
+        ok = [t for t in self.trials if t.feasible]
+        aggregates = {}
+        for key in ("kmeans_cost", "kmedian_cost", "bound_ratio", "wall_time_seconds", "accepted_swaps"):
+            vals = [getattr(t, key) for t in ok if getattr(t, key) is not None]
+            # inf - inf in the std of infinite values is nan, as documented
+            with np.errstate(invalid="ignore"):
+                aggregates[key] = (
+                    None if not vals else {"mean": float(np.mean(vals)), "std": float(np.std(vals))}
+                )
+        return aggregates
 
     def to_dict(self) -> dict:
         return _jsonable(
@@ -147,6 +169,7 @@ class ExperimentReport:
         )
         cols = "trial  seed  feasible  kmeans_cost  kmedian_cost  bound_ratio  swaps    time_s"
         lines = [head, cols]
+        aggregates = self.aggregates
         for t in self.trials:
             if t.feasible:
                 lines.append(
@@ -159,14 +182,12 @@ class ExperimentReport:
                     f"{t.trial:5d}  {t.seed:4d}  {'no':>8}  {t.error or 'infeasible'}"
                 )
         for name in ("mean", "std"):
-            agg = self.aggregates or {}
+            # every aggregated field is a key, None when no trial has it
+            agg = {key: _fmt((entry or {}).get(name)) for key, entry in aggregates.items()}
             lines.append(
-                f"{name:>5}  {'':4}  {'':8}  "
-                f"{_fmt(_agg(agg, 'kmeans_cost', name)):>11}  "
-                f"{_fmt(_agg(agg, 'kmedian_cost', name)):>12}  "
-                f"{_fmt(_agg(agg, 'bound_ratio', name)):>11}  "
-                f"{_fmt(_agg(agg, 'accepted_swaps', name)):>5}  "
-                f"{_fmt(_agg(agg, 'wall_time_seconds', name)):>8}"
+                f"{name:>5}  {'':4}  {'':8}  {agg['kmeans_cost']:>11}  {agg['kmedian_cost']:>12}  "
+                f"{agg['bound_ratio']:>11}  {agg['accepted_swaps']:>5}  "
+                f"{agg['wall_time_seconds']:>8}"
             )
         return "\n".join(lines)
 
@@ -177,11 +198,6 @@ def _fmt(x) -> str:
 
 def _fmt_int(x) -> str:
     return "-" if x is None else str(x)
-
-
-def _agg(aggregates: dict, key: str, stat: str):
-    entry = aggregates.get(key)
-    return None if entry is None else entry.get(stat)
 
 
 def _jsonable(obj):
@@ -300,16 +316,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             )
         )
 
-    ok = [t for t in records if t.feasible]
-    aggregates = {}
-    for key in ("kmeans_cost", "kmedian_cost", "bound_ratio", "wall_time_seconds", "accepted_swaps"):
-        vals = [getattr(t, key) for t in ok if getattr(t, key) is not None]
-        aggregates[key] = (
-            None
-            if not vals
-            else {"mean": float(np.mean(vals)), "std": float(np.std(vals))}
-        )
-
     config_dict = dataclasses.asdict(cfg)
     if config_dict["columns"] is not None:
         config_dict["columns"] = list(config_dict["columns"])
@@ -319,8 +325,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         d=ds.d,
         n_full=ds_full.n,
         trials=records,
-        aggregates=aggregates,
-        feasible_trials=len(ok),
     )
     if cfg.out is not None:
         Path(cfg.out).write_text(report.to_json() + "\n")

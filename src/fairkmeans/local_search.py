@@ -42,7 +42,7 @@ import numpy as np
 
 from ._dist import sq_dists_below, two_nearest
 from .anchors import AnchorSet, _check_gamma, build_coverage, seed
-from .dataset import Dataset, RadiusBounds, _check_integer, _rng
+from .dataset import Dataset, RadiusBounds, _check_integer, _rng, check_cost_scale
 from .errors import InfeasibleInstanceError
 from .solution import Solution, check_guarantee
 
@@ -87,7 +87,8 @@ def init_solution(ds: Dataset, anchor_set: AnchorSet, k: int, seed) -> Solution:
 
     ``seed`` may be an int or a numpy Generator.  Raises
     InfeasibleInstanceError when there are more anchors than k, and a
-    ValueError when the total cost overflows float64.
+    ValueError when the total cost overflows float64
+    (:func:`dataset.check_cost_scale`).
     """
     _check_integer("k", k, 1, ds.n)
     rng = _rng(seed)
@@ -100,12 +101,7 @@ def init_solution(ds: Dataset, anchor_set: AnchorSet, k: int, seed) -> Solution:
         fill = rng.choice(pool, size=k - m, replace=False)
         ids = np.concatenate([ids, np.sort(fill)])
     sol = Solution.build(ds, anchor_set, center_ids=ids)
-    if not math.isfinite(sol.total_cost):
-        raise ValueError(
-            "the total cost (sum of squared distances to the nearest center) "
-            "overflows float64; rescale the points, e.g. divide them by their "
-            "largest magnitude"
-        )
+    check_cost_scale(sol.total_cost)
     check_guarantee(sol)
     return sol
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._dist import _nearest_two, fsum, sq_dist_blocks, sq_dist_matrix, sq_dists, two_nearest
-from .anchors import AnchorSet, build_coverage, clamped_moves
-from .dataset import Dataset, _check_integer, center_positions
+from .anchors import AnchorSet, clamped_moves
+from .dataset import Dataset, _check_integer, center_positions, check_cost_scale
 from .solution import Solution, check_guarantee
 
 
@@ -70,7 +70,9 @@ def lloyd_rounds(
     center, and a move is kept only when its cluster's recomputed cost
     strictly improves, which makes the trace non-increasing in float
     arithmetic as well as in exact arithmetic.  A positive ``rel_tol`` stops
-    once a round's relative improvement drops to it or below.
+    once a round's relative improvement drops to it or below.  An entry
+    cost that overflows float64 is a ValueError
+    (:func:`dataset.check_cost_scale`).
 
     A round in which no center moves is a fixed point: positions, and so
     distances, labels, means and pins, are those of the round before, and
@@ -82,7 +84,7 @@ def lloyd_rounds(
     kernel entry never depends on the other centers, so ``M`` stays equal
     to ``sq_dist_matrix(X, positions)``.
     """
-    positions = np.array(centers, dtype=np.float64)
+    positions = centers.copy()
     M = sq_dist_matrix(X, positions)
     trace = _rounds(X, positions, M, anchor_set, iterations, rel_tol)
     # read off once the rounds' per-point arrays are freed, so that it takes
@@ -99,6 +101,7 @@ def _rounds(X, positions, M, anchor_set, iterations, rel_tol) -> np.ndarray:
     labels = np.argmin(M, axis=1)
     d1sq = M[rows, labels]
     total = fsum(d1sq)
+    check_cost_scale(total)
     trace = [total]
     for done in range(iterations):
         means, sizes = cluster_means(X, labels, k)
@@ -158,11 +161,7 @@ def flloyd_run(ds: Dataset, sol: Solution, *, cfg: FlConfig | None = None):
     if cfg.iterations == 0:
         return sol, trace
 
-    covers = build_coverage(sol.anchor_set, positions)
-    # the read-off's (assign, assign2, d1sq, d2sq) are the fields in order,
-    # and the D² cumsum is that of its d1sq
-    cum = np.cumsum(nearest[2])
-    total = float(trace[-1])
-    refined = Solution(ds, sol.anchor_set, None, positions, *nearest, cum, covers, total)
+    # the read-off's (assign, assign2, d1sq, d2sq) are the fields in order
+    refined = Solution(ds, sol.anchor_set, None, positions, *nearest, float(trace[-1]))
     check_guarantee(refined)
     return refined, trace

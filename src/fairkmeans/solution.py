@@ -3,26 +3,25 @@
 :class:`Solution` holds the centers plus each point's nearest and
 second-nearest center, which :meth:`Solution.build` takes from the one
 nearest-two pass (``_dist.two_nearest``) and a refined solution from the
-pass's read-off of refinement's last matrix, and the anchor-zone coverage
-table.
+pass's read-off of refinement's last matrix.  The D² cumsum the search
+draws from and the anchor-zone coverage table are built from those fields
+by the constructor itself, never passed in; the points' filter lift depends
+on the points alone and belongs to the dataset (``Dataset.lift``).
 :func:`check_solution` is the debug oracle that compares a solution's
 caches against a fresh rebuild, and :func:`check_guarantee` is the one
 check that a solution keeps the promise: a center in every anchor zone, and
-each point served within ``2 * gamma * delta(p)``.  The D² cumsum the
-search draws from is one more cache, kept like the distances; the points'
-filter lift depends on the points alone and belongs to the dataset
-(``Dataset.lift``).
+each point served within ``2 * gamma * delta(p)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._dist import fsum, two_nearest
+from ._dist import _pair_sq_dists, fsum, two_nearest
 from .anchors import AnchorSet, build_coverage
-from .dataset import Dataset, RadiusBounds, center_positions, point_ids
+from .dataset import Dataset, RadiusBounds, check_positions, point_ids
 from .metrics import bound_ratio
 
 RADIUS_SLACK = 1 + 1e-9  # float headroom on the 2*gamma postcondition
@@ -36,13 +35,19 @@ class Solution:
     has moved centers off the data points; ``center_pos`` is always valid.
     ``assign``/``assign2`` hold the slot of each point's nearest and
     second-nearest center and ``d1sq``/``d2sq`` the matching squared
-    distances (``assign2 = -1`` and ``d2sq = inf`` when k = 1), and ``cum``
-    is ``np.cumsum(d1sq)``, the running total the search's D² draw reads.
-    ``covers`` is the (k, m) zone table of :func:`anchors.build_coverage`:
-    ``covers[j, z]`` is True when center j lies in anchor zone z, and a
-    valid solution has a True in every column.  ``total_cost`` is the
-    k-means cost, kept consistent with a from-scratch recomputation to 1e-9
-    relative.
+    distances (``assign2 = -1`` and ``d2sq = inf`` when k = 1).
+    ``total_cost`` is the k-means cost, kept consistent with a from-scratch
+    recomputation to 1e-9 relative; each constructor rounds it its own way
+    (:meth:`build` sums ``d1sq``, refinement takes its trace's correctly
+    rounded last entry, the search its swap formula).
+
+    The other two caches are not constructor arguments: they are built from
+    the fields, so no caller can hand in a table that disagrees with the
+    centers.  ``cum`` is ``np.cumsum(d1sq)``, the running total the search's
+    D² draw reads, and ``covers`` the (k, m) zone table of
+    :func:`anchors.build_coverage`: ``covers[j, z]`` is True when center j
+    lies in anchor zone z, and a valid solution has a True in every column.
+    An accepted swap refreshes both in place.
 
     Solutions are single-owner: only the loop that created one mutates it.
     """
@@ -55,9 +60,13 @@ class Solution:
     assign2: np.ndarray
     d1sq: np.ndarray
     d2sq: np.ndarray
-    cum: np.ndarray
-    covers: np.ndarray
     total_cost: float
+    cum: np.ndarray = field(init=False)
+    covers: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.cum = np.cumsum(self.d1sq)
+        self.covers = build_coverage(self.anchor_set, self.center_pos)
 
     @property
     def k(self) -> int:
@@ -74,7 +83,7 @@ class Solution:
         """From-scratch construction of every cache; the oracle the
         incremental updates are checked against.  ``center_ids`` must be a
         1-D array of point ids (:func:`dataset.point_ids`) and
-        ``center_pos`` a (k, d) array (:func:`dataset.center_positions`);
+        ``center_pos`` a (k, d) array (:func:`dataset.check_positions`);
         anything else is a ValueError.  Both are copied, so the search never
         writes to the caller's arrays."""
         if center_pos is None:
@@ -83,7 +92,7 @@ class Solution:
             center_ids = point_ids(ds, center_ids)
             center_pos = ds.points[center_ids]
         else:
-            center_pos = center_positions(ds, np.asarray(center_pos, dtype=np.float64))
+            center_pos = check_positions(center_pos, ds.d)
         assign, assign2, d1sq, d2sq = two_nearest(ds.points, center_pos)
         return cls(
             ds=ds,
@@ -94,8 +103,6 @@ class Solution:
             assign2=assign2,
             d1sq=d1sq,
             d2sq=d2sq,
-            cum=np.cumsum(d1sq),
-            covers=build_coverage(anchor_set, center_pos),
             total_cost=float(d1sq.sum()),
         )
 
@@ -104,9 +111,9 @@ def check_solution(sol: Solution, delta: RadiusBounds | None = None) -> None:
     """Debug oracle: caches must match a from-scratch rebuild.
 
     Verifies distances, the D² cumsum and the coverage table bit for bit,
-    cost coherence at 1e-9 relative, and then the promise
-    (:func:`check_guarantee`, with the 2*gamma service bound when radii are
-    supplied).
+    the slots (:func:`_slots_hold`), cost coherence at 1e-9 relative, and
+    then the promise (:func:`check_guarantee`, with the 2*gamma service
+    bound when radii are supplied).
     """
     fresh = Solution.build(
         sol.ds, sol.anchor_set, center_ids=None, center_pos=sol.center_pos
@@ -115,6 +122,14 @@ def check_solution(sol: Solution, delta: RadiusBounds | None = None) -> None:
         raise AssertionError("d1 cache out of sync with the center set")
     if not np.array_equal(fresh.d2sq, sol.d2sq):
         raise AssertionError("d2 cache out of sync with the center set")
+    if not _slots_hold(sol, sol.assign, sol.d1sq):
+        raise AssertionError("nearest-center slots out of sync with the d1 cache")
+    if sol.k == 1:
+        second = np.array_equal(fresh.assign2, sol.assign2)
+    else:
+        second = _slots_hold(sol, sol.assign2, sol.d2sq) and not np.any(sol.assign2 == sol.assign)
+    if not second:
+        raise AssertionError("second-nearest slots out of sync with the d2 cache")
     if not np.array_equal(fresh.cum, sol.cum):
         raise AssertionError("D² cumsum cache out of sync with the center set")
     if not np.array_equal(fresh.covers, sol.covers):
@@ -123,6 +138,16 @@ def check_solution(sol: Solution, delta: RadiusBounds | None = None) -> None:
     if abs(sol.total_cost - exact) > 1e-9 * max(1.0, abs(exact)):
         raise AssertionError("total cost drifted from the recomputed value")
     check_guarantee(sol, delta)
+
+
+def _slots_hold(sol: Solution, slots: np.ndarray, sq: np.ndarray) -> bool:
+    """Whether every point's slot names a center at its cached squared
+    distance by the kernel.  Tie-safe: on a tie the search may keep another
+    slot than a fresh build picks, at the same distance."""
+    if slots.min() < 0 or slots.max() >= sol.k:
+        return False
+    rows = np.arange(sol.ds.n)
+    return np.array_equal(_pair_sq_dists(sol.ds.points, sol.center_pos, rows, slots), sq)
 
 
 def check_guarantee(sol: Solution, delta: RadiusBounds | None = None) -> None:

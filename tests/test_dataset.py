@@ -557,3 +557,80 @@ def non_finite_cases():
 def test_non_finite_positions_named(entry):
     with pytest.raises(ValueError, match=r"non-finite coordinates \(NaN or inf\)"):
         non_finite_cases()[entry]()
+
+
+def underflow_cases():
+    """One call per entry outside the solver that reads distances, on 200
+    distinct points at 1e-170, where every squared distance underflows to
+    0.  Each used to answer as if the points were identical: a [0., 0.]
+    trace, a cost of 0.0, a ratio of (0.0, 0) against radii of 1e-171, and
+    "all points are identical"."""
+    import fairkmeans as fk
+
+    ds = Dataset(np.random.default_rng(7).normal(size=(200, 2)) * 1e-170)
+    delta = RadiusBounds(np.full(ds.n, 1e-171))
+    return {
+        "kmeanspp_init": lambda: fk.kmeanspp_init(ds, 3, 0),
+        "vanilla_kmeans": lambda: fk.vanilla_kmeans(ds, 3, 0),
+        "lloyd": lambda: fk.lloyd(ds, [0, 1, 2]),
+        "cost": lambda: fk.cost(ds, [0, 1]),
+        "bound_ratio": lambda: fk.bound_ratio(ds, delta, [0, 1]),
+        "aspect_ratio": lambda: fk.aspect_ratio(ds),
+    }
+
+
+@pytest.mark.parametrize("entry", list(underflow_cases()))
+def test_underflowing_distances_named(entry):
+    with pytest.raises(ValueError, match="underflow float64.*rescale the points"):
+        underflow_cases()[entry]()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("d", [2, 8])
+def test_lloyd_overflowing_cost_named(d):
+    # used to return an all-inf trace behind RuntimeWarnings
+    import fairkmeans as fk
+
+    ds = Dataset(np.random.default_rng(4).normal(size=(20, d)) * 1e160)
+    with pytest.raises(ValueError, match=r"total cost \(sum of squared distances.*overflows"):
+        fk.lloyd(ds, [0, 1])
+
+
+def test_caller_arrays_stay_writable():
+    # Dataset and RadiusBounds used to freeze the caller's own array, so a
+    # later "X *= 2" failed with "output array is read-only"
+    import fairkmeans as fk
+
+    X, d = np.arange(8.0).reshape(4, 2), np.ones(4)
+    pos, radii = X[:2].copy(), np.full(2, 3.0)
+    ds, delta, aset = Dataset(X), RadiusBounds(d), fk.AnchorSet([0, 1], pos, radii, 3.0)
+    for arr in (X, d, pos, radii):
+        arr *= 2
+    assert np.array_equal(ds.points, np.arange(8.0).reshape(4, 2))
+    assert np.array_equal(delta.delta, np.ones(4))
+    assert np.array_equal(aset.positions, np.arange(4.0).reshape(2, 2))
+    assert np.array_equal(aset.zone_radius, [3.0, 3.0])
+    assert not ds.points.flags.writeable and not delta.delta.flags.writeable
+
+
+def complex_cases():
+    """One call per place outside values become floats, each given complex
+    values, which numpy converted by dropping the imaginary parts behind a
+    ComplexWarning: ``Dataset([[1+2j, 0], [3, 4j]])`` held [[1, 0], [3, 0]]."""
+    import fairkmeans as fk
+
+    ds = Dataset(np.zeros((3, 2)))
+    return {
+        "points": lambda: Dataset([[1 + 2j, 0], [3, 4j]]),
+        "delta": lambda: RadiusBounds([1j, 1.0]),
+        "anchor positions": lambda: fk.AnchorSet([0], [[1j, 0.0]], [1.0], 3.0),
+        "zone radii": lambda: fk.AnchorSet([0], [[0.0, 0.0]], [1 + 0j], 3.0),
+        "positions": lambda: fk.cost(ds, [[1j, 0.0]]),
+        "radii": lambda: fk.fair_move_center([0.0, 0.0], [1.0, 1.0], [[0.0, 0.0]], [1 + 0j]),
+    }
+
+
+@pytest.mark.parametrize("name", list(complex_cases()))
+def test_complex_input_named(name):
+    with pytest.raises(TypeError, match=f"^{name} must be real numbers, got complex128$"):
+        complex_cases()[name]()

@@ -223,11 +223,50 @@ class TestRunExperiment:
         trial = experiments.TrialRecord(
             trial=0, seed=0, feasible=True, wall_time_seconds=0.0, bound_ratio=math.inf
         )
-        aggregates = {"bound_ratio": {"mean": math.inf, "std": math.nan}}
-        report = experiments.ExperimentReport({}, 2, 1, 2, [trial], aggregates, 1)
+        # the aggregates are the report's own, read off the trial under the
+        # suite's error::RuntimeWarning filter
+        report = experiments.ExperimentReport({}, 2, 1, 2, [trial])
+        assert report.feasible_trials == 1
         data = json.loads(report.to_json())
         assert data["trials"][0]["bound_ratio"] == "inf"
         assert data["aggregates"]["bound_ratio"] == {"mean": "inf", "std": "nan"}
+
+    def test_infinite_vanilla_ratio_aggregated(self, tmp_path):
+        # 12 copies of the origin hold ceil(24/2) points, so their radius is
+        # 0; vanilla's center of that cluster is the mean of the copies and
+        # two neighbours, off the origin, so each trial's ratio is inf.  The
+        # std of infinite ratios used to warn "invalid value encountered in
+        # subtract", an error under this suite's filter
+        pts = np.zeros((24, 2))
+        pts[12:14, 0] = [0.1, -0.3]
+        pts[14:, 0] = 100 + np.arange(10)
+        path = tmp_path / "copies.csv"
+        np.savetxt(path, pts, delimiter=",")
+        rep = run_experiment(ExperimentConfig(input_path=path, k=2, algorithm="vanilla", trials=2))
+        assert [t.bound_ratio for t in rep.trials] == [math.inf, math.inf]
+        assert json.loads(rep.to_json())["aggregates"]["bound_ratio"] == {"mean": "inf", "std": "nan"}
+
+    def test_numpy_config_round_trip(self, blob_csv, tmp_path):
+        # numpy scalars and arrays in the config are written as JSON
+        # numbers and lists, the same report the CLI writes from its flags
+        out = tmp_path / "numpy.json"
+        cfg = base_config(
+            blob_csv, k=np.int64(4), gamma=np.float64(3.0), columns=np.array([0, 1]), out=out
+        )
+        rep = run_experiment(cfg)
+        data = json.loads(rep.to_json())
+        assert json.loads(out.read_text()) == data
+        assert (data["config"]["k"], data["config"]["gamma"]) == (4, 3.0)
+        assert data["config"]["columns"] == [0, 1]
+        direct = experiments.ExperimentReport({"columns": np.array([0, 1])}, 2, 1, 2, [])
+        assert json.loads(direct.to_json())["config"] == {"columns": [0, 1]}
+        flags = ["--input", str(blob_csv), "--header", "--k", "4", "--gamma", "3.0",
+                 "--columns", "0,1", "--iterations", "120", "--flloyd-iters", "5",
+                 "--trials", "2", "--seed", "3", "--out", str(tmp_path / "cli.json")]
+        assert main(flags) == 0
+        from_cli = json.loads((tmp_path / "cli.json").read_text())
+        from_cli["config"]["out"] = data["config"]["out"]
+        assert strip_timing(from_cli) == strip_timing(data)
 
     def test_parse_delta_mode(self):
         assert parse_delta_mode("exact") == ("exact", 0)

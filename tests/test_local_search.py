@@ -24,7 +24,7 @@ from fairkmeans import (
 from fairkmeans import _dist, compute_radii, dataset, local_search
 from fairkmeans._dist import _nearest_two, _nth_smallest, min_sq_dists
 from fairkmeans.local_search import _best_swap
-from fairkmeans.solution import check_solution
+from fairkmeans.solution import check_guarantee, check_solution
 from conftest import gaussian_instance
 from test_anchors import make_anchor_set
 from test_dist import ADVERSARIAL, reference_nearest_two
@@ -518,6 +518,104 @@ class TestCheckGuarantee:
         check_solution(sol, RadiusBounds(np.full(4, 11 / 6)))
         with pytest.raises(AssertionError, match="point 3 served at 11.000x"):
             check_solution(sol, RadiusBounds(np.ones(4)))
+
+
+class TestCheckSolution:
+    """``check_solution`` catches every stale cache, one planted at a time,
+    and lets a tie keep either slot."""
+
+    @staticmethod
+    def tie_line():
+        # point 1 lies at squared distance 1 from both centers
+        ds = Dataset(np.array([[0.0], [1.0], [2.0], [5.0]]))
+        return Solution.build(ds, TestCheckGuarantee.no_zones(), center_ids=[0, 2])
+
+    @staticmethod
+    def stepped():
+        ds, delta, aset, sol = ls_fixture(63, n=200, k=4)
+        rng = np.random.default_rng(1)
+        for _ in range(40):
+            ls_step(sol, aset, rng)
+        check_solution(sol, delta)
+        return sol
+
+    def plant(self, sol, cache):
+        """Make ``cache`` stale at a point whose two nearest distances
+        differ from each other and from the other two centers'."""
+        i = int(np.argmax(sol.d2sq - sol.d1sq))
+        third = next(j for j in range(sol.k) if j not in (sol.assign[i], sol.assign2[i]))
+        if cache == "d1sq":
+            sol.d1sq[i] *= 2
+        elif cache == "d2sq":
+            sol.d2sq[i] *= 2
+        elif cache == "assign":
+            sol.assign[i] = third
+        elif cache == "assign2":
+            sol.assign2[i] = third
+        elif cache == "assign2-negative":
+            sol.assign2[i] = -1
+        elif cache == "covers":
+            sol.covers[:] = ~sol.covers
+        elif cache == "total_cost":
+            sol.total_cost *= 1 + 1e-6
+
+    @pytest.mark.parametrize(
+        "cache, message",
+        [
+            ("d1sq", "d1 cache out of sync"),
+            ("d2sq", "d2 cache out of sync"),
+            ("assign", "nearest-center slots out of sync"),
+            ("assign2", "second-nearest slots out of sync"),
+            ("assign2-negative", "second-nearest slots out of sync"),
+            ("covers", "coverage table out of sync"),
+            ("total_cost", "total cost drifted"),
+        ],
+    )
+    def test_stale_cache_detected(self, cache, message):
+        # the slots used to go unchecked, so a slot naming the wrong center
+        # passed when the distance caches were right
+        sol = self.stepped()
+        self.plant(sol, cache)
+        with pytest.raises(AssertionError, match=message):
+            check_solution(sol)
+
+    def test_tie_keeps_either_slot(self):
+        sol = self.tie_line()
+        assert (sol.assign[1], sol.assign2[1]) == (0, 1)
+        sol.assign[1], sol.assign2[1] = 1, 0
+        check_solution(sol)
+
+    def test_tied_slots_must_differ(self):
+        # both slots at the tied distance, but the same center twice
+        sol = self.tie_line()
+        sol.assign2[1] = sol.assign[1]
+        with pytest.raises(AssertionError, match="second-nearest slots out of sync"):
+            check_solution(sol)
+
+    def test_one_center_has_no_second_slot(self):
+        ds = Dataset(np.array([[0.0], [1.0], [2.0]]))
+        sol = Solution.build(ds, TestCheckGuarantee.no_zones(), center_ids=[1])
+        check_solution(sol)
+        sol.assign2[0] = 0
+        with pytest.raises(AssertionError, match="second-nearest slots out of sync"):
+            check_solution(sol)
+
+    def test_constructor_builds_cumsum_and_coverage(self):
+        # a hand-built solution used to take both tables, and one whose
+        # coverage table marked every zone covered passed check_guarantee
+        # with no center in zone 0
+        ds = TestCheckGuarantee.line4()
+        aset = TestCheckGuarantee.zone_off_its_anchor()
+        pos = ds.points[[0, 2]]
+        nearest = _dist.two_nearest(ds.points, pos)
+        sol = Solution(ds, aset, None, pos, *nearest, float(nearest[2].sum()))
+        assert np.array_equal(sol.cum, np.cumsum(nearest[2]))
+        assert not sol.covers.any()
+        with pytest.raises(AssertionError, match="anchor zone 0 .* holds no center"):
+            check_guarantee(sol)
+        for name in ("cum", "covers"):
+            with pytest.raises(TypeError, match=name):
+                Solution(ds, aset, None, pos, *nearest, 0.0, **{name: np.ones((2, 1), bool)})
 
 
 class TestRun:

@@ -1,19 +1,22 @@
 """Every input check of the package sits in ``dataset.py``, and the check
 of the promise in ``solution.check_guarantee``.
 
-Five decisions are made once in ``dataset.py`` and called from every
+Seven decisions are made once in ``dataset.py`` and called from every
 public entry: what a set of positions is (``check_positions``), what a
 center set is (``center_positions``, with ``point_ids`` for an id list),
 what a count is (``_check_integer``), what an array of ids holds
-(``_check_integers``, for anchor sets) and whether radii match the points
-(``check_radii``).
+(``_check_integers``, for anchor sets), whether radii match the points
+(``check_radii``), what a radius is (``check_radius_values``, per point or
+per zone) and how outside values become floats (``as_floats``: a fresh
+array, complex values rejected).
 A second copy elsewhere would drift from the first, as copies did before:
 one accepted float ids, another read only the first d columns of wider
 centers.  The forms below are how such a copy is written: an integer test
 (``operator.index``, ``np.issubdtype``), a range test on a count (a chained
 comparison such as ``1 <= k <= n``), a length compared with a dataset's
-size (``len(delta) != ds.n``), or anything compared with its column count
-(``centers.shape[1] != ds.d``).  Policies that read the size, such as the
+size (``len(delta) != ds.n``), anything compared with its column count
+(``centers.shape[1] != ds.d``), or a conversion to float64
+(``np.asarray(x, dtype=np.float64)``, ``x.astype(float)``).  Policies that read the size, such as the
 brute-force guard or the choice of exact radii, are not checks of this kind.
 """
 
@@ -33,8 +36,34 @@ CHECKS = {
     "_check_integer",
     "_check_integers",
     "check_radii",
+    "check_radius_values",
+    "as_floats",
 }
 INTEGER_TESTS = {"index", "issubdtype"}
+CONVERSIONS = {"array", "asarray", "asanyarray", "ascontiguousarray", "asfortranarray", "astype"}
+FLOAT_TYPES = {"float", "float64", "double", "float_", "f8", "d"}
+
+
+def is_float_type(node: ast.AST) -> bool:
+    return (
+        (isinstance(node, ast.Name) and node.id in FLOAT_TYPES)
+        or (isinstance(node, ast.Attribute) and node.attr in FLOAT_TYPES)
+        or (isinstance(node, ast.Constant) and node.value in FLOAT_TYPES)
+    )
+
+
+def is_float_conversion(node: ast.AST) -> bool:
+    """A call such as ``np.asarray(x, dtype=np.float64)`` or
+    ``x.astype(float)``: an array conversion given a float dtype."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name not in CONVERSIONS:
+        return False
+    dtypes = node.args if name == "astype" else node.args[1:]
+    dtypes = [*dtypes, *(k.value for k in node.keywords if k.arg == "dtype")]
+    return any(is_float_type(t) for t in dtypes)
 
 
 def is_attr(node: ast.AST, name: str) -> bool:
@@ -63,6 +92,8 @@ def hand_checks(tree: ast.AST) -> list[str]:
             found += [f"import {name} (line {node.lineno})" for name in names]
         elif isinstance(node, ast.FunctionDef) and node.name in CHECKS:
             found.append(f"def {node.name} (line {node.lineno})")
+        if is_float_conversion(node):
+            found.append(f"float64 conversion (line {node.lineno})")
     return found
 
 
@@ -77,8 +108,13 @@ def test_detector_sees_every_form():
         "1 <= k <= n\nlen(delta) != ds.n\ncenters.shape[1] != ds.d\noperator.index(k)\n"
         "np.issubdtype(a.dtype, np.integer)\nfrom operator import index\n"
         "def check_radii(ds, delta): pass\n"
+        "np.asarray(x, dtype=np.float64)\nnp.array(x, np.float64)\nx.astype(float)\n"
+        "np.ascontiguousarray(x, dtype='f8')\n"
     )
-    assert len(hand_checks(ast.parse(source))) == 7
+    assert len(hand_checks(ast.parse(source))) == 11
+    # integer conversions, dtype-less copies and allocations are no such check
+    others = "np.asarray(ids, dtype=np.int64)\nnp.array(x)\nnp.empty(3, dtype=np.float64)\n"
+    assert not hand_checks(ast.parse(others))
 
 
 def test_each_check_defined_once_in_dataset():

@@ -135,11 +135,20 @@ class TestFairMoveCenter:
             ([0.0, 0.0], [1.0], [[0.0, 0.0]], [1.0], "centers have 1 columns but the points have 2"),
             ([0.0, 0.0], [1.0, 1.0], [[0.0, 0.0, 0.0]], [1.0], "centers have 3 columns"),
             ([0.0, 0.0], [1.0, 1.0], [[0.0, 0.0]], [1.0, 2.0], "one radius per anchor"),
+            ([0.0, 0.0], [1.0, 1.0], [[0.0, 0.0]], [np.nan], "^radii must be finite and nonn"),
+            ([0.0, 0.0], [1.0, 1.0], [[0.0, 0.0]], [-1.0], "^radii must be finite and nonn"),
+            ([0.0, 0.0], [1.0, 1.0], [[0.0, 0.0]], [np.inf], "^radii must be finite and nonn"),
+            ([5.0, 0.0], [0.0, 0.0], [[0.0, 0.0], [5.0, 0.0]], [1.0, 10.0], "outside .* ball 0"),
+            ([0.0, 0.0], [1.0, 1.0], [[0.0, 0.0], [5.0, 0.0]], [1.0, 1.0], "outside .* ball 1"),
         ],
-        ids=["1-D-anchors", "2-D-center", "narrower-mean", "wider-anchors", "radii-count"],
+        ids=["1-D-anchors", "2-D-center", "narrower-mean", "wider-anchors", "radii-count",
+             "nan-radius", "negative-radius", "infinite-radius", "center-outside-first",
+             "center-outside-second"],
     )
     def test_bad_inputs_named(self, center, mean, anchors, radii, message):
-        # 1-D anchors used to fail inside the kernel without naming the cause
+        # 1-D anchors used to fail inside the kernel without naming the
+        # cause; NaN and -1 radii returned the center unmoved, an infinite
+        # one the mean, and a center outside a ball stayed put
         args = [np.array(a, dtype=float) for a in (center, mean, anchors, radii)]
         with pytest.raises(ValueError, match=message):
             fair_move_center(*args)
