@@ -138,7 +138,13 @@ def build_coverage(anchor_set: AnchorSet, positions) -> np.ndarray:
     (:func:`dataset.check_positions`), else a ValueError.
     """
     pos = check_positions(positions, anchor_set.positions.shape[1])
-    return _zones(pos, anchor_set.positions, anchor_set.zone_radius)[1]
+    return _coverage(anchor_set, pos)
+
+
+def _coverage(anchor_set: AnchorSet, positions: np.ndarray) -> np.ndarray:
+    """:func:`build_coverage` on positions already checked, such as the
+    search's candidate, a row of the dataset's own points."""
+    return _zones(positions, anchor_set.positions, anchor_set.zone_radius)[1]
 
 
 def fair_move_center(

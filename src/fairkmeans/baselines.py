@@ -54,7 +54,9 @@ def kmeanspp_init(ds: Dataset, k: int, seed) -> np.ndarray:
     """Standard D^2 seeding: first center uniform, each next one drawn with
     probability proportional to squared distance to the chosen set.  Points
     whose squared distances underflow are a ValueError
-    (:func:`dataset.check_distance_scale`): every draw would be uniform."""
+    (:func:`dataset.check_distance_scale`): every draw would be uniform; so
+    is a draw whose total weight, the chosen set's cost, overflows
+    (:func:`dataset.check_cost_scale`, in the shared D^2 draw)."""
     _check_integer("k", k, 1, ds.n)
     rng = _rng(seed)
     check_distance_scale(ds)
@@ -90,11 +92,10 @@ def lloyd(
     which no center moves is a fixed point: with ``rel_tol = 0`` its cost
     fills the rest of the trace, with a positive ``rel_tol`` the trace ends
     at it (:func:`fairkmeans.refine.lloyd_rounds`).  Points whose squared
-    distances underflow (:func:`dataset.check_distance_scale`), and an
-    entry cost that overflows, are a ValueError.
+    distances underflow (checked by :func:`dataset.center_positions`), and
+    an entry cost that overflows, are a ValueError.
     """
     _check_integer("iterations", iterations, 0)
-    check_distance_scale(ds)
     return lloyd_rounds(ds.points, center_positions(ds, centers), None, iterations, rel_tol)[:2]
 
 
@@ -113,10 +114,13 @@ def brute_force_opt(
     A subset is feasible when every point is served within ``beta`` times its
     radius, judged by exactly the same ratio values the feasibility check
     uses.  Returns the best feasible (k-means cost, center ids), or None when
-    no subset is feasible.  Guarded to tiny instances.
+    no subset is feasible.  Guarded to tiny instances.  Points whose squared
+    distances underflow are a ValueError (:func:`dataset.check_distance_scale`)
+    raised before any subset is scanned: every subset would cost 0.
     """
     _check_integer("k", k, 1, ds.n)
     check_radii(ds, delta)
+    check_distance_scale(ds)
     if ds.n > BRUTE_FORCE_POINT_LIMIT or math.comb(ds.n, k) > BRUTE_FORCE_SUBSET_LIMIT:
         raise ValueError("instance too large for exhaustive search")
     X = ds.points

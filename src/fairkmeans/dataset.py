@@ -344,7 +344,16 @@ def check_distance_scale(ds: Dataset) -> None:
     """ValueError when the points are distinct but so close that every
     squared distance underflows: the largest per-dimension spread squared is
     below the smallest normal float64.  Identical points pass.  The spread
-    is computed once per dataset."""
+    is computed once per dataset.
+
+    With :func:`check_cost_scale` and :func:`compute_radii`'s overflow
+    test, one of the three checks that distances and costs stay in
+    float64's range; no other module raises such an error.  It runs at every
+    door a center set or a radius pass enters by: :func:`center_positions`
+    (so every score, ``lloyd`` and ``refine.assign``),
+    ``Solution.build`` (so ``init_solution`` and ``check_solution``),
+    :func:`compute_radii`, anchor seeding, k-means++ seeding,
+    ``brute_force_opt`` and :func:`aspect_ratio`."""
     spread = ds._spread
     if 0 < spread and spread * spread < np.finfo(np.float64).tiny:
         raise ValueError(
@@ -356,7 +365,10 @@ def check_distance_scale(ds: Dataset) -> None:
 def check_cost_scale(total: float) -> None:
     """ValueError when a total cost (a sum of squared distances to the
     nearest center) overflowed float64: every cost compared with it would
-    read inf, and the search and refinement would stall on it."""
+    read inf, and the search and refinement would stall on it.  Run on
+    ``Solution.build``'s total, on the Lloyd loop's entry cost and on the
+    D² draw's total weight (the search's and k-means++ seeding's), which is
+    the total cost of the centers drawn from."""
     if not math.isfinite(total):
         raise ValueError(
             "the total cost (sum of squared distances to the nearest center) "
@@ -402,10 +414,12 @@ def _check_integers(name: str, values) -> np.ndarray:
 def as_floats(name: str, values) -> np.ndarray:
     """The one conversion of outside values to floats: a fresh C-ordered
     float64 array, never the caller's own, so that freezing or writing it
-    leaves theirs alone.  Complex values are a TypeError naming ``name``
-    (numpy would drop their imaginary parts behind a ComplexWarning)."""
+    leaves theirs alone.  Complex values and text are a TypeError naming
+    ``name``: numpy would drop the imaginary parts behind a ComplexWarning,
+    and would parse numeric text as numbers but fail on other text with a
+    message that names no input."""
     arr = np.asarray(values)
-    if np.iscomplexobj(arr):
+    if np.iscomplexobj(arr) or arr.dtype.kind in "US":
         raise TypeError(f"{name} must be real numbers, got {arr.dtype}")
     return np.array(arr, dtype=np.float64, order="C")
 
@@ -468,10 +482,13 @@ def check_positions(positions, d: int) -> np.ndarray:
 
 
 def center_positions(ds: Dataset, centers) -> np.ndarray:
-    """The one check of a center set: a 1-D array is point ids
+    """The one check of a center set on a dataset: points whose squared
+    distances underflow first (:func:`check_distance_scale`: every distance
+    to any center would read 0), then a 1-D array is point ids
     (:func:`point_ids`), anything else positions (:func:`check_positions`).
     Returns a fresh float64 (k, d) array; each fault, such as float ids, is
     a ValueError that names it."""
+    check_distance_scale(ds)
     arr = np.asarray(centers)
     if arr.ndim == 1:
         return ds.points[point_ids(ds, arr)]

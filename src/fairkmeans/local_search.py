@@ -35,13 +35,12 @@ nothing it reads.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._dist import sq_dists_below, two_nearest
-from .anchors import AnchorSet, _check_gamma, build_coverage, seed
+from .anchors import AnchorSet, _check_gamma, _coverage, seed
 from .dataset import Dataset, RadiusBounds, _check_integer, _rng, check_cost_scale
 from .errors import InfeasibleInstanceError
 from .solution import Solution, check_guarantee
@@ -86,9 +85,9 @@ def init_solution(ds: Dataset, anchor_set: AnchorSet, k: int, seed) -> Solution:
     """Anchors plus uniform random distinct non-anchor points, caches built.
 
     ``seed`` may be an int or a numpy Generator.  Raises
-    InfeasibleInstanceError when there are more anchors than k, and a
-    ValueError when the total cost overflows float64
-    (:func:`dataset.check_cost_scale`).
+    InfeasibleInstanceError when there are more anchors than k, and the
+    float-range ValueErrors of :meth:`Solution.build`: squared distances
+    that underflow, a total cost that overflows.
     """
     _check_integer("k", k, 1, ds.n)
     rng = _rng(seed)
@@ -101,7 +100,6 @@ def init_solution(ds: Dataset, anchor_set: AnchorSet, k: int, seed) -> Solution:
         fill = rng.choice(pool, size=k - m, replace=False)
         ids = np.concatenate([ids, np.sort(fill)])
     sol = Solution.build(ds, anchor_set, center_ids=ids)
-    check_cost_scale(sol.total_cost)
     check_guarantee(sol)
     return sol
 
@@ -109,15 +107,13 @@ def init_solution(ds: Dataset, anchor_set: AnchorSet, k: int, seed) -> Solution:
 def _d2_draw(cum: np.ndarray, rng: np.random.Generator) -> int | None:
     """Index i drawn with probability weights[i] / sum(weights), from one
     uniform draw, given ``cum = np.cumsum(weights)``; None, with ``rng``
-    untouched, when the total is zero.  A total that overflowed to inf is a
-    ValueError: every draw would land on the last index.  The D^2 draw of
-    the search and of k-means++ seeding."""
+    untouched, when the total is zero.  The D^2 draw of the search and of
+    k-means++ seeding, whose weights are the squared distances to the
+    nearest center, so their total is the total cost: one that overflowed
+    to inf is :func:`dataset.check_cost_scale`'s ValueError, with ``rng``
+    untouched (every draw would land on the last index)."""
     total = cum[-1]
-    if not math.isfinite(total):
-        raise ValueError(
-            "the D^2 sampling weights sum to inf (float64 overflow); rescale the "
-            "points, e.g. divide them by their largest magnitude"
-        )
+    check_cost_scale(total)
     if not total > 0:
         return None
     idx = int(np.searchsorted(cum, rng.random() * total, side="right"))
@@ -139,7 +135,7 @@ def _candidate_row(sol: Solution, p: int) -> tuple[np.ndarray, np.ndarray]:
     zones p lies in."""
     X = sol.ds.points
     dpsq = sq_dists_below(X, sol.ds.lift, p, sol.d2sq)
-    return dpsq, build_coverage(sol.anchor_set, X[p][None])[0]
+    return dpsq, _coverage(sol.anchor_set, X[p][None])[0]
 
 
 def _swap_costs(

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._dist import fsum, min_sq_dists
-from .dataset import Dataset, RadiusBounds, center_positions, check_distance_scale, check_radii
+from .dataset import Dataset, RadiusBounds, center_positions, check_radii
 
 
 def fairness_ratios(dist: np.ndarray, delta: np.ndarray) -> np.ndarray:
@@ -28,11 +28,10 @@ def _score(
     :func:`bound_ratio`'s pair (else None).  :func:`cost`,
     :func:`bound_ratio` and the experiment harness all take their values
     from here, so each gives the same bits as the others.  Points whose
-    squared distances underflow are a ValueError
-    (:func:`dataset.check_distance_scale`): every score would read 0."""
+    squared distances underflow are a ValueError, raised by
+    :func:`dataset.center_positions`: every score would read 0."""
     if delta is not None:
         check_radii(ds, delta)
-    check_distance_scale(ds)
     sq = min_sq_dists(ds.points, center_positions(ds, centers))
     dist = np.sqrt(sq)
     if delta is None:

@@ -21,7 +21,14 @@ import numpy as np
 
 from ._dist import _pair_sq_dists, fsum, two_nearest
 from .anchors import AnchorSet, build_coverage
-from .dataset import Dataset, RadiusBounds, check_positions, point_ids
+from .dataset import (
+    Dataset,
+    RadiusBounds,
+    check_cost_scale,
+    check_distance_scale,
+    check_positions,
+    point_ids,
+)
 from .metrics import bound_ratio
 
 RADIUS_SLACK = 1 + 1e-9  # float headroom on the 2*gamma postcondition
@@ -81,19 +88,29 @@ class Solution:
         center_pos: np.ndarray | None = None,
     ) -> "Solution":
         """From-scratch construction of every cache; the oracle the
-        incremental updates are checked against.  ``center_ids`` must be a
-        1-D array of point ids (:func:`dataset.point_ids`) and
-        ``center_pos`` a (k, d) array (:func:`dataset.check_positions`);
-        anything else is a ValueError.  Both are copied, so the search never
-        writes to the caller's arrays."""
+        incremental updates are checked against.  Takes either
+        ``center_ids``, a 1-D array of point ids (:func:`dataset.point_ids`),
+        or ``center_pos``, a (k, d) array (:func:`dataset.check_positions`);
+        both, neither or anything else is a ValueError.  The array is
+        copied, so the search never writes to the caller's.  Points whose
+        squared distances underflow (:func:`dataset.check_distance_scale`)
+        and a total cost that overflows (:func:`dataset.check_cost_scale`)
+        are a ValueError too, so no solution built here, for
+        ``init_solution`` or :func:`check_solution`, reads a cost of 0 or
+        inf that the points do not have."""
         if center_pos is None:
             if center_ids is None:
                 raise ValueError("need center ids or positions")
             center_ids = point_ids(ds, center_ids)
             center_pos = ds.points[center_ids]
+        elif center_ids is not None:
+            raise ValueError("pass center_ids or center_pos, not both")
         else:
             center_pos = check_positions(center_pos, ds.d)
+        check_distance_scale(ds)
         assign, assign2, d1sq, d2sq = two_nearest(ds.points, center_pos)
+        total_cost = float(d1sq.sum())
+        check_cost_scale(total_cost)
         return cls(
             ds=ds,
             anchor_set=anchor_set,
@@ -103,21 +120,26 @@ class Solution:
             assign2=assign2,
             d1sq=d1sq,
             d2sq=d2sq,
-            total_cost=float(d1sq.sum()),
+            total_cost=total_cost,
         )
 
 
 def check_solution(sol: Solution, delta: RadiusBounds | None = None) -> None:
     """Debug oracle: caches must match a from-scratch rebuild.
 
-    Verifies distances, the D² cumsum and the coverage table bit for bit,
-    the slots (:func:`_slots_hold`), cost coherence at 1e-9 relative, and
-    then the promise (:func:`check_guarantee`, with the 2*gamma service
-    bound when radii are supplied).
+    Verifies that a solution with ids holds exactly the points at those
+    ids (:func:`dataset.point_ids`), distances, the D² cumsum and the
+    coverage table bit for bit, the slots (:func:`_slots_hold`), cost
+    coherence at 1e-9 relative, and then the promise
+    (:func:`check_guarantee`, with the 2*gamma service bound when radii are
+    supplied).  The rebuild from the positions (:meth:`Solution.build`)
+    raises its float-range ValueErrors.
     """
-    fresh = Solution.build(
-        sol.ds, sol.anchor_set, center_ids=None, center_pos=sol.center_pos
-    )
+    if sol.center_ids is not None:
+        at_ids = sol.ds.points[point_ids(sol.ds, sol.center_ids)]
+        if not np.array_equal(at_ids, sol.center_pos):
+            raise AssertionError("center ids out of sync with the center positions")
+    fresh = Solution.build(sol.ds, sol.anchor_set, center_pos=sol.center_pos)
     if not np.array_equal(fresh.d1sq, sol.d1sq):
         raise AssertionError("d1 cache out of sync with the center set")
     if not np.array_equal(fresh.d2sq, sol.d2sq):

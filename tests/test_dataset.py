@@ -1,6 +1,8 @@
+import itertools
 import math
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from fairkmeans import (
 )
 from fairkmeans import dataset
 from fairkmeans._dist import sq_dists
+from fairkmeans.solution import check_solution
 
 
 def rows_of(ds, sub):
@@ -560,15 +563,20 @@ def test_non_finite_positions_named(entry):
 
 
 def underflow_cases():
-    """One call per entry outside the solver that reads distances, on 200
-    distinct points at 1e-170, where every squared distance underflows to
-    0.  Each used to answer as if the points were identical: a [0., 0.]
-    trace, a cost of 0.0, a ratio of (0.0, 0) against radii of 1e-171, and
-    "all points are identical"."""
+    """One call per entry that reads distances to a center set or between
+    points, on 200 distinct points at 1e-170, where every squared distance
+    underflows to 0.  Each used to answer as if the points were identical:
+    a [0., 0.] trace, a cost of 0.0, a ratio of (0.0, 0) against radii of
+    1e-171, "all points are identical", every label 0, and a solution (built
+    or checked) of cost 0.0.  Brute force scanned every subset first."""
     import fairkmeans as fk
 
     ds = Dataset(np.random.default_rng(7).normal(size=(200, 2)) * 1e-170)
     delta = RadiusBounds(np.full(ds.n, 1e-171))
+    aset = fk.AnchorSet([0], ds.points[:1], [1.0], 3.0)
+    pos = ds.points[[0, 1]]
+    zeros = np.zeros(ds.n)
+    built = fk.Solution(ds, aset, None, pos, zeros.astype(int), zeros.astype(int) + 1, zeros, zeros, 0.0)
     return {
         "kmeanspp_init": lambda: fk.kmeanspp_init(ds, 3, 0),
         "vanilla_kmeans": lambda: fk.vanilla_kmeans(ds, 3, 0),
@@ -576,7 +584,22 @@ def underflow_cases():
         "cost": lambda: fk.cost(ds, [0, 1]),
         "bound_ratio": lambda: fk.bound_ratio(ds, delta, [0, 1]),
         "aspect_ratio": lambda: fk.aspect_ratio(ds),
+        "assign": lambda: fk.assign(ds, [0, 1]),
+        "Solution.build-ids": lambda: fk.Solution.build(ds, aset, center_ids=[0, 1]),
+        "Solution.build-positions": lambda: fk.Solution.build(ds, aset, center_pos=pos),
+        "init_solution": lambda: fk.init_solution(ds, aset, 3, 0),
+        "check_solution": lambda: check_solution(built),
+        "brute_force_opt": lambda: brute_force_without_its_loop(ds, delta),
     }
+
+
+def brute_force_without_its_loop(ds, delta):
+    """``brute_force_opt`` at k = 2, failing if its subset loop starts."""
+    import fairkmeans as fk
+
+    started = AssertionError("brute_force_opt started its subset loop")
+    with mock.patch.object(itertools, "combinations", side_effect=started):
+        return fk.brute_force_opt(ds, delta, 6.0, 2)
 
 
 @pytest.mark.parametrize("entry", list(underflow_cases()))
@@ -594,6 +617,33 @@ def test_lloyd_overflowing_cost_named(d):
     ds = Dataset(np.random.default_rng(4).normal(size=(20, d)) * 1e160)
     with pytest.raises(ValueError, match=r"total cost \(sum of squared distances.*overflows"):
         fk.lloyd(ds, [0, 1])
+
+
+def cost_overflow_cases():
+    """One call per entry that totals squared distances to a center set,
+    on 20 points at 1e160, where the squared distances and so the total
+    cost overflow to inf.  k-means++ seeding used to raise its own
+    overflow error for the sum of its draw weights, and a built solution
+    held a total cost of inf."""
+    import fairkmeans as fk
+
+    ds = Dataset(np.random.default_rng(4).normal(size=(20, 2)) * 1e160)
+    aset = fk.AnchorSet([], np.empty((0, 2)), [], 3.0)
+    return {
+        "kmeanspp_init": lambda: fk.kmeanspp_init(ds, 3, 0),
+        "vanilla_kmeans": lambda: fk.vanilla_kmeans(ds, 3, 0),
+        "Solution.build-ids": lambda: fk.Solution.build(ds, aset, center_ids=[0, 1]),
+        "Solution.build-positions": lambda: fk.Solution.build(
+            ds, aset, center_pos=ds.points[[0, 1]]
+        ),
+    }
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("entry", list(cost_overflow_cases()))
+def test_overflowing_cost_named(entry):
+    with pytest.raises(ValueError, match=r"total cost \(sum of squared distances.*overflows float64"):
+        cost_overflow_cases()[entry]()
 
 
 def test_caller_arrays_stay_writable():
@@ -634,3 +684,27 @@ def complex_cases():
 def test_complex_input_named(name):
     with pytest.raises(TypeError, match=f"^{name} must be real numbers, got complex128$"):
         complex_cases()[name]()
+
+
+def text_cases():
+    """One call per place outside values become floats, each given text,
+    which numpy parsed as numbers where it could (``Dataset([["1", "2"],
+    ["3", "4.5"]])`` held floats) and otherwise failed on with "could not
+    convert string to float", naming no input."""
+    import fairkmeans as fk
+
+    ds = Dataset(np.zeros((3, 2)))
+    return {
+        "points": lambda: Dataset([["1", "2"], ["3", "4.5"]]),
+        "delta": lambda: RadiusBounds(np.array([b"1", b"2"])),
+        "anchor positions": lambda: fk.AnchorSet([0], [["0", "x"]], [1.0], 3.0),
+        "zone radii": lambda: fk.AnchorSet([0], [[0.0, 0.0]], ["1"], 3.0),
+        "positions": lambda: fk.cost(ds, [["1", "0"]]),
+        "radii": lambda: fk.fair_move_center([0.0, 0.0], [1.0, 1.0], [[0.0, 0.0]], ["3"]),
+    }
+
+
+@pytest.mark.parametrize("name", list(text_cases()))
+def test_text_input_named(name):
+    with pytest.raises(TypeError, match=rf"^{name} must be real numbers, got [<|][US]\d+$"):
+        text_cases()[name]()

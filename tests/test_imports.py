@@ -1,5 +1,6 @@
 """Import structure of the package: every import sits at module level and
-is used, and the public names are exactly what ``__init__.py`` imports.
+is used, the public names are exactly what ``__init__.py`` imports, and
+numpy is the only package outside the standard library that it imports.
 
 A function-level import is how a circular import gets dodged; keeping them
 out means the module graph stays acyclic and visible at the top of each file.
@@ -9,6 +10,7 @@ An import nothing references is left over from deleted code.
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -61,6 +63,38 @@ def test_all_matches_package_imports():
     assert len(set(imported)) == len(imported)
     for name in fairkmeans.__all__:
         assert getattr(fairkmeans, name) is not None
+
+
+def outside_imports(tree: ast.AST) -> list[str]:
+    """Top-level names of the imports in ``tree`` that are neither numpy,
+    ``__future__``, relative, nor in the standard library: the test extra
+    (scipy, hypothesis) is installed where the tests run, so such an
+    import would pass them and fail for a user with numpy alone."""
+    allowed = {"numpy", "__future__", *sys.stdlib_module_names}
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module.split(".")[0])
+    return [name for name in names if name not in allowed]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=[m.name for m in MODULES])
+def test_imports_only_numpy_and_stdlib(module):
+    # pyproject.toml declares numpy as the one runtime dependency
+    found = outside_imports(ast.parse(module.read_text(), filename=str(module)))
+    assert not found, f"{module.name} imports {found}"
+
+
+def test_outside_import_detector():
+    source = (
+        "import scipy.spatial\nfrom sklearn.cluster import KMeans\nimport numpy as np\n"
+        "import numpy.linalg\nfrom numpy import ndarray\nfrom __future__ import annotations\n"
+        "from . import dataset\nfrom .solution import Solution\nimport os.path, math\n"
+        "from collections import abc\ndef f():\n    import pandas\n"
+    )
+    assert outside_imports(ast.parse(source)) == ["scipy", "sklearn", "pandas"]
 
 
 ROOT = SRC.parents[1]

@@ -1,5 +1,6 @@
 import copy
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -195,6 +196,16 @@ class TestSolutionBuild:
             ls_step(sol, aset, rng)
         assert not np.array_equal(sol.center_ids, ids)
         assert np.array_equal(given, ids)
+
+    def test_ids_and_positions_together_refused(self):
+        # given both, the ids used to be stored unchecked: ids [-7, 2.5, 1e9, 0]
+        # with valid positions passed check_solution, and ids off their
+        # positions let the search swap in ids and positions that disagree
+        ds = Dataset(np.arange(20.0).reshape(10, 2))
+        aset = make_anchor_set(ds, [0], [1e9])
+        for ids in (np.array([-7, 2.5, 1e9, 0]), np.array([0, 1, 2, 3])):
+            with pytest.raises(ValueError, match="pass center_ids or center_pos, not both"):
+                Solution.build(ds, aset, center_ids=ids, center_pos=ds.points[[5, 6, 7, 8]])
 
     def test_init_solution_k_must_be_integer(self):
         ds = Dataset(np.arange(20.0).reshape(10, 2))
@@ -600,6 +611,18 @@ class TestCheckSolution:
         with pytest.raises(AssertionError, match="second-nearest slots out of sync"):
             check_solution(sol)
 
+    def test_ids_off_their_positions_detected(self):
+        # a hand-built solution whose ids name other points than its
+        # positions hold; its distance caches match the positions
+        ds = TestCheckGuarantee.line4()
+        pos = ds.points[[0, 2]]
+        nearest = _dist.two_nearest(ds.points, pos)
+        sol = Solution(ds, TestCheckGuarantee.no_zones(), np.array([0, 3]), pos, *nearest, 2.0)
+        with pytest.raises(AssertionError, match="center ids out of sync with the center positions"):
+            check_solution(sol)
+        sol.center_ids = np.array([0, 2])
+        check_solution(sol)
+
     def test_constructor_builds_cumsum_and_coverage(self):
         # a hand-built solution used to take both tables, and one whose
         # coverage table marked every zone covered passed check_guarantee
@@ -619,6 +642,28 @@ class TestCheckSolution:
 
 
 class TestRun:
+    def test_steps_check_no_positions(self, monkeypatch):
+        # the candidate is a row of the dataset's own points, so its zone
+        # row skips the positions check: it ran once per step
+        calls = []
+        real = dataset.check_positions
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("fairkmeans") and hasattr(module, "check_positions"):
+                monkeypatch.setattr(module, "check_positions", counted)
+        ds, delta, k = gaussian_instance(23, n=200, k=4)
+        counts = []
+        for iterations in (0, 60):
+            calls.clear()
+            _, trace = run(ds, delta, LsConfig(k=k, iterations=iterations, seed=2))
+            counts.append(len(calls))
+        assert trace.accepted_count > 0
+        assert counts[0] == counts[1]
+
     def test_zero_iterations_returns_init(self):
         ds, delta, k = gaussian_instance(17, n=50, k=3)
         cfg = LsConfig(k=k, iterations=0, seed=9)

@@ -1,14 +1,18 @@
 """Every input check of the package sits in ``dataset.py``, and the check
 of the promise in ``solution.check_guarantee``.
 
-Seven decisions are made once in ``dataset.py`` and called from every
+Nine decisions are made once in ``dataset.py`` and called from every
 public entry: what a set of positions is (``check_positions``), what a
 center set is (``center_positions``, with ``point_ids`` for an id list),
 what a count is (``_check_integer``), what an array of ids holds
 (``_check_integers``, for anchor sets), whether radii match the points
 (``check_radii``), what a radius is (``check_radius_values``, per point or
-per zone) and how outside values become floats (``as_floats``: a fresh
-array, complex values rejected).
+per zone), how outside values become floats (``as_floats``: a fresh
+array, complex values and text rejected), whether squared distances
+underflow (``check_distance_scale``) and whether a total cost overflows
+(``check_cost_scale``).  Those two and ``compute_radii``'s overflow test
+are the package's only float-range errors: every ``raise`` whose message
+names float64 sits in ``dataset.py``.
 A second copy elsewhere would drift from the first, as copies did before:
 one accepted float ids, another read only the first d columns of wider
 centers.  The forms below are how such a copy is written: an integer test
@@ -38,6 +42,8 @@ CHECKS = {
     "check_radii",
     "check_radius_values",
     "as_floats",
+    "check_distance_scale",
+    "check_cost_scale",
 }
 INTEGER_TESTS = {"index", "issubdtype"}
 CONVERSIONS = {"array", "asarray", "asanyarray", "ascontiguousarray", "asfortranarray", "astype"}
@@ -121,6 +127,37 @@ def test_each_check_defined_once_in_dataset():
     tree = ast.parse((SRC / "dataset.py").read_text())
     defs = [n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name in CHECKS]
     assert sorted(defs) == sorted(CHECKS)
+
+
+def float_range_raises(tree: ast.AST) -> list[int]:
+    """Lines of the ``raise`` statements whose message names float64."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise)
+        and node.exc is not None
+        and any(
+            isinstance(part, ast.Constant) and isinstance(part.value, str) and "float64" in part.value
+            for part in ast.walk(node.exc)
+        )
+    ]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=[m.name for m in MODULES])
+def test_float_range_errors_raised_only_in_dataset(module):
+    lines = float_range_raises(ast.parse(module.read_text(), filename=str(module)))
+    assert not lines, f"{module.name} raises a float64 range error on lines {lines}"
+
+
+def test_float_range_detector_sees_every_form():
+    source = (
+        'raise ValueError("the weights sum to inf (float64 overflow)")\n'
+        'raise ValueError(f"spread {s:.3g} underflows float64; " "rescale")\n'
+        "raise ValueError(\n    'total cost '\n    'overflows float64'\n)\n"
+        'raise ValueError("center set is empty")\nraise\nx = "float64"\n'
+    )
+    assert float_range_raises(ast.parse(source)) == [1, 2, 3]
+    assert len(float_range_raises(ast.parse((SRC / "dataset.py").read_text()))) >= 3
 
 
 def test_radius_slack_read_only_in_check_guarantee():
