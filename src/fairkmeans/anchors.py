@@ -37,7 +37,6 @@ from .dataset import (
     RadiusBounds,
     _check_integers,
     as_floats,
-    check_distance_scale,
     check_positions,
     check_radii,
     check_radius_values,
@@ -102,12 +101,12 @@ def seed(ds: Dataset, delta: RadiusBounds, gamma: float) -> AnchorSet:
 
     Returns the full anchor list even when it exceeds a caller's k; deciding
     feasibility is the caller's job so the anchor count can be reported.
-    Points whose squared distances underflow float64 are a ValueError
-    (:func:`dataset.check_distance_scale`), whatever the radii.
+    Points whose squared distances underflow float64 never get here,
+    whatever the radii: the :class:`dataset.Dataset` constructor rejects
+    them.
     """
     _check_gamma(gamma)
     check_radii(ds, delta)
-    check_distance_scale(ds)
     X = ds.points
     reach = gamma * delta.delta
     covered = np.zeros(ds.n, dtype=bool)

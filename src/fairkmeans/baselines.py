@@ -22,7 +22,7 @@ from .dataset import (
     _check_integer,
     _rng,
     center_positions,
-    check_distance_scale,
+    check_distance_overflow,
     check_radii,
 )
 from .local_search import _d2_draw, init_solution
@@ -52,14 +52,13 @@ def greedy_baseline(
 
 def kmeanspp_init(ds: Dataset, k: int, seed) -> np.ndarray:
     """Standard D^2 seeding: first center uniform, each next one drawn with
-    probability proportional to squared distance to the chosen set.  Points
-    whose squared distances underflow are a ValueError
-    (:func:`dataset.check_distance_scale`): every draw would be uniform; so
-    is a draw whose total weight, the chosen set's cost, overflows
-    (:func:`dataset.check_cost_scale`, in the shared D^2 draw)."""
+    probability proportional to squared distance to the chosen set.  A draw
+    whose total weight, the chosen set's cost, overflows is a ValueError
+    (:func:`dataset.check_cost_scale`, in the shared D^2 draw); points whose
+    squared distances underflow, so that every draw would be uniform, are
+    rejected by the :class:`dataset.Dataset` constructor."""
     _check_integer("k", k, 1, ds.n)
     rng = _rng(seed)
-    check_distance_scale(ds)
     X = ds.points
     chosen = [int(rng.integers(ds.n))]
     d2 = sq_dists(X, X[chosen[0]])
@@ -91,9 +90,8 @@ def lloyd(
     once a round's relative improvement drops to it or below.  A round in
     which no center moves is a fixed point: with ``rel_tol = 0`` its cost
     fills the rest of the trace, with a positive ``rel_tol`` the trace ends
-    at it (:func:`fairkmeans.refine.lloyd_rounds`).  Points whose squared
-    distances underflow (checked by :func:`dataset.center_positions`), and
-    an entry cost that overflows, are a ValueError.
+    at it (:func:`fairkmeans.refine.lloyd_rounds`).  An entry cost that
+    overflows is a ValueError.
     """
     _check_integer("iterations", iterations, 0)
     return lloyd_rounds(ds.points, center_positions(ds, centers), None, iterations, rel_tol)[:2]
@@ -114,13 +112,15 @@ def brute_force_opt(
     A subset is feasible when every point is served within ``beta`` times its
     radius, judged by exactly the same ratio values the feasibility check
     uses.  Returns the best feasible (k-means cost, center ids), or None when
-    no subset is feasible.  Guarded to tiny instances.  Points whose squared
-    distances underflow are a ValueError (:func:`dataset.check_distance_scale`)
-    raised before any subset is scanned: every subset would cost 0.
+    no subset is feasible.  Guarded to tiny instances.  When no subset is
+    feasible and some squared distance overflowed to inf, the ratios that
+    ruled the subsets out are not the points' own, and the answer is
+    :func:`dataset.check_distance_overflow`'s ValueError, not None.
+    Points whose squared distances underflow, so that every subset would
+    cost 0, are rejected by the :class:`dataset.Dataset` constructor.
     """
     _check_integer("k", k, 1, ds.n)
     check_radii(ds, delta)
-    check_distance_scale(ds)
     if ds.n > BRUTE_FORCE_POINT_LIMIT or math.comb(ds.n, k) > BRUTE_FORCE_SUBSET_LIMIT:
         raise ValueError("instance too large for exhaustive search")
     X = ds.points
@@ -137,6 +137,7 @@ def brute_force_opt(
             best_cost = c
             best = subset
     if best is None:
+        check_distance_overflow(sqmat)
         return None
     ids = np.asarray(best, dtype=np.int64)
     return metrics_cost(ds, ids, p=2), ids

@@ -39,6 +39,13 @@ class Dataset:
     points : array-like of shape (n, d)
         Finite coordinates; one row per point.  Ids are the row indices.
 
+    Distinct points so close that every squared distance underflows (the
+    largest per-dimension spread squared is below the smallest normal
+    float64) are a ValueError: every radius, cost and ratio would read 0.
+    Identical points pass.  So no entry can be handed such points, and
+    :func:`load_points`, :func:`subsample` and :func:`normalize` raise the
+    same error through this constructor.
+
     The points are copied (:func:`as_floats`) and the copy is made
     read-only, so the caller's array stays writable and later changes to it
     do not reach the dataset.  ``lift`` is the points' filter lift for the
@@ -59,6 +66,14 @@ class Dataset:
             raise ValueError("dataset needs at least one point and one dimension")
         if not np.all(np.isfinite(pts)):
             raise ValueError("coordinates must be finite (no NaN or infinity)")
+        # column by column, as the axis-0 reductions are slower on tall
+        # arrays, and in Python floats, which overflow to inf without a warning
+        spread = max(float(col.max()) - float(col.min()) for col in pts.T)
+        if 0 < spread and spread * spread < np.finfo(np.float64).tiny:
+            raise ValueError(
+                f"squared distances underflow float64 (coordinate spread {spread:.3g}); "
+                "rescale the points, e.g. divide them by their largest coordinate spread"
+            )
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
@@ -73,12 +88,6 @@ class Dataset:
     @functools.cached_property
     def lift(self) -> Lift | None:
         return lift_points(self.points)
-
-    @functools.cached_property
-    def _spread(self) -> float:
-        """The largest per-dimension coordinate spread, which
-        :func:`check_distance_scale` reads at every entry."""
-        return float(np.max(self.points.max(axis=0) - self.points.min(axis=0)))
 
 
 @dataclass(frozen=True)
@@ -314,11 +323,11 @@ def compute_radii(
         Sampled mode only.
 
     Raises a ValueError when squared distances overflow float64 and leave
-    a radius infinite, or when they underflow (:func:`check_distance_scale`);
-    rescale the points first.
+    a radius infinite (:func:`check_distance_overflow`); rescale the points
+    first.  Points whose squared distances underflow never get here: the
+    :class:`Dataset` constructor rejects them.
     """
     _check_integer("k", k, 1, ds.n)
-    check_distance_scale(ds)
     X = ds.points
     if mode == "exact":
         ref, rank = X, -(-ds.n // k)
@@ -332,33 +341,22 @@ def compute_radii(
     else:
         raise ValueError(f"unknown radius mode {mode!r}")
     sq = ranked_sq_dist(X, ref, rank)
+    check_distance_overflow(sq)
+    return RadiusBounds(np.sqrt(sq))
+
+
+def check_distance_overflow(sq) -> None:
+    """ValueError when some squared distance in ``sq`` overflowed float64
+    to inf.  With the :class:`Dataset` constructor's underflow test and
+    :func:`check_cost_scale`, one of the three checks that distances and
+    costs stay in float64's range; no other module raises such an error.
+    Run on :func:`compute_radii`'s ranked distances, on
+    :func:`aspect_ratio`'s largest one and, when no subset is feasible, on
+    ``brute_force_opt``'s pairwise matrix."""
     if not np.all(np.isfinite(sq)):
         raise ValueError(
             "squared distances overflow float64 (coordinates too large); "
             "rescale the points, e.g. divide them by their largest magnitude"
-        )
-    return RadiusBounds(np.sqrt(sq))
-
-
-def check_distance_scale(ds: Dataset) -> None:
-    """ValueError when the points are distinct but so close that every
-    squared distance underflows: the largest per-dimension spread squared is
-    below the smallest normal float64.  Identical points pass.  The spread
-    is computed once per dataset.
-
-    With :func:`check_cost_scale` and :func:`compute_radii`'s overflow
-    test, one of the three checks that distances and costs stay in
-    float64's range; no other module raises such an error.  It runs at every
-    door a center set or a radius pass enters by: :func:`center_positions`
-    (so every score, ``lloyd`` and ``refine.assign``),
-    ``Solution.build`` (so ``init_solution`` and ``check_solution``),
-    :func:`compute_radii`, anchor seeding, k-means++ seeding,
-    ``brute_force_opt`` and :func:`aspect_ratio`."""
-    spread = ds._spread
-    if 0 < spread and spread * spread < np.finfo(np.float64).tiny:
-        raise ValueError(
-            f"squared distances underflow float64 (coordinate spread {spread:.3g}); "
-            "rescale the points, e.g. divide them by their largest coordinate spread"
         )
 
 
@@ -414,12 +412,16 @@ def _check_integers(name: str, values) -> np.ndarray:
 def as_floats(name: str, values) -> np.ndarray:
     """The one conversion of outside values to floats: a fresh C-ordered
     float64 array, never the caller's own, so that freezing or writing it
-    leaves theirs alone.  Complex values and text are a TypeError naming
+    leaves theirs alone.  Complex values and text, in a string array or as
+    ``str`` or ``bytes`` entries of an object array, are a TypeError naming
     ``name``: numpy would drop the imaginary parts behind a ComplexWarning,
     and would parse numeric text as numbers but fail on other text with a
     message that names no input."""
     arr = np.asarray(values)
-    if np.iscomplexobj(arr) or arr.dtype.kind in "US":
+    text = arr.dtype.kind in "US" or (
+        arr.dtype == object and any(isinstance(v, (str, bytes)) for v in arr.flat)
+    )
+    if np.iscomplexobj(arr) or text:
         raise TypeError(f"{name} must be real numbers, got {arr.dtype}")
     return np.array(arr, dtype=np.float64, order="C")
 
@@ -482,13 +484,12 @@ def check_positions(positions, d: int) -> np.ndarray:
 
 
 def center_positions(ds: Dataset, centers) -> np.ndarray:
-    """The one check of a center set on a dataset: points whose squared
-    distances underflow first (:func:`check_distance_scale`: every distance
-    to any center would read 0), then a 1-D array is point ids
+    """The one check of a center set on a dataset: a 1-D array is point ids
     (:func:`point_ids`), anything else positions (:func:`check_positions`).
     Returns a fresh float64 (k, d) array; each fault, such as float ids, is
-    a ValueError that names it."""
-    check_distance_scale(ds)
+    a ValueError that names it.  Points whose squared distances underflow
+    never reach a center set: the :class:`Dataset` constructor rejects
+    them."""
     arr = np.asarray(centers)
     if arr.ndim == 1:
         return ds.points[point_ids(ds, arr)]
@@ -500,13 +501,14 @@ def aspect_ratio(ds: Dataset) -> float:
     at least 1 by construction.
 
     Duplicate points are skipped in the minimum.  All-identical points have
-    no positive distance and raise a ValueError, and so do distinct points
-    whose squared distances underflow (:func:`check_distance_scale`).
-    Quadratic in n.
+    no positive distance and raise a ValueError, and so does a largest
+    squared distance that overflows (:func:`check_distance_overflow`: the
+    ratio would read inf, or the points identical).  Distinct points whose
+    squared distances underflow are rejected by the :class:`Dataset`
+    constructor.  Quadratic in n.
     """
     if ds.n < 2:
         raise ValueError("aspect ratio needs at least 2 points")
-    check_distance_scale(ds)
     X = ds.points
     max_sq = 0.0
     min_pos = np.inf
@@ -516,6 +518,7 @@ def aspect_ratio(ds: Dataset) -> float:
         pos = sq[sq > 0]
         if pos.size:
             min_pos = min(min_pos, float(pos.min()))
+    check_distance_overflow(max_sq)
     if not np.isfinite(min_pos):
         raise ValueError("all points are identical; aspect ratio undefined")
     return float(np.sqrt(max_sq / min_pos))

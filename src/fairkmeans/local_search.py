@@ -85,9 +85,8 @@ def init_solution(ds: Dataset, anchor_set: AnchorSet, k: int, seed) -> Solution:
     """Anchors plus uniform random distinct non-anchor points, caches built.
 
     ``seed`` may be an int or a numpy Generator.  Raises
-    InfeasibleInstanceError when there are more anchors than k, and the
-    float-range ValueErrors of :meth:`Solution.build`: squared distances
-    that underflow, a total cost that overflows.
+    InfeasibleInstanceError when there are more anchors than k, and
+    :meth:`Solution.build`'s ValueError for a total cost that overflows.
     """
     _check_integer("k", k, 1, ds.n)
     rng = _rng(seed)

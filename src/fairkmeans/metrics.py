@@ -27,9 +27,7 @@ def _score(
     squared distance and distance to its nearest center, and, given radii,
     :func:`bound_ratio`'s pair (else None).  :func:`cost`,
     :func:`bound_ratio` and the experiment harness all take their values
-    from here, so each gives the same bits as the others.  Points whose
-    squared distances underflow are a ValueError, raised by
-    :func:`dataset.center_positions`: every score would read 0."""
+    from here, so each gives the same bits as the others."""
     if delta is not None:
         check_radii(ds, delta)
     sq = min_sq_dists(ds.points, center_positions(ds, centers))

@@ -35,8 +35,7 @@ class FlConfig:
 def assign(ds: Dataset, centers: np.ndarray) -> np.ndarray:
     """Index of the nearest center for every point, lowest index on ties.
     ``centers`` are point ids or (k, d) positions
-    (:func:`dataset.center_positions`, which also rejects points whose
-    squared distances underflow: every label would read 0).  The nearest
+    (:func:`dataset.center_positions`).  The nearest
     slots of the nearest-two pass (``_dist.two_nearest``), which are the
     kernel's."""
     return two_nearest(ds.points, center_positions(ds, centers))[0]

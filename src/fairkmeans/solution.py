@@ -25,7 +25,6 @@ from .dataset import (
     Dataset,
     RadiusBounds,
     check_cost_scale,
-    check_distance_scale,
     check_positions,
     point_ids,
 )
@@ -92,12 +91,12 @@ class Solution:
         ``center_ids``, a 1-D array of point ids (:func:`dataset.point_ids`),
         or ``center_pos``, a (k, d) array (:func:`dataset.check_positions`);
         both, neither or anything else is a ValueError.  The array is
-        copied, so the search never writes to the caller's.  Points whose
-        squared distances underflow (:func:`dataset.check_distance_scale`)
-        and a total cost that overflows (:func:`dataset.check_cost_scale`)
-        are a ValueError too, so no solution built here, for
-        ``init_solution`` or :func:`check_solution`, reads a cost of 0 or
-        inf that the points do not have."""
+        copied, so the search never writes to the caller's.  A total cost
+        that overflows (:func:`dataset.check_cost_scale`) is a ValueError
+        too, and points whose squared distances underflow are rejected by
+        the :class:`dataset.Dataset` constructor, so no solution built
+        here, for ``init_solution`` or :func:`check_solution`, reads a
+        cost of 0 or inf that the points do not have."""
         if center_pos is None:
             if center_ids is None:
                 raise ValueError("need center ids or positions")
@@ -107,7 +106,6 @@ class Solution:
             raise ValueError("pass center_ids or center_pos, not both")
         else:
             center_pos = check_positions(center_pos, ds.d)
-        check_distance_scale(ds)
         assign, assign2, d1sq, d2sq = two_nearest(ds.points, center_pos)
         total_cost = float(d1sq.sum())
         check_cost_scale(total_cost)

@@ -1,8 +1,6 @@
-import itertools
 import math
 import re
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +11,7 @@ from fairkmeans import (
     Dataset,
     RadiusBounds,
     aspect_ratio,
+    brute_force_opt,
     compute_radii,
     load_points,
     normalize,
@@ -20,7 +19,6 @@ from fairkmeans import (
 )
 from fairkmeans import dataset
 from fairkmeans._dist import sq_dists
-from fairkmeans.solution import check_solution
 
 
 def rows_of(ds, sub):
@@ -37,7 +35,7 @@ LOADER_CASES = {
         "0.10000000000000001,-2.7182818284590451\n3.1415926535897931,1e-5\n", None, False, True
     ),
     "subnormal": (
-        "4.9406564584124654e-324,2.2250738585072009e-308\n1e-320,-5e-324\n", None, False, True
+        "4.9406564584124654e-324,2.2250738585072009e-308\n1e-320,-5e-324\n1,1\n", None, False, True
     ),
     "max-float": ("1.7976931348623157e308,-1.7976931348623157e308\n", None, False, True),
     "signed-zero": ("-0,0\n-0.0,+0\n", None, False, True),
@@ -77,6 +75,7 @@ LOADER_CASES = {
     "column-past-end": ("1,2\n3,4\n", [2], False, False),
 }
 LOADER_IDS = list(LOADER_CASES)
+UNDERFLOW = r"^squared distances underflow float64 \(coordinate spread .*\); rescale the points"
 # maps every byte to "1", CR or LF
 LINE_BYTES = bytes(b"1\r\n"[i % 3] for i in range(256))
 LOADER_CORPUS = list(LOADER_CASES.values())
@@ -105,6 +104,22 @@ class TestDataset:
         ds = Dataset(np.zeros((3, 2)))
         with pytest.raises(ValueError):
             ds.points[0, 0] = 1.0
+
+    @pytest.mark.parametrize("d", [2, 8])
+    @pytest.mark.parametrize("scale", [1e-170, 1e-160])
+    def test_underflow_rejected(self, d, scale):
+        # at 1e-170 every squared distance is 0, at 1e-160 subnormal: radii,
+        # costs and ratios used to read 0, as if the points were identical
+        with pytest.raises(ValueError, match=UNDERFLOW):
+            Dataset(np.random.default_rng(4).normal(size=(300, d)) * scale)
+
+    def test_underflow_boundary(self):
+        # (2**-511)**2 is the smallest normal float64, (2**-512)**2 is below it
+        Dataset(np.array([[0.0], [2.0**-511]]))
+        with pytest.raises(ValueError, match=UNDERFLOW):
+            Dataset(np.array([[0.0], [2.0**-512]]))
+        # the largest spread of any dimension decides
+        Dataset(np.array([[0.0, 0.0], [1e-170, 1.0]]))
 
 
 class TestLoadPoints:
@@ -221,6 +236,10 @@ class TestLoadPoints:
                 load_points(write_csv(tmp_path, "x,y\n"), header=True)
         assert seen == []
 
+    def test_underflow_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match=UNDERFLOW):
+            load_points(write_csv(tmp_path, "0,1e-170\n1e-170,0\n"))
+
     def test_plain_csv_skips_the_loop(self, tmp_path, monkeypatch):
         def no_loop(*args, **kwargs):
             raise AssertionError("csv.reader called")
@@ -307,6 +326,13 @@ class TestSubsample:
         assert np.all(np.diff(rows_of(ds, a)) > 0)
         inner = subsample(a, 5, seed=seed + 1)
         assert np.all(np.diff(rows_of(ds, inner)) > 0)
+
+
+    def test_underflowing_sample_rejected(self):
+        ds = Dataset(np.array([[0.0], [1e-170], [1.0]]))
+        assert np.array_equal(subsample(ds, 2, 0).points, [[1e-170], [1.0]])
+        with pytest.raises(ValueError, match=UNDERFLOW):
+            subsample(ds, 2, 1)  # draws {0, 1e-170}
 
 
 class TestComputeRadii:
@@ -399,14 +425,6 @@ class TestComputeRadii:
         with pytest.raises(ValueError, match="overflow float64.*rescale the points"):
             compute_radii(ds, 2, mode=mode, sample_size=10)
 
-    @pytest.mark.parametrize("mode", ["exact", "sampled"])
-    @pytest.mark.parametrize("scale", [1e-170, 1e-160])
-    def test_underflow_names_cause(self, mode, scale):
-        # at 1e-170 every squared distance is 0, at 1e-160 subnormal
-        ds = Dataset(np.random.default_rng(4).normal(size=(300, 2)) * scale)
-        with pytest.raises(ValueError, match="underflow float64.*rescale the points"):
-            compute_radii(ds, 5, mode=mode, sample_size=50)
-
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("mode", ["exact", "sampled"])
     def test_overflow_names_cause_d8(self, mode):
@@ -415,13 +433,6 @@ class TestComputeRadii:
         ds = Dataset(np.random.default_rng(4).normal(size=(20, 8)) * 1e160)
         with pytest.raises(ValueError, match="overflow float64.*rescale the points"):
             compute_radii(ds, 2, mode=mode, sample_size=10)
-
-    @pytest.mark.parametrize("mode", ["exact", "sampled"])
-    @pytest.mark.parametrize("scale", [1e-170, 1e-160])
-    def test_underflow_names_cause_d8(self, mode, scale):
-        ds = Dataset(np.random.default_rng(4).normal(size=(300, 8)) * scale)
-        with pytest.raises(ValueError, match="underflow float64.*rescale the points"):
-            compute_radii(ds, 5, mode=mode, sample_size=50)
 
     @pytest.mark.parametrize("mode", ["exact", "sampled"])
     def test_identical_points_have_zero_radii(self, mode):
@@ -562,52 +573,6 @@ def test_non_finite_positions_named(entry):
         non_finite_cases()[entry]()
 
 
-def underflow_cases():
-    """One call per entry that reads distances to a center set or between
-    points, on 200 distinct points at 1e-170, where every squared distance
-    underflows to 0.  Each used to answer as if the points were identical:
-    a [0., 0.] trace, a cost of 0.0, a ratio of (0.0, 0) against radii of
-    1e-171, "all points are identical", every label 0, and a solution (built
-    or checked) of cost 0.0.  Brute force scanned every subset first."""
-    import fairkmeans as fk
-
-    ds = Dataset(np.random.default_rng(7).normal(size=(200, 2)) * 1e-170)
-    delta = RadiusBounds(np.full(ds.n, 1e-171))
-    aset = fk.AnchorSet([0], ds.points[:1], [1.0], 3.0)
-    pos = ds.points[[0, 1]]
-    zeros = np.zeros(ds.n)
-    built = fk.Solution(ds, aset, None, pos, zeros.astype(int), zeros.astype(int) + 1, zeros, zeros, 0.0)
-    return {
-        "kmeanspp_init": lambda: fk.kmeanspp_init(ds, 3, 0),
-        "vanilla_kmeans": lambda: fk.vanilla_kmeans(ds, 3, 0),
-        "lloyd": lambda: fk.lloyd(ds, [0, 1, 2]),
-        "cost": lambda: fk.cost(ds, [0, 1]),
-        "bound_ratio": lambda: fk.bound_ratio(ds, delta, [0, 1]),
-        "aspect_ratio": lambda: fk.aspect_ratio(ds),
-        "assign": lambda: fk.assign(ds, [0, 1]),
-        "Solution.build-ids": lambda: fk.Solution.build(ds, aset, center_ids=[0, 1]),
-        "Solution.build-positions": lambda: fk.Solution.build(ds, aset, center_pos=pos),
-        "init_solution": lambda: fk.init_solution(ds, aset, 3, 0),
-        "check_solution": lambda: check_solution(built),
-        "brute_force_opt": lambda: brute_force_without_its_loop(ds, delta),
-    }
-
-
-def brute_force_without_its_loop(ds, delta):
-    """``brute_force_opt`` at k = 2, failing if its subset loop starts."""
-    import fairkmeans as fk
-
-    started = AssertionError("brute_force_opt started its subset loop")
-    with mock.patch.object(itertools, "combinations", side_effect=started):
-        return fk.brute_force_opt(ds, delta, 6.0, 2)
-
-
-@pytest.mark.parametrize("entry", list(underflow_cases()))
-def test_underflowing_distances_named(entry):
-    with pytest.raises(ValueError, match="underflow float64.*rescale the points"):
-        underflow_cases()[entry]()
-
-
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("d", [2, 8])
 def test_lloyd_overflowing_cost_named(d):
@@ -617,6 +582,45 @@ def test_lloyd_overflowing_cost_named(d):
     ds = Dataset(np.random.default_rng(4).normal(size=(20, d)) * 1e160)
     with pytest.raises(ValueError, match=r"total cost \(sum of squared distances.*overflows"):
         fk.lloyd(ds, [0, 1])
+
+
+def two_far_clusters():
+    """12 points in two tight clusters at +-1e160: squared distances within
+    a cluster are finite, those across the clusters overflow to inf."""
+    pts = np.random.default_rng(3).normal(size=(12, 2)) * 1e146
+    pts[:6] += 1e160
+    pts[6:] -= 1e160
+    return Dataset(pts)
+
+
+def distance_overflow_cases():
+    """One call per entry that reads pairwise squared distances, where some
+    overflow to inf.  On 12 points at 1e160 brute force used to return None
+    (no feasible subset, where the same points at 1e150 have one) and
+    aspect_ratio to call the points identical; on two tight clusters at
+    +-1e160 aspect_ratio returned inf, where the ratio is about 1e14."""
+    ds = Dataset(np.random.default_rng(3).normal(size=(12, 2)) * 1e160)
+    return {
+        "brute_force_opt": lambda: brute_force_opt(ds, RadiusBounds(np.full(12, 1e161)), 6.0, 3),
+        "aspect_ratio": lambda: aspect_ratio(ds),
+        "aspect_ratio-two-clusters": lambda: aspect_ratio(two_far_clusters()),
+    }
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("entry", list(distance_overflow_cases()))
+def test_overflowing_distances_named(entry):
+    with pytest.raises(ValueError, match="^squared distances overflow float64.*rescale the points"):
+        distance_overflow_cases()[entry]()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_brute_force_answers_past_overflowed_pairs():
+    # the pairs across the clusters overflow, but a center in each cluster
+    # serves every point, so there is an answer and no error
+    ds = two_far_clusters()
+    cost, ids = brute_force_opt(ds, compute_radii(ds, 2), 6.0, 2)
+    assert np.array_equal(ids, [2, 8]) and np.isfinite(cost)
 
 
 def cost_overflow_cases():
@@ -708,3 +712,15 @@ def text_cases():
 def test_text_input_named(name):
     with pytest.raises(TypeError, match=rf"^{name} must be real numbers, got [<|][US]\d+$"):
         text_cases()[name]()
+
+
+@pytest.mark.parametrize("text", ["1", b"1"], ids=["str", "bytes"])
+def test_text_in_object_array_named(text):
+    # numpy parsed it: Dataset(np.array([["1", 2.0]], dtype=object)) held [[1., 2.]]
+    with pytest.raises(TypeError, match="^points must be real numbers, got object$"):
+        Dataset(np.array([[text, 2.0]], dtype=object))
+
+
+def test_numbers_in_object_array_convert():
+    points = Dataset(np.array([[1, 2.0]], dtype=object)).points
+    assert points.dtype == np.float64 and np.array_equal(points, [[1.0, 2.0]])

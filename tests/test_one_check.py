@@ -9,10 +9,10 @@ what a count is (``_check_integer``), what an array of ids holds
 (``check_radii``), what a radius is (``check_radius_values``, per point or
 per zone), how outside values become floats (``as_floats``: a fresh
 array, complex values and text rejected), whether squared distances
-underflow (``check_distance_scale``) and whether a total cost overflows
-(``check_cost_scale``).  Those two and ``compute_radii``'s overflow test
-are the package's only float-range errors: every ``raise`` whose message
-names float64 sits in ``dataset.py``.
+overflow (``check_distance_overflow``) and whether a total cost overflows
+(``check_cost_scale``).  Those two and the ``Dataset`` constructor's
+underflow test are the package's only float-range errors: every ``raise``
+whose message names float64 sits in ``dataset.py``.
 A second copy elsewhere would drift from the first, as copies did before:
 one accepted float ids, another read only the first d columns of wider
 centers.  The forms below are how such a copy is written: an integer test
@@ -42,7 +42,7 @@ CHECKS = {
     "check_radii",
     "check_radius_values",
     "as_floats",
-    "check_distance_scale",
+    "check_distance_overflow",
     "check_cost_scale",
 }
 INTEGER_TESTS = {"index", "issubdtype"}
