@@ -109,6 +109,15 @@ class TestSeed:
             assert len(seed(ds, delta, gamma=3.0)) <= k
 
 
+    def test_underflow_names_cause_with_given_radii(self):
+        # user radii skip compute_radii; the points are refused when built
+        pts = np.random.default_rng(4).normal(size=(300, 2)) * 1e-170
+        delta = RadiusBounds(np.full(300, 1e-171))
+        with pytest.raises(ValueError, match="underflow float64.*rescale the points"):
+            run(Dataset(pts), delta, LsConfig(k=5, iterations=10, seed=0))
+        with pytest.raises(ValueError, match="underflow float64.*rescale the points"):
+            greedy_baseline(Dataset(pts), delta, 3.0, 5, seed=0)
+
     def test_identical_tiny_points_pass(self):
         ds = Dataset(np.full((6, 3), 1e-170))
         delta = RadiusBounds(np.full(6, 1e-171))

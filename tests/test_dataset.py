@@ -1,6 +1,8 @@
+import itertools
 import math
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from fairkmeans import (
 )
 from fairkmeans import dataset
 from fairkmeans._dist import sq_dists
+from fairkmeans.solution import check_solution
 
 
 def rows_of(ds, sub):
@@ -425,6 +428,15 @@ class TestComputeRadii:
         with pytest.raises(ValueError, match="overflow float64.*rescale the points"):
             compute_radii(ds, 2, mode=mode, sample_size=10)
 
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    @pytest.mark.parametrize("scale", [1e-170, 1e-160])
+    def test_underflow_names_cause(self, mode, scale):
+        # at 1e-170 every squared distance is 0, at 1e-160 subnormal; the
+        # points are refused when built, before any radius is read
+        pts = np.random.default_rng(4).normal(size=(300, 2)) * scale
+        with pytest.raises(ValueError, match=UNDERFLOW):
+            compute_radii(Dataset(pts), 5, mode=mode, sample_size=50)
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("mode", ["exact", "sampled"])
     def test_overflow_names_cause_d8(self, mode):
@@ -433,6 +445,13 @@ class TestComputeRadii:
         ds = Dataset(np.random.default_rng(4).normal(size=(20, 8)) * 1e160)
         with pytest.raises(ValueError, match="overflow float64.*rescale the points"):
             compute_radii(ds, 2, mode=mode, sample_size=10)
+
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    @pytest.mark.parametrize("scale", [1e-170, 1e-160])
+    def test_underflow_names_cause_d8(self, mode, scale):
+        pts = np.random.default_rng(4).normal(size=(300, 8)) * scale
+        with pytest.raises(ValueError, match=UNDERFLOW):
+            compute_radii(Dataset(pts), 5, mode=mode, sample_size=50)
 
     @pytest.mark.parametrize("mode", ["exact", "sampled"])
     def test_identical_points_have_zero_radii(self, mode):
@@ -571,6 +590,60 @@ def non_finite_cases():
 def test_non_finite_positions_named(entry):
     with pytest.raises(ValueError, match=r"non-finite coordinates \(NaN or inf\)"):
         non_finite_cases()[entry]()
+
+
+def underflow_cases():
+    """One call per entry that reads distances to a center set or between
+    points, on a dataset of 200 distinct points at 1e-170, where every
+    squared distance underflows to 0.  Each used to answer as if the points
+    were identical: a [0., 0.] trace, a cost of 0.0, a ratio of (0.0, 0)
+    against radii of 1e-171, "all points are identical", every label 0, and
+    a solution (built or checked) of cost 0.0.  The dataset now refuses the
+    points when built, so no entry is handed them."""
+    import fairkmeans as fk
+
+    delta = RadiusBounds(np.full(200, 1e-171))
+
+    def aset(ds):
+        return fk.AnchorSet([0], ds.points[:1], [1.0], 3.0)
+
+    def built(ds):
+        zeros = np.zeros(ds.n)
+        ids = zeros.astype(int)
+        return fk.Solution(ds, aset(ds), None, ds.points[[0, 1]], ids, ids + 1, zeros, zeros, 0.0)
+
+    return {
+        "kmeanspp_init": lambda ds: fk.kmeanspp_init(ds, 3, 0),
+        "vanilla_kmeans": lambda ds: fk.vanilla_kmeans(ds, 3, 0),
+        "lloyd": lambda ds: fk.lloyd(ds, [0, 1, 2]),
+        "cost": lambda ds: fk.cost(ds, [0, 1]),
+        "bound_ratio": lambda ds: fk.bound_ratio(ds, delta, [0, 1]),
+        "aspect_ratio": lambda ds: fk.aspect_ratio(ds),
+        "assign": lambda ds: fk.assign(ds, [0, 1]),
+        "Solution.build-ids": lambda ds: fk.Solution.build(ds, aset(ds), center_ids=[0, 1]),
+        "Solution.build-positions": lambda ds: fk.Solution.build(
+            ds, aset(ds), center_pos=ds.points[[0, 1]]
+        ),
+        "init_solution": lambda ds: fk.init_solution(ds, aset(ds), 3, 0),
+        "check_solution": lambda ds: check_solution(built(ds)),
+        "brute_force_opt": lambda ds: brute_force_without_its_loop(ds, delta),
+    }
+
+
+def brute_force_without_its_loop(ds, delta):
+    """``brute_force_opt`` at k = 2, failing if its subset loop starts."""
+    import fairkmeans as fk
+
+    started = AssertionError("brute_force_opt started its subset loop")
+    with mock.patch.object(itertools, "combinations", side_effect=started):
+        return fk.brute_force_opt(ds, delta, 6.0, 2)
+
+
+@pytest.mark.parametrize("entry", list(underflow_cases()))
+def test_underflowing_distances_named(entry):
+    pts = np.random.default_rng(7).normal(size=(200, 2)) * 1e-170
+    with pytest.raises(ValueError, match=UNDERFLOW):
+        underflow_cases()[entry](Dataset(pts))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
