@@ -9,12 +9,11 @@ returned solution serves every point within ``2 * gamma * delta(p)``
 (factor 6 at the default gamma of 3).
 """
 
-from .anchors import AnchorSet, build_coverage, fair_move_center, seed
+from .anchors import seed
 from .baselines import (
     brute_force_opt,
     greedy_baseline,
     kmeanspp_init,
-    lloyd,
     vanilla_kmeans,
 )
 from .dataset import (
@@ -44,7 +43,6 @@ from .solution import Solution
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnchorSet",
     "Dataset",
     "ExperimentConfig",
     "ExperimentReport",
@@ -58,16 +56,13 @@ __all__ = [
     "assign",
     "bound_ratio",
     "brute_force_opt",
-    "build_coverage",
     "compute_radii",
     "cost",
     "d2_sample",
-    "fair_move_center",
     "flloyd_run",
     "greedy_baseline",
     "init_solution",
     "kmeanspp_init",
-    "lloyd",
     "load_points",
     "ls_step",
     "normalize",

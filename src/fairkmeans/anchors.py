@@ -8,20 +8,22 @@ within ``2 * gamma * delta(p)``.
 
 Picked radii are non-decreasing and the anchors' delta-balls are pairwise
 disjoint, so on a feasible instance the procedure never returns more than k
-anchors.
+anchors.  That argument needs the radius order, so an :class:`AnchorSet` is
+built by :func:`seed` alone: holding one shows its zones came from the
+covering pass.
 
 Whether a position lies in a zone is decided here, by one comparison
 (:func:`_zones`), for the coverage table the search and the promise check
-read (:func:`build_coverage`) and for refinement's pins and clamped moves
-(:func:`clamped_moves`, :func:`fair_move_center`), so no two of them can
-disagree on a boundary.  At the start of each refinement round every
-covered zone pins exactly one of the centers inside it: its nearest one
-(lowest slot on ties), which is its only coverer when there is just one.  A
-center's move is a bisection along the segment from its current position to
-the cluster mean, the largest step that keeps it inside every zone pinned
-to it.  Pins are taken from start-of-round positions, so the result does
-not depend on move order, and each pinned center stays inside its zone, so
-every zone covered at the start of a round is still covered at its end.
+read (:func:`_coverage`) and for refinement's pins and clamped moves
+(:func:`clamped_moves`, :func:`_move`), so no two of them can disagree on a
+boundary.  At the start of each refinement round every covered zone pins
+exactly one of the centers inside it: its nearest one (lowest slot on
+ties), which is its only coverer when there is just one.  A center's move
+is a bisection along the segment from its current position to the cluster
+mean, the largest step that keeps it inside every zone pinned to it.  Pins
+are taken from start-of-round positions, so the result does not depend on
+move order, and each pinned center stays inside its zone, so every zone
+covered at the start of a round is still covered at its end.
 """
 
 from __future__ import annotations
@@ -32,15 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._dist import dists, sq_dist_matrix
-from .dataset import (
-    Dataset,
-    RadiusBounds,
-    _check_integers,
-    as_floats,
-    check_positions,
-    check_radii,
-    check_radius_values,
-)
+from .dataset import Dataset, RadiusBounds, check_radii
 
 # Halvings in a clamped move: its error is at most |mean - center| * 2**-40.
 BISECTION_STEPS = 40
@@ -58,37 +52,15 @@ def _check_gamma(gamma: float) -> None:
 class AnchorSet:
     """Seeding output: anchor ids in pick order plus their zones.
 
-    ``zone_radius[i]`` equals ``gamma * delta(anchors[i])``.  A set of m
-    anchors has 1-D ``anchors`` and ``zone_radius`` of length m, finite
-    and nonnegative radii (:func:`dataset.check_radius_values`), and finite
-    (m, d) ``positions``; m = 0 is valid.  The fields are stored as int64
-    ids and fresh float64 positions and radii (:func:`dataset.as_floats`);
-    ids that are not integers and complex values are a TypeError, and each
-    other fault is a ValueError that names it.
+    Built by :func:`seed` only, from the covering pass: ``anchors`` holds m
+    int64 point ids, ``positions`` their (m, d) points and
+    ``zone_radius[i]`` equals ``gamma * delta(anchors[i])``.
     """
 
     anchors: np.ndarray
     positions: np.ndarray
     zone_radius: np.ndarray
     gamma: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "anchors", _check_integers("anchors", self.anchors))
-        object.__setattr__(self, "positions", as_floats("anchor positions", self.positions))
-        object.__setattr__(self, "zone_radius", as_floats("zone radii", self.zone_radius))
-        if self.anchors.ndim != 1:
-            raise ValueError(f"anchors must be a 1-D id array, got shape {self.anchors.shape}")
-        if self.positions.ndim != 2 or self.positions.shape[0] != self.anchors.shape[0]:
-            raise ValueError(
-                f"anchor positions must be one row per anchor, got shape "
-                f"{self.positions.shape} for {self.anchors.shape[0]} anchors"
-            )
-        if self.zone_radius.shape != self.anchors.shape:
-            raise ValueError("one zone radius per anchor")
-        check_radius_values("zone radii", self.zone_radius)
-        if not np.all(np.isfinite(self.positions)):
-            raise ValueError("anchor positions hold non-finite coordinates (NaN or inf)")
-        _check_gamma(self.gamma)
 
     def __len__(self) -> int:
         return int(self.anchors.shape[0])
@@ -101,6 +73,8 @@ def seed(ds: Dataset, delta: RadiusBounds, gamma: float) -> AnchorSet:
 
     Returns the full anchor list even when it exceeds a caller's k; deciding
     feasibility is the caller's job so the anchor count can be reported.
+    The package's one maker of an :class:`AnchorSet`, whose zones carry
+    the guarantee only because they were picked in radius order.
     Points whose squared distances underflow float64 never get here,
     whatever the radii: the :class:`dataset.Dataset` constructor rejects
     them.
@@ -118,7 +92,8 @@ def seed(ds: Dataset, delta: RadiusBounds, gamma: float) -> AnchorSet:
         pick = int(open_ids[np.argmin(delta.delta[open_ids])])
         picked.append(pick)
         covered |= dists(X, X[pick]) <= reach
-    return AnchorSet(picked, X[picked], gamma * delta.delta[picked], float(gamma))
+    ids = np.asarray(picked, dtype=np.int64)
+    return AnchorSet(ids, X[ids], gamma * delta.delta[ids], float(gamma))
 
 
 def _zones(positions: np.ndarray, anchor_positions: np.ndarray, radii: np.ndarray):
@@ -129,59 +104,26 @@ def _zones(positions: np.ndarray, anchor_positions: np.ndarray, radii: np.ndarra
     return dist, dist <= radii
 
 
-def build_coverage(anchor_set: AnchorSet, positions) -> np.ndarray:
-    """Coverage table for the centers at ``positions`` (k, d): a (k, m) bool
-    array whose entry [j, z] is True when center j lies in zone z
-    (:func:`_zones`).  A valid solution has a True in every column.
-    ``positions`` must have the anchors' d columns
-    (:func:`dataset.check_positions`), else a ValueError.
-    """
-    pos = check_positions(positions, anchor_set.positions.shape[1])
-    return _coverage(anchor_set, pos)
-
-
 def _coverage(anchor_set: AnchorSet, positions: np.ndarray) -> np.ndarray:
-    """:func:`build_coverage` on positions already checked, such as the
-    search's candidate, a row of the dataset's own points."""
+    """Coverage table for the centers at ``positions``, a checked (k, d)
+    float64 array: a (k, m) bool array whose entry [j, z] is True when
+    center j lies in zone z (:func:`_zones`).  A valid solution has a True
+    in every column."""
     return _zones(positions, anchor_set.positions, anchor_set.zone_radius)[1]
 
 
-def fair_move_center(
-    center: np.ndarray,
-    mean: np.ndarray,
-    anchor_positions: np.ndarray,
-    radii: np.ndarray,
-) -> np.ndarray:
+def _move(center: np.ndarray, mean: np.ndarray, anchor_positions: np.ndarray, radii: np.ndarray):
     """Farthest point toward ``mean`` on the segment from ``center`` that
-    stays inside every constraint ball.
+    stays inside every constraint ball: refinement's one clamped move, on
+    float64 arrays of d, d, (m, d) and m values.
 
     The feasible steps form an interval [0, t*] because the segment's
     intersection with each closed ball is convex and t=0 is feasible: the
-    center must lie in every ball, which is checked.  When the mean itself
-    is feasible it is returned exactly; otherwise t* is located by
-    ``BISECTION_STEPS`` halvings, an error of at most
-    ``|mean - center| * 2**-BISECTION_STEPS``.
-
-    ``center`` and ``mean`` are positions of d coordinates and
-    ``anchor_positions`` a (m, d) array (:func:`dataset.check_positions`),
-    with one finite nonnegative radius per anchor
-    (:func:`dataset.check_radius_values`), and ``center`` must lie in every
-    ball; anything else is a ValueError.
+    center must lie in every ball, else a ValueError naming the first ball
+    it lies outside.  When the mean itself is feasible it is returned
+    exactly; otherwise t* is located by ``BISECTION_STEPS`` halvings, an
+    error of at most ``|mean - center| * 2**-BISECTION_STEPS``.
     """
-    center = check_positions([center], np.size(center))[0]
-    mean = check_positions([mean], center.size)[0]
-    radii = as_floats("radii", radii)
-    if radii.shape != np.shape(anchor_positions)[:1]:
-        raise ValueError(f"need one radius per anchor position, got {radii.shape} radii")
-    check_radius_values("radii", radii)
-    if radii.size == 0:
-        return mean
-    return _move(center, mean, check_positions(anchor_positions, center.size), radii)
-
-
-def _move(center: np.ndarray, mean: np.ndarray, anchor_positions: np.ndarray, radii: np.ndarray):
-    """:func:`fair_move_center` on inputs already checked: float64 arrays of
-    d, d, (m, d) and m values.  Only the precondition is tested here."""
     # a center no zone is pinned to moves to its mean
     if radii.size == 0:
         return mean
@@ -221,13 +163,13 @@ def _pins(anchor_set: AnchorSet, positions: np.ndarray) -> np.ndarray:
 
 
 def clamped_moves(anchor_set: AnchorSet, positions: np.ndarray, means: np.ndarray) -> np.ndarray:
-    """Every center's candidate for one refinement round: row j is
-    :func:`fair_move_center` from ``positions[j]``, the start-of-round
+    """Every center's candidate for one refinement round: row j is the
+    clamped move (:func:`_move`) from ``positions[j]``, the start-of-round
     position, toward ``means[j]``, within the zones pinned to center j
     (the module docstring's rule).  A (k, d) array; whichever candidates
     a round takes, every zone covered at ``positions`` stays covered.
     ``positions`` and ``means`` are the refinement loop's own float64
-    arrays, so the moves skip :func:`fair_move_center`'s input checks."""
+    arrays."""
     k = positions.shape[0]
     pin = _pins(anchor_set, positions)
     zones = [(anchor_set.positions[pin == j], anchor_set.zone_radius[pin == j]) for j in range(k)]

@@ -21,7 +21,6 @@ from .dataset import (
     RadiusBounds,
     _check_integer,
     _rng,
-    center_positions,
     check_distance_overflow,
     check_radii,
 )
@@ -72,36 +71,20 @@ def kmeanspp_init(ds: Dataset, k: int, seed) -> np.ndarray:
     return np.asarray(chosen, dtype=np.int64)
 
 
-def lloyd(
-    ds: Dataset,
-    centers: np.ndarray,
-    iterations: int = 100,
-    rel_tol: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Plain Lloyd iterations from the given center positions: the
-    refinement loop of :mod:`fairkmeans.refine` with no zone constraint.
-    ``centers`` are point ids or (k, d) positions
-    (:func:`dataset.center_positions`).
-
-    Returns the final positions and the cost trace (entry cost plus one value
-    per round).  An empty cluster keeps its center, and a center only moves
-    when the recomputed cluster cost strictly improves, so the trace is
-    non-increasing even in float arithmetic.  A positive ``rel_tol`` stops
-    once a round's relative improvement drops to it or below.  A round in
-    which no center moves is a fixed point: with ``rel_tol = 0`` its cost
-    fills the rest of the trace, with a positive ``rel_tol`` the trace ends
-    at it (:func:`fairkmeans.refine.lloyd_rounds`).  An entry cost that
-    overflows is a ValueError.
-    """
-    _check_integer("iterations", iterations, 0)
-    return lloyd_rounds(ds.points, center_positions(ds, centers), None, iterations, rel_tol)[:2]
-
-
 def vanilla_kmeans(ds: Dataset, k: int, seed) -> tuple[np.ndarray, np.ndarray]:
-    """D^2 seeding plus Lloyd, capped at 100 rounds or relative improvement
-    at most 1e-6.  The non-fair reference point."""
+    """D^2 seeding (:func:`kmeanspp_init`) plus plain Lloyd rounds, the
+    refinement loop with no zone constraint
+    (:func:`fairkmeans.refine.lloyd_rounds`), capped at 100 rounds or a
+    relative improvement of at most 1e-6.  The non-fair reference point.
+
+    Returns the final positions and the cost trace (entry cost plus one
+    value per round).  An empty cluster keeps its center, and a center only
+    moves when its recomputed cluster cost strictly improves, so the trace
+    is non-increasing even in float arithmetic; a round in which no center
+    moves ends it.
+    """
     ids = kmeanspp_init(ds, k, seed)
-    return lloyd(ds, ids, iterations=100, rel_tol=1e-6)
+    return lloyd_rounds(ds.points, ds.points[ids], None, 100, 1e-6)[:2]
 
 
 def brute_force_opt(

@@ -351,8 +351,12 @@ def check_distance_overflow(sq) -> None:
     :func:`check_cost_scale`, one of the three checks that distances and
     costs stay in float64's range; no other module raises such an error.
     Run on :func:`compute_radii`'s ranked distances, on
-    :func:`aspect_ratio`'s largest one and, when no subset is feasible, on
-    ``brute_force_opt``'s pairwise matrix."""
+    :func:`aspect_ratio`'s largest one, when no subset is feasible on
+    ``brute_force_opt``'s pairwise matrix, and on each point's squared
+    distance to its nearest center in ``refine.assign`` and in
+    ``metrics._score`` (so ``cost``, ``bound_ratio`` and the harness's
+    scores): where that distance overflows, the labels and scores read
+    inf for every far center alike."""
     if not np.all(np.isfinite(sq)):
         raise ValueError(
             "squared distances overflow float64 (coordinates too large); "
@@ -399,16 +403,6 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _check_integers(name: str, values) -> np.ndarray:
-    """The one integer test of an id array: ``values`` as int64, and a
-    TypeError naming ``name`` unless its entries are integers (an empty
-    array passes whatever its dtype).  Its shape is the caller's check."""
-    arr = np.asarray(values)
-    if arr.size and not np.issubdtype(arr.dtype, np.integer):
-        raise TypeError(f"{name} must be integer point ids, got {arr.dtype}")
-    return arr.astype(np.int64, copy=False)
-
-
 def as_floats(name: str, values) -> np.ndarray:
     """The one conversion of outside values to floats: a fresh C-ordered
     float64 array, never the caller's own, so that freezing or writing it
@@ -427,10 +421,9 @@ def as_floats(name: str, values) -> np.ndarray:
 
 
 def check_radius_values(name: str, radii: np.ndarray) -> None:
-    """The one rule for radii, per point or per anchor zone: ValueError,
-    with ``name`` as its subject, unless every value is finite and
-    nonnegative (a NaN radius fails every comparison, an infinite one
-    passes every one)."""
+    """The one rule for radii: ValueError, with ``name`` as its subject,
+    unless every value is finite and nonnegative (a NaN radius fails every
+    comparison, an infinite one passes every one)."""
     if not np.all(np.isfinite(radii)) or np.any(radii < 0):
         raise ValueError(f"{name} must be finite and nonnegative")
 

@@ -84,6 +84,7 @@ class RunTrace:
 def init_solution(ds: Dataset, anchor_set: AnchorSet, k: int, seed) -> Solution:
     """Anchors plus uniform random distinct non-anchor points, caches built.
 
+    ``anchor_set`` is :func:`anchors.seed`'s output for ``ds``, and
     ``seed`` may be an int or a numpy Generator.  Raises
     InfeasibleInstanceError when there are more anchors than k, and
     :meth:`Solution.build`'s ValueError for a total cost that overflows.
@@ -228,8 +229,9 @@ def ls_step(
     going to the lowest center id, when it is strictly cheaper.  The draw is
     the one :func:`d2_sample` makes, from ``sol.cum``.
 
-    ``anchor_set`` is None or ``sol.anchor_set`` itself: the coverage cache
-    belongs to that set, so any other one is a ValueError.  So is a solution
+    ``anchor_set`` is None or ``sol.anchor_set`` itself, :func:`anchors.seed`'s
+    output: the coverage cache belongs to that set, so any other one is a
+    ValueError.  So is a solution
     without ``center_ids``: search swaps data points only.
     """
     if anchor_set is not None and anchor_set is not sol.anchor_set:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._dist import fsum, min_sq_dists
-from .dataset import Dataset, RadiusBounds, center_positions, check_radii
+from .dataset import Dataset, RadiusBounds, center_positions, check_distance_overflow, check_radii
 
 
 def fairness_ratios(dist: np.ndarray, delta: np.ndarray) -> np.ndarray:
@@ -27,10 +27,14 @@ def _score(
     squared distance and distance to its nearest center, and, given radii,
     :func:`bound_ratio`'s pair (else None).  :func:`cost`,
     :func:`bound_ratio` and the experiment harness all take their values
-    from here, so each gives the same bits as the others."""
+    from here, so each gives the same bits as the others.  A nearest
+    squared distance that overflows float64 is
+    :func:`dataset.check_distance_overflow`'s ValueError, not a score of
+    inf."""
     if delta is not None:
         check_radii(ds, delta)
     sq = min_sq_dists(ds.points, center_positions(ds, centers))
+    check_distance_overflow(sq)
     dist = np.sqrt(sq)
     if delta is None:
         return sq, dist, None

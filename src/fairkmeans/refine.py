@@ -9,7 +9,7 @@ through because zone coverage is preserved.
 Each round's candidate moves, with the pins that clamp them, come from
 :func:`anchors.clamped_moves`; this module decides only which moves pay.
 
-The same loop with no zones is plain Lloyd (:func:`baselines.lloyd`).
+The same loop with no zones is plain Lloyd (:func:`baselines.vanilla_kmeans`).
 """
 
 from __future__ import annotations
@@ -20,7 +20,13 @@ import numpy as np
 
 from ._dist import _nearest_two, fsum, sq_dist_blocks, sq_dist_matrix, sq_dists, two_nearest
 from .anchors import AnchorSet, clamped_moves
-from .dataset import Dataset, _check_integer, center_positions, check_cost_scale
+from .dataset import (
+    Dataset,
+    _check_integer,
+    center_positions,
+    check_cost_scale,
+    check_distance_overflow,
+)
 from .solution import Solution, check_guarantee
 
 
@@ -37,8 +43,12 @@ def assign(ds: Dataset, centers: np.ndarray) -> np.ndarray:
     ``centers`` are point ids or (k, d) positions
     (:func:`dataset.center_positions`).  The nearest
     slots of the nearest-two pass (``_dist.two_nearest``), which are the
-    kernel's."""
-    return two_nearest(ds.points, center_positions(ds, centers))[0]
+    kernel's.  A nearest squared distance that overflows float64 is
+    :func:`dataset.check_distance_overflow`'s ValueError: every far center
+    would then tie at inf and the point go to the lowest slot."""
+    labels, _, d1sq, _ = two_nearest(ds.points, center_positions(ds, centers))
+    check_distance_overflow(d1sq)
+    return labels
 
 
 def cluster_means(X: np.ndarray, labels: np.ndarray, k: int):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._dist import _pair_sq_dists, fsum, two_nearest
-from .anchors import AnchorSet, build_coverage
+from .anchors import AnchorSet, _coverage
 from .dataset import (
     Dataset,
     RadiusBounds,
@@ -51,9 +51,13 @@ class Solution:
     the fields, so no caller can hand in a table that disagrees with the
     centers.  ``cum`` is ``np.cumsum(d1sq)``, the running total the search's
     D² draw reads, and ``covers`` the (k, m) zone table of
-    :func:`anchors.build_coverage`: ``covers[j, z]`` is True when center j
-    lies in anchor zone z, and a valid solution has a True in every column.
+    :func:`anchors._coverage`: ``covers[j, z]`` is True when center j lies
+    in anchor zone z, and a valid solution has a True in every column.
     An accepted swap refreshes both in place.
+
+    ``anchor_set`` is :func:`anchors.seed`'s output, and ``center_pos``
+    must be a (k, d) array of the points' d columns
+    (:func:`dataset.check_positions`), else a ValueError.
 
     Solutions are single-owner: only the loop that created one mutates it.
     """
@@ -72,7 +76,7 @@ class Solution:
 
     def __post_init__(self):
         self.cum = np.cumsum(self.d1sq)
-        self.covers = build_coverage(self.anchor_set, self.center_pos)
+        self.covers = _coverage(self.anchor_set, check_positions(self.center_pos, self.ds.d))
 
     @property
     def k(self) -> int:
@@ -87,7 +91,8 @@ class Solution:
         center_pos: np.ndarray | None = None,
     ) -> "Solution":
         """From-scratch construction of every cache; the oracle the
-        incremental updates are checked against.  Takes either
+        incremental updates are checked against.  ``anchor_set`` is
+        :func:`anchors.seed`'s output.  Takes either
         ``center_ids``, a 1-D array of point ids (:func:`dataset.point_ids`),
         or ``center_pos``, a (k, d) array (:func:`dataset.check_positions`);
         both, neither or anything else is a ValueError.  The array is

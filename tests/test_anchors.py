@@ -6,21 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairkmeans import (
-    AnchorSet,
     Dataset,
     LsConfig,
     RadiusBounds,
+    Solution,
     brute_force_opt,
-    build_coverage,
     greedy_baseline,
     run,
     seed,
 )
 from fairkmeans._dist import dists
+from fairkmeans.anchors import AnchorSet, _coverage
 from conftest import gaussian_instance, tiny_instance
 
 
 def make_anchor_set(ds, anchor_ids, radii, gamma=3.0):
+    """Planted zones around the given points, with the field types
+    ``seed`` gives: int64 ids and float64 positions and radii."""
     ids = np.asarray(anchor_ids, dtype=np.int64)
     return AnchorSet(
         anchors=ids,
@@ -65,8 +67,6 @@ class TestSeed:
         message = "gamma must be a finite number above 2"
         with pytest.raises(ValueError, match=message):
             seed(ds, delta, gamma=gamma)
-        with pytest.raises(ValueError, match=message):
-            make_anchor_set(ds, [0], [1.0], gamma=gamma)
         with pytest.raises(ValueError, match=message):
             LsConfig(k=2, gamma=gamma).validate()
 
@@ -127,23 +127,27 @@ class TestSeed:
 
 
 class TestBuildCoverage:
+    """The coverage table (``anchors._coverage``), as a ``Solution`` builds
+    it from its centers."""
+
     def test_anchors_cover_their_own_zones(self):
         ds, delta, k = gaussian_instance(3, n=150)
         aset = seed(ds, delta, gamma=3.0)
-        covers = build_coverage(aset, aset.positions)
+        covers = _coverage(aset, aset.positions)
         assert covers.shape == (len(aset), len(aset))
         assert covers.any(axis=0).all()
 
     def test_count_single_center_inside(self):
         ds = Dataset(np.array([[0.0], [2.0], [10.0]]))
         aset = make_anchor_set(ds, [0], [3.0])
-        covers = build_coverage(aset, ds.points[[1, 2]])
+        covers = _coverage(aset, ds.points[[1, 2]])
         assert covers.tolist() == [[True], [False]]
+        assert Solution.build(ds, aset, center_ids=[1, 2]).covers.tolist() == covers.tolist()
 
     def test_uncovered_zone_detected(self):
         ds = Dataset(np.array([[0.0], [10.0]]))
         aset = make_anchor_set(ds, [0], [3.0])
-        covers = build_coverage(aset, ds.points[[1]])
+        covers = _coverage(aset, ds.points[[1]])
         assert covers.tolist() == [[False]]
 
     @pytest.mark.parametrize(
@@ -157,54 +161,20 @@ class TestBuildCoverage:
         ids=["narrower", "wider", "empty", "1-D"],
     )
     def test_positions_checked(self, positions, message):
-        # narrower positions used to be compared on the anchors' first
-        # column alone and return a table
+        # a solution's constructor checks the positions it builds the table
+        # from: narrower ones used to be compared on the anchors' first
+        # column alone and give a table
         ds = Dataset(np.arange(20.0).reshape(10, 2))
         aset = make_anchor_set(ds, [0, 5], [3.0, 3.0])
+        ids, zeros = np.zeros(ds.n, dtype=np.int64), np.zeros(ds.n)
         with pytest.raises(ValueError, match=message):
-            build_coverage(aset, positions)
-
-
-def test_anchor_set_needs_one_radius_per_anchor():
-    with pytest.raises(ValueError, match="one zone radius per anchor"):
-        AnchorSet(np.array([0, 1]), np.zeros((2, 1)), np.ones(3), 3.0)
-
-
-@pytest.mark.parametrize(
-    "anchors, positions, zone_radius, message",
-    [
-        ([0, 1], np.zeros((3, 2)), [1.0, 1.0], r"got shape \(3, 2\) for 2 anchors"),
-        ([0, 1], np.zeros(2), [1.0, 1.0], r"got shape \(2,\) for 2 anchors"),
-        ([[0, 1]], np.zeros((1, 2)), [1.0], "anchors must be a 1-D id array"),
-        ([0, 1], np.zeros((2, 2)), [[1.0], [1.0]], "one zone radius per anchor"),
-        ([0, 1], np.zeros((2, 2)), [1.0, np.nan], "zone radii must be finite and nonnegative"),
-        ([0, 1], np.zeros((2, 2)), [1.0, np.inf], "zone radii must be finite and nonnegative"),
-        ([0, 1], np.zeros((2, 2)), [-1.0, 1.0], "zone radii must be finite and nonnegative"),
-    ],
-    ids=["too-many-rows", "1-D-positions", "2-D-anchors", "2-D-radii", "nan", "inf", "negative"],
-)
-def test_anchor_set_checks_its_shape(anchors, positions, zone_radius, message):
-    # each used to be accepted; build_coverage then failed with numpy's
-    # broadcast error or "IndexError: tuple index out of range"
-    with pytest.raises(ValueError, match=message):
-        AnchorSet(np.array(anchors), positions, np.array(zone_radius), 3.0)
-
-
-def test_anchor_set_converts_its_fields():
-    # lists used to fail with "'list' object has no attribute 'ndim'"
-    aset = AnchorSet([0], [[0.0]], [1], 3.0)
-    assert aset.anchors.dtype == np.int64 and np.array_equal(aset.anchors, [0])
-    assert aset.positions.dtype == np.float64 and aset.positions.shape == (1, 1)
-    assert aset.zone_radius.dtype == np.float64 and np.array_equal(aset.zone_radius, [1.0])
-    assert np.array_equal(build_coverage(aset, np.array([[0.5], [2.0]])), [[True], [False]])
-    assert len(AnchorSet([], np.empty((0, 2)), [], 3.0)) == 0
-    for ids in ([0.0], [True]):
-        with pytest.raises(TypeError, match="anchors must be integer point ids"):
-            AnchorSet(ids, [[0.0]], [1.0], 3.0)
+            Solution(ds, aset, None, np.array(positions), ids, ids + 1, zeros, zeros, 0.0)
 
 
 def test_anchor_set_accepts_seed_output_and_no_zones():
     ds, delta, _ = gaussian_instance(5, n=120, d=3)
-    assert len(seed(ds, delta, gamma=3.0)) > 0  # seed builds its AnchorSet itself
+    aset = seed(ds, delta, gamma=3.0)  # the one maker of an AnchorSet
+    assert len(aset) > 0
+    assert aset.anchors.dtype == np.int64 and aset.positions.shape == (len(aset), 3)
     empty = AnchorSet(np.empty(0, dtype=np.int64), np.empty((0, 3)), np.empty(0), 3.0)
     assert len(empty) == 0

@@ -11,12 +11,12 @@ from fairkmeans import (
     greedy_baseline,
     init_solution,
     kmeanspp_init,
-    lloyd,
     run,
     seed,
     vanilla_kmeans,
 )
 from fairkmeans.metrics import fairness_ratios
+from fairkmeans.refine import lloyd_rounds
 from conftest import gaussian_instance
 
 
@@ -79,16 +79,19 @@ class TestKmeansppInit:
 
 
 class TestLloyd:
+    """Plain Lloyd: the refinement loop with no zones
+    (``refine.lloyd_rounds``), as ``vanilla_kmeans`` runs it."""
+
     def test_line_fixture_converges(self):
         ds = Dataset(np.array([[0.0], [1.0], [10.0], [11.0]]))
-        pos, trace = lloyd(ds, np.array([[0.0], [10.0]]), iterations=10)
+        pos, trace, _ = lloyd_rounds(ds.points, np.array([[0.0], [10.0]]), None, 10, 0.0)
         assert np.allclose(np.sort(pos.ravel()), [0.5, 10.5])
         assert trace[-1] == 1.0
 
     def test_zero_iterations(self):
         ds = Dataset(np.array([[0.0], [2.0]]))
         start = np.array([[1.5]])
-        pos, trace = lloyd(ds, start, iterations=0)
+        pos, trace, _ = lloyd_rounds(ds.points, start, None, 0, 0.0)
         assert np.array_equal(pos, start)
         assert trace.size == 1
 
@@ -100,7 +103,7 @@ class TestLloyd:
             pts = rng.normal(size=(n, 2))
             ds = Dataset(pts)
             start = pts[rng.choice(n, size=k, replace=False)]
-            _, trace = lloyd(ds, start, iterations=8)
+            _, trace, _ = lloyd_rounds(ds.points, start, None, 8, 0.0)
             assert np.all(np.diff(trace) <= 0)
 
     def test_vanilla_pipeline(self):
@@ -166,40 +169,14 @@ class TestInputChecks:
             (lambda ds, delta: vanilla_kmeans(ds, 4.0, 0), "k"),
             (lambda ds, delta: greedy_baseline(ds, delta, 3.0, 4.0, 0), "k"),
             (lambda ds, delta: brute_force_opt(ds, delta, 6.0, 2.0), "k"),
-            (lambda ds, delta: lloyd(ds, ds.points[:2], iterations=2.5), "iterations"),
         ],
-        ids=["kmeanspp_init", "vanilla_kmeans", "greedy_baseline", "brute_force_opt", "lloyd"],
+        ids=["kmeanspp_init", "vanilla_kmeans", "greedy_baseline", "brute_force_opt"],
     )
     def test_counts_must_be_integers(self, call, name):
         ds = Dataset(np.random.default_rng(0).normal(size=(10, 2)))
         delta = RadiusBounds(np.full(10, 1e9))
         with pytest.raises(TypeError, match=f"{name} must be an integer, got"):
             call(ds, delta)
-
-    @pytest.mark.parametrize(
-        "points, centers",
-        [
-            # used to return [[1, 2, 3]] at cost 1940.0
-            (np.arange(20.0).reshape(10, 2), [[1.0, 2.0, 3.0]]),
-            # used to return the 2-column centers unchanged
-            (np.arange(10.0), [[2.0, 2.0], [7.0, 7.0]]),
-        ],
-        ids=["wider", "narrower-d1"],
-    )
-    @pytest.mark.parametrize("iterations", [0, 5])
-    def test_lloyd_center_columns(self, points, centers, iterations):
-        ds = Dataset(points)
-        cols = len(centers[0])
-        message = f"centers have {cols} columns but the points have {ds.d}"
-        with pytest.raises(ValueError, match=message):
-            lloyd(ds, np.array(centers), iterations=iterations)
-
-    def test_lloyd_takes_ids_as_their_points(self):
-        ds = Dataset(np.random.default_rng(1).normal(size=(40, 3)))
-        ids = np.array([3, 17, 29])
-        a = lloyd(ds, ids, iterations=4)
-        b = lloyd(ds, ds.points[ids], iterations=4)
-        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     @pytest.mark.parametrize("m", [1, 7, 9])
     def test_brute_force_radius_length_mismatch(self, m):

@@ -13,15 +13,20 @@ from fairkmeans import (
     Dataset,
     RadiusBounds,
     aspect_ratio,
+    assign,
+    bound_ratio,
     brute_force_opt,
     compute_radii,
+    cost,
     load_points,
     normalize,
     subsample,
 )
 from fairkmeans import dataset
 from fairkmeans._dist import sq_dists
+from fairkmeans.refine import lloyd_rounds
 from fairkmeans.solution import check_solution
+from test_anchors import make_anchor_set
 
 
 def rows_of(ds, sub):
@@ -563,26 +568,19 @@ def test_bad_seed_named(entry, seed, error, message):
 def non_finite_cases():
     """One call per entry point that takes positions, each given a NaN or
     an infinite coordinate.  Each used to answer silently: the NaN center
-    won every point (ratio 0, cost nan), the NaN mean moved a center to
-    ``[nan, 0.]``, and a NaN anchor's zone later held no center."""
+    won every point (ratio 0, cost nan)."""
     import fairkmeans as fk
 
     ds = Dataset(np.arange(20.0).reshape(10, 2))
     ds4 = Dataset(np.arange(40.0).reshape(10, 4))
-    aset = fk.AnchorSet([0, 5], ds.points[[0, 5]], [3.0, 3.0], 3.0)
+    aset = make_anchor_set(ds, [0, 5], [3.0, 3.0])
     nan = [[np.nan, np.nan]]
     return {
         "cost": lambda: fk.cost(ds, nan),
         "bound_ratio": lambda: fk.bound_ratio(ds, compute_radii(ds, 2), nan),
         "bound_ratio-d4": lambda: fk.bound_ratio(ds4, compute_radii(ds4, 2), [[np.nan] * 4]),
         "assign": lambda: fk.assign(ds, [[0.0, 1.0], [np.nan, np.nan]]),
-        "lloyd": lambda: fk.lloyd(ds, [[0.0, np.inf], [4.0, 5.0]]),
         "Solution.build": lambda: fk.Solution.build(ds, aset, center_pos=nan),
-        "build_coverage": lambda: fk.build_coverage(aset, [[0.0, 1.0], [-np.inf, 0.0]]),
-        "fair_move_center": lambda: fk.fair_move_center(
-            [0.0, 1.0], [np.nan, 0.0], aset.positions, aset.zone_radius
-        ),
-        "AnchorSet": lambda: fk.AnchorSet([0], [[np.nan, 0.0]], [1.0], 3.0),
     }
 
 
@@ -605,7 +603,7 @@ def underflow_cases():
     delta = RadiusBounds(np.full(200, 1e-171))
 
     def aset(ds):
-        return fk.AnchorSet([0], ds.points[:1], [1.0], 3.0)
+        return make_anchor_set(ds, [0], [1.0])
 
     def built(ds):
         zeros = np.zeros(ds.n)
@@ -615,7 +613,6 @@ def underflow_cases():
     return {
         "kmeanspp_init": lambda ds: fk.kmeanspp_init(ds, 3, 0),
         "vanilla_kmeans": lambda ds: fk.vanilla_kmeans(ds, 3, 0),
-        "lloyd": lambda ds: fk.lloyd(ds, [0, 1, 2]),
         "cost": lambda ds: fk.cost(ds, [0, 1]),
         "bound_ratio": lambda ds: fk.bound_ratio(ds, delta, [0, 1]),
         "aspect_ratio": lambda ds: fk.aspect_ratio(ds),
@@ -649,12 +646,11 @@ def test_underflowing_distances_named(entry):
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("d", [2, 8])
 def test_lloyd_overflowing_cost_named(d):
-    # used to return an all-inf trace behind RuntimeWarnings
-    import fairkmeans as fk
-
+    # the Lloyd loop's entry cost; it used to return an all-inf trace
+    # behind RuntimeWarnings
     ds = Dataset(np.random.default_rng(4).normal(size=(20, d)) * 1e160)
     with pytest.raises(ValueError, match=r"total cost \(sum of squared distances.*overflows"):
-        fk.lloyd(ds, [0, 1])
+        lloyd_rounds(ds.points, ds.points[[0, 1]], None, 100, 0.0)
 
 
 def two_far_clusters():
@@ -667,16 +663,24 @@ def two_far_clusters():
 
 
 def distance_overflow_cases():
-    """One call per entry that reads pairwise squared distances, where some
-    overflow to inf.  On 12 points at 1e160 brute force used to return None
-    (no feasible subset, where the same points at 1e150 have one) and
+    """One call per entry that reads pairwise squared distances, or each
+    point's squared distance to its nearest center, where some overflow to
+    inf.  On 12 points at 1e160 brute force used to return None (no
+    feasible subset, where the same points at 1e150 have one) and
     aspect_ratio to call the points identical; on two tight clusters at
-    +-1e160 aspect_ratio returned inf, where the ratio is about 1e14."""
+    +-1e160 aspect_ratio returned inf, where the ratio is about 1e14.  With
+    centers [0, 1, 2] on the 12 points, assign used to label every other
+    point 0 (each far center tied at inf), cost to return inf and
+    bound_ratio (inf, 3)."""
     ds = Dataset(np.random.default_rng(3).normal(size=(12, 2)) * 1e160)
+    delta = RadiusBounds(np.full(12, 1e161))
     return {
-        "brute_force_opt": lambda: brute_force_opt(ds, RadiusBounds(np.full(12, 1e161)), 6.0, 3),
+        "brute_force_opt": lambda: brute_force_opt(ds, delta, 6.0, 3),
         "aspect_ratio": lambda: aspect_ratio(ds),
         "aspect_ratio-two-clusters": lambda: aspect_ratio(two_far_clusters()),
+        "assign": lambda: assign(ds, [0, 1, 2]),
+        "cost": lambda: cost(ds, [0, 1, 2]),
+        "bound_ratio": lambda: bound_ratio(ds, delta, [0, 1, 2]),
     }
 
 
@@ -685,6 +689,21 @@ def distance_overflow_cases():
 def test_overflowing_distances_named(entry):
     with pytest.raises(ValueError, match="^squared distances overflow float64.*rescale the points"):
         distance_overflow_cases()[entry]()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_nearest_distances_below_overflow_answer():
+    # at 1e150 the squared distances stay finite, so the labels are those
+    # of the same points at scale 1 and no check fires; two clusters at
+    # +-1e160 overflow only across them, and a center in each serves all
+    pts = np.random.default_rng(3).normal(size=(12, 2))
+    ds = Dataset(pts * 1e150)
+    labels = assign(ds, [0, 1, 2])
+    assert labels.tolist() == [0, 1, 2, 2, 2, 1, 2, 2, 1, 1, 2, 1]
+    assert np.array_equal(labels, assign(Dataset(pts), [0, 1, 2]))
+    assert np.isfinite(cost(ds, [0, 1, 2]))
+    assert np.isfinite(bound_ratio(ds, RadiusBounds(np.full(12, 1e151)), [0, 1, 2])[0])
+    assert assign(two_far_clusters(), [2, 8]).tolist() == [0] * 6 + [1] * 6
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -705,7 +724,7 @@ def cost_overflow_cases():
     import fairkmeans as fk
 
     ds = Dataset(np.random.default_rng(4).normal(size=(20, 2)) * 1e160)
-    aset = fk.AnchorSet([], np.empty((0, 2)), [], 3.0)
+    aset = make_anchor_set(ds, [], [])
     return {
         "kmeanspp_init": lambda: fk.kmeanspp_init(ds, 3, 0),
         "vanilla_kmeans": lambda: fk.vanilla_kmeans(ds, 3, 0),
@@ -726,17 +745,12 @@ def test_overflowing_cost_named(entry):
 def test_caller_arrays_stay_writable():
     # Dataset and RadiusBounds used to freeze the caller's own array, so a
     # later "X *= 2" failed with "output array is read-only"
-    import fairkmeans as fk
-
     X, d = np.arange(8.0).reshape(4, 2), np.ones(4)
-    pos, radii = X[:2].copy(), np.full(2, 3.0)
-    ds, delta, aset = Dataset(X), RadiusBounds(d), fk.AnchorSet([0, 1], pos, radii, 3.0)
-    for arr in (X, d, pos, radii):
+    ds, delta = Dataset(X), RadiusBounds(d)
+    for arr in (X, d):
         arr *= 2
     assert np.array_equal(ds.points, np.arange(8.0).reshape(4, 2))
     assert np.array_equal(delta.delta, np.ones(4))
-    assert np.array_equal(aset.positions, np.arange(4.0).reshape(2, 2))
-    assert np.array_equal(aset.zone_radius, [3.0, 3.0])
     assert not ds.points.flags.writeable and not delta.delta.flags.writeable
 
 
@@ -750,10 +764,7 @@ def complex_cases():
     return {
         "points": lambda: Dataset([[1 + 2j, 0], [3, 4j]]),
         "delta": lambda: RadiusBounds([1j, 1.0]),
-        "anchor positions": lambda: fk.AnchorSet([0], [[1j, 0.0]], [1.0], 3.0),
-        "zone radii": lambda: fk.AnchorSet([0], [[0.0, 0.0]], [1 + 0j], 3.0),
         "positions": lambda: fk.cost(ds, [[1j, 0.0]]),
-        "radii": lambda: fk.fair_move_center([0.0, 0.0], [1.0, 1.0], [[0.0, 0.0]], [1 + 0j]),
     }
 
 
@@ -774,10 +785,7 @@ def text_cases():
     return {
         "points": lambda: Dataset([["1", "2"], ["3", "4.5"]]),
         "delta": lambda: RadiusBounds(np.array([b"1", b"2"])),
-        "anchor positions": lambda: fk.AnchorSet([0], [["0", "x"]], [1.0], 3.0),
-        "zone radii": lambda: fk.AnchorSet([0], [[0.0, 0.0]], ["1"], 3.0),
         "positions": lambda: fk.cost(ds, [["1", "0"]]),
-        "radii": lambda: fk.fair_move_center([0.0, 0.0], [1.0, 1.0], [[0.0, 0.0]], ["3"]),
     }
 
 

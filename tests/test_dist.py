@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairkmeans import Dataset, aspect_ratio, build_coverage, compute_radii
+from fairkmeans import Dataset, aspect_ratio, compute_radii
 from fairkmeans import _dist
 from fairkmeans._dist import (
     chunk_rows,
@@ -31,7 +31,7 @@ from fairkmeans._dist import (
     sq_dists_below,
     two_nearest,
 )
-from fairkmeans.anchors import AnchorSet, _pins, clamped_moves
+from fairkmeans.anchors import AnchorSet, _coverage, _pins, clamped_moves
 
 
 def reference(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -129,12 +129,12 @@ def test_build_coverage_matches_covers_position(d):
     radii = np.sqrt(reference(X[zones], X[zones[-1:]])[:, 0])
     aset = AnchorSet(anchors=zones, positions=X[zones].copy(), zone_radius=radii, gamma=3.0)
     centers = np.concatenate([zones[::-1], np.arange(5, 200, 23)])
-    covers = build_coverage(aset, X[centers])
+    covers = _coverage(aset, X[centers])
     want = np.sqrt(reference(X[centers], X[zones])) <= radii
     assert np.array_equal(covers, want)
     assert covers.any() and not covers.all()
     # one center at a time, as the search tests a sampled point
-    rows = np.stack([build_coverage(aset, X[c][None])[0] for c in centers])
+    rows = np.stack([_coverage(aset, X[c][None])[0] for c in centers])
     assert np.array_equal(rows, want)
     # refinement's pins and clamped moves read the same table: each covered
     # zone pins one of its coverers (center 51 is listed twice, a tie), and
@@ -144,7 +144,7 @@ def test_build_coverage_matches_covers_position(d):
     assert np.array_equal(np.flatnonzero(pin >= 0), covered)
     assert covers[pin[covered], covered].all()
     means = points(10, centers.size, d, scale=4.0)
-    moved = build_coverage(aset, clamped_moves(aset, X[centers], means))
+    moved = _coverage(aset, clamped_moves(aset, X[centers], means))
     assert moved[pin[covered], covered].all()
 
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from fairkmeans import (
-    AnchorSet,
     Dataset,
     FlConfig,
     InfeasibleInstanceError,
@@ -24,6 +23,7 @@ from fairkmeans import (
 )
 from fairkmeans import _dist, compute_radii, dataset, local_search
 from fairkmeans._dist import _nearest_two, _nth_smallest, min_sq_dists
+from fairkmeans.anchors import AnchorSet
 from fairkmeans.local_search import _best_swap
 from fairkmeans.solution import check_guarantee, check_solution
 from conftest import gaussian_instance

@@ -1,15 +1,14 @@
 """Every input check of the package sits in ``dataset.py``, and the check
 of the promise in ``solution.check_guarantee``.
 
-Nine decisions are made once in ``dataset.py`` and called from every
+Eight decisions are made once in ``dataset.py`` and called from every
 public entry: what a set of positions is (``check_positions``), what a
 center set is (``center_positions``, with ``point_ids`` for an id list),
-what a count is (``_check_integer``), what an array of ids holds
-(``_check_integers``, for anchor sets), whether radii match the points
-(``check_radii``), what a radius is (``check_radius_values``, per point or
-per zone), how outside values become floats (``as_floats``: a fresh
-array, complex values and text rejected), whether squared distances
-overflow (``check_distance_overflow``) and whether a total cost overflows
+what a count is (``_check_integer``), whether radii match the points
+(``check_radii``), what a radius is (``check_radius_values``), how outside
+values become floats (``as_floats``: a fresh array, complex values and
+text rejected), whether squared distances overflow
+(``check_distance_overflow``) and whether a total cost overflows
 (``check_cost_scale``).  Those two and the ``Dataset`` constructor's
 underflow test are the package's only float-range errors: every ``raise``
 whose message names float64 sits in ``dataset.py``.
@@ -38,7 +37,6 @@ CHECKS = {
     "point_ids",
     "center_positions",
     "_check_integer",
-    "_check_integers",
     "check_radii",
     "check_radius_values",
     "as_floats",
