@@ -49,11 +49,21 @@ filter serves, through one core:
 filtered function returns the kernel's values where it declines;
 :func:`_lift` builds the references' columns, :func:`_estimate` (the
 module's one matmul) the estimates, :func:`ranked_sq_dist`'s docstring
-derives the bound and :func:`_slack` computes it.  The passes that read
-every entry take the full kernel: refinement's incremental (n, k) matrix
-(``refine.lloyd_rounds``, whose last matrix :func:`_nearest_two` reads for
-the refined solution), the zone tests against anchors, the brute-force
-oracle and ``aspect_ratio``.
+derives the bound and :func:`_slack` computes it.
+
+The lift declines at d <= 2, where the kernel costs about as much per pair
+as an estimate.  There the radii (ranks above 2) take the second filter,
+the exact box cut: each block of nearby rows ranks only the references
+whose distance to the block's bounding box can decide a radius
+(:func:`_boxed_ranks`, with bounds in the kernel's own rounding, so no
+slack).  :func:`ranked_sq_dist` is the one place that chooses between the
+two filters and the plain kernel, from d, the rank and whether the lift
+declined.
+
+The passes that read every entry take the full kernel: refinement's
+incremental (n, k) matrix (``refine.lloyd_rounds``, whose last matrix
+:func:`_nearest_two` reads for the refined solution), the zone tests
+against anchors, the brute-force oracle and ``aspect_ratio``.
 """
 
 from __future__ import annotations
@@ -73,6 +83,11 @@ CHUNK_ELEMENTS = 1 << 16
 # holds a core: a (10, 17) x (17, 6000) product took 0.09 ms split into
 # four calls and 0.09-5 ms as one call on a 2-core machine.
 GEMM_PRODUCTS = 1 << 18
+
+# Rows per box of the box cut (d <= 2).  On 80k 2-D points in ten blobs
+# against 1,000 references at rank 100, boxes of 128 rows keep about 14% of
+# the pairs; 128 to 512 rows ran equally fast, 32 rows 1.8x slower.
+BOX_ROWS = 128
 
 
 def fsum(a: np.ndarray) -> float:
@@ -174,11 +189,18 @@ def ranked_sq_dist(points: np.ndarray, refs: np.ndarray, rank: int) -> np.ndarra
     rows of ``refs``: column ``rank - 1`` of the kernel's (n, m) matrix
     after a per-row ``partition``, bit for bit.
 
-    Where the filter declines (:func:`lift_points`: d <= 2, or a bound
-    below that is not finite), that is how it is computed, in row blocks of
-    :func:`sq_dist_blocks`.
-    Otherwise a dot-product estimate decides which references can hold the
-    answer, and only those pairs get kernel values (:func:`_filtered_ranks`).
+    This function alone chooses how, from d, ``rank`` and whether
+    :func:`lift_points` declines:
+
+    * the lift applies (d > 2, more than two references, a finite bound
+      below): a dot-product estimate decides which references can hold the
+      answer, and only those pairs get kernel values
+      (:func:`_filtered_ranks`);
+    * it declines at d <= 2 and rank above 2: the box cut below decides
+      which references each block of rows ranks (:func:`_boxed_ranks`);
+    * otherwise (d <= 2 at ranks 1 and 2, or d > 2 where the lift
+      declines) every pair gets its kernel value, in row blocks of
+      :func:`sq_dist_blocks`, and ``_nth_smallest`` reads the rank.
 
     **The bound.**  Let ``mean`` be the reference mean, ``a = fl(x - mean)``
     and ``b = fl(y - mean)`` the centered rows, A = |a|², B = |b|², and
@@ -227,14 +249,114 @@ def ranked_sq_dist(points: np.ndarray, refs: np.ndarray, rank: int) -> np.ndarra
     above ``T + 2e``, and kernel values for the band between.  Only the
     band gets kernel values: one per row unless estimates lie within 2e of
     each other.
+
+    **The box cut.**  At d <= 2 the kernel value of a pair is
+    ``K = fl(fl(x0 - y0)² + fl(x1 - y1)²)``, each operation correctly
+    rounded, and correct rounding is monotone.  Let a block of rows lie in
+    the box ``[lo, hi]``.  For a reference y, per dimension, x - y lies
+    between lo - y and hi - y, so ``fl(x - y)`` lies between
+    ``fl(lo - y)`` and ``fl(hi - y)``, and its magnitude is at least that
+    of ``fl(c - y)``, with c the box's nearest coordinate
+    ``clip(y, lo, hi)`` (0 when y lies within).  Squaring and adding
+    keep the order, so for every row x of the block
+    ``near <= K(x, y) <= far``, where near is the kernel's sequence on
+    ``c - y`` and far sums ``max(fl(lo - y)², fl(hi - y)²)`` over the
+    dimensions in the kernel's order (:func:`_box_bounds`); no slack is
+    needed.  Let U be the rank-th smallest far of the block.  At least rank
+    references have K <= far <= U for every row, so every row's answer v
+    is at most U, and a reference whose near is above U has K > U >= v:
+    strictly farther than the answer for every row of the block.  Dropping
+    it leaves the rank-th smallest unchanged, and the references kept,
+    those with near <= U, include the rank ones with far <= U.  Each block
+    ranks its kept references with the kernel and ``_nth_smallest``, so,
+    as with the dot-product bound, the cut excludes pairs and the kernel
+    supplies every value.  Boxes of ``BOX_ROWS`` rows are cut from the
+    rows in a spatial order (:func:`_box_order`), so that they are small.
     """
     lift = lift_points(refs, rows=points)
     if lift is not None:
         return _filtered_ranks(points, refs, rank, lift)
     out = np.empty(points.shape[0])
+    if points.shape[1] <= 2 and rank > 2:
+        _boxed_ranks(points, refs, rank, out)
+    else:
+        _plain_ranks(points, refs, rank, out)
+    return out
+
+
+def _plain_ranks(points: np.ndarray, refs: np.ndarray, rank: int, out: np.ndarray) -> None:
+    """``out[:] = ranked_sq_dist(points, refs, rank)`` from every pair's
+    kernel value, in row blocks of :func:`sq_dist_blocks`."""
     for start, block in sq_dist_blocks(points, refs):
         out[start : start + block.shape[0]] = _nth_smallest(block, rank)
-    return out
+
+
+def _box_order(points: np.ndarray) -> np.ndarray:
+    """The rows of ``points`` (d <= 2) in the order :func:`_boxed_ranks`
+    cuts into boxes of ``BOX_ROWS`` rows: a stable sort on the first
+    coordinate, and at d = 2 strips of as many boxes as there are strips,
+    each stably sorted on the second coordinate."""
+    order = np.argsort(points[:, 0], kind="stable")
+    if points.shape[1] == 2:
+        n = points.shape[0]
+        strip = BOX_ROWS * (math.isqrt(max(n - 1, 0) // BOX_ROWS) + 1)
+        for lo in range(0, n, strip):
+            ids = order[lo : lo + strip]
+            ids[:] = ids[np.argsort(points[ids, 1], kind="stable")]
+    return order
+
+
+def _box_bounds(lo: np.ndarray, hi: np.ndarray, refs: np.ndarray):
+    """``(near, far)``: the (boxes, m) lower and upper bounds of
+    :func:`ranked_sq_dist`'s box cut on the kernel values of any row in the
+    box ``[lo[i], hi[i]]`` with reference j: the kernel's own sequence on
+    the box's nearest point and, per dimension, its farther side.  A bound
+    that overflows is inf, as the kernel value would be: an infinite U
+    keeps every reference, and an infinite near drops only a reference
+    whose kernel value is inf for every row of the box."""
+    shape = (lo.shape[0], refs.shape[0])
+    near, far, side, gap = (np.empty(shape) for _ in range(4))
+    with np.errstate(over="ignore"):
+        for j in range(lo.shape[1]):
+            y, low, high = refs[:, j], lo[:, j, None], hi[:, j, None]
+            np.subtract(low, y, out=side)
+            np.square(side, out=side)
+            np.subtract(high, y, out=gap)
+            np.square(gap, out=gap)
+            np.maximum(side, gap, out=far if j == 0 else side)
+            nearest = near if j == 0 else gap
+            np.clip(y, low, high, out=nearest)
+            np.subtract(nearest, y, out=nearest)
+            np.square(nearest, out=nearest)
+            if j:
+                far += side
+                near += gap
+    return near, far
+
+
+def _boxed_ranks(points: np.ndarray, refs: np.ndarray, rank: int, out: np.ndarray) -> None:
+    """``out[:] = ranked_sq_dist(points, refs, rank)`` through the box cut
+    (d <= 2, rank above 2): the rows in :func:`_box_order`, cut into boxes
+    of ``BOX_ROWS`` rows, the bounds taken for as many boxes at once as
+    keep :func:`_box_bounds`' four (boxes, m) arrays within
+    ``CHUNK_ELEMENTS`` together, and each box ranked against only the
+    references whose lower bound is at most U, the rank-th smallest upper
+    bound of the box."""
+    order = _box_order(points)
+    group = BOX_ROWS * chunk_rows(4 * refs.shape[0])
+    for first in range(0, points.shape[0], group):
+        ids = order[first : first + group]
+        rows = points[ids]
+        starts = np.arange(0, ids.size, BOX_ROWS)
+        near, far = _box_bounds(
+            np.minimum.reduceat(rows, starts), np.maximum.reduceat(rows, starts), refs
+        )
+        keep = near <= _nth_smallest(far, rank)[:, None]
+        ranked = np.empty(ids.size)
+        for box, start in enumerate(starts):
+            part = slice(start, start + BOX_ROWS)
+            _plain_ranks(rows[part], refs[keep[box]], rank, ranked[part])
+        out[ids] = ranked
 
 
 def _nth_smallest(block: np.ndarray, rank: int) -> np.ndarray:
@@ -402,13 +524,15 @@ class Lift:
 
 
 def lift_points(refs: np.ndarray, rows: np.ndarray | None = None) -> Lift | None:
-    """The filter's state for ``rows`` (``refs`` themselves when None)
-    against ``refs``; None where the filter declines: d <= 2, where the
-    kernel costs about as much per pair as the estimate, at most two
-    references, where an estimate costs as much as the kernel value it
+    """The dot-product filter's state for ``rows`` (``refs`` themselves
+    when None) against ``refs``; None where the filter declines: d <= 2,
+    where the kernel costs about as much per pair as the estimate, at most
+    two references, where an estimate costs as much as the kernel value it
     could save, or a bound that is not finite.  The one place that decides
-    where the filter applies; the filtered functions below take None and
-    then return the kernel's values.
+    where the dot-product filter applies; the filtered functions below take
+    None and then return the kernel's values, except that
+    :func:`ranked_sq_dist`, the one place that chooses between the two
+    filters, takes the box cut instead at d <= 2 for ranks above 2.
 
     A row's A is the centered norm the lift computes for it as a reference,
     or, for separate rows, the kernel's squared distance to the mean."""

@@ -103,7 +103,7 @@ class RadiusBounds:
         d = as_floats("delta", self.delta)
         if d.ndim != 1:
             raise ValueError("delta must be a 1-dimensional array")
-        check_radius_values("radii", d)
+        check_radius_values(d)
         d.setflags(write=False)
         object.__setattr__(self, "delta", d)
 
@@ -311,10 +311,12 @@ def compute_radii(
         Number of clusters the radii are relative to.
     mode : {"exact", "sampled"}
         ``exact``: delta(p) is the ``ceil(n/k)``-th smallest distance from p
-        to all n points, self-distance included.  Quadratic in n: at
-        d > 2 every pair gets a dot-product estimate and only the pairs that
-        can decide a radius get kernel distances, at d <= 2 every pair gets
-        a kernel distance (in row chunks either way); fine up to ~50k points.
+        to all n points, self-distance included.  Quadratic in n, through
+        ``_dist.ranked_sq_dist``'s filters: at d > 2 every pair gets a
+        dot-product estimate, at d <= 2 each block of nearby points gets
+        bounds against every point (the box cut), and only the pairs that
+        can decide a radius get kernel distances (in row chunks either
+        way); fine up to ~50k points.
         ``sampled``: the same rank statistic over one fixed uniform sample of
         ``s = min(sample_size, n)`` points shared by every p, at rank
         ``ceil(s / k)``.  With ``sample_size >= n`` the sample is the whole
@@ -420,12 +422,12 @@ def as_floats(name: str, values) -> np.ndarray:
     return np.array(arr, dtype=np.float64, order="C")
 
 
-def check_radius_values(name: str, radii: np.ndarray) -> None:
-    """The one rule for radii: ValueError, with ``name`` as its subject,
-    unless every value is finite and nonnegative (a NaN radius fails every
-    comparison, an infinite one passes every one)."""
+def check_radius_values(radii: np.ndarray) -> None:
+    """The one rule for radii: ValueError unless every value is finite and
+    nonnegative (a NaN radius fails every comparison, an infinite one
+    passes every one)."""
     if not np.all(np.isfinite(radii)) or np.any(radii < 0):
-        raise ValueError(f"{name} must be finite and nonnegative")
+        raise ValueError("radii must be finite and nonnegative")
 
 
 def check_radii(ds: Dataset, delta: RadiusBounds) -> None:

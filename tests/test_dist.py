@@ -4,13 +4,15 @@ Cached distances, from-scratch rebuilds and coverage predicates are compared
 with ``==`` throughout the package, so the batched kernel is held to bit
 equality with the per-center ``einsum("ij,ij->i")`` loop it replaced, for
 every dimension, batch shape, chunk boundary and coordinate scale below.
-The dot-product filter is held to the same standard: the rank statistic the
-radii get must equal a partition of the per-row reference, and what the
-search reads off its filtered rows must equal what it reads off the kernel.
+The dot-product filter and the box cut are held to the same standard: the
+rank statistic the radii get must equal a partition of the per-row
+reference, and what the search reads off its filtered rows must equal what
+it reads off the kernel.
 """
 
 from __future__ import annotations
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -488,3 +490,159 @@ def test_aspect_ratio_matches_pairwise_loop(d):
         max_sq = max(max_sq, float(sq.max()))
         min_pos = min(min_pos, float(sq[sq > 0].min()))
     assert aspect_ratio(Dataset(X)) == float(np.sqrt(max_sq / min_pos))
+
+
+# The box cut: at d <= 2 the radii (ranks above 2) rank each box of nearby
+# rows against the references its bounds cannot rule out.  Its bounds are
+# the kernel's own rounding, with no slack, so the cases below put ties
+# exactly at the rank and boxes of zero width, where near == far == K.
+
+
+def identical_blocks(d):
+    # four points, each repeated over two whole boxes
+    rng = np.random.default_rng(30)
+    X = np.repeat(points(31, 4, d), 2 * _dist.BOX_ROWS, axis=0)
+    return X[rng.permutation(X.shape[0])]
+
+
+def box_lattice(d):
+    side = 600 if d == 1 else 25
+    return lattice(d, side)
+
+
+def box_offset(d):
+    X = 1e8 + np.random.default_rng(32).integers(0, 30, size=(600, d)).astype(np.float64)
+    X[:, -1] -= 2e8  # an offset of each sign at d = 2
+    return X
+
+
+BOX_CASES = {
+    "identical blocks": identical_blocks,
+    "lattice": box_lattice,
+    "offset 1e8": box_offset,
+    "normal, short last box": lambda d: points(33, 3 * _dist.BOX_ROWS + 17, d),
+    "duplicates": duplicate_heavy,
+}
+
+
+def check_box_cut(X, ref):
+    m = ref.shape[0]
+    for rank in (3, (m + 3) // 2, m):
+        assert np.array_equal(ranked_sq_dist(X, ref, rank), ranked_reference(X, ref, rank)), rank
+
+
+@pytest.mark.parametrize("name", BOX_CASES)
+@pytest.mark.parametrize("d", [1, 2])
+def test_box_cut_matches_partition(name, d):
+    X = BOX_CASES[name](d)
+    n = X.shape[0]
+    check_box_cut(X, X)
+    check_box_cut(X, X[np.random.default_rng(d).choice(n, size=n // 5, replace=False)])
+
+
+@pytest.mark.parametrize("rows", [1, 7, 128])
+@pytest.mark.parametrize("chunk", [300, 5000])
+@pytest.mark.parametrize("d", [1, 2])
+def test_box_cut_small_chunks(monkeypatch, rows, chunk, d):
+    # bounds are taken for a few boxes at a time and the kept references
+    # of one box are ranked in several row chunks, with short last groups,
+    # strips and boxes; boxes of one row have zero width
+    monkeypatch.setattr(_dist, "CHUNK_ELEMENTS", chunk)
+    monkeypatch.setattr(_dist, "BOX_ROWS", rows)
+    for X in (points(34, 437, d), box_lattice(d)[::2]):
+        check_box_cut(X, X[::3])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_box_cut_overflow(mode, d):
+    # near 1e153 the squares of the differences, and the bounds, overflow
+    # between a far group and the rest: the cut still gives the kernel's
+    # values, inf included, and the radii still name the cause
+    X = points(35, 400, d, scale=1e153)
+    X[:30] += 1.5e154
+    with np.errstate(over="ignore"):
+        want = ranked_reference(X, X, 40)
+    assert np.isinf(want).any() and np.isfinite(want).any()
+    assert np.array_equal(ranked_sq_dist(X, X, 40), want)
+    with pytest.raises(ValueError, match="^squared distances overflow float64.*rescale the points"):
+        compute_radii(Dataset(X), 4, mode=mode, sample_size=100)
+
+
+def box_pairs(monkeypatch, X, ref, rank):
+    """The number of (row, reference) pairs that get kernel values in
+    ``ranked_sq_dist(X, ref, rank)`` through the plain path's blocks."""
+    pairs = []
+
+    def counting(points, refs, rank, out, original=_dist._plain_ranks):
+        pairs.append(points.shape[0] * refs.shape[0])
+        original(points, refs, rank, out)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_dist, "_plain_ranks", counting)
+        got = ranked_sq_dist(X, ref, rank)
+    assert np.array_equal(got, ranked_reference(X, ref, rank))
+    return sum(pairs)
+
+
+def blobs(seed, n, d):
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(-20, 20, size=(10, d))
+    return centers[rng.integers(0, 10, size=n)] + rng.normal(size=(n, d))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_box_cut_drops_far_references(monkeypatch, d):
+    # ten unit blobs: a box's bounds rule out the blobs far from it
+    X = blobs(36, 3000, d)
+    ref = X[::3]
+    assert 0 < box_pairs(monkeypatch, X, ref, 100) < 0.5 * X.shape[0] * ref.shape[0]
+    # ranks 1 and 2 and d > 2 never take the cut
+    assert box_pairs(monkeypatch, X, ref, 2) == X.shape[0] * ref.shape[0]
+    assert box_pairs(monkeypatch, points(36, 300, 3), points(37, 100, 3), 50) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    d=st.sampled_from([1, 2]),
+    n=st.integers(1, 300),
+    m=st.integers(3, 60),
+    rank=st.floats(0.0, 1.0),
+    spread=st.integers(1, 6),
+    jitter=st.sampled_from([0.0, 1e-7]),
+    scale=st.sampled_from([1.0, 2.0**-30, 1e8, 1e150]),
+    offset=st.sampled_from([0.0, 1e8]),
+    rows=st.sampled_from([1, 5, 128]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_box_cut_equals_the_plain_path(d, n, m, rank, spread, jitter, scale, offset, rows, seed):
+    # rows on a small integer grid repeat each other and tie at many
+    # distances; references are drawn with repeats, some off the rows
+    rng = np.random.default_rng(seed)
+    P = rng.integers(-spread, spread + 1, size=(n, d)) + jitter * rng.standard_normal((n, d))
+    off = rng.integers(-spread, spread + 1, size=(m - m // 2, d))
+    R = np.concatenate([P[rng.integers(0, n, size=m // 2)], off])
+    P, R = offset + P * scale, offset + R * scale
+    rank = 3 + int(rank * (m - 3))
+    want = np.empty(n)
+    _dist._plain_ranks(P, R, rank, want)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_dist, "BOX_ROWS", rows)
+        assert np.array_equal(ranked_sq_dist(P, R, rank), want)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_ranked_sq_dist_memory(d):
+    # neither filter makes an array of one value per pair: at n = 20k and
+    # m = 2k one takes 320 MB, while both filters peak at a few MB
+    # (tracemalloc sees numpy's buffers)
+    X = points(38, 20_000, d)
+    ref = X[::10]
+    tracemalloc.start()
+    try:
+        ranked_sq_dist(X, ref, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, peak
