@@ -39,7 +39,8 @@ filter serves, through one core:
 * the radii (:func:`ranked_sq_dist`);
 * every score (:func:`min_sq_dists`, its rank 1: ``metrics.cost``,
   ``metrics.bound_ratio`` and the harness's trial scores);
-* the search's distance pass for a candidate (:func:`sq_dists_below`);
+* the search's distance pass for a candidate at d > 2
+  (:func:`near_sq_dists`);
 * every nearest-two pass (:func:`two_nearest`, its rank-2 cut, read off
   by :func:`_nearest_two` before it leaves the module):
   ``solution.Solution.build``, so ``init_solution``, ``greedy_baseline``
@@ -58,7 +59,12 @@ whose distance to the block's bounding box can decide a radius
 (:func:`_boxed_ranks`, with bounds in the kernel's own rounding, so no
 slack).  :func:`ranked_sq_dist` is the one place that chooses between the
 two filters and the plain kernel, from d, the rank and whether the lift
-declined.
+declined.  The same bounds serve the search's distance pass for a candidate
+at d <= 2: the points' box layout (:func:`box_layout`, built once per
+dataset and shared with the radii) keeps the boxes whose lower bound to the
+candidate is at most the largest bound of their rows.
+:func:`near_sq_dists` is the one place that chooses the candidate pass's
+finder: the lift, the box layout, or every row.
 
 The passes that read every entry take the full kernel: refinement's
 incremental (n, k) matrix (``refine.lloyd_rounds``, whose last matrix
@@ -184,10 +190,14 @@ def min_sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return ranked_sq_dist(points, centers, 1)
 
 
-def ranked_sq_dist(points: np.ndarray, refs: np.ndarray, rank: int) -> np.ndarray:
+def ranked_sq_dist(
+    points: np.ndarray, refs: np.ndarray, rank: int, boxes: Boxes | None = None
+) -> np.ndarray:
     """rank-th smallest squared distance from each row of ``points`` to the
     rows of ``refs``: column ``rank - 1`` of the kernel's (n, m) matrix
-    after a per-row ``partition``, bit for bit.
+    after a per-row ``partition``, bit for bit.  ``boxes`` is
+    :func:`box_layout` of ``points`` where the caller keeps it
+    (``Dataset.boxes``); the box cut builds it otherwise.
 
     This function alone chooses how, from d, ``rank`` and whether
     :func:`lift_points` declines:
@@ -222,7 +232,7 @@ def ranked_sq_dist(points: np.ndarray, refs: np.ndarray, rank: int) -> np.ndarra
     * the test of an estimate against a threshold rounds by at most
       3u(A + B): each of the thresholds ``T - 2e`` and ``T + 2e`` below
       rounds once, by at most u|T| <= 2u(A + B), and the search's test
-      ``F + (A - e) <= bound`` (:func:`sq_dists_below`) rounds ``A - e``, by
+      ``F + (A - e) <= bound`` (:func:`near_sq_dists`) rounds ``A - e``, by
       at most uA, and the sum, by at most u(|F| + A) <= 2u(A + B).
 
     Summed, |F + A - K| <= (5d + 13)u(A + B) to first order in u, the test
@@ -278,7 +288,7 @@ def ranked_sq_dist(points: np.ndarray, refs: np.ndarray, rank: int) -> np.ndarra
         return _filtered_ranks(points, refs, rank, lift)
     out = np.empty(points.shape[0])
     if points.shape[1] <= 2 and rank > 2:
-        _boxed_ranks(points, refs, rank, out)
+        _boxed_ranks(points, refs, rank, out, box_layout(points) if boxes is None else boxes)
     else:
         _plain_ranks(points, refs, rank, out)
     return out
@@ -306,6 +316,47 @@ def _box_order(points: np.ndarray) -> np.ndarray:
     return order
 
 
+@dataclass(eq=False)
+class Boxes:
+    """Rows (d <= 2) cut into boxes of ``BOX_ROWS`` rows, built by
+    :func:`box_layout`.  ``order[i]`` holds the ids of box i's rows, taken
+    in turn from the spatial order of :func:`_box_order`; the last box is
+    filled up by repeating its last id, so that ``order`` is a
+    (boxes, BOX_ROWS) array and the fill sits at the end of
+    ``order.reshape(-1)``, after the n real rows.  ``points`` holds their
+    coordinates, a (boxes, BOX_ROWS, d) array, and ``lo[i]``, ``hi[i]`` the
+    smallest and largest ones in box i, the box ``[lo, hi]`` of
+    :func:`_box_bounds`.  The points' layout serves the radii's box cut and
+    the search's candidate pass, built once per dataset
+    (``Dataset.boxes``)."""
+
+    order: np.ndarray
+    points: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+
+def box_layout(points: np.ndarray) -> Boxes | None:
+    """The box layout of ``points``; None at d > 2, where the box cut does
+    not apply."""
+    if points.shape[1] > 2:
+        return None
+    fill = -points.shape[0] % BOX_ROWS
+    order = np.pad(_box_order(points), (0, fill), mode="edge")
+    rows = np.take(points, order.reshape(-1, BOX_ROWS), axis=0)
+    return Boxes(order.reshape(-1, BOX_ROWS), rows, rows.min(axis=1), rows.max(axis=1))
+
+
+def kept_values(values: np.ndarray, kept: np.ndarray, count: int) -> np.ndarray:
+    """The entries of the rows :func:`near_sq_dists` kept, in the order of
+    its values: ``values`` is laid out as the finder's rows (one entry per
+    point for the lift; for the box layout, one row of BOX_ROWS entries
+    per box, ``np.take(per_point, boxes.order)``), ``kept`` the finder's
+    selection along its first axis and ``count`` the number of values,
+    which drops the last box's fill."""
+    return np.take(values, kept, axis=0).reshape(-1)[:count]
+
+
 def _box_bounds(lo: np.ndarray, hi: np.ndarray, refs: np.ndarray):
     """``(near, far)``: the (boxes, m) lower and upper bounds of
     :func:`ranked_sq_dist`'s box cut on the kernel values of any row in the
@@ -314,49 +365,59 @@ def _box_bounds(lo: np.ndarray, hi: np.ndarray, refs: np.ndarray):
     that overflows is inf, as the kernel value would be: an infinite U
     keeps every reference, and an infinite near drops only a reference
     whose kernel value is inf for every row of the box."""
-    shape = (lo.shape[0], refs.shape[0])
-    near, far, side, gap = (np.empty(shape) for _ in range(4))
+    near = _box_near(lo, hi, refs)
+    far, side, gap = (np.empty(near.shape) for _ in range(3))
     with np.errstate(over="ignore"):
         for j in range(lo.shape[1]):
-            y, low, high = refs[:, j], lo[:, j, None], hi[:, j, None]
-            np.subtract(low, y, out=side)
+            y = refs[:, j]
+            np.subtract(lo[:, j, None], y, out=side)
             np.square(side, out=side)
-            np.subtract(high, y, out=gap)
+            np.subtract(hi[:, j, None], y, out=gap)
             np.square(gap, out=gap)
             np.maximum(side, gap, out=far if j == 0 else side)
-            nearest = near if j == 0 else gap
-            np.clip(y, low, high, out=nearest)
-            np.subtract(nearest, y, out=nearest)
-            np.square(nearest, out=nearest)
             if j:
                 far += side
-                near += gap
     return near, far
 
 
-def _boxed_ranks(points: np.ndarray, refs: np.ndarray, rank: int, out: np.ndarray) -> None:
+def _box_near(lo: np.ndarray, hi: np.ndarray, refs: np.ndarray) -> np.ndarray:
+    """The near bounds of :func:`_box_bounds` alone: the kernel's own
+    sequence on ``clip(y, lo, hi) - y``, the box's nearest point, a
+    (boxes, m) array."""
+    near = np.empty((lo.shape[0], refs.shape[0]))
+    gap = np.empty_like(near)
+    with np.errstate(over="ignore"):
+        for j in range(lo.shape[1]):
+            y = refs[:, j]
+            nearest = near if j == 0 else gap
+            np.maximum(y, lo[:, j, None], out=nearest)
+            np.minimum(nearest, hi[:, j, None], out=nearest)
+            np.subtract(nearest, y, out=nearest)
+            np.square(nearest, out=nearest)
+            if j:
+                near += gap
+    return near
+
+
+def _boxed_ranks(
+    points: np.ndarray, refs: np.ndarray, rank: int, out: np.ndarray, boxes: Boxes
+) -> None:
     """``out[:] = ranked_sq_dist(points, refs, rank)`` through the box cut
-    (d <= 2, rank above 2): the rows in :func:`_box_order`, cut into boxes
-    of ``BOX_ROWS`` rows, the bounds taken for as many boxes at once as
-    keep :func:`_box_bounds`' four (boxes, m) arrays within
-    ``CHUNK_ELEMENTS`` together, and each box ranked against only the
-    references whose lower bound is at most U, the rank-th smallest upper
-    bound of the box."""
-    order = _box_order(points)
-    group = BOX_ROWS * chunk_rows(4 * refs.shape[0])
-    for first in range(0, points.shape[0], group):
-        ids = order[first : first + group]
-        rows = points[ids]
-        starts = np.arange(0, ids.size, BOX_ROWS)
-        near, far = _box_bounds(
-            np.minimum.reduceat(rows, starts), np.maximum.reduceat(rows, starts), refs
-        )
+    (d <= 2, rank above 2): the boxes of ``boxes``, their bounds
+    taken for as many boxes at once as keep :func:`_box_bounds`' four
+    (boxes, m) arrays within ``CHUNK_ELEMENTS`` together, and each box
+    ranked against only the references whose lower bound is at most U, the
+    rank-th smallest upper bound of the box."""
+    group = chunk_rows(4 * refs.shape[0])
+    ranked = np.empty(BOX_ROWS)
+    for first in range(0, boxes.lo.shape[0], group):
+        part = slice(first, first + group)
+        near, far = _box_bounds(boxes.lo[part], boxes.hi[part], refs)
         keep = near <= _nth_smallest(far, rank)[:, None]
-        ranked = np.empty(ids.size)
-        for box, start in enumerate(starts):
-            part = slice(start, start + BOX_ROWS)
-            _plain_ranks(rows[part], refs[keep[box]], rank, ranked[part])
-        out[ids] = ranked
+        for box, ids, rows in zip(keep, boxes.order[part], boxes.points[part]):
+            # the fill repeats a row, which takes the same value twice
+            _plain_ranks(rows, refs[box], rank, ranked)
+            out[ids] = ranked
 
 
 def _nth_smallest(block: np.ndarray, rank: int) -> np.ndarray:
@@ -531,8 +592,9 @@ def lift_points(refs: np.ndarray, rows: np.ndarray | None = None) -> Lift | None
     could save, or a bound that is not finite.  The one place that decides
     where the dot-product filter applies; the filtered functions below take
     None and then return the kernel's values, except that
-    :func:`ranked_sq_dist`, the one place that chooses between the two
-    filters, takes the box cut instead at d <= 2 for ranks above 2.
+    :func:`ranked_sq_dist` and :func:`near_sq_dists`, the places that
+    choose between the two filters, take the box cut instead at d <= 2 (for
+    the radii, at ranks above 2).
 
     A row's A is the centered norm the lift computes for it as a reference,
     or, for separate rows, the kernel's squared distance to the mean."""
@@ -547,31 +609,62 @@ def lift_points(refs: np.ndarray, rows: np.ndarray | None = None) -> Lift | None
     return None if slack is None else Lift(mean, cols, slack)
 
 
-def sq_dists_below(
-    points: np.ndarray, lift: Lift | None, p: int, bound: np.ndarray
-) -> np.ndarray:
-    """Squared distance from every row of ``points`` to row ``p``, or +inf
-    for a row whose distance the filter proves above its ``bound``.
+def near_sq_dists(
+    points: np.ndarray,
+    p: int,
+    bound: np.ndarray,
+    lift: Lift | None,
+    boxes: Boxes | None,
+    reach: np.ndarray | None,
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """``(kept, values)``: a selection of rows that holds every row whose
+    squared distance to row ``p`` may be at most its ``bound``, and their
+    kernel values to p, one per kept row; every row left out is strictly
+    farther than its bound.
 
-    Point p is :func:`ranked_sq_dist`'s lead row, with every point as a
-    reference: one estimate row F of ``[a_p, 1]`` against ``lift.cols``,
-    one A (p's norm) and one e (``lift.slack[p]``).  Rows get kernel values
-    unless ``fl(F + fl(A - e)) > bound``.  The bound derived there budgets
-    this test for a row against every point, so a row that fails it has
-    K > bound: ``np.minimum(out, bound)``, and every comparison of ``out``
-    with ``bound`` or with anything at most ``bound``, come out as with
-    :func:`sq_dists`, bit for bit.  ``lift`` is :func:`lift_points` of
-    ``points``; with None every row gets its kernel value.
+    This function alone chooses the finder for the search's candidate pass,
+    and ``kept`` is that finder's selection:
+
+    * the dot-product lift (``lift``, :func:`lift_points` of ``points``;
+      d > 2), where ``kept`` holds the ids of the rows kept, ascending.
+      Point p is :func:`ranked_sq_dist`'s lead row, with every point as a
+      reference: one estimate row F of ``[a_p, 1]`` against ``lift.cols``,
+      one A (p's norm) and one e (``lift.slack[p]``).  A row is kept unless
+      ``fl(F + fl(A - e)) > bound``.  The bound derived there budgets this
+      test for a row against every point, so a row that fails it has
+      K > bound.
+    * else the box layout (``boxes``, :func:`box_layout` of ``points``;
+      d <= 2), where ``kept`` holds the boxes kept, ascending, and the
+      values follow ``boxes.order`` without the last box's fill.  With
+      ``reach`` the largest bound in each box (``np.take(bound,
+      boxes.order).max(axis=1)``), a box is kept unless its lower bound to
+      p, the ``near`` of :func:`_box_bounds` in the kernel's own rounding
+      (:func:`_box_near`), is above its reach; a box left out has
+      K >= near > reach >= bound for each of its rows
+      (:func:`ranked_sq_dist` proves ``near <= K``).
+    * else every row, with ``kept`` None.
+
+    :func:`kept_values` reads the kept rows' entries of an array laid out
+    as the finder's rows.  Read as a row with +inf for every row left out,
+    ``np.minimum(row, bound)``, and every comparison of the row with
+    ``bound`` or with anything at most ``bound``, come out as with
+    :func:`sq_dists`, bit for bit.
     """
-    if lift is None:
-        return sq_dists(points, points[p])
-    est = np.empty(points.shape[0])
-    _estimate(points[p : p + 1], lift.mean, lift.cols, est[None])
-    est += lift.cols[-1, p] - lift.slack[p]
-    kept = np.flatnonzero(est <= bound)
-    est.fill(np.inf)
-    est[kept] = sq_dists(points[kept], points[p])
-    return est
+    if lift is not None:
+        est = np.empty(points.shape[0])
+        _estimate(points[p : p + 1], lift.mean, lift.cols, est[None])
+        est += lift.cols[-1, p] - lift.slack[p]
+        rows = np.flatnonzero(est <= bound)
+        return rows, sq_dists(np.take(points, rows, axis=0), points[p])
+    if boxes is None:
+        return None, sq_dists(points, points[p])
+    near = _box_near(boxes.lo, boxes.hi, points[p][None])[:, 0]
+    kept = np.flatnonzero(near <= reach)
+    count = kept.size * BOX_ROWS
+    if count and kept[-1] == boxes.order.shape[0] - 1:
+        count -= boxes.order.size - points.shape[0]
+    rows = np.take(boxes.points, kept, axis=0).reshape(-1, points.shape[1])[:count]
+    return kept, sq_dists(rows, points[p])
 
 
 def two_nearest(points: np.ndarray, centers: np.ndarray):

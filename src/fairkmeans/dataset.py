@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._dist import Lift, lift_points, ranked_sq_dist, sq_dist_blocks
+from ._dist import Boxes, Lift, box_layout, lift_points, ranked_sq_dist, sq_dist_blocks
 
 # Exact radii estimate all n**2 pairwise distances (kernel values only for
 # the pairs that can decide a radius, at d > 2); above this size the sampled
@@ -50,8 +50,10 @@ class Dataset:
     read-only, so the caller's array stays writable and later changes to it
     do not reach the dataset.  ``lift`` is the points' filter lift for the
     search's candidate pass (``_dist.lift_points`` of the points; None where
-    the filter declines), built on first read and kept: it depends on the
-    points alone.
+    the filter declines), and ``boxes`` their box layout
+    (``_dist.box_layout``; None at d > 2), which the radii's box cut and the
+    search's candidate pass share at d <= 2.  Each is built on first read
+    and kept: it depends on the points alone.
     """
 
     points: np.ndarray
@@ -88,6 +90,10 @@ class Dataset:
     @functools.cached_property
     def lift(self) -> Lift | None:
         return lift_points(self.points)
+
+    @functools.cached_property
+    def boxes(self) -> Boxes | None:
+        return box_layout(self.points)
 
 
 @dataclass(frozen=True)
@@ -342,7 +348,7 @@ def compute_radii(
         ref, rank = X[sample_ids], -(-s // k)
     else:
         raise ValueError(f"unknown radius mode {mode!r}")
-    sq = ranked_sq_dist(X, ref, rank)
+    sq = ranked_sq_dist(X, ref, rank, ds.boxes)
     check_distance_overflow(sq)
     return RadiusBounds(np.sqrt(sq))
 

@@ -19,27 +19,97 @@ per-q corrections come from one bincount over the nearest-center labels, so a
 full evaluation costs O(nd) for the distance pass plus O(n + k) bookkeeping.
 
 Only points with ``dp(x) < d2(x)^2`` can change either sum or the caches, so
-the distance pass may give +inf to the points a dot-product estimate rules
-out (:func:`fairkmeans._dist.sq_dists_below`), which gives the same sums and
-caches bit for bit.  An accepted swap re-scans the points whose nearest or
-second-nearest center left with the nearest-two pass of
-``Solution.build`` (:func:`fairkmeans._dist.two_nearest`).
-Whether the filter applies is decided in ``_dist`` alone
-(:func:`fairkmeans._dist.lift_points`): for the candidate pass from the
-points, whose lift the dataset builds once (``Dataset.lift``), and for the
-k-scan from the centers.  The D^2 draw reads the solution's cumsum cache
-(``Solution.cum``), which every accepted swap refreshes in place.  Nothing
-else is kept between steps, and a draw or a swap evaluation changes
-nothing it reads.
+the distance pass gives kernel values only to the rows a finder keeps, a
+superset of those points, and +inf to the rest, which gives the same sums
+and caches bit for bit.  ``_dist`` alone chooses the finder
+(:func:`fairkmeans._dist.near_sq_dists`): the points' dot-product lift at
+d > 2 (``Dataset.lift``), their box layout at d <= 2 (``Dataset.boxes``),
+or every row.  At d <= 2 the search reads the solution's caches in the
+layout's order and each box's largest ``d2^2`` (``Solution.boxed`` and
+``Solution.reach``), which it builds on its first row pass and :func:`run`
+releases at the end of its loop.  An accepted swap re-scans the points
+whose nearest or second-nearest center left with the nearest-two pass of
+``Solution.build`` (:func:`fairkmeans._dist.two_nearest`, whose filter
+``_dist`` chooses from the centers).  The D^2 draw reads the solution's
+cumsum cache (``Solution.cum``) and the certificate below its removal costs
+(``Solution.loss``); every accepted swap refreshes them all.  The search
+keeps no state of its own, and a draw or a swap evaluation changes nothing
+it reads.
+
+**Certified rejection.**  Most steps are rejected.  With S = sum_x d1(x)^2,
+the removal cost ``L_j = sum_{x: nearest(x)=j} (d2(x)^2 - d1(x)^2)``
+(``Solution.loss``) and N the rows the finder keeps, the cost of swapping p
+in for slot j is exactly::
+
+    C_j = (S - G) + (L_j - F_j),   G = sum_{x in N} max(d1(x)^2 - dp(x), 0),
+    F_j = sum_{x in N: nearest(x)=j} (max(d2(x)^2 - dp(x), 0) - max(d1(x)^2 - dp(x), 0)),
+
+since ``min(a, dp) = a - max(a - dp, 0)``, and a row outside N has
+``dp > d2^2 >= d1^2`` and adds 0 to G and F.  A step prices its swaps from
+N alone (:func:`_certified`), with ``T = cum[-1]`` for S, and rejects
+without the full pass when ``C_j - margin >= total_cost`` for every
+admissible slot j, with ``margin = fl(fl(T + max_j L_j)·(n + 2)·2**-50) +
+2**-1070``.
+
+*The margin's proof.*  Let u = 2**-53, gamma_m = m·u / (1 - m·u), and take
+the cached floats (d1^2, d2^2, dp, ``total_cost``) as exact; S, L = L_j, G,
+F = F_j and C = C_j are the exact values of the sums above, with
+0 <= G <= S and 0 <= F <= L.  Higham, *Accuracy and Stability of Numerical
+Algorithms*, §3.1 (as in ``_dist.ranked_sq_dist``): a sum of m terms in any
+order (numpy's pairwise ``sum``, the running sums of ``cumsum`` and
+``bincount``) errs by at most gamma_{m-1} times the sum of the terms'
+magnitudes, and a correctly rounded addition or subtraction by u times its
+result, also in the subnormal range.
+
+* The full pass (:func:`_swap_costs`) prices slot j as ``fl(base +
+  corr_j)``: base sums n values ``min(d1^2, dp) <= d1^2``, and corr_j sums
+  at most n rounded differences ``min(d2^2, dp) - min(d1^2, dp)``, each in
+  [0, d2^2 - d1^2].  It errs from C by at most gamma_{n+1}(S + L).
+* The certificate: T, a running sum of n terms, errs by at most
+  gamma_{n-1}·S.  A term of G is ``max(fl(d1^2 - dp), 0)``, the exact term
+  times 1 + delta (a negative difference rounds to at most 0), so G errs by
+  at most gamma_n·S.  L, a ``bincount`` of rounded ``d2^2 - d1^2``, errs by
+  gamma_n·L.  A term of F is the rounded difference of two such rounded
+  terms e2 = max(d2^2 - dp, 0) <= d2^2 and e1 <= d1^2, and errs by at most
+  gamma_2(e1 + e2); the e1 + e2 of the slot's rows sum to at most 2S + L,
+  so F errs by at most gamma_{n+1}(2S + 2L).  The two subtractions and the
+  addition that combine them add gamma_2(S + L) to first order: in all
+  (4n + 4)u(S + L) to first order.
+* The test is ``fl(min_j C'_j - margin) >= total_cost`` over the
+  admissible slots, with C'_j the certificate's values.  Rounding is
+  monotone, so it holds exactly when ``fl(C'_j - margin) >= total_cost``
+  for each of them, and each of those rounds once: total_cost is a float,
+  so it implies ``C'_j - margin >= total_cost·(1 - u)``, and total_cost
+  <= C'_j <= S + L to first order.
+
+So a slot that passes has a full-pass value of at least
+``total_cost + margin - (5n + 6)u(S + L)`` to first order.  fl(T +
+max_j L_j) is at least (S + L)(1 - gamma_{n+1}); the product with the
+exact (n + 2)·2**-50 = 8(n + 2)u rounds by u relative, or by at most
+2**-1075 where it is subnormal, which the 2**-1070 covers.  So the margin
+is at least 8(n + 2)u(S + L)(1 - gamma_{n+3}), and its room of
+(3n + 10)u(S + L) above the first-order sum covers the second-order terms
+for n <= 2**33 (n·u at most 2**-20).  Then every admissible full-pass
+value is at least ``total_cost`` and the full pass rejects too: the
+certificate only skips work that the full pass would throw away.
+
+*Where it declines.*  The full pass runs, on the row of the finder's kernel
+values with +inf elsewhere, whenever some admissible slot fails the test
+(every accepted step, and every rejection whose best swap ties
+``total_cost`` or lies within the margin of it), and whenever the margin is
+not finite: at k = 1, where d2^2 is inf and so is L, and where
+``d2^2 - d1^2`` or ``T + max_j L_j`` overflows.  A step with no admissible
+slot rejects before any row pass, as the full pass would.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._dist import sq_dists_below, two_nearest
+from ._dist import kept_values, near_sq_dists, two_nearest
 from .anchors import AnchorSet, _check_gamma, _coverage, seed
 from .dataset import Dataset, RadiusBounds, _check_integer, _rng, check_cost_scale
 from .errors import InfeasibleInstanceError
@@ -70,11 +140,25 @@ class LsConfig:
 
 @dataclass
 class RunTrace:
-    """Per-iteration cost (after the step) and whether the swap was taken."""
+    """Per-iteration cost (after the step) and whether the swap was taken,
+    and why the other steps were rejected.
+
+    The three rejection counts sum to ``steps - accepted``: the sampled
+    point already is a center (``rejected_is_center``), every swap would
+    empty an anchor zone (``rejected_inadmissible``), or no admissible swap
+    is strictly cheaper (``rejected_no_gain``, which also counts a
+    zero-cost solution, where nothing is drawn).  ``certified`` counts the
+    no-gain rejections that the certificate settled without the full pass
+    (see the module docstring).
+    """
 
     initial_cost: float
     costs: np.ndarray
     accepted: np.ndarray
+    rejected_is_center: int
+    rejected_inadmissible: int
+    rejected_no_gain: int
+    certified: int
 
     @property
     def accepted_count(self) -> int:
@@ -129,38 +213,85 @@ def d2_sample(sol: Solution, rng: np.random.Generator) -> int:
     return idx
 
 
-def _candidate_row(sol: Solution, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Squared distance from point p to every point, +inf where the search's
-    filter proves it above ``d2sq`` (see the module docstring), and the
-    zones p lies in."""
-    X = sol.ds.points
-    dpsq = sq_dists_below(X, sol.ds.lift, p, sol.d2sq)
-    return dpsq, _coverage(sol.anchor_set, X[p][None])[0]
+def _near_row(sol: Solution, p: int) -> tuple[np.ndarray | None, np.ndarray]:
+    """``(kept, dp)``: the finder's selection of the rows point p may move,
+    and their squared distances to p
+    (:func:`fairkmeans._dist.near_sq_dists`).  The box layout serves only a
+    solution that holds its box-ordered copies (``Solution.boxed``)."""
+    ds = sol.ds
+    boxes = None if sol.boxed is None else ds.boxes
+    return near_sq_dists(ds.points, p, sol.d2sq, ds.lift, boxes, sol.reach)
 
 
-def _swap_costs(
-    sol: Solution, dpsq: np.ndarray, covers_p: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _near_caches(sol: Solution, kept: np.ndarray | None, count: int):
+    """``(d1sq, d2sq, assign)`` at the ``count`` rows the finder kept, in
+    the order of its values; the two distance arrays are copies, which the
+    caller may overwrite."""
+    if kept is None:
+        return sol.d1sq.copy(), sol.d2sq.copy(), sol.assign
+    caches = (sol.d1sq, sol.d2sq, sol.assign) if sol.boxed is None else sol.boxed
+    return (kept_values(a, kept, count) for a in caches)
+
+
+def _full_row(sol: Solution, kept: np.ndarray | None, dp: np.ndarray) -> np.ndarray:
+    """The full pass's row: ``dp`` at the rows the finder kept and +inf
+    elsewhere (see the module docstring)."""
+    if kept is None:
+        return dp
+    rows = kept if sol.boxed is None else kept_values(sol.ds.boxes.order, kept, dp.size)
+    dpsq = np.full(sol.ds.n, np.inf)
+    dpsq[rows] = dp
+    return dpsq
+
+
+def _zone_row(sol: Solution, p: int) -> np.ndarray:
+    """The zones point p lies in."""
+    return _coverage(sol.anchor_set, sol.ds.points[p][None])[0]
+
+
+def _admissible(sol: Solution, covers_p: np.ndarray) -> np.ndarray:
+    """Which slots p may take: removing q only breaks a zone that q alone
+    covers and p does not enter."""
+    critical = (sol.covers.sum(axis=0) == 1) & ~covers_p
+    return ~(sol.covers & critical).any(axis=1)
+
+
+def _swap_costs(sol: Solution, dpsq: np.ndarray) -> np.ndarray:
+    """The full pass: the cost of swapping in the candidate whose row is
+    ``dpsq`` for each slot, from every row."""
     a = np.minimum(sol.d1sq, dpsq)
     b = np.minimum(sol.d2sq, dpsq)
     base = float(a.sum())
     corr = np.bincount(sol.assign, weights=b - a, minlength=sol.k)
-    new_costs = base + corr
+    return base + corr
 
-    # Removing q only breaks a zone that q alone covers and p does not enter.
-    counts = sol.covers.sum(axis=0)
-    critical = (counts == 1) & ~covers_p
-    admissible = ~(sol.covers & critical).any(axis=1)
-    return new_costs, admissible
+
+def _certified(
+    sol: Solution, kept: np.ndarray | None, dp: np.ndarray, admissible: np.ndarray
+) -> bool:
+    """Whether the certificate of the module docstring proves that no
+    admissible swap is strictly cheaper than ``sol.total_cost``, from the
+    finder's rows alone; False where it declines."""
+    T = sol.cum[-1]
+    with np.errstate(over="ignore"):  # an infinite margin declines
+        margin = (T + sol.loss.max()) * ((sol.ds.n + 2) * 2.0**-50) + 2.0**-1070
+    if not np.isfinite(margin):
+        return False
+    gain, fix, slot = _near_caches(sol, kept, dp.size)
+    np.subtract(gain, dp, out=gain)
+    np.maximum(gain, 0.0, out=gain)
+    np.subtract(fix, dp, out=fix)
+    np.maximum(fix, 0.0, out=fix)
+    fix -= gain
+    costs = (T - gain.sum()) + (sol.loss - np.bincount(slot, weights=fix, minlength=sol.k))
+    return bool(costs[admissible].min() - margin >= sol.total_cost)
 
 
 def _best_swap(
     sol: Solution, new_costs: np.ndarray, admissible: np.ndarray
-) -> tuple[int, float] | None:
+) -> tuple[int, float]:
     """``(slot, new_cost)`` of the cheapest admissible swap, ties going to
-    the lowest center id; None when every swap would empty an anchor zone."""
-    if not admissible.any():
-        return None
+    the lowest center id; some swap must be admissible."""
     best = new_costs[admissible].min()
     tied = np.flatnonzero(admissible & (new_costs == best))
     return int(tied[np.argmin(sol.center_ids[tied])]), float(best)
@@ -170,12 +301,13 @@ def swap_costs(sol: Solution, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Cost of swapping point p in for each center, and which swaps keep
     every anchor zone of ``sol.anchor_set`` covered.
 
-    Returns ``(new_costs, admissible)`` indexed by center slot.  ``p`` is a
-    point id in ``[0, n)``; anything else is a TypeError or ValueError
-    naming it.
+    Returns ``(new_costs, admissible)`` indexed by center slot, from the
+    full pass.  ``p`` is a point id in ``[0, n)``; anything else is a
+    TypeError or ValueError naming it.
     """
     _check_integer("p", p, 0, sol.ds.n - 1)
-    return _swap_costs(sol, *_candidate_row(sol, p))
+    dpsq = _full_row(sol, *_near_row(sol, p))
+    return _swap_costs(sol, dpsq), _admissible(sol, _zone_row(sol, p))
 
 
 def _apply_swap(
@@ -188,8 +320,9 @@ def _apply_swap(
     (:func:`fairkmeans._dist.two_nearest`, which decides whether its filter
     applies) writes their four caches.  Everyone else only needs a comparison
     against the new center's distances: p becomes the nearest center of the
-    ``closer`` rows and the second-nearest of the ``mid`` rows.  The D^2
-    cumsum is refreshed in place.
+    ``closer`` rows and the second-nearest of the ``mid`` rows.  What the
+    draw, the finder and the certificate read (``cum``, ``loss``,
+    ``boxed``, ``reach``) is rebuilt from the new caches.
     """
     X = sol.ds.points
     sol.center_ids[j] = p
@@ -199,21 +332,48 @@ def _apply_swap(
     rows = np.flatnonzero(affected)
     if rows.size:
         sol.assign[rows], sol.assign2[rows], sol.d1sq[rows], sol.d2sq[rows] = two_nearest(
-            X[rows], sol.center_pos
+            np.take(X, rows, axis=0), sol.center_pos
         )
 
     closer = ~affected & (dpsq < sol.d1sq)
     mid = ~affected & ~closer & (dpsq < sol.d2sq)
-    sol.d2sq[closer] = sol.d1sq[closer]
-    sol.assign2[closer] = sol.assign[closer]
-    sol.d1sq[closer] = dpsq[closer]
-    sol.assign[closer] = j
-    sol.d2sq[mid] = dpsq[mid]
-    sol.assign2[mid] = j
+    np.copyto(sol.d2sq, sol.d1sq, where=closer)
+    np.copyto(sol.assign2, sol.assign, where=closer)
+    np.copyto(sol.d1sq, dpsq, where=closer)
+    np.copyto(sol.assign, j, where=closer)
+    np.copyto(sol.d2sq, dpsq, where=mid)
+    np.copyto(sol.assign2, j, where=mid)
 
     sol.covers[j, :] = covers_p
     sol.total_cost = new_cost
-    np.cumsum(sol.d1sq, out=sol.cum)
+    sol._refresh_sums()
+
+
+def _step(sol: Solution, rng: np.random.Generator) -> str:
+    """One sampled-swap step on ``sol``, in place; returns the branch it
+    took: ``"accepted"``, ``"is_center"``, ``"inadmissible"``,
+    ``"no_gain"`` or ``"certified"`` (a no-gain rejection the certificate
+    settled)."""
+    p = _d2_draw(sol.cum, rng)
+    if p is None:
+        return "no_gain"
+    if p in sol.center_ids:
+        return "is_center"
+    covers_p = _zone_row(sol, p)
+    admissible = _admissible(sol, covers_p)
+    if not admissible.any():
+        return "inadmissible"
+    if sol.boxed is None and sol.ds.boxes is not None:
+        sol._track_boxes()
+    kept, dp = _near_row(sol, p)
+    if _certified(sol, kept, dp, admissible):
+        return "certified"
+    dpsq = _full_row(sol, kept, dp)
+    slot, new_cost = _best_swap(sol, _swap_costs(sol, dpsq), admissible)
+    if not new_cost < sol.total_cost:
+        return "no_gain"
+    _apply_swap(sol, p, slot, new_cost, dpsq, covers_p)
+    return "accepted"
 
 
 def ls_step(
@@ -224,10 +384,12 @@ def ls_step(
     Returns the solution and whether a swap was applied.  A zero-cost
     solution short-circuits (nothing left to sample), and a sampled point
     that already is a center can only reproduce the current solution, so it
-    is rejected without evaluation.  Otherwise the step takes the cheapest
-    swap that keeps every anchor zone covered (:func:`swap_costs`), ties
-    going to the lowest center id, when it is strictly cheaper.  The draw is
-    the one :func:`d2_sample` makes, from ``sol.cum``.
+    is rejected without evaluation, as is a point for which every swap
+    would empty an anchor zone.  Otherwise the step takes the cheapest swap
+    that keeps every anchor zone covered (:func:`swap_costs`), ties going
+    to the lowest center id, when it is strictly cheaper; a rejection that
+    the certificate of the module docstring settles skips the full pass.
+    The draw is the one :func:`d2_sample` makes, from ``sol.cum``.
 
     ``anchor_set`` is None or ``sol.anchor_set`` itself, :func:`anchors.seed`'s
     output: the coverage cache belongs to that set, so any other one is a
@@ -241,16 +403,7 @@ def ls_step(
             "local search needs centers at data points; this solution has no "
             "center_ids (a refined solution cannot be searched)"
         )
-    p = _d2_draw(sol.cum, rng)
-    if p is None or p in sol.center_ids:
-        return sol, False
-    dpsq, covers_p = _candidate_row(sol, p)
-    best = _best_swap(sol, *_swap_costs(sol, dpsq, covers_p))
-    if best is None or not best[1] < sol.total_cost:
-        return sol, False
-    slot, new_cost = best
-    _apply_swap(sol, p, slot, new_cost, dpsq, covers_p)
-    return sol, True
+    return sol, _step(sol, rng) == "accepted"
 
 
 def run(ds: Dataset, delta: RadiusBounds, cfg: LsConfig) -> tuple[Solution, RunTrace]:
@@ -263,7 +416,9 @@ def run(ds: Dataset, delta: RadiusBounds, cfg: LsConfig) -> tuple[Solution, RunT
     (with the anchor count) when seeding needs more than k anchors.  Every
     returned solution serves each point within ``2 * gamma * delta(p)``;
     this is re-checked at return (:func:`solution.check_guarantee`) and
-    cannot be disabled.
+    cannot be disabled.  The returned solution no longer holds the search's
+    box-ordered copies (``Solution.boxed``); a later :func:`ls_step`
+    builds them again.
     """
     cfg.validate()
     anchor_set = seed(ds, delta, cfg.gamma)
@@ -272,10 +427,23 @@ def run(ds: Dataset, delta: RadiusBounds, cfg: LsConfig) -> tuple[Solution, RunT
     costs = np.empty(cfg.iterations)
     accepted = np.zeros(cfg.iterations, dtype=bool)
     initial = sol.total_cost
+    branches = Counter()
     for i in range(cfg.iterations):
-        sol, took = ls_step(sol, anchor_set, rng)
+        branch = _step(sol, rng)
+        branches[branch] += 1
         costs[i] = sol.total_cost
-        accepted[i] = took
+        accepted[i] = branch == "accepted"
+    # only the search reads its box-ordered copies: refinement, which
+    # allocates an (n, k) matrix next, need not hold them
+    sol.boxed = sol.reach = None
 
     check_guarantee(sol, delta)
-    return sol, RunTrace(initial_cost=initial, costs=costs, accepted=accepted)
+    return sol, RunTrace(
+        initial_cost=initial,
+        costs=costs,
+        accepted=accepted,
+        rejected_is_center=branches["is_center"],
+        rejected_inadmissible=branches["inadmissible"],
+        rejected_no_gain=branches["no_gain"] + branches["certified"],
+        certified=branches["certified"],
+    )

@@ -125,7 +125,8 @@ def _rounds(X, positions, M, anchor_set, iterations, rel_tol) -> np.ndarray:
             members = labels == j
             # strict per-cluster improvement, measured with the same kernel
             # the next assignment round will use
-            if fsum(sq_dists(X[members], candidates[j])) < fsum(d1sq[members]):
+            inside = np.compress(members, X, axis=0)
+            if fsum(sq_dists(inside, candidates[j])) < fsum(np.compress(members, d1sq)):
                 moved.append(j)
         if not moved:
             trace.extend([total] * (1 if rel_tol > 0 else iterations - done))

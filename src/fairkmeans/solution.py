@@ -4,9 +4,12 @@
 second-nearest center, which :meth:`Solution.build` takes from the one
 nearest-two pass (``_dist.two_nearest``) and a refined solution from the
 pass's read-off of refinement's last matrix.  The D² cumsum the search
-draws from and the anchor-zone coverage table are built from those fields
-by the constructor itself, never passed in; the points' filter lift depends
-on the points alone and belongs to the dataset (``Dataset.lift``).
+draws from, the per-slot removal costs its certificate reads and the
+anchor-zone coverage table are built from those fields by the constructor
+itself, never passed in, and so are, at d <= 2, the search's box-ordered
+copies, on the search's first row pass; the points' filter lift and box
+layout depend on the points alone and belong to the dataset
+(``Dataset.lift``, ``Dataset.boxes``).
 :func:`check_solution` is the debug oracle that compares a solution's
 caches against a fresh rebuild, and :func:`check_guarantee` is the one
 check that a solution keeps the promise: a center in every anchor zone, and
@@ -15,6 +18,7 @@ each point served within ``2 * gamma * delta(p)``.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,13 +51,28 @@ class Solution:
     (:meth:`build` sums ``d1sq``, refinement takes its trace's correctly
     rounded last entry, the search its swap formula).
 
-    The other two caches are not constructor arguments: they are built from
+    The other caches are not constructor arguments: they are built from
     the fields, so no caller can hand in a table that disagrees with the
-    centers.  ``cum`` is ``np.cumsum(d1sq)``, the running total the search's
-    D² draw reads, and ``covers`` the (k, m) zone table of
+    centers.  ``covers`` is the (k, m) zone table of
     :func:`anchors._coverage`: ``covers[j, z]`` is True when center j lies
     in anchor zone z, and a valid solution has a True in every column.
-    An accepted swap refreshes both in place.
+    The sums of ``_refresh_sums`` read the distance caches:
+
+    * ``cum`` is ``np.cumsum(d1sq)``, the running total the search's D²
+      draw reads;
+    * ``loss[j]`` is the removal cost of slot j, the sum of
+      ``d2sq - d1sq`` over the points whose nearest center it is, by
+      ``np.bincount``;
+    * ``boxed`` is ``(d1sq, d2sq, assign)`` laid out as the points' box
+      layout, ``np.take(values, ds.boxes.order)``, and ``reach`` the
+      largest ``d2sq`` in each box: the search's copies at d <= 2, which
+      :meth:`_track_boxes` builds on the search's first row pass; None
+      until then, at d > 2, and once ``local_search.run`` has released
+      them at the end of its loop.
+
+    ``loss``, ``boxed`` and ``reach`` are what the search's certificate and
+    its finder read (``local_search._certified``).  An accepted swap
+    refreshes every sum present.
 
     ``anchor_set`` is :func:`anchors.seed`'s output, and ``center_pos``
     must be a (k, d) array of the points' d columns
@@ -73,10 +92,38 @@ class Solution:
     total_cost: float
     cum: np.ndarray = field(init=False)
     covers: np.ndarray = field(init=False)
+    loss: np.ndarray = field(init=False)
+    boxed: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(init=False)
+    reach: np.ndarray | None = field(init=False)
 
     def __post_init__(self):
-        self.cum = np.cumsum(self.d1sq)
         self.covers = _coverage(self.anchor_set, check_positions(self.center_pos, self.ds.d))
+        self.cum = np.empty(self.ds.n)
+        self.loss = np.empty(self.k)
+        self.boxed = self.reach = None
+        self._refresh_sums()
+
+    def _track_boxes(self) -> None:
+        """Build ``boxed`` and ``reach`` (the dataset has a box layout),
+        which :meth:`_refresh_sums` then keeps current."""
+        shape = self.ds.boxes.order.shape
+        self.boxed = (np.empty(shape), np.empty(shape), np.empty(shape, self.assign.dtype))
+        self.reach = np.empty(shape[0])
+        self._refresh_boxes()
+
+    def _refresh_sums(self) -> None:
+        """Rebuild ``cum``, ``loss`` and, where present, ``boxed`` and
+        ``reach`` in place from the distance caches and slots, as the
+        constructor does and an accepted swap does after updating them."""
+        np.cumsum(self.d1sq, out=self.cum)
+        self.loss[:] = np.bincount(self.assign, weights=self.d2sq - self.d1sq, minlength=self.k)
+        if self.boxed is not None:
+            self._refresh_boxes()
+
+    def _refresh_boxes(self) -> None:
+        for copy, values in zip(self.boxed, (self.d1sq, self.d2sq, self.assign)):
+            np.take(values, self.ds.boxes.order, out=copy)
+        np.max(self.boxed[1], axis=1, out=self.reach)
 
     @property
     def k(self) -> int:
@@ -131,9 +178,10 @@ def check_solution(sol: Solution, delta: RadiusBounds | None = None) -> None:
     """Debug oracle: caches must match a from-scratch rebuild.
 
     Verifies that a solution with ids holds exactly the points at those
-    ids (:func:`dataset.point_ids`), distances, the D² cumsum and the
-    coverage table bit for bit, the slots (:func:`_slots_hold`), cost
-    coherence at 1e-9 relative, and then the promise
+    ids (:func:`dataset.point_ids`), distances, the coverage table and the
+    sums of ``Solution._refresh_sums`` (those present) bit for bit, the
+    slots (:func:`_slots_hold`), cost coherence at 1e-9 relative, and then
+    the promise
     (:func:`check_guarantee`, with the 2*gamma service bound when radii are
     supplied).  The rebuild from the positions (:meth:`Solution.build`)
     raises its float-range ValueErrors.
@@ -155,14 +203,31 @@ def check_solution(sol: Solution, delta: RadiusBounds | None = None) -> None:
         second = _slots_hold(sol, sol.assign2, sol.d2sq) and not np.any(sol.assign2 == sol.assign)
     if not second:
         raise AssertionError("second-nearest slots out of sync with the d2 cache")
-    if not np.array_equal(fresh.cum, sol.cum):
-        raise AssertionError("D² cumsum cache out of sync with the center set")
+    # the slots may keep either center of a tie, so the sums are rebuilt on
+    # the solution's own fields, whose distances are checked above
+    rebuilt = dataclasses.replace(sol)
+    if sol.boxed is not None:
+        rebuilt._track_boxes()
+    sums = {"D² cumsum": "cum", "removal-cost": "loss", "box-ordered": "boxed", "box reach": "reach"}
+    for name, cache in sums.items():
+        if not _same(getattr(sol, cache), getattr(rebuilt, cache)):
+            raise AssertionError(f"{name} cache out of sync with the center set")
     if not np.array_equal(fresh.covers, sol.covers):
         raise AssertionError("coverage table out of sync with the center set")
     exact = fsum(sol.d1sq)
     if abs(sol.total_cost - exact) > 1e-9 * max(1.0, abs(exact)):
         raise AssertionError("total cost drifted from the recomputed value")
     check_guarantee(sol, delta)
+
+
+def _same(cache, rebuilt) -> bool:
+    """Whether a cache equals its rebuild bit for bit: an array, a tuple of
+    arrays, or None."""
+    if cache is None or rebuilt is None:
+        return cache is rebuilt
+    if isinstance(rebuilt, tuple):
+        return len(cache) == len(rebuilt) and all(map(_same, cache, rebuilt))
+    return np.array_equal(cache, rebuilt)
 
 
 def _slots_hold(sol: Solution, slots: np.ndarray, sq: np.ndarray) -> bool:

@@ -23,14 +23,16 @@ from hypothesis import strategies as st
 from fairkmeans import Dataset, aspect_ratio, compute_radii
 from fairkmeans import _dist
 from fairkmeans._dist import (
+    box_layout,
     chunk_rows,
     dists,
+    kept_values,
     lift_points,
     min_sq_dists,
+    near_sq_dists,
     ranked_sq_dist,
     sq_dist_matrix,
     sq_dists,
-    sq_dists_below,
     two_nearest,
 )
 from fairkmeans.anchors import AnchorSet, _coverage, _pins, clamped_moves
@@ -295,10 +297,25 @@ def test_filter_declines_near_overflow():
     assert np.array_equal(got, want)
 
 
+def candidate_row(X, p, bound):
+    """The candidate pass as the search reads it: kernel values at the rows
+    its finder keeps, each once, and +inf elsewhere."""
+    boxes = box_layout(X)
+    reach = None if boxes is None else np.take(bound, boxes.order).max(axis=1)
+    kept, values = near_sq_dists(X, p, bound, lift_points(X), boxes, reach)
+    if kept is None:
+        return values
+    rows = kept if boxes is None else kept_values(boxes.order, kept, values.size)
+    assert np.unique(rows).size == rows.size == values.size
+    got = np.full(X.shape[0], np.inf)
+    got[rows] = values
+    return got
+
+
 def check_below(X, p, bound):
     """The filtered candidate row keeps every kernel value it may need, and
     drops only rows strictly above their bound."""
-    got = sq_dists_below(X, lift_points(X), p, bound)
+    got = candidate_row(X, p, bound)
     want = reference(X, X[p : p + 1])[:, 0]
     kept = got != np.inf
     assert np.array_equal(got[kept], want[kept])
@@ -331,6 +348,26 @@ def test_candidate_filter_drops_far_rows():
     d2sq = reference_nearest_two(reference(X, X[:50]))[3]
     kept = check_below(X, 7, d2sq)
     assert 0 < kept.sum() < 0.2 * X.shape[0]
+
+
+@pytest.mark.parametrize("name", ["far lattices", "far lattices, jitter", "offset 1e8"])
+@pytest.mark.parametrize("k", [1, 2, 100])
+@pytest.mark.parametrize("d", [1, 2])
+def test_candidate_boxes_adversarial(name, k, d):
+    # the box layout finds the candidate's rows at d <= 2, with bounds in
+    # the kernel's own rounding: ties at the bound keep their rows
+    X = ADVERSARIAL[name]()[:, :d]
+    n = X.shape[0]
+    ids = np.random.default_rng(k).choice(n, size=k, replace=False)
+    d2sq = reference_nearest_two(reference(X, X[ids]))[3]
+    for p in (*ids[:3], 0, n // 2, n - 1):
+        exact = reference(X, X[p : p + 1])[:, 0]
+        kept = check_below(X, p, d2sq)
+        if k == 1:
+            assert kept.all()  # d2sq is inf
+        assert check_below(X, p, np.nextafter(exact, np.inf)).all()
+        assert check_below(X, p, exact).all()
+        check_below(X, p, np.nextafter(exact, -np.inf))
 
 
 def check_cut(P, C):
@@ -601,6 +638,25 @@ def test_box_cut_drops_far_references(monkeypatch, d):
     # ranks 1 and 2 and d > 2 never take the cut
     assert box_pairs(monkeypatch, X, ref, 2) == X.shape[0] * ref.shape[0]
     assert box_pairs(monkeypatch, points(36, 300, 3), points(37, 100, 3), 50) == 0
+
+
+@pytest.mark.parametrize("name", BOX_CASES)
+@pytest.mark.parametrize("d", [1, 2])
+def test_candidate_boxes_cases(name, d):
+    X = BOX_CASES[name](d)
+    ids = np.random.default_rng(d).choice(X.shape[0], size=10, replace=False)
+    d2sq = reference_nearest_two(reference(X, X[ids]))[3]
+    for p in (0, X.shape[0] - 1, *ids[:2]):
+        check_below(X, p, d2sq)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_candidate_boxes_drop_far_rows(d):
+    # ten unit blobs: the boxes far from the candidate are left out
+    X = blobs(36, 3000, d)
+    d2sq = reference_nearest_two(reference(X, X[:10]))[3]
+    kept = check_below(X, 7, d2sq)
+    assert 0 < kept.sum() < 0.5 * X.shape[0]
 
 
 @settings(max_examples=200, deadline=None)

@@ -450,32 +450,59 @@ class TestSearchState:
     @staticmethod
     def solve(ds, delta, k, iterations):
         sol, trace = run(ds, delta, LsConfig(k=k, iterations=iterations, seed=7))
+        check_solution(sol, delta)
         caches = [sol.center_ids, sol.d1sq, sol.d2sq, sol.assign, sol.assign2, sol.covers]
-        return caches, trace, sol.total_cost
+        caches += [sol.cum, sol.loss]
+        return caches, trace, sol.total_cost, sol
 
     def assert_filter_changes_nothing(self, monkeypatch, ds, delta, k, iterations):
         filtered = self.solve(ds, delta, k, iterations)
-        # no lift anywhere: the candidate pass, the k-scan and
-        # Solution.build (init and the debug oracle) all run the plain
-        # kernel.  A fresh dataset, since ds keeps the lift it has built.
-        plain_ds = Dataset(ds.points)
         with monkeypatch.context() as m:
+            # the certificate declines: every step that gets a candidate row
+            # takes the full pass, on the same finder's rows
+            m.setattr(local_search, "_certified", lambda *args: False)
+            uncertified = self.solve(ds, delta, k, iterations)
+            # and no finder anywhere: the candidate pass, the k-scan and
+            # Solution.build (init and the debug oracle) all run the plain
+            # kernel.  A fresh dataset, since ds keeps the lift and boxes it
+            # has built.
+            plain_ds = Dataset(ds.points)
             m.setattr(dataset, "lift_points", lambda points: None)
+            m.setattr(dataset, "box_layout", lambda points: None)
             m.setattr(_dist, "lift_points", lambda refs, rows=None: None)
             plain = self.solve(plain_ds, delta, k, iterations)
-        assert vars(plain_ds).get("lift") is None
-        for a, b in zip(filtered[0], plain[0]):
-            assert np.array_equal(a, b)
-        assert filtered[1].initial_cost == plain[1].initial_cost
-        assert np.array_equal(filtered[1].costs, plain[1].costs)
-        assert np.array_equal(filtered[1].accepted, plain[1].accepted)
-        assert filtered[2] == plain[2]
-        return filtered[1].accepted_count
+        assert vars(plain_ds).get("lift") is None and vars(plain_ds).get("boxes") is None
+        assert plain[3].boxed is None and plain[3].reach is None
+        for other in (uncertified, plain):
+            for a, b in zip(filtered[0], other[0]):
+                assert np.array_equal(a, b)
+            assert filtered[1].initial_cost == other[1].initial_cost
+            assert np.array_equal(filtered[1].costs, other[1].costs)
+            assert np.array_equal(filtered[1].accepted, other[1].accepted)
+            assert filtered[2] == other[2]
+            for name in ("rejected_is_center", "rejected_inadmissible", "rejected_no_gain"):
+                assert getattr(filtered[1], name) == getattr(other[1], name)
+            assert other[1].certified == 0
+        # run releases the search's box-ordered copies
+        assert filtered[3].boxed is None and filtered[3].reach is None
+        return filtered[1]
 
-    @pytest.mark.parametrize("d", [3, 8, 16])
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 16])
     def test_filtered_equals_unfiltered(self, monkeypatch, d):
         ds, delta, k = gaussian_instance(64 + d, n=1500, k=12, d=d)
-        assert self.assert_filter_changes_nothing(monkeypatch, ds, delta, k, 200) >= 5
+        trace = self.assert_filter_changes_nothing(monkeypatch, ds, delta, k, 200)
+        assert trace.accepted_count >= 5
+        assert trace.certified >= 0.5 * (200 - trace.accepted_count)
+
+    @pytest.mark.parametrize("k", [1, 2, 100])
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    def test_filtered_equals_unfiltered_k(self, monkeypatch, d, k):
+        # k = 1: d2sq is inf, every finder keeps every row and the
+        # certificate declines
+        ds, delta, k = gaussian_instance(150 + d, n=600, k=k, d=d)
+        trace = self.assert_filter_changes_nothing(monkeypatch, ds, delta, k, 100)
+        if k == 1:
+            assert trace.certified == 0
 
     @pytest.mark.parametrize("name", ADVERSARIAL)
     @pytest.mark.parametrize("k", [1, 2, 100])
@@ -483,6 +510,184 @@ class TestSearchState:
         ds = Dataset(ADVERSARIAL[name]())
         delta = compute_radii(ds, k)
         self.assert_filter_changes_nothing(monkeypatch, ds, delta, k, 150)
+
+    @pytest.mark.parametrize("name", ADVERSARIAL)
+    @pytest.mark.parametrize("k", [1, 2, 100])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_filtered_equals_unfiltered_adversarial_boxes(self, monkeypatch, name, k, d):
+        # the same point sets cut to their first d columns, where the box
+        # layout finds the candidate's rows
+        ds = Dataset(ADVERSARIAL[name]()[:, :d])
+        delta = compute_radii(ds, k)
+        self.assert_filter_changes_nothing(monkeypatch, ds, delta, k, 100)
+
+
+class TestCertificate:
+    """A rejection that the certificate settles is one the full pass makes
+    too: near-ties and exact ties go to the full pass, which decides as
+    before, and the full pass runs on no step the certificate settled."""
+
+    @staticmethod
+    def step(monkeypatch, sol, p, certify=True):
+        """The branch one step takes on a copy of ``sol`` that draws p, and
+        the copy after the step."""
+        sol = copy.deepcopy(sol)
+        with monkeypatch.context() as m:
+            m.setattr(local_search, "_d2_draw", lambda cum, rng: p)
+            if not certify:
+                m.setattr(local_search, "_certified", lambda *args: False)
+            branch = local_search._step(sol, None)
+        return branch, sol
+
+    def assert_same_step(self, monkeypatch, sol, p):
+        got, stepped = self.step(monkeypatch, sol, p)
+        want, full = self.step(monkeypatch, sol, p, certify=False)
+        assert got == want or (got, want) == ("certified", "no_gain")
+        for name in ("center_ids", "d1sq", "d2sq", "assign", "assign2", "cum", "loss", "covers"):
+            assert np.array_equal(getattr(stepped, name), getattr(full, name)), name
+        assert stepped.total_cost == full.total_cost
+        return got
+
+    @staticmethod
+    def shifted(value, ulps):
+        """``value`` moved by ``ulps`` units in the last place."""
+        for _ in range(abs(ulps)):
+            value = np.nextafter(value, np.inf if ulps > 0 else -np.inf)
+        return float(value)
+
+    @pytest.mark.parametrize("d", [1, 2, 8])
+    def test_near_ties_take_the_full_pass(self, monkeypatch, d):
+        # total_cost planted a few ulps on either side of the best
+        # admissible swap: the certificate declines, and the full pass
+        # accepts exactly when the swap is strictly cheaper
+        ds, delta, k = gaussian_instance(70 + d, n=400, k=5, d=d)
+        sol, _ = run(ds, delta, LsConfig(k=k, iterations=30, seed=1))
+        if d <= 2:
+            sol._track_boxes()  # as the search's first row pass does
+        candidates = [p for p in range(0, ds.n, 37) if p not in sol.center_ids]
+        for p in candidates:
+            new_costs, admissible = swap_costs(sol, p)
+            best = new_costs[admissible].min()
+            for ulps in (-3, -1, 0, 1, 3):
+                planted = copy.deepcopy(sol)
+                planted.total_cost = self.shifted(best, ulps)
+                kept, dp = local_search._near_row(planted, p)
+                assert not local_search._certified(planted, kept, dp, admissible)
+                branch = self.assert_same_step(monkeypatch, planted, p)
+                assert branch == ("accepted" if ulps > 0 else "no_gain")
+            # far from a tie, the same rejection is settled
+            planted = copy.deepcopy(sol)
+            planted.total_cost = best * (1 - 1e-6)
+            assert self.assert_same_step(monkeypatch, planted, p) == "certified"
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_exact_ties_take_the_full_pass(self, monkeypatch, d):
+        # every point has an identical twin: swapping a center for its twin
+        # leaves the center positions, so that swap costs total_cost up to
+        # the rounding of the full pass's sums
+        base = np.random.default_rng(d).normal(size=(150, d)) * 4
+        ds, delta, k = with_exact_radii(np.repeat(base, 2, axis=0), 6)
+        sol, _ = run(ds, delta, LsConfig(k=k, iterations=60, seed=3))
+        if d <= 2:
+            sol._track_boxes()  # as the search's first row pass does
+        for c in sol.center_ids:
+            twin = int(c ^ 1)
+            if twin in sol.center_ids:
+                continue
+            new_costs, admissible = swap_costs(sol, twin)
+            best = new_costs[admissible].min()
+            kept, dp = local_search._near_row(sol, twin)
+            if abs(best - sol.total_cost) <= 4 * np.spacing(sol.total_cost):
+                assert not local_search._certified(sol, kept, dp, admissible)
+            assert self.assert_same_step(monkeypatch, sol, twin) != "certified"
+
+    def test_declines_silently_where_the_margin_overflows(self):
+        # near the top of float64's range T + max L overflows: the
+        # certificate declines without a warning of its own (the suite turns
+        # warnings into errors)
+        rng = np.random.default_rng(0)
+        X = np.concatenate([rng.normal(size=(60, 3)), rng.normal(size=(60, 3)) + 10])
+        ds = Dataset(X * 7e152)
+        delta = compute_radii(ds, 4)
+        sol = init_solution(ds, seed(ds, delta, 3.0), 4, 1)
+        with np.errstate(over="ignore"):
+            assert np.isfinite(sol.loss.max()) and not np.isfinite(sol.cum[-1] + sol.loss.max())
+        admissible = np.ones(sol.k, dtype=bool)
+        for p in range(0, ds.n, 7):
+            assert not local_search._certified(sol, *local_search._near_row(sol, p), admissible)
+
+    @pytest.mark.parametrize("d", [2, 8])
+    def test_full_pass_only_where_unsettled(self, monkeypatch, d):
+        verdicts, full_passes = [], []
+        certified, swap_costs_ = local_search._certified, local_search._swap_costs
+
+        def spy_certified(*args):
+            verdicts.append(certified(*args))
+            return verdicts[-1]
+
+        def spy_swap_costs(*args):
+            full_passes.append(len(verdicts))
+            assert not verdicts[-1]
+            return swap_costs_(*args)
+
+        monkeypatch.setattr(local_search, "_certified", spy_certified)
+        monkeypatch.setattr(local_search, "_swap_costs", spy_swap_costs)
+        ds, delta, k = gaussian_instance(90 + d, n=2000, k=8, d=d)
+        _, trace = run(ds, delta, LsConfig(k=k, iterations=150, seed=4))
+        assert trace.certified == verdicts.count(True) > 0
+        assert len(full_passes) == verdicts.count(False) == len(set(full_passes))
+        assert len(full_passes) == trace.accepted_count + trace.rejected_no_gain - trace.certified
+
+    def test_settles_most_rejections_on_blobs(self):
+        # ten well separated 2-D blobs, as in the blobs-80k benchmark
+        rng = np.random.default_rng(5)
+        centers = rng.uniform(-20, 20, size=(10, 2))
+        X = centers[rng.integers(0, 10, size=4000)] + rng.normal(size=(4000, 2))
+        ds = Dataset(X)
+        delta = compute_radii(ds, 10, mode="sampled", sample_size=500, seed=1)
+        _, trace = run(ds, delta, LsConfig(k=10, iterations=300, seed=1))
+        rejected = 300 - trace.accepted_count
+        assert trace.certified >= 0.9 * rejected
+
+
+class TestRejectionCounts:
+    """``RunTrace`` counts why each rejected step was rejected."""
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_counts_add_up_and_repeat(self, d):
+        ds, delta, k = gaussian_instance(110 + d, n=500, k=6, d=d)
+        cfg = LsConfig(k=k, iterations=120, seed=5)
+        first, again = run(ds, delta, cfg)[1], run(ds, delta, cfg)[1]
+        rejected = (first.rejected_is_center, first.rejected_inadmissible, first.rejected_no_gain)
+        assert sum(rejected) == 120 - first.accepted_count
+        assert 0 < first.certified <= first.rejected_no_gain
+        assert rejected + (first.certified,) == (
+            again.rejected_is_center,
+            again.rejected_inadmissible,
+            again.rejected_no_gain,
+            again.certified,
+        )
+
+    def test_inadmissible_counted(self, monkeypatch):
+        # every draw is point 1, outside the only zone, whose sole coverer
+        # is the only center
+        ds = Dataset(np.array([[0.0], [4.0]]))
+        aset = make_anchor_set(ds, [0], [3.0])
+        monkeypatch.setattr(local_search, "seed", lambda ds, delta, gamma: aset)
+        _, trace = run(ds, RadiusBounds(np.full(2, 10.0)), LsConfig(k=1, iterations=5))
+        counts = (trace.rejected_is_center, trace.rejected_inadmissible, trace.rejected_no_gain)
+        assert counts == (0, 5, 0) and trace.certified == 0
+
+    def test_is_center_and_zero_cost_counted(self, monkeypatch):
+        # at k = n the cost is 0 and nothing is drawn, which counts as no
+        # gain; a D² draw never lands on a center, whose weight is 0, so a
+        # draw of one is planted
+        ds, delta, k = gaussian_instance(90, n=12, k=12)
+        _, trace = run(ds, delta, LsConfig(k=k, iterations=4))
+        assert (trace.rejected_is_center, trace.rejected_no_gain, trace.certified) == (0, 4, 0)
+        monkeypatch.setattr(local_search, "_d2_draw", lambda cum, rng: 0)
+        _, trace = run(ds, delta, LsConfig(k=k, iterations=4))
+        assert (trace.rejected_is_center, trace.rejected_no_gain) == (4, 0)
 
 
 class TestCheckGuarantee:
@@ -587,6 +792,36 @@ class TestCheckSolution:
         # passed when the distance caches were right
         sol = self.stepped()
         self.plant(sol, cache)
+        with pytest.raises(AssertionError, match=message):
+            check_solution(sol)
+
+    @pytest.mark.parametrize(
+        "cache, message",
+        [
+            ("loss", "removal-cost cache out of sync"),
+            ("boxed d1", "box-ordered cache out of sync"),
+            ("boxed d2", "box-ordered cache out of sync"),
+            ("boxed assign", "box-ordered cache out of sync"),
+            ("reach", "box reach cache out of sync"),
+        ],
+    )
+    def test_stale_search_sums_detected(self, cache, message):
+        # the certificate's caches, on a stepped 2-D solution
+        ds, delta, k = gaussian_instance(66, n=300, k=4, d=2)
+        aset = seed(ds, delta, 3.0)
+        sol = init_solution(ds, aset, k, 0)
+        rng = np.random.default_rng(1)
+        for _ in range(40):
+            ls_step(sol, aset, rng)
+        check_solution(sol, delta)
+        i = int(np.argmax(sol.d2sq - sol.d1sq))
+        if cache == "loss":
+            sol.loss[sol.assign[i]] += 1.0
+        elif cache == "reach":
+            sol.reach[-1] += 1.0
+        else:
+            part = ("boxed d1", "boxed d2", "boxed assign").index(cache)
+            sol.boxed[part][0, 0] += 1
         with pytest.raises(AssertionError, match=message):
             check_solution(sol)
 

@@ -68,11 +68,12 @@ def dist_imports(module: str) -> set[str]:
 
 
 def test_search_takes_only_the_filter_from_dist():
-    # lift_points decides where the filter applies (the points' lift is
-    # the dataset's), and the filtered functions fall back to the kernel
-    # themselves, so the search never chooses between a filtered and a
-    # plain pass
-    assert dist_imports("local_search.py") == {"sq_dists_below", "two_nearest"}
+    # near_sq_dists chooses the candidate pass's finder (the points' lift
+    # and box layout are the dataset's) and falls back to every row itself,
+    # kept_values reads the kept rows whichever finder kept them, and
+    # two_nearest chooses its own filter, so the search never chooses
+    # between a filtered and a plain pass
+    assert dist_imports("local_search.py") == {"kept_values", "near_sq_dists", "two_nearest"}
 
 
 @pytest.mark.parametrize("module", ["solution.py", "metrics.py"])
