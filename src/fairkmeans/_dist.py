@@ -616,7 +616,7 @@ def near_sq_dists(
     lift: Lift | None,
     boxes: Boxes | None,
     reach: np.ndarray | None,
-) -> tuple[np.ndarray | None, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """``(kept, values)``: a selection of rows that holds every row whose
     squared distance to row ``p`` may be at most its ``bound``, and their
     kernel values to p, one per kept row; every row left out is strictly
@@ -642,7 +642,8 @@ def near_sq_dists(
       (:func:`_box_near`), is above its reach; a box left out has
       K >= near > reach >= bound for each of its rows
       (:func:`ranked_sq_dist` proves ``near <= K``).
-    * else every row, with ``kept`` None.
+    * else every row, with ``kept`` ``np.arange(n)``, the ids of every
+      row, as the lift's are.
 
     :func:`kept_values` reads the kept rows' entries of an array laid out
     as the finder's rows.  Read as a row with +inf for every row left out,
@@ -657,7 +658,7 @@ def near_sq_dists(
         rows = np.flatnonzero(est <= bound)
         return rows, sq_dists(np.take(points, rows, axis=0), points[p])
     if boxes is None:
-        return None, sq_dists(points, points[p])
+        return np.arange(points.shape[0]), sq_dists(points, points[p])
     near = _box_near(boxes.lo, boxes.hi, points[p][None])[:, 0]
     kept = np.flatnonzero(near <= reach)
     count = kept.size * BOX_ROWS

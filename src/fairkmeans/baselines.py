@@ -51,7 +51,9 @@ def greedy_baseline(
 
 def kmeanspp_init(ds: Dataset, k: int, seed) -> np.ndarray:
     """Standard D^2 seeding: first center uniform, each next one drawn with
-    probability proportional to squared distance to the chosen set.  A draw
+    probability proportional to squared distance to the chosen set, so
+    never a chosen point, whose weight is 0 (``local_search._d2_draw``);
+    once every point sits on a chosen one, a uniform unchosen point.  A draw
     whose total weight, the chosen set's cost, overflows is a ValueError
     (:func:`dataset.check_cost_scale`, in the shared D^2 draw); points whose
     squared distances underflow, so that every draw would be uniform, are
@@ -63,7 +65,7 @@ def kmeanspp_init(ds: Dataset, k: int, seed) -> np.ndarray:
     d2 = sq_dists(X, X[chosen[0]])
     for _ in range(1, k):
         idx = _d2_draw(np.cumsum(d2), rng)
-        if idx is None or d2[idx] == 0:  # zero total or float edge: uniform fresh point
+        if idx is None:  # zero total: uniform fresh point
             pool = np.setdiff1d(np.arange(ds.n), np.asarray(chosen))
             idx = int(rng.choice(pool))
         chosen.append(idx)

@@ -3,6 +3,7 @@
 The solver seeds anchors, fills up to k centers with random points, then runs
 a fixed number of single-swap steps.  Each step samples a candidate point
 with probability proportional to its squared distance to the current centers,
+which is never a center (:func:`_d2_draw` draws only positive weights),
 evaluates swapping it against every center that can be removed without
 emptying an anchor zone, and applies the cheapest swap when it strictly
 reduces the cost.
@@ -143,19 +144,18 @@ class RunTrace:
     """Per-iteration cost (after the step) and whether the swap was taken,
     and why the other steps were rejected.
 
-    The three rejection counts sum to ``steps - accepted``: the sampled
-    point already is a center (``rejected_is_center``), every swap would
+    The two rejection counts sum to ``steps - accepted``: every swap would
     empty an anchor zone (``rejected_inadmissible``), or no admissible swap
     is strictly cheaper (``rejected_no_gain``, which also counts a
     zero-cost solution, where nothing is drawn).  ``certified`` counts the
     no-gain rejections that the certificate settled without the full pass
-    (see the module docstring).
+    (see the module docstring).  No step draws a center: its weight in the
+    D^2 draw is 0 (:func:`_d2_draw`).
     """
 
     initial_cost: float
     costs: np.ndarray
     accepted: np.ndarray
-    rejected_is_center: int
     rejected_inadmissible: int
     rejected_no_gain: int
     certified: int
@@ -190,30 +190,51 @@ def init_solution(ds: Dataset, anchor_set: AnchorSet, k: int, seed) -> Solution:
 
 def _d2_draw(cum: np.ndarray, rng: np.random.Generator) -> int | None:
     """Index i drawn with probability weights[i] / sum(weights), from one
-    uniform draw, given ``cum = np.cumsum(weights)``; None, with ``rng``
-    untouched, when the total is zero.  The D^2 draw of the search and of
-    k-means++ seeding, whose weights are the squared distances to the
-    nearest center, so their total is the total cost: one that overflowed
-    to inf is :func:`dataset.check_cost_scale`'s ValueError, with ``rng``
-    untouched (every draw would land on the last index)."""
+    uniform draw, given ``cum = np.cumsum(weights)`` of nonnegative
+    weights; None, with ``rng`` untouched, when the total is zero.  The
+    D^2 draw of the search and of k-means++ seeding, whose weights are the
+    squared distances to the nearest center, so their total is the total
+    cost: one that overflowed to inf is :func:`dataset.check_cost_scale`'s
+    ValueError, with ``rng`` untouched.
+
+    The index returned always has a positive weight, so the draw never
+    lands on a center (or a point on one).  ``cumsum`` adds in order, so
+    ``cum`` never decreases and rises only at a positive weight:
+    ``cum[i] > cum[i - 1]`` (or ``cum[0] > 0``) means ``weights[i] > 0``.
+    The draw is ``x = fl(u·total)`` with u a multiple of 2**-53 in [0, 1),
+    so 0 <= x <= total, and the index is the first i with
+
+    * ``cum[i] > x`` where x < total: it exists, as ``cum[-1] = total``,
+      and ``cum[i - 1] <= x < cum[i]``;
+    * ``cum[i] >= x`` where x = total: then ``cum[i] = total``, and
+      ``cum[i - 1] < total`` by the choice of the first.
+
+    x reaches total only where total <= 2**-1022.  Above it, u·total is at
+    most total - total·2**-53, which is the float below total where total
+    is a power of two and otherwise lies more than half a float spacing
+    below total, so x < total.  At or below it the spacing is 2**-1074, and
+    that gap of at most 2**-1075 may round up to total.
+    """
     total = cum[-1]
     check_cost_scale(total)
     if not total > 0:
         return None
-    idx = int(np.searchsorted(cum, rng.random() * total, side="right"))
-    return min(idx, cum.shape[0] - 1)
+    x = rng.random() * total
+    return int(np.searchsorted(cum, x, side="right" if x < total else "left"))
 
 
 def d2_sample(sol: Solution, rng: np.random.Generator) -> int:
     """Draw a point id with probability d1(p)^2 / sum_q d1(q)^2: the draw
-    :func:`ls_step` makes, from the same cached cumsum."""
+    :func:`ls_step` makes, from the same cached cumsum.  The id is never a
+    center's, whose d1(p)^2 is 0 (:func:`_d2_draw`); a zero total cost is a
+    ValueError."""
     idx = _d2_draw(sol.cum, rng)
     if idx is None:
         raise ValueError("total cost is zero; every point already sits on a center")
     return idx
 
 
-def _near_row(sol: Solution, p: int) -> tuple[np.ndarray | None, np.ndarray]:
+def _near_row(sol: Solution, p: int) -> tuple[np.ndarray, np.ndarray]:
     """``(kept, dp)``: the finder's selection of the rows point p may move,
     and their squared distances to p
     (:func:`fairkmeans._dist.near_sq_dists`).  The box layout serves only a
@@ -223,21 +244,17 @@ def _near_row(sol: Solution, p: int) -> tuple[np.ndarray | None, np.ndarray]:
     return near_sq_dists(ds.points, p, sol.d2sq, ds.lift, boxes, sol.reach)
 
 
-def _near_caches(sol: Solution, kept: np.ndarray | None, count: int):
+def _near_caches(sol: Solution, kept: np.ndarray, count: int):
     """``(d1sq, d2sq, assign)`` at the ``count`` rows the finder kept, in
     the order of its values; the two distance arrays are copies, which the
     caller may overwrite."""
-    if kept is None:
-        return sol.d1sq.copy(), sol.d2sq.copy(), sol.assign
     caches = (sol.d1sq, sol.d2sq, sol.assign) if sol.boxed is None else sol.boxed
     return (kept_values(a, kept, count) for a in caches)
 
 
-def _full_row(sol: Solution, kept: np.ndarray | None, dp: np.ndarray) -> np.ndarray:
+def _full_row(sol: Solution, kept: np.ndarray, dp: np.ndarray) -> np.ndarray:
     """The full pass's row: ``dp`` at the rows the finder kept and +inf
     elsewhere (see the module docstring)."""
-    if kept is None:
-        return dp
     rows = kept if sol.boxed is None else kept_values(sol.ds.boxes.order, kept, dp.size)
     dpsq = np.full(sol.ds.n, np.inf)
     dpsq[rows] = dp
@@ -267,7 +284,7 @@ def _swap_costs(sol: Solution, dpsq: np.ndarray) -> np.ndarray:
 
 
 def _certified(
-    sol: Solution, kept: np.ndarray | None, dp: np.ndarray, admissible: np.ndarray
+    sol: Solution, kept: np.ndarray, dp: np.ndarray, admissible: np.ndarray
 ) -> bool:
     """Whether the certificate of the module docstring proves that no
     admissible swap is strictly cheaper than ``sol.total_cost``, from the
@@ -351,14 +368,11 @@ def _apply_swap(
 
 def _step(sol: Solution, rng: np.random.Generator) -> str:
     """One sampled-swap step on ``sol``, in place; returns the branch it
-    took: ``"accepted"``, ``"is_center"``, ``"inadmissible"``,
-    ``"no_gain"`` or ``"certified"`` (a no-gain rejection the certificate
-    settled)."""
+    took: ``"accepted"``, ``"inadmissible"``, ``"no_gain"`` or
+    ``"certified"`` (a no-gain rejection the certificate settled)."""
     p = _d2_draw(sol.cum, rng)
     if p is None:
         return "no_gain"
-    if p in sol.center_ids:
-        return "is_center"
     covers_p = _zone_row(sol, p)
     admissible = _admissible(sol, covers_p)
     if not admissible.any():
@@ -382,10 +396,10 @@ def ls_step(
     """One sampled-swap step; mutates ``sol`` in place.
 
     Returns the solution and whether a swap was applied.  A zero-cost
-    solution short-circuits (nothing left to sample), and a sampled point
-    that already is a center can only reproduce the current solution, so it
-    is rejected without evaluation, as is a point for which every swap
-    would empty an anchor zone.  Otherwise the step takes the cheapest swap
+    solution short-circuits (nothing left to sample).  The draw never
+    samples a center, whose weight is 0 (:func:`_d2_draw`), and a point
+    for which every swap would empty an anchor zone is rejected without
+    evaluation.  Otherwise the step takes the cheapest swap
     that keeps every anchor zone covered (:func:`swap_costs`), ties going
     to the lowest center id, when it is strictly cheaper; a rejection that
     the certificate of the module docstring settles skips the full pass.
@@ -442,7 +456,6 @@ def run(ds: Dataset, delta: RadiusBounds, cfg: LsConfig) -> tuple[Solution, RunT
         initial_cost=initial,
         costs=costs,
         accepted=accepted,
-        rejected_is_center=branches["is_center"],
         rejected_inadmissible=branches["inadmissible"],
         rejected_no_gain=branches["no_gain"] + branches["certified"],
         certified=branches["certified"],

@@ -74,9 +74,13 @@ class Solution:
     its finder read (``local_search._certified``).  An accepted swap
     refreshes every sum present.
 
-    ``anchor_set`` is :func:`anchors.seed`'s output, and ``center_pos``
-    must be a (k, d) array of the points' d columns
-    (:func:`dataset.check_positions`), else a ValueError.
+    ``anchor_set`` is :func:`anchors.seed`'s output, ``center_pos`` must
+    be a (k, d) array of the points' d columns
+    (:func:`dataset.check_positions`) and ``center_ids``, if given, point
+    ids (:func:`dataset.point_ids`), else a ValueError.  The solution holds
+    the checked copies those return, float64 positions and int64 ids, so
+    the search never writes to the caller's arrays nor truncates a new
+    center to an integer dtype.
 
     Solutions are single-owner: only the loop that created one mutates it.
     """
@@ -97,7 +101,10 @@ class Solution:
     reach: np.ndarray | None = field(init=False)
 
     def __post_init__(self):
-        self.covers = _coverage(self.anchor_set, check_positions(self.center_pos, self.ds.d))
+        self.center_pos = check_positions(self.center_pos, self.ds.d)
+        if self.center_ids is not None:
+            self.center_ids = point_ids(self.ds, self.center_ids)
+        self.covers = _coverage(self.anchor_set, self.center_pos)
         self.cum = np.empty(self.ds.n)
         self.loss = np.empty(self.k)
         self.boxed = self.reach = None
@@ -142,8 +149,7 @@ class Solution:
         :func:`anchors.seed`'s output.  Takes either
         ``center_ids``, a 1-D array of point ids (:func:`dataset.point_ids`),
         or ``center_pos``, a (k, d) array (:func:`dataset.check_positions`);
-        both, neither or anything else is a ValueError.  The array is
-        copied, so the search never writes to the caller's.  A total cost
+        both, neither or anything else is a ValueError.  A total cost
         that overflows (:func:`dataset.check_cost_scale`) is a ValueError
         too, and points whose squared distances underflow are rejected by
         the :class:`dataset.Dataset` constructor, so no solution built
@@ -152,8 +158,7 @@ class Solution:
         if center_pos is None:
             if center_ids is None:
                 raise ValueError("need center ids or positions")
-            center_ids = point_ids(ds, center_ids)
-            center_pos = ds.points[center_ids]
+            center_pos = ds.points[point_ids(ds, center_ids)]
         elif center_ids is not None:
             raise ValueError("pass center_ids or center_pos, not both")
         else:

@@ -38,6 +38,22 @@ def tiny_instance(seed, n_lo=8, n_hi=12, k_hi=3, sigma=0.25, spread=6.0):
     return ds, compute_radii(ds, k), k
 
 
+def record_draws(monkeypatch, module):
+    """Wrap ``module._d2_draw`` so that every draw it makes is kept as
+    ``(index, weight of that index, total)``; returns the list."""
+    draw = module._d2_draw
+    draws = []
+
+    def recording(cum, rng):
+        idx = draw(cum, rng)
+        if idx is not None:
+            draws.append((idx, cum[idx] - (cum[idx - 1] if idx else 0.0), cum[-1]))
+        return idx
+
+    monkeypatch.setattr(module, "_d2_draw", recording)
+    return draws
+
+
 @pytest.fixture
 def line4():
     """The 1-D fixture {0, 1, 10, 11} with generous radii."""

@@ -15,9 +15,10 @@ from fairkmeans import (
     seed,
     vanilla_kmeans,
 )
+from fairkmeans import baselines
 from fairkmeans.metrics import fairness_ratios
 from fairkmeans.refine import lloyd_rounds
-from conftest import gaussian_instance
+from conftest import gaussian_instance, record_draws
 
 
 class TestGreedyBaseline:
@@ -71,6 +72,18 @@ class TestKmeansppInit:
             hit += len(sides) == 2
         # second draw lands in the other cluster w.p. ~4*96^2/(4*96^2+3*9) > 0.999
         assert hit / 1000 >= 0.9
+
+    def test_subnormal_total_draws_a_fresh_point(self, monkeypatch):
+        # once 2**-537 is the only unchosen point its weight 2**-1074 is the
+        # total, which u·total may round up to: the draw still lands on it
+        # and not on a chosen point of weight 0
+        draws = record_draws(monkeypatch, baselines)
+        ds = Dataset(np.array([[0.0], [2.0**-537], [1.0]]))
+        for s in range(40):
+            assert sorted(kmeanspp_init(ds, 3, s).tolist()) == [0, 1, 2]
+            assert len(set(kmeanspp_init(ds, 2, s).tolist())) == 2
+        assert all(weight > 0 for _, weight, _ in draws)
+        assert sum(total <= 2.0**-1022 for _, _, total in draws) >= 20
 
     def test_duplicates_all_points(self):
         ds = Dataset(np.zeros((4, 1)))

@@ -303,8 +303,6 @@ def candidate_row(X, p, bound):
     boxes = box_layout(X)
     reach = None if boxes is None else np.take(bound, boxes.order).max(axis=1)
     kept, values = near_sq_dists(X, p, bound, lift_points(X), boxes, reach)
-    if kept is None:
-        return values
     rows = kept if boxes is None else kept_values(boxes.order, kept, values.size)
     assert np.unique(rows).size == rows.size == values.size
     got = np.full(X.shape[0], np.inf)

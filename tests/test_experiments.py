@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -288,6 +292,23 @@ class TestCli:
         monkeypatch.setattr(cli, "run_experiment", capture)
         assert main(["--input", "x.csv"]) == 1
         assert seen == [ExperimentConfig(input_path="x.csv")]
+
+    def test_module_entry_point(self, blob_csv):
+        # as users run it: a fresh interpreter through __main__.py
+        src = str(Path(cli.__file__).resolve().parents[1])
+        paths = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+        command = [sys.executable, "-m", "fairkmeans"]
+        shown = subprocess.run([*command, "--help"], env=env, capture_output=True, text=True)
+        assert shown.returncode == 0, shown.stderr
+        assert shown.stdout.startswith("usage: fair-kmeans")
+        flags = ["--input", str(blob_csv), "--header", "--k", "3", "--iterations", "20",
+                 "--flloyd-iters", "2", "--trials", "2", "--seed", "5"]
+        ran = subprocess.run([*command, *flags], env=env, capture_output=True, text=True)
+        assert ran.returncode == 0, ran.stderr
+        report = json.loads(ran.stdout)
+        assert len(report["trials"]) == report["feasible_trials"] == 2
+        assert "kmeans_cost" in ran.stderr
 
     def test_success_exit_zero(self, blob_csv, tmp_path, capsys):
         out = tmp_path / "rep.json"

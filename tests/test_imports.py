@@ -1,6 +1,7 @@
 """Import structure of the package: every import sits at module level and
-is used, the public names are exactly what ``__init__.py`` imports, and
-numpy is the only package outside the standard library that it imports.
+is used, the public names are exactly what ``__init__.py`` imports (both
+they and ``RunTrace``'s fields are pinned), and numpy is the only package
+outside the standard library that it imports.
 
 A function-level import is how a circular import gets dodged; keeping them
 out means the module graph stays acyclic and visible at the top of each file.
@@ -10,6 +11,7 @@ An import nothing references is left over from deleted code.
 from __future__ import annotations
 
 import ast
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -101,6 +103,21 @@ PUBLIC = {
 def test_public_names_pinned():
     # a name added to or dropped from the package's surface shows up here
     assert sorted(fairkmeans.__all__) == sorted(PUBLIC)
+
+
+RUN_TRACE_FIELDS = [
+    "initial_cost",
+    "costs",
+    "accepted",
+    "rejected_inadmissible",
+    "rejected_no_gain",
+    "certified",
+]
+
+
+def test_run_trace_fields_pinned():
+    # the trace's fields are public too: a counter added or dropped shows up here
+    assert [f.name for f in dataclasses.fields(fairkmeans.RunTrace)] == RUN_TRACE_FIELDS
 
 
 def package_reads(tree: ast.AST) -> set[tuple[str, ...]]:

@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairkmeans import (
     Dataset,
@@ -26,7 +28,7 @@ from fairkmeans._dist import _nearest_two, _nth_smallest, min_sq_dists
 from fairkmeans.anchors import AnchorSet
 from fairkmeans.local_search import _best_swap
 from fairkmeans.solution import check_guarantee, check_solution
-from conftest import gaussian_instance
+from conftest import gaussian_instance, record_draws
 from test_anchors import make_anchor_set
 from test_dist import ADVERSARIAL, reference_nearest_two
 
@@ -121,6 +123,14 @@ class TestD2Sample:
             local_search._d2_draw(cum, rng)
         assert rng.bit_generator.state == state
 
+    def test_draw_never_lands_on_a_zero_weight(self):
+        # weights [0, 2**-1074, 0]: u·total rounds up to the total for about
+        # half the draws, and those too land on the one positive weight
+        cum = np.cumsum([0.0, 2.0**-1074, 0.0])
+        rng = np.random.default_rng(0)
+        draws = [local_search._d2_draw(cum, rng) for _ in range(2000)]
+        assert draws == [1] * 2000
+
     def test_symmetric_pair_within_3_sigma(self):
         ds = Dataset(np.array([[0.0], [-2.0], [2.0]]))
         aset = make_anchor_set(ds, [0], [1e9])
@@ -130,6 +140,71 @@ class TestD2Sample:
         count = np.count_nonzero(draws == 1)
         sigma = math.sqrt(10_000 * 0.25)
         assert abs(count - 5_000) <= 3 * sigma
+
+
+def clamped_draw(cum, rng):
+    """The reference draw that clamps to the last index: where u·total stays
+    below the total, :func:`local_search._d2_draw` must agree with it."""
+    idx = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+    return min(idx, cum.shape[0] - 1)
+
+
+TINY_WEIGHTS = st.sampled_from([0.0, 2.0**-1074, 3 * 2.0**-1074, 2.0**-1023, 2.0**-1022])
+WEIGHTS = st.one_of(
+    TINY_WEIGHTS,
+    st.floats(0.0, 2.0**-1020, allow_subnormal=True),
+    st.floats(0.0, 1e300, allow_subnormal=True),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(weights=st.lists(WEIGHTS, min_size=1, max_size=12), draw_seed=st.integers(0, 2**32))
+def test_d2_draw_lands_on_positive_weights(weights, draw_seed):
+    # zeros, subnormals and totals at or below 2**-1022, where u·total may
+    # round up to the total
+    weights = np.array(weights)
+    cum = np.cumsum(weights)
+    rng = np.random.default_rng(draw_seed)
+    twin = copy.deepcopy(rng)
+    got = local_search._d2_draw(cum, rng)
+    if not cum[-1] > 0:
+        assert got is None and rng.bit_generator.state == twin.bit_generator.state
+        return
+    assert weights[got] > 0
+    if cum[-1] > 2.0**-1022:
+        assert got == clamped_draw(cum, twin)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
+class _LastDraw:
+    """A generator stand-in whose uniform draw is the largest one."""
+
+    @staticmethod
+    def random():
+        return 1 - 2.0**-53
+
+
+@pytest.mark.parametrize(
+    "weights, want",
+    [
+        ([0.0, 2.0**-1074, 0.0], 1),
+        ([2.0**-1074, 0.0, 0.0, 2.0**-1074, 0.0], 3),
+        ([2.0**-1023, 2.0**-1023, 0.0], 1),
+        ([2.0**-1040, 0.0, 2.0**-1030, 0.0], 2),
+    ],
+)
+def test_d2_draw_rounding_up_to_the_total(weights, want):
+    # u·total rounds up to the total: the first index whose cumsum reaches it
+    cum = np.cumsum(weights)
+    assert _LastDraw.random() * cum[-1] == cum[-1]
+    assert local_search._d2_draw(cum, _LastDraw) == want
+
+
+@pytest.mark.parametrize("total", [np.nextafter(2.0**-1022, 1), 2.0**-1021, 3.0, 1e300])
+def test_d2_draw_stays_below_totals_above_2_1022(total):
+    # the proof's bound: the largest draw rounds to a float below the total
+    assert _LastDraw.random() * total < total
+    assert _LastDraw.random() * 2.0**-1022 == 2.0**-1022
 
 
 class TestConfigs:
@@ -196,6 +271,26 @@ class TestSolutionBuild:
             ls_step(sol, aset, rng)
         assert not np.array_equal(sol.center_ids, ids)
         assert np.array_equal(given, ids)
+
+    def test_constructor_holds_checked_copies(self):
+        # a directly built solution holds float64 and int64 copies: the
+        # search writes its swaps into neither of the caller's arrays, and
+        # int64 positions do not truncate a new center off its id
+        X = np.random.default_rng(8).integers(-8, 8, size=(150, 2)) + 0.25
+        ds = Dataset(np.concatenate([X, [[-20.0, -20.0], [20.0, 20.0]]]))
+        ids = np.array([150, 151], dtype=np.int32)
+        pos = ds.points[ids].astype(np.int64)
+        given_ids, given_pos = ids.copy(), pos.copy()
+        nearest = _dist.two_nearest(ds.points, ds.points[ids])
+        no_zones = AnchorSet(np.empty(0, dtype=np.int64), np.empty((0, 2)), np.empty(0), 3.0)
+        sol = Solution(ds, no_zones, ids, pos, *nearest, float(nearest[2].sum()))
+        assert sol.center_pos.dtype == np.float64 and sol.center_ids.dtype == np.int64
+        rng = np.random.default_rng(1)
+        took = [ls_step(sol, None, rng)[1] for _ in range(100)]
+        assert sum(took) >= 2
+        check_solution(sol)
+        assert np.array_equal(ids, given_ids) and np.array_equal(pos, given_pos)
+        assert np.all(sol.center_pos % 1 == 0.25)
 
     def test_ids_and_positions_together_refused(self):
         # given both, the ids used to be stored unchecked: ids [-7, 2.5, 1e9, 0]
@@ -480,7 +575,7 @@ class TestSearchState:
             assert np.array_equal(filtered[1].costs, other[1].costs)
             assert np.array_equal(filtered[1].accepted, other[1].accepted)
             assert filtered[2] == other[2]
-            for name in ("rejected_is_center", "rejected_inadmissible", "rejected_no_gain"):
+            for name in ("rejected_inadmissible", "rejected_no_gain"):
                 assert getattr(filtered[1], name) == getattr(other[1], name)
             assert other[1].certified == 0
         # run releases the search's box-ordered copies
@@ -658,11 +753,10 @@ class TestRejectionCounts:
         ds, delta, k = gaussian_instance(110 + d, n=500, k=6, d=d)
         cfg = LsConfig(k=k, iterations=120, seed=5)
         first, again = run(ds, delta, cfg)[1], run(ds, delta, cfg)[1]
-        rejected = (first.rejected_is_center, first.rejected_inadmissible, first.rejected_no_gain)
+        rejected = (first.rejected_inadmissible, first.rejected_no_gain)
         assert sum(rejected) == 120 - first.accepted_count
         assert 0 < first.certified <= first.rejected_no_gain
         assert rejected + (first.certified,) == (
-            again.rejected_is_center,
             again.rejected_inadmissible,
             again.rejected_no_gain,
             again.certified,
@@ -675,19 +769,30 @@ class TestRejectionCounts:
         aset = make_anchor_set(ds, [0], [3.0])
         monkeypatch.setattr(local_search, "seed", lambda ds, delta, gamma: aset)
         _, trace = run(ds, RadiusBounds(np.full(2, 10.0)), LsConfig(k=1, iterations=5))
-        counts = (trace.rejected_is_center, trace.rejected_inadmissible, trace.rejected_no_gain)
-        assert counts == (0, 5, 0) and trace.certified == 0
+        counts = (trace.rejected_inadmissible, trace.rejected_no_gain)
+        assert counts == (5, 0) and trace.certified == 0
 
-    def test_is_center_and_zero_cost_counted(self, monkeypatch):
+    def test_zero_cost_counted(self):
         # at k = n the cost is 0 and nothing is drawn, which counts as no
-        # gain; a D² draw never lands on a center, whose weight is 0, so a
-        # draw of one is planted
+        # gain
         ds, delta, k = gaussian_instance(90, n=12, k=12)
         _, trace = run(ds, delta, LsConfig(k=k, iterations=4))
-        assert (trace.rejected_is_center, trace.rejected_no_gain, trace.certified) == (0, 4, 0)
-        monkeypatch.setattr(local_search, "_d2_draw", lambda cum, rng: 0)
-        _, trace = run(ds, delta, LsConfig(k=k, iterations=4))
-        assert (trace.rejected_is_center, trace.rejected_no_gain) == (4, 0)
+        assert (trace.rejected_no_gain, trace.certified) == (4, 0)
+
+    @pytest.mark.parametrize("seed, ids", [(1, [2, 1]), (4242, [0, 2])])
+    def test_subnormal_total_never_draws_a_center(self, monkeypatch, seed, ids):
+        # the total cost 2**-1074 lets u·total round up to the total; the
+        # draw still lands on the one point of positive weight, never on a
+        # center, and the search ends on the same centers
+        draws = record_draws(monkeypatch, local_search)
+        ds = Dataset(np.array([[0.0], [2.0**-537], [1.0]]))
+        delta = compute_radii(ds, 2)
+        sol, trace = run(ds, delta, LsConfig(k=2, iterations=50, seed=seed))
+        check_solution(sol, delta)
+        assert sol.center_ids.tolist() == ids
+        assert len(draws) == 50 and all(weight > 0 for _, weight, _ in draws)
+        assert sum(total <= 2.0**-1022 for _, _, total in draws) >= 20
+        assert trace.rejected_inadmissible + trace.rejected_no_gain == 50 - trace.accepted_count
 
 
 class TestCheckGuarantee:
