@@ -4,10 +4,14 @@ Each search step is one distance pass over the points plus constant-size
 bookkeeping per center, so a fixed iteration budget scales about linearly
 with n.  This script times the full pipeline (sampled radii, seeding, 300
 steps, refinement) over doubling dataset sizes and fits the exponent.
-Expect a value near 1.
+Expect a value near 1.  Memory is linear in n too: beside each time it
+prints the peak that tracemalloc counts for a second solve (the points and
+the box layout the first solve built for them excluded), which grows with
+n, as the per-point arrays do.
 """
 
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -28,7 +32,13 @@ for n in sizes:
     flloyd_run(ds, sol, cfg=FlConfig(iterations=20))
     elapsed = time.perf_counter() - t0
     times.append(elapsed)
-    print(f"n={n:>6}: {elapsed:6.2f}s  (cost {sol.total_cost:.0f})")
+    # a second, traced solve: tracemalloc slows the allocations it counts
+    tracemalloc.start()
+    sol, _ = run(ds, delta, LsConfig(k=k, iterations=300, seed=0))
+    flloyd_run(ds, sol, cfg=FlConfig(iterations=20))
+    peak = tracemalloc.get_traced_memory()[1] / 1e6
+    tracemalloc.stop()
+    print(f"n={n:>6}: {elapsed:6.2f}s  peak {peak:5.1f} MB  (cost {sol.total_cost:.0f})")
 
 slope = np.polyfit(np.log(sizes), np.log(times), 1)[0]
 print(f"\nfitted time ~ n^{slope:.2f}")

@@ -42,9 +42,12 @@ filter serves, through one core:
 * the search's distance pass for a candidate at d > 2
   (:func:`near_sq_dists`);
 * every nearest-two pass (:func:`two_nearest`, its rank-2 cut, read off
-  by :func:`_nearest_two` before it leaves the module):
-  ``solution.Solution.build``, so ``init_solution``, ``greedy_baseline``
-  and ``check_solution``; an accepted swap's k-scan; and ``refine.assign``.
+  one row block at a time by :func:`_nearest_two` before it leaves the
+  module): ``solution.Solution.build``, so ``init_solution``,
+  ``greedy_baseline`` and ``check_solution``; an accepted swap's k-scan;
+  and the refined solution's caches;
+* every nearest pass (:func:`nearest`, its rank-1 cut, read off by
+  ``argmin``): refinement's rounds and ``refine.assign``.
 
 :func:`lift_points` alone decides where the filter applies, and every
 filtered function returns the kernel's values where it declines;
@@ -67,9 +70,9 @@ candidate is at most the largest bound of their rows.
 finder: the lift, the box layout, or every row.
 
 The passes that read every entry take the full kernel: refinement's
-incremental (n, k) matrix (``refine.lloyd_rounds``, whose last matrix
-:func:`_nearest_two` reads for the refined solution), the zone tests
-against anchors, the brute-force oracle and ``aspect_ratio``.
+moved centers against the rows whose nearest center stayed
+(``refine.lloyd_rounds``, in row blocks of :func:`sq_dist_blocks`), the
+zone tests against anchors, the brute-force oracle and ``aspect_ratio``.
 """
 
 from __future__ import annotations
@@ -117,21 +120,29 @@ def sq_dist_matrix(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return out
 
 
-def sq_dist_blocks(points: np.ndarray, centers: np.ndarray):
+def sq_dist_blocks(points: np.ndarray, centers: np.ndarray, ids: np.ndarray | None = None):
     """Yield ``(start, block)``: the squared distances from
     ``points[start : start + len(block)]`` to ``centers``, in row blocks of
-    at most ``chunk_rows(k)`` rows.
+    at most ``chunk_rows(k)`` rows; with ``ids``, from the rows
+    ``points[ids[start : start + len(block)]]``, gathered block by block
+    into blocks of at most ``chunk_rows(k + d)`` rows.
 
     Every block is a view of one buffer that the next block overwrites, so
     consume (or copy) each block before asking for the next; the caller may
     modify it in place.  Entries are bit-identical to :func:`sq_dist_matrix`.
     """
-    n = points.shape[0]
-    step = chunk_rows(centers.shape[0])
-    buffer = np.empty((min(step, n), centers.shape[0]), dtype=np.float64)
-    diff = _scratch(points[:step], centers)
+    k = centers.shape[0]
+    n = points.shape[0] if ids is None else ids.size
+    step = chunk_rows(k if ids is None else k + points.shape[1])
+    buffer = np.empty((min(step, n), k), dtype=np.float64)
+    diff = _scratch(points[: min(step, n)], centers)
+    gathered = None if ids is None else np.empty((min(step, n), points.shape[1]))
     for start in range(0, n, step):
-        rows = points[start : start + step]
+        if ids is None:
+            rows = points[start : start + step]
+        else:
+            part = ids[start : start + step]
+            rows = np.take(points, part, axis=0, out=gathered[: part.size])
         block = buffer[: rows.shape[0]]
         _fill(rows, centers, block, diff)
         yield start, block
@@ -524,8 +535,8 @@ def _ranked_estimates(points: np.ndarray, lift: Lift, rank: int):
     """Yield ``(start, rows, est, T)`` for the row blocks
     ``rows = points[start : start + chunk_rows(m)]``: ``est`` holds their
     estimates F against the m references of ``lift`` (a view of a buffer
-    the next block overwrites) and ``T`` the rank-th smallest F of each
-    row, as a column."""
+    the next block overwrites, and the caller may) and ``T`` the rank-th
+    smallest F of each row, as a column."""
     n = points.shape[0]
     step = chunk_rows(lift.cols.shape[1])
     estimate = np.empty((min(step, n), lift.cols.shape[1]))
@@ -672,29 +683,60 @@ def two_nearest(points: np.ndarray, centers: np.ndarray):
     """``(assign, assign2, d1sq, d2sq)``: the slot and squared distance of
     each point's nearest and second-nearest center, ties going to the lower
     slot, as :func:`_nearest_two` reads them off :func:`sq_dist_matrix`
-    (``assign2 = -1`` and ``d2sq = inf`` for one center).  Where the filter
-    declines (:func:`lift_points` of ``centers`` with ``points`` as its
-    rows, which declines at most two centers, since the cut would keep
-    both), that is how they are computed.
+    (``assign2 = -1`` and ``d2sq = inf`` for one center), one row block of
+    :func:`_cut_blocks` at rank 2 at a time.  A row's read-off depends on
+    that row alone, so no (n, k) array is made."""
+    n = points.shape[0]
+    assign, assign2 = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
+    d1sq, d2sq = np.empty(n), np.empty(n)
+    for start, block in _cut_blocks(points, centers, 2):
+        part = slice(start, start + block.shape[0])
+        assign[part], assign2[part], d1sq[part], d2sq[part] = _nearest_two(block)
+    return assign, assign2, d1sq, d2sq
 
-    Otherwise this is :func:`ranked_sq_dist`'s upper cut at rank 2: a
-    center whose estimate exceeds the row's second-smallest estimate T by
-    more than 2e is strictly farther than the second-nearest center, so it
-    gets +inf and every center at or below that distance its kernel value,
-    and the read-off gives the kernel's slots and values, ties included.
-    Rows are cut in blocks of ``chunk_rows(k)`` (:func:`_ranked_estimates`),
-    so no (n, k) array is live beside the cut one, which never leaves this
-    function.
+
+def nearest(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(assign, d1sq)``: the slot and squared distance of each point's
+    nearest center, the lowest slot on ties, as ``argmin`` reads them off
+    :func:`sq_dist_matrix`: :func:`two_nearest`'s first and third fields,
+    from :func:`_cut_blocks` at rank 1."""
+    n = points.shape[0]
+    assign, d1sq = np.empty(n, dtype=np.intp), np.empty(n)
+    for start, block in _cut_blocks(points, centers, 1):
+        part = slice(start, start + block.shape[0])
+        np.argmin(block, axis=1, out=assign[part])
+        d1sq[part] = np.take_along_axis(block, assign[part, None], axis=1)[:, 0]
+    return assign, d1sq
+
+
+def _cut_blocks(points: np.ndarray, centers: np.ndarray, rank: int):
+    """Yield ``(start, block)``, as :func:`sq_dist_blocks` does: each row of
+    ``block`` holds the kernel values from ``points[start + i]`` to every
+    center at most as far as its rank-th nearest, and +inf or the kernel
+    value for every other center, so that the smallest ``rank`` entries of
+    each row, slots and ties included, are those of :func:`sq_dist_matrix`.
+    Every block is a view of one (chunk, k) buffer that the next block
+    overwrites.
+
+    Where the filter declines (:func:`lift_points` of ``centers`` with
+    ``points`` as its rows, which declines at most two centers, since the
+    cut would keep both), the blocks are :func:`sq_dist_blocks`' own.
+    Otherwise this is :func:`ranked_sq_dist`'s upper cut: a center whose
+    estimate exceeds the row's rank-th smallest estimate T by more than 2e
+    is strictly farther than the rank-th nearest center, so it gets +inf,
+    and every center at or below that distance its kernel value.  The cut
+    is written over the block's estimates once it has read them.
     """
-    k = centers.shape[0]
     lift = lift_points(centers, rows=points)
     if lift is None:
-        return _nearest_two(sq_dist_matrix(points, centers))
-    cut = np.full((points.shape[0], k), np.inf)
-    for start, rows, est, T in _ranked_estimates(points, lift, 2):
+        yield from sq_dist_blocks(points, centers)
+        return
+    k = centers.shape[0]
+    for start, rows, est, T in _ranked_estimates(points, lift, rank):
         b = rows.shape[0]
         high = T + 2 * lift.slack[start : start + b, None]
         flat = np.flatnonzero(est <= high)
         owner, col = np.divmod(flat, k)
-        cut[start : start + b].flat[flat] = _pair_sq_dists(rows, centers, owner, col)
-    return _nearest_two(cut)
+        est.fill(np.inf)
+        est.flat[flat] = _pair_sq_dists(rows, centers, owner, col)
+        yield start, est

@@ -100,6 +100,12 @@ class ExperimentConfig:
 
 @dataclass
 class TrialRecord:
+    """One trial's outcome.  The search's counts, ``accepted_swaps`` and
+    ``RunTrace``'s ``rejected_inadmissible``, ``rejected_no_gain`` and
+    ``certified``, are None for the vanilla and greedy trials, which run no
+    search; like every field but ``wall_time_seconds`` they are
+    deterministic per seed."""
+
     trial: int
     seed: int
     feasible: bool
@@ -109,6 +115,9 @@ class TrialRecord:
     bound_ratio: float | None = None
     bound_witness: int | None = None
     accepted_swaps: int | None = None
+    rejected_inadmissible: int | None = None
+    rejected_no_gain: int | None = None
+    certified: int | None = None
     cost_trace: list[float] = field(default_factory=list)
     flloyd_cost_trace: list[float] | None = None
     error: str | None = None
@@ -242,15 +251,16 @@ def _resolve_delta(cfg: ExperimentConfig, ds: Dataset) -> RadiusBounds:
 
 def _run_trial(cfg: ExperimentConfig, ds: Dataset, delta: RadiusBounds | None, trial: int):
     """Returns (center positions, ls trace list, flloyd trace list or None,
-    accepted swap count or None).  ``delta`` is None only for vanilla
-    trials, which read no radii."""
+    the search's counts as :class:`TrialRecord` fields, empty without a
+    search).  ``delta`` is None only for vanilla trials, which read no
+    radii."""
     tseed = cfg.seed + trial
     if cfg.algorithm == "vanilla":
         positions, trace = vanilla_kmeans(ds, cfg.k, tseed)
-        return positions, trace.tolist(), None, None
+        return positions, trace.tolist(), None, {}
     if cfg.algorithm == "greedy":
         sol = greedy_baseline(ds, delta, cfg.gamma, cfg.k, tseed)
-        return sol.center_pos, [sol.total_cost], None, None
+        return sol.center_pos, [sol.total_cost], None, {}
     ls_cfg, fl_cfg = cfg._stages(tseed)
     sol, trace = run(ds, delta, ls_cfg)
     ls_trace = [trace.initial_cost] + trace.costs.tolist()
@@ -258,7 +268,13 @@ def _run_trial(cfg: ExperimentConfig, ds: Dataset, delta: RadiusBounds | None, t
     if cfg.flloyd_iters > 0:
         sol, fl = flloyd_run(ds, sol, cfg=fl_cfg)
         fl_trace = fl.tolist()
-    return sol.center_pos, ls_trace, fl_trace, trace.accepted_count
+    counts = {
+        "accepted_swaps": trace.accepted_count,
+        "rejected_inadmissible": trace.rejected_inadmissible,
+        "rejected_no_gain": trace.rejected_no_gain,
+        "certified": trace.certified,
+    }
+    return sol.center_pos, ls_trace, fl_trace, counts
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -283,7 +299,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     for i in range(cfg.trials):
         t0 = time.perf_counter()
         try:
-            positions, ls_trace, fl_trace, swaps = _run_trial(cfg, ds, delta, i)
+            positions, ls_trace, fl_trace, counts = _run_trial(cfg, ds, delta, i)
         except InfeasibleInstanceError as exc:
             records.append(
                 TrialRecord(
@@ -310,9 +326,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                 kmedian_cost=fsum(dist),
                 bound_ratio=ratio,
                 bound_witness=witness,
-                accepted_swaps=swaps,
                 cost_trace=ls_trace,
                 flloyd_cost_trace=fl_trace,
+                **counts,
             )
         )
 

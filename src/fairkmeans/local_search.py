@@ -447,8 +447,8 @@ def run(ds: Dataset, delta: RadiusBounds, cfg: LsConfig) -> tuple[Solution, RunT
         branches[branch] += 1
         costs[i] = sol.total_cost
         accepted[i] = branch == "accepted"
-    # only the search reads its box-ordered copies: refinement, which
-    # allocates an (n, k) matrix next, need not hold them
+    # only the search reads its box-ordered copies: refinement need not
+    # hold them beside its own per-point arrays
     sol.boxed = sol.reach = None
 
     check_guarantee(sol, delta)

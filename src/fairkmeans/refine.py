@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._dist import _nearest_two, fsum, sq_dist_blocks, sq_dist_matrix, sq_dists, two_nearest
+from ._dist import fsum, nearest, sq_dist_blocks, sq_dists, two_nearest
 from .anchors import AnchorSet, clamped_moves
 from .dataset import (
     Dataset,
@@ -41,12 +41,12 @@ class FlConfig:
 def assign(ds: Dataset, centers: np.ndarray) -> np.ndarray:
     """Index of the nearest center for every point, lowest index on ties.
     ``centers`` are point ids or (k, d) positions
-    (:func:`dataset.center_positions`).  The nearest
-    slots of the nearest-two pass (``_dist.two_nearest``), which are the
-    kernel's.  A nearest squared distance that overflows float64 is
+    (:func:`dataset.center_positions`).  The slots of the nearest pass
+    (``_dist.nearest``), which are the kernel's.  A nearest squared
+    distance that overflows float64 is
     :func:`dataset.check_distance_overflow`'s ValueError: every far center
     would then tie at inf and the point go to the lowest slot."""
-    labels, _, d1sq, _ = two_nearest(ds.points, center_positions(ds, centers))
+    labels, d1sq = nearest(ds.points, center_positions(ds, centers))
     check_distance_overflow(d1sq)
     return labels
 
@@ -75,14 +75,13 @@ def lloyd_rounds(
 
     Returns the final positions, the cost trace (the entry cost plus one
     value per round) and each point's nearest and second-nearest center at
-    the final positions, ``(assign, assign2, d1sq, d2sq)`` as the
-    nearest-two pass gives them, read off the loop's last matrix by the
-    pass's read-off (``_dist._nearest_two``).  An empty cluster keeps its
-    center, and a move is kept only when its cluster's recomputed cost
-    strictly improves, which makes the trace non-increasing in float
-    arithmetic as well as in exact arithmetic.  A positive ``rel_tol`` stops
-    once a round's relative improvement drops to it or below.  An entry
-    cost that overflows float64 is a ValueError
+    the final positions, ``(assign, assign2, d1sq, d2sq)``, from one
+    nearest-two pass (``_dist.two_nearest``) after the rounds.  An empty
+    cluster keeps its center, and a move is kept only when its cluster's
+    recomputed cost strictly improves, which makes the trace non-increasing
+    in float arithmetic as well as in exact arithmetic.  A positive
+    ``rel_tol`` stops once a round's relative improvement drops to it or
+    below.  An entry cost that overflows float64 is a ValueError
     (:func:`dataset.check_cost_scale`).
 
     A round in which no center moves is a fixed point: positions, and so
@@ -90,27 +89,30 @@ def lloyd_rounds(
     every later round would repeat it.  The loop stops there.  With
     ``rel_tol = 0`` the trace still gets one entry per remaining round (the
     unchanged cost), so it always has ``iterations + 1`` entries; with a
-    positive ``rel_tol`` it gets one, the zero-improvement stop.  Otherwise
-    a round re-measures only the columns of the centers that moved: a
-    kernel entry never depends on the other centers, so ``M`` stays equal
-    to ``sq_dist_matrix(X, positions)``.
+    positive ``rel_tol`` it gets one, the zero-improvement stop.
     """
     positions = centers.copy()
-    M = sq_dist_matrix(X, positions)
-    trace = _rounds(X, positions, M, anchor_set, iterations, rel_tol)
-    # read off once the rounds' per-point arrays are freed, so that it takes
-    # no more memory than a round
-    return positions, trace, _nearest_two(M)
+    trace = _rounds(X, positions, anchor_set, iterations, rel_tol)
+    return positions, trace, two_nearest(X, positions)
 
 
-def _rounds(X, positions, M, anchor_set, iterations, rel_tol) -> np.ndarray:
+def _rounds(X, positions, anchor_set, iterations, rel_tol) -> np.ndarray:
     """The loop of :func:`lloyd_rounds`, with its arguments: moves
-    ``positions`` and re-measures their columns of ``M`` in place, and
-    returns the trace."""
+    ``positions`` in place and returns the trace.
+
+    The loop keeps each point's nearest slot and squared distance, as
+    ``argmin`` reads them off ``sq_dist_matrix(X, positions)``, and never
+    that matrix: the entry pass is the filtered nearest pass
+    (``_dist.nearest``), and after a round moves some centers a kernel
+    entry changes only in their columns.  A row whose nearest center stayed
+    keeps its value against every other center that stayed, so it is
+    compared, in row blocks, against the moved centers alone; it switches
+    to the nearest of them on a strictly smaller value, or on an equal one
+    at a lower slot, which is argmin's own rule.  A row whose nearest
+    center moved gets one nearest pass against every center.
+    """
     k = positions.shape[0]
-    rows = np.arange(X.shape[0])
-    labels = np.argmin(M, axis=1)
-    d1sq = M[rows, labels]
+    labels, d1sq = nearest(X, positions)
     total = fsum(d1sq)
     check_cost_scale(total)
     trace = [total]
@@ -131,12 +133,9 @@ def _rounds(X, positions, M, anchor_set, iterations, rel_tol) -> np.ndarray:
         if not moved:
             trace.extend([total] * (1 if rel_tol > 0 else iterations - done))
             break
+        moved = np.asarray(moved)
         positions[moved] = candidates[moved]
-        # in row blocks, so no second (n, k) array is live beside M
-        for start, block in sq_dist_blocks(X, positions[moved]):
-            M[start : start + block.shape[0], moved] = block
-        labels = np.argmin(M, axis=1)
-        d1sq = M[rows, labels]
+        _reassign(X, positions, moved, labels, d1sq)
         new_total = fsum(d1sq)
         trace.append(new_total)
         improvement = total - new_total
@@ -144,6 +143,28 @@ def _rounds(X, positions, M, anchor_set, iterations, rel_tol) -> np.ndarray:
         if rel_tol > 0 and improvement <= rel_tol * max(total, 1e-300):
             break
     return np.asarray(trace)
+
+
+def _reassign(X, positions, moved, labels, d1sq) -> None:
+    """Update ``labels`` and ``d1sq`` in place once the centers in
+    ``moved`` (ascending slots) have taken their new ``positions``, as
+    :func:`_rounds` describes."""
+    left = np.zeros(positions.shape[0], dtype=bool)
+    left[moved] = True
+    left = left[labels]  # the rows whose nearest center moved
+    stay = np.flatnonzero(~left)
+    for start, block in sq_dist_blocks(X, positions[moved], stay):
+        rows = stay[start : start + block.shape[0]]
+        nearest_moved = np.argmin(block, axis=1)
+        value = np.take_along_axis(block, nearest_moved[:, None], axis=1)[:, 0]
+        slot = moved[nearest_moved]
+        old = d1sq[rows]
+        switch = (value < old) | ((value == old) & (slot < labels[rows]))
+        labels[rows[switch]] = slot[switch]
+        d1sq[rows[switch]] = value[switch]
+    rows = np.flatnonzero(left)
+    if rows.size:
+        labels[rows], d1sq[rows] = nearest(np.take(X, rows, axis=0), positions)
 
 
 def flloyd_run(ds: Dataset, sol: Solution, *, cfg: FlConfig | None = None):
@@ -155,11 +176,11 @@ def flloyd_run(ds: Dataset, sol: Solution, *, cfg: FlConfig | None = None):
     non-increasing.  Refinement stops computing at its fixed point, the
     first round in which no center moves; the rounds after it repeat the
     last cost in the trace (:func:`lloyd_rounds`).  The refined solution's
-    nearest-two caches are those :func:`lloyd_rounds` reads off its last
-    matrix, equal to :meth:`Solution.build`'s at the final positions without
-    a second pass, its D² cumsum is built from them, and its ``total_cost``
-    is the trace's last, correctly rounded, entry.  ``ds`` must be
-    ``sol.ds``, else a ValueError.
+    nearest-two caches are those of :func:`lloyd_rounds`' one nearest-two
+    pass at the final positions, equal to :meth:`Solution.build`'s, its D²
+    cumsum is built from them, and its ``total_cost`` is the trace's last,
+    correctly rounded, entry.  ``ds`` must be ``sol.ds``, else a
+    ValueError.
 
     ``iterations = 0`` returns the input solution unchanged.
     """

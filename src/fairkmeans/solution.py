@@ -1,11 +1,10 @@
 """A center set with the caches the search and refinement stages share.
 
 :class:`Solution` holds the centers plus each point's nearest and
-second-nearest center, which :meth:`Solution.build` takes from the one
-nearest-two pass (``_dist.two_nearest``) and a refined solution from the
-pass's read-off of refinement's last matrix.  The D² cumsum the search
-draws from, the per-slot removal costs its certificate reads and the
-anchor-zone coverage table are built from those fields by the constructor
+second-nearest center, which :meth:`Solution.build` and a refined solution
+take from the one nearest-two pass (``_dist.two_nearest``).  The D² cumsum
+the search draws from, the per-slot removal costs its certificate reads and
+the anchor-zone coverage table are built from those fields by the constructor
 itself, never passed in, and so are, at d <= 2, the search's box-ordered
 copies, on the search's first row pass; the points' filter lift and box
 layout depend on the points alone and belong to the dataset

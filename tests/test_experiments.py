@@ -18,6 +18,7 @@ from fairkmeans import (
     compute_radii,
     cost,
     load_points,
+    run,
     run_experiment,
 )
 from fairkmeans.cli import main
@@ -97,6 +98,29 @@ class TestRunExperiment:
         rep = run_experiment(base_config(blob_csv, algorithm="vanilla", trials=2))
         assert rep.feasible_trials == 2
         assert rep.trials[0].accepted_swaps is None
+
+    def test_trials_report_the_search_counts(self, blob_csv):
+        # a search trial's counts are its RunTrace's; trials without a
+        # search have none, and no count is aggregated or tabled
+        counts = ("rejected_inadmissible", "rejected_no_gain", "certified")
+        cfg = base_config(blob_csv)
+        rep = run_experiment(cfg)
+        ds = load_points(blob_csv, header=True)
+        delta = compute_radii(ds, cfg.k)
+        for trial in rep.trials:
+            _, trace = run(ds, delta, cfg._stages(trial.seed)[0])
+            assert trial.accepted_swaps == trace.accepted_count
+            assert [getattr(trial, c) for c in counts] == [getattr(trace, c) for c in counts]
+            rejected = trial.rejected_inadmissible + trial.rejected_no_gain
+            assert trial.accepted_swaps + rejected == cfg.iterations
+        assert sum(t.rejected_no_gain for t in rep.trials) > 0
+        assert not set(counts) & set(rep.aggregates)
+        assert all(c not in rep.text_table() for c in counts)
+        assert strip_timing(run_experiment(cfg).to_dict()) == strip_timing(rep.to_dict())
+        for algorithm in ("vanilla", "greedy"):
+            other = run_experiment(base_config(blob_csv, algorithm=algorithm))
+            for trial in other.trials:
+                assert [getattr(trial, c) for c in counts] == [None, None, None]
 
     def test_subsample_and_eval_on_full(self, blob_csv):
         rep = run_experiment(

@@ -84,6 +84,13 @@ def test_builds_and_scores_take_the_filtered_pass(module):
     assert not dist_imports(module) & {"sq_dist_matrix", "sq_dist_blocks"}
 
 
+def test_refinement_keeps_no_distance_matrix():
+    # refinement keeps each point's nearest slot and distance, never the
+    # (n, k) matrix: it reads rows off in blocks, so it neither builds the
+    # full kernel matrix nor reads the nearest two off one
+    assert not dist_imports("refine.py") & {"sq_dist_matrix", "_nearest_two"}
+
+
 def test_one_nearest_two_read_off():
     # each row's two nearest centers are read off the filter's cut in one
     # place, _dist._nearest_two (argmin, mask with inf, argmin, restore),

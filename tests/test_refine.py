@@ -1,5 +1,4 @@
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -22,6 +21,7 @@ from fairkmeans import (
 )
 from fairkmeans._dist import sq_dist_matrix, sq_dists
 from fairkmeans.anchors import AnchorSet, _move, clamped_moves
+from fairkmeans import refine
 from fairkmeans.refine import cluster_means, lloyd_rounds
 from fairkmeans.solution import RADIUS_SLACK
 from conftest import gaussian_instance
@@ -206,29 +206,48 @@ class TestFlloydRun:
         assert refined.total_cost == trace[-1]
 
     def test_one_kernel_pass_per_round(self, monkeypatch):
-        # the entry pass measures all k centers; each later round measures
-        # only the centers that moved, and the first round where none moved
-        # is the fixed point, after which the kernel is not called again:
-        # the refined solution's caches are read off the loop's last matrix
+        # the entry pass finds every row's nearest center; a round measures
+        # the centers that moved only against the rows whose nearest center
+        # stayed, and gives the rows whose nearest center moved one nearest
+        # pass against every center; the first round where none moved is
+        # the fixed point, after which the kernel is not called again; one
+        # nearest-two pass at the final positions gives the caches
         ds, delta, k = gaussian_instance(31, n=200)
         sol, _ = run(ds, delta, LsConfig(k=k, iterations=20, seed=1))
-        passes = []
-        for name, module in list(sys.modules.items()):
-            for kernel in ("sq_dist_matrix", "sq_dist_blocks"):
-                if name.startswith("fairkmeans") and hasattr(module, kernel):
+        calls = []
 
-                    def counting(points, centers, original=getattr(module, kernel)):
-                        if points is ds.points:
-                            passes.append(centers.shape[0])
-                        return original(points, centers)
+        def spy(name):
+            def counting(points, centers, *ids, original=getattr(refine, name)):
+                calls.append((name, points, centers.shape[0], *ids))
+                return original(points, centers, *ids)
 
-                    monkeypatch.setattr(module, kernel, counting)
+            monkeypatch.setattr(refine, name, counting)
+
+        for name in ("nearest", "sq_dist_blocks", "two_nearest"):
+            spy(name)
         _, trace = flloyd_run(ds, sol, cfg=FlConfig(iterations=5))
         _, want, _, moved = reference_lloyd_rounds(
             ds.points, sol.center_pos, sol.anchor_set, 5, 0.0
         )
         assert 0 in moved and moved[0] > 0
-        assert passes == [k] + moved[: moved.index(0)]
+        expected = [("nearest", ds.points, k)]
+        both = 0
+        for r in range(moved.index(0)):
+            before = reference_lloyd_rounds(ds.points, sol.center_pos, sol.anchor_set, r, 0.0)
+            after = reference_lloyd_rounds(ds.points, sol.center_pos, sol.anchor_set, r + 1, 0.0)
+            slots = np.flatnonzero((after[0] != before[0]).any(axis=1))
+            left = np.isin(np.argmin(before[2], axis=1), slots)
+            expected.append(("sq_dist_blocks", ds.points, slots.size, np.flatnonzero(~left)))
+            if left.any():
+                expected.append(("nearest", ds.points[left], k))
+            both += left.any() and not left.all()
+        expected.append(("two_nearest", ds.points, k))
+        assert both > 0
+        assert len(calls) == len(expected)
+        for got, wanted in zip(calls, expected):
+            assert got[0] == wanted[0] and got[2] == wanted[2]
+            for a, b in zip(got[1:2] + got[3:], wanted[1:2] + wanted[3:]):
+                assert np.array_equal(a, b), got[0]
         assert hexes(trace) == hexes(want)
 
     def test_foreign_dataset_rejected(self):
@@ -283,6 +302,22 @@ class TestLloydRounds:
                     assert a.dtype == b.dtype and np.array_equal(a, b), (case, field)
                 if rel_tol == 0:
                     assert len(trace) == iterations + 1, case
+
+    @pytest.mark.parametrize("start", [[[0.0], [5.0]], [[5.0], [0.0]]])
+    def test_ties_with_moved_centers_go_to_the_lower_slot(self, start):
+        # the center at 5 moves to 4, the mean of 3 and 5, and the one at 0
+        # stays; the point at 2, whose nearest center stayed, is then as far
+        # from both: it keeps slot 0, or switches to the moved slot 0, and
+        # the next round's means depend on which
+        X = np.array([[-2.0], [0.0], [2.0], [3.0], [5.0]])
+        centers = np.array(start)
+        first = reference_lloyd_rounds(X, centers, None, 1, 0.0)
+        tie = reference_nearest_two(first[2])
+        assert first[3] == [1] and tie[0][2] == 0 and tie[2][2] == tie[3][2] == 4.0
+        positions, trace, _ = lloyd_rounds(X, centers, None, 3, 0.0)
+        want = reference_lloyd_rounds(X, centers, None, 3, 0.0)
+        assert np.array_equal(positions, want[0])
+        assert hexes(trace) == hexes(want[1])
 
     def test_corpus_takes_every_path(self):
         # the corpus above has clamped moves, rounds that move only some
