@@ -37,8 +37,6 @@ exact-consistency checks built on top of it keep holding.  One dot-product
 filter serves, through one core:
 
 * the radii (:func:`ranked_sq_dist`);
-* every score (:func:`min_sq_dists`, its rank 1: ``metrics.cost``,
-  ``metrics.bound_ratio`` and the harness's trial scores);
 * the search's distance pass for a candidate at d > 2
   (:func:`near_sq_dists`);
 * every nearest-two pass (:func:`two_nearest`, its rank-2 cut, read off
@@ -47,7 +45,9 @@ filter serves, through one core:
   ``greedy_baseline`` and ``check_solution``; an accepted swap's k-scan;
   and the refined solution's caches;
 * every nearest pass (:func:`nearest`, its rank-1 cut, read off by
-  ``argmin``): refinement's rounds and ``refine.assign``.
+  ``argmin``): refinement's rounds, ``refine.assign`` and every score
+  (``metrics.cost``, ``metrics.bound_ratio`` and the harness's trial
+  scores).
 
 :func:`lift_points` alone decides where the filter applies, and every
 filtered function returns the kernel's values where it declines;
@@ -166,23 +166,27 @@ def _fill(points: np.ndarray, centers: np.ndarray, out: np.ndarray, diff: np.nda
     """``out[:] = sq_dist_matrix(points, centers)``, chunk by chunk, with
     ``diff`` (from :func:`_scratch`) as the difference scratch.  ``out`` is
     C-contiguous, so each chunk of it flattens to one entry per pair as a
-    view, which the reduction writes through."""
+    view, which the reduction writes through.  A value above float64's
+    range is inf, without a warning: the callers that read one as a
+    distance raise on it (``dataset.check_distance_overflow``,
+    ``dataset.check_cost_scale``), and the others never read it."""
     assert out.flags.c_contiguous
     n, d = points.shape
     step = chunk_rows(centers.shape[0] * d)
-    for start in range(0, n, step):
-        rows, block = points[start : start + step], out[start : start + step]
-        part = diff[: rows.shape[0]]
-        if d > 2:
-            np.subtract(rows[:, None, :], centers, out=part)
-            _sq_norms(part.reshape(-1, d), block.reshape(-1))
-        else:
-            np.subtract(rows[:, :1], centers[:, 0], out=block)
-            np.square(block, out=block)
-            if d == 2:
-                np.subtract(rows[:, 1:], centers[:, 1], out=part)
-                np.square(part, out=part)
-                block += part
+    with np.errstate(over="ignore"):
+        for start in range(0, n, step):
+            rows, block = points[start : start + step], out[start : start + step]
+            part = diff[: rows.shape[0]]
+            if d > 2:
+                np.subtract(rows[:, None, :], centers, out=part)
+                _sq_norms(part.reshape(-1, d), block.reshape(-1))
+            else:
+                np.subtract(rows[:, :1], centers[:, 0], out=block)
+                np.square(block, out=block)
+                if d == 2:
+                    np.subtract(rows[:, 1:], centers[:, 1], out=part)
+                    np.square(part, out=part)
+                    block += part
 
 
 def sq_dists(points: np.ndarray, center: np.ndarray) -> np.ndarray:
@@ -195,20 +199,13 @@ def dists(points: np.ndarray, center: np.ndarray) -> np.ndarray:
     return np.sqrt(sq_dists(points, center))
 
 
-def min_sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Squared distance from every point to its nearest center, O(n) memory:
-    :func:`ranked_sq_dist` at rank 1."""
-    return ranked_sq_dist(points, centers, 1)
-
-
 def ranked_sq_dist(
-    points: np.ndarray, refs: np.ndarray, rank: int, boxes: Boxes | None = None
+    points: np.ndarray, refs: np.ndarray, rank: int, boxes: Boxes | None
 ) -> np.ndarray:
     """rank-th smallest squared distance from each row of ``points`` to the
     rows of ``refs``: column ``rank - 1`` of the kernel's (n, m) matrix
-    after a per-row ``partition``, bit for bit.  ``boxes`` is
-    :func:`box_layout` of ``points`` where the caller keeps it
-    (``Dataset.boxes``); the box cut builds it otherwise.
+    after a per-row ``partition``, bit for bit; the radii's pass.
+    ``boxes`` is :func:`box_layout` of ``points`` (``Dataset.boxes``).
 
     This function alone chooses how, from d, ``rank`` and whether
     :func:`lift_points` declines:
@@ -299,7 +296,7 @@ def ranked_sq_dist(
         return _filtered_ranks(points, refs, rank, lift)
     out = np.empty(points.shape[0])
     if points.shape[1] <= 2 and rank > 2:
-        _boxed_ranks(points, refs, rank, out, box_layout(points) if boxes is None else boxes)
+        _boxed_ranks(points, refs, rank, out, boxes)
     else:
         _plain_ranks(points, refs, rank, out)
     return out

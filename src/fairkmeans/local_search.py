@@ -27,12 +27,12 @@ and caches bit for bit.  ``_dist`` alone chooses the finder
 d > 2 (``Dataset.lift``), their box layout at d <= 2 (``Dataset.boxes``),
 or every row.  At d <= 2 the search reads the solution's caches in the
 layout's order and each box's largest ``d2^2`` (``Solution.boxed`` and
-``Solution.reach``), which it builds on its first row pass and :func:`run`
-releases at the end of its loop.  An accepted swap re-scans the points
-whose nearest or second-nearest center left with the nearest-two pass of
-``Solution.build`` (:func:`fairkmeans._dist.two_nearest`, whose filter
-``_dist`` chooses from the centers).  The D^2 draw reads the solution's
-cumsum cache (``Solution.cum``) and the certificate below its removal costs
+``Solution.reach``), which the solution builds with its other caches.  An
+accepted swap re-scans the points whose nearest or second-nearest center
+left with the nearest-two pass of ``Solution.build``
+(:func:`fairkmeans._dist.two_nearest`, whose filter ``_dist`` chooses from
+the centers).  The D^2 draw reads the solution's cumsum cache
+(``Solution.cum``) and the certificate below its removal costs
 (``Solution.loss``); every accepted swap refreshes them all.  The search
 keeps no state of its own, and a draw or a swap evaluation changes nothing
 it reads.
@@ -237,8 +237,9 @@ def d2_sample(sol: Solution, rng: np.random.Generator) -> int:
 def _near_row(sol: Solution, p: int) -> tuple[np.ndarray, np.ndarray]:
     """``(kept, dp)``: the finder's selection of the rows point p may move,
     and their squared distances to p
-    (:func:`fairkmeans._dist.near_sq_dists`).  The box layout serves only a
-    solution that holds its box-ordered copies (``Solution.boxed``)."""
+    (:func:`fairkmeans._dist.near_sq_dists`).  The box layout serves a
+    solution that holds box-ordered copies (``Solution.boxed``): every
+    solution with ids at d <= 2."""
     ds = sol.ds
     boxes = None if sol.boxed is None else ds.boxes
     return near_sq_dists(ds.points, p, sol.d2sq, ds.lift, boxes, sol.reach)
@@ -280,7 +281,8 @@ def _swap_costs(sol: Solution, dpsq: np.ndarray) -> np.ndarray:
     b = np.minimum(sol.d2sq, dpsq)
     base = float(a.sum())
     corr = np.bincount(sol.assign, weights=b - a, minlength=sol.k)
-    return base + corr
+    with np.errstate(over="ignore"):  # a cost above float64's range is inf
+        return base + corr
 
 
 def _certified(
@@ -377,8 +379,6 @@ def _step(sol: Solution, rng: np.random.Generator) -> str:
     admissible = _admissible(sol, covers_p)
     if not admissible.any():
         return "inadmissible"
-    if sol.boxed is None and sol.ds.boxes is not None:
-        sol._track_boxes()
     kept, dp = _near_row(sol, p)
     if _certified(sol, kept, dp, admissible):
         return "certified"
@@ -430,9 +430,9 @@ def run(ds: Dataset, delta: RadiusBounds, cfg: LsConfig) -> tuple[Solution, RunT
     (with the anchor count) when seeding needs more than k anchors.  Every
     returned solution serves each point within ``2 * gamma * delta(p)``;
     this is re-checked at return (:func:`solution.check_guarantee`) and
-    cannot be disabled.  The returned solution no longer holds the search's
-    box-ordered copies (``Solution.boxed``); a later :func:`ls_step`
-    builds them again.
+    cannot be disabled.  The returned solution holds every cache the
+    search keeps, the box-ordered copies at d <= 2 (``Solution.boxed``)
+    included, so a later :func:`ls_step` continues from it as it is.
     """
     cfg.validate()
     anchor_set = seed(ds, delta, cfg.gamma)
@@ -447,9 +447,6 @@ def run(ds: Dataset, delta: RadiusBounds, cfg: LsConfig) -> tuple[Solution, RunT
         branches[branch] += 1
         costs[i] = sol.total_cost
         accepted[i] = branch == "accepted"
-    # only the search reads its box-ordered copies: refinement need not
-    # hold them beside its own per-point arrays
-    sol.boxed = sol.reach = None
 
     check_guarantee(sol, delta)
     return sol, RunTrace(

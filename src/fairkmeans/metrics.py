@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._dist import fsum, min_sq_dists
+from ._dist import fsum, nearest
 from .dataset import Dataset, RadiusBounds, center_positions, check_distance_overflow, check_radii
 
 
@@ -33,7 +33,7 @@ def _score(
     inf."""
     if delta is not None:
         check_radii(ds, delta)
-    sq = min_sq_dists(ds.points, center_positions(ds, centers))
+    sq = nearest(ds.points, center_positions(ds, centers))[1]
     check_distance_overflow(sq)
     dist = np.sqrt(sq)
     if delta is None:

@@ -5,10 +5,10 @@ second-nearest center, which :meth:`Solution.build` and a refined solution
 take from the one nearest-two pass (``_dist.two_nearest``).  The D² cumsum
 the search draws from, the per-slot removal costs its certificate reads and
 the anchor-zone coverage table are built from those fields by the constructor
-itself, never passed in, and so are, at d <= 2, the search's box-ordered
-copies, on the search's first row pass; the points' filter lift and box
-layout depend on the points alone and belong to the dataset
-(``Dataset.lift``, ``Dataset.boxes``).
+itself, never passed in, and so are, for a solution with ids at d <= 2, the
+search's box-ordered copies; the points' filter lift and box layout depend
+on the points alone and belong to the dataset (``Dataset.lift``,
+``Dataset.boxes``).
 :func:`check_solution` is the debug oracle that compares a solution's
 caches against a fresh rebuild, and :func:`check_guarantee` is the one
 check that a solution keeps the promise: a center in every anchor zone, and
@@ -64,14 +64,16 @@ class Solution:
       ``np.bincount``;
     * ``boxed`` is ``(d1sq, d2sq, assign)`` laid out as the points' box
       layout, ``np.take(values, ds.boxes.order)``, and ``reach`` the
-      largest ``d2sq`` in each box: the search's copies at d <= 2, which
-      :meth:`_track_boxes` builds on the search's first row pass; None
-      until then, at d > 2, and once ``local_search.run`` has released
-      them at the end of its loop.
+      largest ``d2sq`` in each box: the search's copies, which the
+      constructor builds for a solution with ``center_ids`` on a dataset
+      with a box layout (d <= 2); None at d > 2 and for a solution without
+      ids (refined, or built from positions), which the search cannot
+      swap.
 
     ``loss``, ``boxed`` and ``reach`` are what the search's certificate and
-    its finder read (``local_search._certified``).  An accepted swap
-    refreshes every sum present.
+    its finder read (``local_search._certified``).  Only this class decides
+    whether ``boxed`` and ``reach`` exist; an accepted swap refreshes every
+    sum present.
 
     ``anchor_set`` is :func:`anchors.seed`'s output, ``center_pos`` must
     be a (k, d) array of the points' d columns
@@ -107,15 +109,11 @@ class Solution:
         self.cum = np.empty(self.ds.n)
         self.loss = np.empty(self.k)
         self.boxed = self.reach = None
+        if self.center_ids is not None and self.ds.boxes is not None:
+            shape = self.ds.boxes.order.shape
+            self.boxed = (np.empty(shape), np.empty(shape), np.empty(shape, self.assign.dtype))
+            self.reach = np.empty(shape[0])
         self._refresh_sums()
-
-    def _track_boxes(self) -> None:
-        """Build ``boxed`` and ``reach`` (the dataset has a box layout),
-        which :meth:`_refresh_sums` then keeps current."""
-        shape = self.ds.boxes.order.shape
-        self.boxed = (np.empty(shape), np.empty(shape), np.empty(shape, self.assign.dtype))
-        self.reach = np.empty(shape[0])
-        self._refresh_boxes()
 
     def _refresh_sums(self) -> None:
         """Rebuild ``cum``, ``loss`` and, where present, ``boxed`` and
@@ -124,12 +122,9 @@ class Solution:
         np.cumsum(self.d1sq, out=self.cum)
         self.loss[:] = np.bincount(self.assign, weights=self.d2sq - self.d1sq, minlength=self.k)
         if self.boxed is not None:
-            self._refresh_boxes()
-
-    def _refresh_boxes(self) -> None:
-        for copy, values in zip(self.boxed, (self.d1sq, self.d2sq, self.assign)):
-            np.take(values, self.ds.boxes.order, out=copy)
-        np.max(self.boxed[1], axis=1, out=self.reach)
+            for copy, values in zip(self.boxed, (self.d1sq, self.d2sq, self.assign)):
+                np.take(values, self.ds.boxes.order, out=copy)
+            np.max(self.boxed[1], axis=1, out=self.reach)
 
     @property
     def k(self) -> int:
@@ -163,7 +158,8 @@ class Solution:
         else:
             center_pos = check_positions(center_pos, ds.d)
         assign, assign2, d1sq, d2sq = two_nearest(ds.points, center_pos)
-        total_cost = float(d1sq.sum())
+        with np.errstate(over="ignore"):  # an inf total is the check's ValueError
+            total_cost = float(d1sq.sum())
         check_cost_scale(total_cost)
         return cls(
             ds=ds,
@@ -210,8 +206,6 @@ def check_solution(sol: Solution, delta: RadiusBounds | None = None) -> None:
     # the slots may keep either center of a tie, so the sums are rebuilt on
     # the solution's own fields, whose distances are checked above
     rebuilt = dataclasses.replace(sol)
-    if sol.boxed is not None:
-        rebuilt._track_boxes()
     sums = {"D² cumsum": "cum", "removal-cost": "loss", "box-ordered": "boxed", "box reach": "reach"}
     for name, cache in sums.items():
         if not _same(getattr(sol, cache), getattr(rebuilt, cache)):

@@ -35,7 +35,7 @@ from fairkmeans import (
     seed,
     swap_costs,
 )
-from fairkmeans._dist import dists, min_sq_dists
+from fairkmeans._dist import dists, nearest
 from fairkmeans.local_search import init_solution, d2_sample
 from conftest import gaussian_instance, tiny_instance
 
@@ -150,7 +150,7 @@ def test_criterion_4_incremental_exactness():
             for j in np.flatnonzero(admissible):
                 pos = sol.center_pos.copy()
                 pos[j] = ds.points[p]
-                naive = math.fsum(min_sq_dists(ds.points, pos))
+                naive = math.fsum(nearest(ds.points, pos)[1])
                 rel = abs(costs[j] - naive) / max(1.0, abs(naive))
                 worst = max(worst, rel)
                 assert rel <= 1e-9

@@ -28,8 +28,8 @@ from fairkmeans._dist import (
     dists,
     kept_values,
     lift_points,
-    min_sq_dists,
     near_sq_dists,
+    nearest,
     ranked_sq_dist,
     sq_dist_matrix,
     sq_dists,
@@ -93,7 +93,7 @@ def test_small_chunks(monkeypatch, chunk):
             for n in {max(1, rows - 1), rows, rows + 1, 3 * rows + 1}:
                 P = points(n, n, d)
                 assert np.array_equal(sq_dist_matrix(P, C), reference(P, C)), (d, k, n)
-                assert np.array_equal(min_sq_dists(P, C), reference(P, C).min(axis=1))
+                assert np.array_equal(nearest(P, C)[1], reference(P, C).min(axis=1))
                 check_cut(P, C)
 
 
@@ -122,7 +122,7 @@ def test_wrappers(d):
     want = reference(P, C)
     assert np.array_equal(sq_dists(P, C[4]), want[:, 4])
     assert np.array_equal(dists(P, C[4]), np.sqrt(want[:, 4]))
-    assert np.array_equal(min_sq_dists(P, C), want.min(axis=1))
+    assert np.array_equal(nearest(P, C)[1], want.min(axis=1))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 16])
@@ -160,7 +160,7 @@ def test_ranked_sq_dist_matches_partition(d):
     for ref in (X, X[ref_ids]):
         for rank in (1, 7, ref.shape[0]):
             want = np.partition(reference(X, ref), rank - 1, axis=1)[:, rank - 1]
-            assert np.array_equal(ranked_sq_dist(X, ref, rank), want)
+            assert np.array_equal(ranked_sq_dist(X, ref, rank, box_layout(X)), want)
 
 
 @pytest.mark.parametrize("chunk", [1000, 5000, 20000])
@@ -177,7 +177,7 @@ def test_ranked_sq_dist_partial_last_chunk(monkeypatch, chunk, d):
     assert X.shape[0] > rows and X.shape[0] % rows
     for rank in (1, 5, ref.shape[0]):
         want = np.partition(reference(X, ref), rank - 1, axis=1)[:, rank - 1]
-        assert np.array_equal(ranked_sq_dist(X, ref, rank), want), rank
+        assert np.array_equal(ranked_sq_dist(X, ref, rank, box_layout(X)), want), rank
 
 
 def ranked_reference(X, ref, rank):
@@ -244,10 +244,12 @@ def test_filter_two_far_lattices(jitter):
     # values closer together than the estimate's rounding error
     X = far_lattices(jitter)
     for rank in (1, 2, 5, 9, 40, 100, 256, 257, 400, 512):
-        assert np.array_equal(ranked_sq_dist(X, X, rank), ranked_reference(X, X, rank)), rank
+        got = ranked_sq_dist(X, X, rank, box_layout(X))
+        assert np.array_equal(got, ranked_reference(X, X, rank)), rank
     ref = X[::3]
     for rank in (1, 7, 86, 87, ref.shape[0]):
-        assert np.array_equal(ranked_sq_dist(X, ref, rank), ranked_reference(X, ref, rank)), rank
+        got = ranked_sq_dist(X, ref, rank, box_layout(X))
+        assert np.array_equal(got, ranked_reference(X, ref, rank)), rank
 
 
 def test_filter_large_offset_unit_spacing():
@@ -255,7 +257,8 @@ def test_filter_large_offset_unit_spacing():
     X = offset_unit_spacing(rng)
     for ref in (X, X[rng.choice(300, size=70, replace=False)]):
         for rank in (1, 4, 30, ref.shape[0] // 2, ref.shape[0]):
-            assert np.array_equal(ranked_sq_dist(X, ref, rank), ranked_reference(X, ref, rank))
+            got = ranked_sq_dist(X, ref, rank, box_layout(X))
+            assert np.array_equal(got, ranked_reference(X, ref, rank))
 
 
 @pytest.mark.parametrize("d", [3, 8])
@@ -266,7 +269,8 @@ def test_filter_duplicate_heavy_rows(d):
     for ref in (X, X[::4]):
         for rank in (1, 2, 40, 41, 100, ref.shape[0]):
             rank = min(rank, ref.shape[0])
-            assert np.array_equal(ranked_sq_dist(X, ref, rank), ranked_reference(X, ref, rank))
+            got = ranked_sq_dist(X, ref, rank, box_layout(X))
+            assert np.array_equal(got, ranked_reference(X, ref, rank))
 
 
 @pytest.mark.parametrize("scale", 10.0 ** np.arange(-150, 151, 25))
@@ -276,7 +280,7 @@ def test_filter_coordinate_scales(scale, d):
     want = ranked_reference(X, ref, 5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = ranked_sq_dist(X, ref, 5)
+        got = ranked_sq_dist(X, ref, 5, box_layout(X))
     assert np.array_equal(got, want)
 
 
@@ -293,7 +297,7 @@ def test_filter_declines_near_overflow():
     assert np.all(np.isfinite(want))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = ranked_sq_dist(X, ref, 3)
+        got = ranked_sq_dist(X, ref, 3, box_layout(X))
     assert np.array_equal(got, want)
 
 
@@ -451,7 +455,7 @@ def test_filtered_pass_equals_the_kernel(
         scale = np.sqrt(1e308 / (4 * d * spread**2))
     P, C = P * scale, C * scale
     check_cut(P, C)
-    assert np.array_equal(min_sq_dists(P, C), reference(P, C).min(axis=1))
+    assert np.array_equal(nearest(P, C)[1], reference(P, C).min(axis=1))
 
 
 def test_filtered_pass_cuts_far_centers(monkeypatch):
@@ -563,7 +567,8 @@ BOX_CASES = {
 def check_box_cut(X, ref):
     m = ref.shape[0]
     for rank in (3, (m + 3) // 2, m):
-        assert np.array_equal(ranked_sq_dist(X, ref, rank), ranked_reference(X, ref, rank)), rank
+        got = ranked_sq_dist(X, ref, rank, box_layout(X))
+        assert np.array_equal(got, ranked_reference(X, ref, rank)), rank
 
 
 @pytest.mark.parametrize("name", BOX_CASES)
@@ -600,14 +605,14 @@ def test_box_cut_overflow(mode, d):
     with np.errstate(over="ignore"):
         want = ranked_reference(X, X, 40)
     assert np.isinf(want).any() and np.isfinite(want).any()
-    assert np.array_equal(ranked_sq_dist(X, X, 40), want)
+    assert np.array_equal(ranked_sq_dist(X, X, 40, box_layout(X)), want)
     with pytest.raises(ValueError, match="^squared distances overflow float64.*rescale the points"):
         compute_radii(Dataset(X), 4, mode=mode, sample_size=100)
 
 
 def box_pairs(monkeypatch, X, ref, rank):
     """The number of (row, reference) pairs that get kernel values in
-    ``ranked_sq_dist(X, ref, rank)`` through the plain path's blocks."""
+    ``ranked_sq_dist(X, ref, rank, box_layout(X))`` through the plain path's blocks."""
     pairs = []
 
     def counting(points, refs, rank, out, original=_dist._plain_ranks):
@@ -616,7 +621,7 @@ def box_pairs(monkeypatch, X, ref, rank):
 
     with monkeypatch.context() as patch:
         patch.setattr(_dist, "_plain_ranks", counting)
-        got = ranked_sq_dist(X, ref, rank)
+        got = ranked_sq_dist(X, ref, rank, box_layout(X))
     assert np.array_equal(got, ranked_reference(X, ref, rank))
     return sum(pairs)
 
@@ -683,7 +688,7 @@ def test_box_cut_equals_the_plain_path(d, n, m, rank, spread, jitter, scale, off
     _dist._plain_ranks(P, R, rank, want)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_dist, "BOX_ROWS", rows)
-        assert np.array_equal(ranked_sq_dist(P, R, rank), want)
+        assert np.array_equal(ranked_sq_dist(P, R, rank, box_layout(P)), want)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 8])
@@ -695,7 +700,7 @@ def test_ranked_sq_dist_memory(d):
     ref = X[::10]
     tracemalloc.start()
     try:
-        ranked_sq_dist(X, ref, 200)
+        ranked_sq_dist(X, ref, 200, box_layout(X))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

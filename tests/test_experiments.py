@@ -228,14 +228,14 @@ class TestRunExperiment:
     def test_one_scoring_pass_per_trial(self, blob_csv, monkeypatch):
         # greedy trials make no other nearest-center pass, so every call is
         # scoring; the report equals the public metrics bit for bit
-        original = metrics.min_sq_dists
+        original = metrics.nearest
         seen = []
 
         def recording(points, centers):
             seen.append(centers.copy())
             return original(points, centers)
 
-        monkeypatch.setattr(metrics, "min_sq_dists", recording)
+        monkeypatch.setattr(metrics, "nearest", recording)
         rep = run_experiment(base_config(blob_csv, algorithm="greedy", trials=3))
         monkeypatch.undo()
         assert len(seen) == 3

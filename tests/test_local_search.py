@@ -1,6 +1,8 @@
+import ast
 import copy
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from fairkmeans import (
     swap_costs,
 )
 from fairkmeans import _dist, compute_radii, dataset, local_search
-from fairkmeans._dist import _nearest_two, _nth_smallest, min_sq_dists
+from fairkmeans._dist import _nearest_two, _nth_smallest, nearest
 from fairkmeans.anchors import AnchorSet
 from fairkmeans.local_search import _best_swap
 from fairkmeans.solution import check_guarantee, check_solution
@@ -322,7 +324,7 @@ class TestEvaluateSwaps:
             for j in np.flatnonzero(admissible):
                 pos = sol.center_pos.copy()
                 pos[j] = ds.points[p]
-                naive = math.fsum(min_sq_dists(ds.points, pos))
+                naive = math.fsum(nearest(ds.points, pos)[1])
                 assert costs[j] == pytest.approx(naive, rel=1e-9)
 
     @pytest.mark.parametrize("d", [2, 4])
@@ -472,8 +474,9 @@ class TestLsStep:
 
 
 class TestSearchState:
-    """What the search reads between steps: the solution's D^2 cumsum cache
-    and the dataset's lift, with no state of its own."""
+    """What the search reads between steps: the solution's D^2 cumsum cache,
+    its box-ordered copies and the dataset's lift, with no state of its
+    own."""
 
     def test_draws_equal_d2_sample(self, monkeypatch):
         # the cached cumsum gives ls_step the draw d2_sample gives on a copy
@@ -528,6 +531,55 @@ class TestSearchState:
         assert (ds.lift is None) == (d <= 2)
         check_solution(sol, delta)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_box_copies_exist_from_construction(self, monkeypatch, d):
+        # the solution init_solution returns, one after some steps and the
+        # one run returns all hold their box-ordered copies: check_solution
+        # compares them with a rebuild, and swap_costs finds the rows
+        # through the box layout and prices as from every row
+        finders = []
+
+        def spying(points, p, bound, lift, boxes, reach):
+            finders.append(boxes)
+            return _dist.near_sq_dists(points, p, bound, lift, boxes, reach)
+
+        monkeypatch.setattr(local_search, "near_sq_dists", spying)
+        ds, delta, k = gaussian_instance(67, n=500, k=5, d=d)
+        aset = seed(ds, delta, 3.0)
+        fresh = init_solution(ds, aset, k, 0)
+        stepped = init_solution(ds, aset, k, 0)
+        rng = np.random.default_rng(2)
+        for _ in range(30):
+            ls_step(stepped, aset, rng)
+        searched, _ = run(ds, delta, LsConfig(k=k, iterations=30, seed=2))
+        for sol in (fresh, stepped, searched):
+            assert sol.boxed is not None and sol.reach is not None
+            check_solution(sol, delta)
+            stale = copy.deepcopy(sol)
+            stale.reach[0] += 1.0
+            with pytest.raises(AssertionError, match="box reach"):
+                check_solution(stale)
+            for p in range(0, ds.n, 41):
+                finders.clear()
+                new_costs, admissible = swap_costs(sol, p)
+                assert finders == [ds.boxes]
+                every_row = _dist.sq_dists(ds.points, ds.points[p])
+                assert np.array_equal(new_costs, local_search._swap_costs(sol, every_row))
+                covers_p = local_search._zone_row(sol, p)
+                assert np.array_equal(admissible, local_search._admissible(sol, covers_p))
+
+    def test_only_the_solution_assigns_its_box_copies(self):
+        # the solution alone decides when its box-ordered copies exist
+        assigned = set()
+        for module in Path(local_search.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(module.read_text())):
+                if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                    for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                        names = {a.attr for a in ast.walk(target) if isinstance(a, ast.Attribute)}
+                        if names & {"boxed", "reach"}:
+                            assigned.add(module.name)
+        assert assigned == {"solution.py"}
+
     def test_lift_built_once_per_dataset(self, monkeypatch):
         calls = []
 
@@ -578,8 +630,9 @@ class TestSearchState:
             for name in ("rejected_inadmissible", "rejected_no_gain"):
                 assert getattr(filtered[1], name) == getattr(other[1], name)
             assert other[1].certified == 0
-        # run releases the search's box-ordered copies
-        assert filtered[3].boxed is None and filtered[3].reach is None
+        # run returns the search's box-ordered copies with the solution, at
+        # d <= 2 alone; solve's check_solution compared them with a rebuild
+        assert (filtered[3].boxed is None) == (filtered[3].reach is None) == (ds.d > 2)
         return filtered[1]
 
     @pytest.mark.parametrize("d", [1, 2, 3, 8, 16])
@@ -657,8 +710,7 @@ class TestCertificate:
         # accepts exactly when the swap is strictly cheaper
         ds, delta, k = gaussian_instance(70 + d, n=400, k=5, d=d)
         sol, _ = run(ds, delta, LsConfig(k=k, iterations=30, seed=1))
-        if d <= 2:
-            sol._track_boxes()  # as the search's first row pass does
+        assert (sol.boxed is not None) == (d <= 2)  # the box layout finds p's rows
         candidates = [p for p in range(0, ds.n, 37) if p not in sol.center_ids]
         for p in candidates:
             new_costs, admissible = swap_costs(sol, p)
@@ -683,8 +735,7 @@ class TestCertificate:
         base = np.random.default_rng(d).normal(size=(150, d)) * 4
         ds, delta, k = with_exact_radii(np.repeat(base, 2, axis=0), 6)
         sol, _ = run(ds, delta, LsConfig(k=k, iterations=60, seed=3))
-        if d <= 2:
-            sol._track_boxes()  # as the search's first row pass does
+        assert (sol.boxed is not None) == (d <= 2)  # the box layout finds p's rows
         for c in sol.center_ids:
             twin = int(c ^ 1)
             if twin in sol.center_ids:
@@ -934,6 +985,7 @@ class TestCheckSolution:
         sol = self.tie_line()
         assert (sol.assign[1], sol.assign2[1]) == (0, 1)
         sol.assign[1], sol.assign2[1] = 1, 0
+        sol._refresh_sums()  # the box-ordered copy of the slots follows them
         check_solution(sol)
 
     def test_tied_slots_must_differ(self):
