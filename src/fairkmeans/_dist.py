@@ -3,10 +3,13 @@
 Every distance in the package comes from :func:`sq_dist_matrix` or from
 :func:`sq_dist_blocks`, the same kernel over row blocks that reuse one
 buffer, or from :func:`_pair_sq_dists`, the same kernel on gathered pairs,
-which the filtered functions below use for the pairs their filter keeps; the
+which the filtered functions below use for the pairs their filter keeps and
+refinement's rounds for each row against its cluster's candidate; the
 other functions here are thin wrappers around them.  :func:`fsum` adds such
-distances up, correctly rounded, for the reported costs; the search's
-cached total and its swap costs use numpy's ``.sum()`` instead, which
+distances up, correctly rounded, for the reported costs, and :func:`fsums`
+per cluster for refinement's moves: both are ``math.fsum``'s bits through
+the exact extraction sum of :func:`_levels`.  The search's cached total and
+its swap costs use numpy's ``.sum()`` instead, which
 ``solution.check_solution`` holds to 1e-9 of it.  Cached values, from-scratch
 recomputations and coverage predicates therefore see bit-identical numbers
 for identical inputs, however the points and centers were batched: the
@@ -43,11 +46,12 @@ filter serves, through one core:
   one row block at a time by :func:`_nearest_two` before it leaves the
   module): ``solution.Solution.build``, so ``init_solution``,
   ``greedy_baseline`` and ``check_solution``; an accepted swap's k-scan;
-  and the refined solution's caches;
+  refinement's entry without caches, the rows its bound cannot keep and
+  the refined solution's caches;
 * every nearest pass (:func:`nearest`, its rank-1 cut, read off by
-  ``argmin``): refinement's rounds, ``refine.assign`` and every score
-  (``metrics.cost``, ``metrics.bound_ratio`` and the harness's trial
-  scores).
+  ``argmin``): ``refine.assign``, every score (``metrics.cost``,
+  ``metrics.bound_ratio`` and the harness's trial scores) and refinement's
+  tied rows on entry.
 
 :func:`lift_points` alone decides where the filter applies, and every
 filtered function returns the kernel's values where it declines;
@@ -69,10 +73,14 @@ candidate is at most the largest bound of their rows.
 :func:`near_sq_dists` is the one place that chooses the candidate pass's
 finder: the lift, the box layout, or every row.
 
-The passes that read every entry take the full kernel: refinement's
-moved centers against the rows whose nearest center stayed
-(``refine.lloyd_rounds``, in row blocks of :func:`sq_dist_blocks`), the
-zone tests against anchors, the brute-force oracle and ``aspect_ratio``.
+Refinement's filter is a third one, a lower bound per row on its distance
+to every center but its own (:class:`FarBound`, whose docstring proves its
+slack): a row whose kernel value to its own center, from the rounds' pair
+pass, lies strictly below the bound keeps that center without a nearest-two
+pass.
+
+The passes that read every entry take the full kernel: the zone tests
+against anchors, the brute-force oracle and ``aspect_ratio``.
 """
 
 from __future__ import annotations
@@ -100,12 +108,68 @@ BOX_ROWS = 128
 
 
 def fsum(a: np.ndarray) -> float:
-    """Correctly rounded sum of a float array, as ``math.fsum(a)`` gives it.
+    """Correctly rounded sum of a 1-D float array, bit for bit
+    ``math.fsum(a)``: :func:`_levels`' exact level totals, added up by
+    ``math.fsum``, or ``math.fsum`` itself where :func:`_levels` declines
+    (it then keeps its result or its OverflowError)."""
+    levels = _levels(a, None, 0)
+    return _math_fsum(a) if levels is None else math.fsum(levels)
 
-    ``math.fsum`` iterates its argument; a memoryview yields Python floats
-    directly, without building a list or one numpy scalar per element.
-    """
+
+def fsums(a: np.ndarray, groups: np.ndarray, k: int) -> np.ndarray:
+    """``fsums(a, groups, k)[j] == fsum(a[groups == j])`` for each of the k
+    groups (0 for an empty one), through one ``bincount`` per level of
+    :func:`_levels`."""
+    levels = _levels(a, groups, k)
+    if levels is None:
+        return np.array([_math_fsum(a[groups == j]) for j in range(k)])
+    return np.array([math.fsum(column) for column in np.reshape(levels, (-1, k)).T])
+
+
+def _math_fsum(a: np.ndarray) -> float:
+    """``math.fsum(a)``; a memoryview yields Python floats directly,
+    without building a list or one numpy scalar per element."""
     return math.fsum(memoryview(np.ascontiguousarray(a)))
+
+
+def _levels(a: np.ndarray, groups: np.ndarray | None, k: int):
+    """The exact totals of the extraction sum of Rump, Ogita and Oishi
+    ("Accurate floating-point summation", SIAM J. Sci. Comput. 2008), one
+    per level: floats, or with ``groups`` one (k,) ``bincount`` per level.
+    None, for ``math.fsum`` to decide, when a value is not finite or σ
+    below would overflow.
+
+    Let max|x| < 2**e and n + 2 <= 2**M, and σ = 2**(e + M).  Each level takes
+    ``q = fl(fl(σ + x) - σ)`` and ``x = fl(x - q)``.  Rounding is monotone
+    and σ ± 2**-M·σ are floats, so |q| <= 2**-M·σ; ``fl(σ + x)`` lies
+    within a factor 2 of σ, so the subtraction of σ is exact (Sterbenz),
+    q is a multiple of 2**-53·σ (or of 2**-1074) and ``x - q``, at most
+    half a unit of ``fl(σ + x)``, at most 2**-53·σ, is exact too.  Every
+    partial sum of the q, in any order, is a multiple of that unit of
+    magnitude below n·2**-M·σ < σ: a float.  So each level total is exact,
+    the level totals plus the x left add up to the input's exact sum, and
+    the levels go on until x is all zeros, each one dividing max|x| by at
+    least 2**(52 - M).  A correctly rounded sum of the level totals is then
+    one of the input: the same float ``math.fsum`` returns.  A zero array
+    has no level, and ``math.fsum`` of none is 0.0, as of zeros."""
+    x = np.array(a).reshape(-1)
+    n = x.size
+    top = max(x.max(), -x.min()) if n else 0.0
+    if not math.isfinite(top):
+        return None
+    spread = (n + 1).bit_length()  # M: 2**M >= n + 2
+    if math.frexp(top)[1] + spread > 1023:
+        return None
+    q = np.empty_like(x)
+    levels = []
+    while top > 0:
+        sigma = math.ldexp(1.0, math.frexp(top)[1] + spread)
+        np.add(x, sigma, out=q)
+        q -= sigma
+        x -= q
+        levels.append(q.sum() if groups is None else np.bincount(groups, q, k))
+        top = max(x.max(), -x.min())
+    return levels
 
 
 def chunk_rows(width: int) -> int:
@@ -120,29 +184,21 @@ def sq_dist_matrix(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return out
 
 
-def sq_dist_blocks(points: np.ndarray, centers: np.ndarray, ids: np.ndarray | None = None):
+def sq_dist_blocks(points: np.ndarray, centers: np.ndarray):
     """Yield ``(start, block)``: the squared distances from
     ``points[start : start + len(block)]`` to ``centers``, in row blocks of
-    at most ``chunk_rows(k)`` rows; with ``ids``, from the rows
-    ``points[ids[start : start + len(block)]]``, gathered block by block
-    into blocks of at most ``chunk_rows(k + d)`` rows.
+    at most ``chunk_rows(k)`` rows.
 
     Every block is a view of one buffer that the next block overwrites, so
     consume (or copy) each block before asking for the next; the caller may
     modify it in place.  Entries are bit-identical to :func:`sq_dist_matrix`.
     """
-    k = centers.shape[0]
-    n = points.shape[0] if ids is None else ids.size
-    step = chunk_rows(k if ids is None else k + points.shape[1])
+    n, k = points.shape[0], centers.shape[0]
+    step = chunk_rows(k)
     buffer = np.empty((min(step, n), k), dtype=np.float64)
     diff = _scratch(points[: min(step, n)], centers)
-    gathered = None if ids is None else np.empty((min(step, n), points.shape[1]))
     for start in range(0, n, step):
-        if ids is None:
-            rows = points[start : start + step]
-        else:
-            part = ids[start : start + step]
-            rows = np.take(points, part, axis=0, out=gathered[: part.size])
+        rows = points[start : start + step]
         block = buffer[: rows.shape[0]]
         _fill(rows, centers, block, diff)
         yield start, block
@@ -526,6 +582,90 @@ def _pair_sq_dists(
         diff -= np.take(refs, col[pairs], axis=0)
         _sq_norms(diff, values[pairs])
     return values
+
+
+class FarBound:
+    """Per row, a lower bound ``low`` on the distance (not squared) to
+    every center but the row's own: Hamerly's one bound per point (SDM
+    2010), refinement's filter.  It may exclude a nearest pass, never
+    supply a value: :meth:`keeps` passes a row only where the kernel value
+    to its own center, which the caller has, is argmin's strict winner.
+
+    **The bound.**  Let r be the exact distance between a row x and a
+    center c, D = r², K the pair's kernel value and u = 2**-53.  Where K is
+    finite, |K - D| <= gamma_{d+2}·D (:func:`ranked_sq_dist`), plus at
+    most 2**-1075 for each of the d squares that underflows; a K that
+    overflows to inf has D >= MAX/(1 + gamma_{d+2}), MAX the largest
+    float.  The slack is ``rel = (d + 8)·2**-50``, (8d + 64)u, which covers
+    gamma_{d+2} and the three roundings of each step below to first order
+    in u, and ``tiny = (d + 8)·2**-1070`` for the absolute terms.  The
+    invariant: ``low[i] <= r`` for row i and every center but its own.
+
+    * :meth:`reset`, from the row's second-smallest kernel value K2, at
+      most the K of every center but the nearest: ``low = fl(sqrt(max(
+      fl(fl((1 - rel)·min(K2, MAX)) - tiny), 0)))``, whose square is at
+      most (1 - gamma_{d+2})·K - d·2**-1075 <= D.
+    * :meth:`move`: a center moved by m = |c - c'| <= S, with ``S =
+      fl(sqrt(fl(fl((1 + rel)·Ks) + tiny)))`` and Ks the kernel value of
+      the move, so r' >= r - m >= low - S by the triangle inequality for
+      every other center, with S their largest move.  The new bound
+      ``fl(fl(low·(1 - 2u)) - S)`` is at most low - S: with S = 0 it is
+      at most low, as rounding is monotone; else a positive result needs
+      low > S >= sqrt(tiny), a normal low, so ``fl(low·(1 - 2u)) <=
+      low·(1 - u)``, and the difference rounds up by at most u times
+      itself.  A negative bound holds trivially; one at -inf (an S of inf)
+      keeps no row.
+    * :meth:`keeps`: ``B = fl(fl(fl(max(low, 0)²)·(1 - rel)) - tiny)`` is
+      at most (1 - gamma_{d+2})·low² - d·2**-1075 <= K for every center
+      but the row's own, so a row whose own value is strictly below B has
+      its own center as argmin's strict winner, and its own kernel value as
+      the nearest one.  A tie is never kept.
+
+    No value here can overflow: low <= sqrt(MAX), and a move whose kernel
+    value is inf gives S = inf and a bound of -inf.
+    """
+
+    def __init__(self, d2sq: np.ndarray, d: int):
+        self.rel = (d + 8) * 2.0**-50
+        self.tiny = (d + 8) * 2.0**-1070
+        self.low = np.empty(d2sq.size)
+        self.reset(slice(None), d2sq)
+
+    def reset(self, rows, d2sq: np.ndarray) -> None:
+        """The bounds of ``rows`` from their second-smallest kernel values
+        ``d2sq`` (inf with one center)."""
+        low = np.minimum(d2sq, np.finfo(np.float64).max)
+        low *= 1 - self.rel
+        low -= self.tiny
+        np.maximum(low, 0, out=low)
+        self.low[rows] = np.sqrt(low, out=low)
+
+    def move(self, old: np.ndarray, new: np.ndarray, moved: np.ndarray, labels: np.ndarray) -> None:
+        """Lower every bound by the largest move among the other centers,
+        once the centers in slots ``moved`` go from their rows of ``old``,
+        the (k, d) positions, to those of ``new``; ``labels`` holds each
+        row's own slot."""
+        shift = np.zeros(old.shape[0])
+        with np.errstate(over="ignore"):
+            step = _pair_sq_dists(old, new, moved, moved)
+            step *= 1 + self.rel
+            step += self.tiny
+            shift[moved] = np.sqrt(step)
+        top = np.argmax(shift)
+        others = np.full(shift.size, shift[top])
+        shift[top] = 0
+        others[top] = shift.max()
+        self.low *= 1 - 2.0**-52
+        self.low -= np.take(others, labels)
+
+    def keeps(self, own: np.ndarray) -> np.ndarray:
+        """Whether each row's kernel value ``own`` to its own center is
+        strictly below its bound's: its own center is then its nearest."""
+        bar = np.maximum(self.low, 0)
+        bar *= bar
+        bar *= 1 - self.rel
+        bar -= self.tiny
+        return own < bar
 
 
 def _ranked_estimates(points: np.ndarray, lift: Lift, rank: int):

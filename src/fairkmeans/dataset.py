@@ -389,11 +389,13 @@ def check_cost_scale(total: float) -> None:
 
 def _check_integer(name: str, value, low: int, high: float = math.inf) -> None:
     """The one check of a count: TypeError naming ``name`` unless ``value``
-    is an integer, Python's or numpy's (numpy would reject a float count deep
-    inside with a message that names neither), and ValueError unless it lies
-    in ``[low, high]``."""
+    is an integer, Python's or numpy's, other than a bool (numpy would reject
+    a float or bool count deep inside with a message that names neither), and
+    ValueError unless it lies in ``[low, high]``."""
     try:
         operator.index(value)
+        if isinstance(value, bool):  # operator.index(True) is 1
+            raise TypeError
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
     if not low <= value <= high:

@@ -5,7 +5,14 @@ from __future__ import annotations
 import numpy as np
 
 from ._dist import fsum, nearest
-from .dataset import Dataset, RadiusBounds, center_positions, check_distance_overflow, check_radii
+from .dataset import (
+    Dataset,
+    RadiusBounds,
+    _check_integer,
+    center_positions,
+    check_distance_overflow,
+    check_radii,
+)
 
 
 def fairness_ratios(dist: np.ndarray, delta: np.ndarray) -> np.ndarray:
@@ -47,12 +54,11 @@ def cost(ds: Dataset, centers, p: int = 2) -> float:
     """Sum over points of dist(point, centers)**p for p in {1, 2}.
 
     ``centers`` are point ids or (k, d) positions
-    (:func:`dataset.center_positions`).  Accumulated with compensated
-    summation so values stay comparable at 1e-9 relative tolerance even for
-    very large n.
+    (:func:`dataset.center_positions`).  The sum is correctly rounded
+    (``_dist.fsum``).  ``p`` must be the integer 1 or 2, else a TypeError or
+    ValueError that names it.
     """
-    if p not in (1, 2):
-        raise ValueError("p must be 1 or 2")
+    _check_integer("p", p, 1, 2)
     sq, dist, _ = _score(ds, centers)
     return fsum(sq if p == 2 else dist)
 

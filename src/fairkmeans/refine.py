@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._dist import fsum, nearest, sq_dist_blocks, sq_dists, two_nearest
+from ._dist import FarBound, _pair_sq_dists, fsum, fsums, nearest, two_nearest
 from .anchors import AnchorSet, clamped_moves
 from .dataset import (
     Dataset,
@@ -68,10 +68,13 @@ def lloyd_rounds(
     anchor_set: AnchorSet | None,
     iterations: int,
     rel_tol: float,
+    start: tuple | None = None,
 ) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Up to ``iterations`` Lloyd rounds from ``centers``, each move clamped
     to the zones of ``anchor_set`` pinned to the center (none when
-    ``anchor_set`` is None).
+    ``anchor_set`` is None).  ``start``, when given, is ``(assign, d1sq,
+    d2sq)`` of ``centers``, a solution's nearest-two caches, which spare
+    the entry pass (:func:`_rounds`).
 
     Returns the final positions, the cost trace (the entry cost plus one
     value per round) and each point's nearest and second-nearest center at
@@ -92,50 +95,64 @@ def lloyd_rounds(
     positive ``rel_tol`` it gets one, the zero-improvement stop.
     """
     positions = centers.copy()
-    trace = _rounds(X, positions, anchor_set, iterations, rel_tol)
+    trace = _rounds(X, positions, anchor_set, iterations, rel_tol, start)
     return positions, trace, two_nearest(X, positions)
 
 
-def _rounds(X, positions, anchor_set, iterations, rel_tol) -> np.ndarray:
+def _rounds(X, positions, anchor_set, iterations, rel_tol, start=None) -> np.ndarray:
     """The loop of :func:`lloyd_rounds`, with its arguments: moves
     ``positions`` in place and returns the trace.
 
     The loop keeps each point's nearest slot and squared distance, as
     ``argmin`` reads them off ``sq_dist_matrix(X, positions)``, and never
-    that matrix: the entry pass is the filtered nearest pass
-    (``_dist.nearest``), and after a round moves some centers a kernel
-    entry changes only in their columns.  A row whose nearest center stayed
-    keeps its value against every other center that stayed, so it is
-    compared, in row blocks, against the moved centers alone; it switches
-    to the nearest of them on a strictly smaller value, or on an equal one
-    at a lower slot, which is argmin's own rule.  A row whose nearest
-    center moved gets one nearest pass against every center.
+    that matrix, with a lower bound on its distance to every other center
+    (``_dist.FarBound``).  The entry pass is one nearest-two pass, or
+    none from a solution's caches, whose slot is argmin's wherever
+    ``d1sq < d2sq``; the rows of a tie, where the search may hold either
+    slot, get one nearest pass.  A round takes one pair pass
+    (``_dist._pair_sq_dists``): each row's kernel value to its own
+    cluster's candidate, whose correctly rounded sums per cluster
+    (``_dist.fsums``) decide which moves pay.  A row whose value to its
+    own, possibly moved, center is then below the bound keeps its slot and
+    that value; the others get one nearest-two pass, which also resets
+    their bound.
     """
     k = positions.shape[0]
-    labels, d1sq = nearest(X, positions)
+    if start is None:
+        labels, _, d1sq, d2sq = two_nearest(X, positions)
+    else:
+        labels, d1sq, d2sq = start[0].copy(), start[1].copy(), start[2]
+        tied = np.flatnonzero(d1sq == d2sq)
+        if tied.size:
+            labels[tied] = nearest(np.take(X, tied, axis=0), positions)[0]
+    bound = FarBound(d2sq, X.shape[1])
     total = fsum(d1sq)
     check_cost_scale(total)
     trace = [total]
+    rows = np.arange(X.shape[0])
     for done in range(iterations):
         means, sizes = cluster_means(X, labels, k)
         # an empty cluster keeps its center: its mean is its position
         means[sizes == 0] = positions[sizes == 0]
         candidates = means if anchor_set is None else clamped_moves(anchor_set, positions, means)
-        moved = []
-        # a center that does not move cannot strictly improve its cost
-        for j in np.flatnonzero((candidates != positions).any(axis=1)):
-            members = labels == j
-            # strict per-cluster improvement, measured with the same kernel
-            # the next assignment round will use
-            inside = np.compress(members, X, axis=0)
-            if fsum(sq_dists(inside, candidates[j])) < fsum(np.compress(members, d1sq)):
-                moved.append(j)
-        if not moved:
+        moved = ()
+        # a center that does not move cannot strictly improve its cost, so
+        # where none would move the pass is skipped
+        if (candidates != positions).any():
+            near = _pair_sq_dists(X, candidates, rows, labels)
+            moved = np.flatnonzero(fsums(near, labels, k) < fsums(d1sq, labels, k))
+        if not len(moved):
             trace.extend([total] * (1 if rel_tol > 0 else iterations - done))
             break
-        moved = np.asarray(moved)
+        bound.move(positions, candidates, moved, labels)
         positions[moved] = candidates[moved]
-        _reassign(X, positions, moved, labels, d1sq)
+        shifted = np.zeros(k, dtype=bool)
+        shifted[moved] = True
+        np.copyto(d1sq, near, where=shifted[labels])
+        redo = np.flatnonzero(~bound.keeps(d1sq))
+        if redo.size:
+            labels[redo], _, d1sq[redo], d2sq = two_nearest(np.take(X, redo, axis=0), positions)
+            bound.reset(redo, d2sq)
         new_total = fsum(d1sq)
         trace.append(new_total)
         improvement = total - new_total
@@ -143,28 +160,6 @@ def _rounds(X, positions, anchor_set, iterations, rel_tol) -> np.ndarray:
         if rel_tol > 0 and improvement <= rel_tol * max(total, 1e-300):
             break
     return np.asarray(trace)
-
-
-def _reassign(X, positions, moved, labels, d1sq) -> None:
-    """Update ``labels`` and ``d1sq`` in place once the centers in
-    ``moved`` (ascending slots) have taken their new ``positions``, as
-    :func:`_rounds` describes."""
-    left = np.zeros(positions.shape[0], dtype=bool)
-    left[moved] = True
-    left = left[labels]  # the rows whose nearest center moved
-    stay = np.flatnonzero(~left)
-    for start, block in sq_dist_blocks(X, positions[moved], stay):
-        rows = stay[start : start + block.shape[0]]
-        nearest_moved = np.argmin(block, axis=1)
-        value = np.take_along_axis(block, nearest_moved[:, None], axis=1)[:, 0]
-        slot = moved[nearest_moved]
-        old = d1sq[rows]
-        switch = (value < old) | ((value == old) & (slot < labels[rows]))
-        labels[rows[switch]] = slot[switch]
-        d1sq[rows[switch]] = value[switch]
-    rows = np.flatnonzero(left)
-    if rows.size:
-        labels[rows], d1sq[rows] = nearest(np.take(X, rows, axis=0), positions)
 
 
 def flloyd_run(ds: Dataset, sol: Solution, *, cfg: FlConfig | None = None):
@@ -188,8 +183,9 @@ def flloyd_run(ds: Dataset, sol: Solution, *, cfg: FlConfig | None = None):
         raise ValueError("ds must be the dataset the solution was built on (sol.ds)")
     cfg = FlConfig() if cfg is None else cfg
     cfg.validate()
+    start = (sol.assign, sol.d1sq, sol.d2sq)
     positions, trace, nearest = lloyd_rounds(
-        ds.points, sol.center_pos, sol.anchor_set, cfg.iterations, 0.0
+        ds.points, sol.center_pos, sol.anchor_set, cfg.iterations, 0.0, start
     )
     if cfg.iterations == 0:
         return sol, trace

@@ -538,6 +538,27 @@ def test_bad_input_named(make, error, message):
 
 
 @pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda fk, ds, delta: fk.run(ds, delta, fk.LsConfig(k=True, iterations=True, seed=False)), "k"),
+        (lambda fk, ds, delta: fk.run(ds, delta, fk.LsConfig(k=2, iterations=True)), "iterations"),
+        (lambda fk, ds, delta: fk.compute_radii(ds, True), "k"),
+        (lambda fk, ds, delta: fk.subsample(ds, 2, False), "seed"),
+        (lambda fk, ds, delta: fk.vanilla_kmeans(ds, np.True_, 0), "k"),
+    ],
+    ids=["run-k", "run-iterations", "radii-k", "subsample-seed", "vanilla-numpy-bool"],
+)
+def test_bool_count_named(call, name):
+    # operator.index(True) is 1, so a Python bool passed every count check,
+    # then failed inside numpy with a message that named no field
+    import fairkmeans as fk
+
+    ds = Dataset(np.arange(6.0))
+    with pytest.raises(TypeError, match=f"{name} must be an integer, got (np.)?(True|False)"):
+        call(fk, ds, compute_radii(ds, 2))
+
+
+@pytest.mark.parametrize(
     "entry", ["init_solution", "greedy_baseline", "kmeanspp_init", "vanilla_kmeans"]
 )
 @pytest.mark.parametrize(

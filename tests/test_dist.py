@@ -12,8 +12,12 @@ it reads off the kernel.
 
 from __future__ import annotations
 
+import ast
+import math
 import tracemalloc
 import warnings
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,9 +27,12 @@ from hypothesis import strategies as st
 from fairkmeans import Dataset, aspect_ratio, compute_radii
 from fairkmeans import _dist
 from fairkmeans._dist import (
+    FarBound,
     box_layout,
     chunk_rows,
     dists,
+    fsum,
+    fsums,
     kept_values,
     lift_points,
     near_sq_dists,
@@ -705,3 +712,192 @@ def test_ranked_sq_dist_memory(d):
     finally:
         tracemalloc.stop()
     assert peak < 16e6, peak
+
+
+# The exact sum: ``_dist.fsum`` and its grouped form against ``math.fsum``,
+# bit for bit, sign of zero included, and with its errors where it has them.
+
+# finite values of each sign from 2**-1074 to about 2**1001, zeros and
+# subnormals, mixed in one array
+VALUES = st.one_of(
+    st.builds(
+        lambda mantissa, exponent, sign: sign * math.ldexp(mantissa, exponent),
+        st.integers(2**52, 2**53 - 1),
+        st.integers(-1074 - 52, 1000 - 52),
+        st.sampled_from([1.0, -1.0]),
+    ),
+    st.floats(-(2.0**-1022), 2.0**-1022),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+)
+TOP = float.fromhex("0x1.fffffffffffffp+1023")
+EDGES = st.sampled_from([math.inf, -math.inf, math.nan, TOP, -TOP, TOP / 2, 2.0**1000, -(2.0**1000)])
+
+
+def outcome(sum_of, values):
+    """The sum's bits, or the type of the error it raised."""
+    try:
+        return float(sum_of(values)).hex()
+    except (OverflowError, ValueError) as error:
+        return type(error)
+
+
+@given(st.lists(VALUES, max_size=300))
+@settings(max_examples=300, deadline=None)
+def test_fsum_equals_math_fsum(values):
+    assert outcome(fsum, np.array(values)) == outcome(math.fsum, values)
+
+
+@given(st.lists(VALUES, max_size=200), st.lists(VALUES, max_size=4), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_fsum_heavy_cancellation(values, extra, seed):
+    a = np.array(values + [-v for v in values] + extra)
+    np.random.default_rng(seed).shuffle(a)
+    assert outcome(fsum, a) == outcome(math.fsum, a.tolist())
+
+
+@given(
+    n=st.one_of(
+        st.integers(0, 2**17),
+        st.sampled_from([2**j + o for j in range(1, 18) for o in (-2, -1, 0)]),
+    ),
+    spread=st.integers(0, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=30, deadline=None)
+def test_fsum_lengths(n, spread, seed):
+    # the lengths where the level spread M grows are in the sample
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(n) * np.exp2(rng.integers(-spread, spread + 1, n))
+    assert outcome(fsum, a) == outcome(math.fsum, a.tolist())
+
+
+@given(st.lists(st.one_of(EDGES, VALUES), max_size=20))
+@settings(max_examples=300, deadline=None)
+def test_fsum_fallback_keeps_math_fsum(values):
+    # a value that is not finite, or a level that would overflow, is left to
+    # math.fsum: its result, its OverflowError or its ValueError (inf - inf)
+    assert outcome(fsum, np.array(values)) == outcome(math.fsum, values)
+
+
+@given(
+    st.lists(st.tuples(st.one_of(VALUES, EDGES), st.integers(0, 7)), max_size=80),
+    st.integers(1, 8),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_fsums_per_group(pairs, k, finite):
+    # some of the k groups are empty; their sum is 0.0
+    pairs = [(v, g % k) for v, g in pairs if math.isfinite(v) or not finite]
+    values = np.array([v for v, _ in pairs], dtype=np.float64)
+    groups = np.array([g for _, g in pairs], dtype=np.int64)
+    want = [outcome(math.fsum, values[groups == j].tolist()) for j in range(k)]
+    errors = [w for w in want if isinstance(w, type)]
+    if errors:
+        with pytest.raises(errors[0]):
+            fsums(values, groups, k)
+    else:
+        assert [float(v).hex() for v in fsums(values, groups, k)] == want
+
+
+def math_fsum_uses(tree: ast.AST) -> list[int]:
+    """Lines that name ``math.fsum`` or import ``fsum`` from math."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "fsum":
+            if isinstance(node.value, ast.Name) and node.value.id == "math":
+                found.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found += [node.lineno for a in node.names if a.name == "fsum"]
+    return found
+
+
+def test_math_fsum_only_in_dist():
+    # every correctly rounded sum is _dist.fsum or fsums, which take
+    # math.fsum only for the level totals and the fallback
+    src = Path(_dist.__file__).parent
+    found = {m.name: math_fsum_uses(ast.parse(m.read_text())) for m in sorted(src.glob("*.py"))}
+    assert found.pop("_dist.py")
+    assert not {name: lines for name, lines in found.items() if lines}
+    assert sorted(math_fsum_uses(ast.parse("import math\nmath.fsum(a)\nfrom math import fsum\n"))) == [2, 3]
+
+
+# The refinement's bound: ``FarBound.low`` never exceeds the exact distance
+# from a row to a center other than its own, through resets and moves, and
+# ``keeps`` passes only rows whose own kernel value is the strict minimum.
+
+
+def exact_sq(x, c) -> Fraction:
+    return sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(x.tolist(), c.tolist()))
+
+
+def check_far_bound(bound, X, C, labels):
+    for i in range(X.shape[0]):
+        low = float(bound.low[i])
+        if low > 0:
+            for j in range(C.shape[0]):
+                if j != labels[i]:
+                    assert Fraction(low) ** 2 <= exact_sq(X[i], C[j]), (i, j)
+
+
+def check_keeps(bound, X, C, labels):
+    M = sq_dist_matrix(X, C)
+    rows = np.arange(X.shape[0])
+    kept = bound.keeps(M[rows, labels])
+    others = M.copy()
+    others[rows, labels] = np.inf
+    assert np.all(M[rows, labels][kept] < others[kept].min(axis=1))
+    return kept
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 30),
+    k=st.integers(1, 6),
+    d=st.sampled_from([1, 2, 3, 8]),
+    scale=st.sampled_from([1.0, 1e-7, 2.0**500, 2.0**-500]),
+    offset=st.sampled_from([0.0, 1e15]),
+    reach=st.sampled_from([0.0, 1e-9, 0.1, 1.0, 10.0]),
+)
+@settings(max_examples=60, deadline=None)
+def test_far_bound_holds(seed, n, k, d, scale, offset, reach):
+    # half the rows repeat others, and centers sit on rows, so many
+    # distances tie or round
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d))
+    X[n // 2 :] = X[rng.integers(0, n - n // 2, n - n // 2)]
+    X = offset + X * scale
+    C = X[rng.integers(0, n, k)]
+    labels, _, _, d2sq = two_nearest(X, C)
+    bound = FarBound(d2sq, d)
+    check_far_bound(bound, X, C, labels)
+    check_keeps(bound, X, C, labels)
+    for _ in range(2):
+        moved = np.flatnonzero(rng.random(k) < 0.6)
+        new = C.copy()
+        new[moved] += reach * scale * rng.standard_normal((moved.size, d))
+        bound.move(C, new, moved, labels)
+        C = new
+        check_far_bound(bound, X, C, labels)
+        check_keeps(bound, X, C, labels)
+
+
+def test_far_bound_keeps_most_rows_of_separated_blobs():
+    # a filter that keeps no row would pass the test above
+    rng = np.random.default_rng(3)
+    C = 10.0 * np.arange(5.0)[:, None] * np.ones(3)
+    X = C[rng.integers(0, 5, 2000)] + rng.standard_normal((2000, 3))
+    labels, _, _, d2sq = two_nearest(X, C)
+    bound = FarBound(d2sq, 3)
+    new = C + 0.05
+    bound.move(C, new, np.arange(5), labels)
+    assert check_keeps(bound, X, new, labels).mean() > 0.9
+
+
+def test_far_bound_infinite_move_keeps_nothing():
+    X = np.array([[0.0], [1.0], [1e200]])
+    C = np.array([[0.0], [1e200]])
+    labels, _, _, d2sq = two_nearest(X, C)
+    bound = FarBound(d2sq, 1)
+    new = np.array([[0.0], [-1e200]])  # a move whose kernel value overflows
+    bound.move(C, new, np.array([1]), labels)
+    assert not check_keeps(bound, X, new, labels)[labels == 0].any()

@@ -30,8 +30,15 @@ class TestCost:
 
     def test_bad_p(self):
         ds = Dataset(np.zeros((2, 1)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"p=3 must be in \[1, 2\]"):
             cost(ds, np.array([0]), p=3)
+
+    @pytest.mark.parametrize("p", [True, np.True_, 2.0], ids=["bool", "numpy-bool", "float"])
+    def test_p_must_be_an_integer(self, p):
+        # p=True passed as 1 and returned the k-median cost
+        ds = Dataset(np.array([[0.0], [2.0]]))
+        with pytest.raises(TypeError, match="p must be an integer"):
+            cost(ds, np.array([[1.0]]), p=p)
 
     def test_empty_centers(self):
         ds = Dataset(np.zeros((2, 1)))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -19,9 +20,10 @@ from fairkmeans import (
     run,
     seed,
 )
-from fairkmeans._dist import sq_dist_matrix, sq_dists
+from fairkmeans._dist import FarBound, sq_dist_matrix, sq_dists, two_nearest
 from fairkmeans.anchors import AnchorSet, _move, clamped_moves
 from fairkmeans import refine
+from fairkmeans.baselines import kmeanspp_init
 from fairkmeans.refine import cluster_means, lloyd_rounds
 from fairkmeans.solution import RADIUS_SLACK
 from conftest import gaussian_instance
@@ -142,6 +144,31 @@ class TestFairMoveCenter:
             _move(*args)
 
 
+def spy_passes(monkeypatch):
+    """Record refinement's kernel passes, each as its name and a copy of its
+    arguments (the loop updates its labels and positions in place)."""
+    calls = []
+
+    def spy(name):
+        def recording(*args, original=getattr(refine, name)):
+            calls.append((name, *map(np.copy, args)))
+            return original(*args)
+
+        monkeypatch.setattr(refine, name, recording)
+
+    for name in ("nearest", "two_nearest", "_pair_sq_dists"):
+        spy(name)
+    return calls
+
+
+def assert_calls(calls, expected):
+    assert [c[0] for c in calls] == [e[0] for e in expected]
+    for got, wanted in zip(calls, expected):
+        assert len(got) == len(wanted)
+        for a, b in zip(got[1:], wanted[1:]):
+            assert np.array_equal(a, b), got[0]
+
+
 def refined_fixture(s, iters=20):
     ds, delta, k = gaussian_instance(s, n=250)
     sol, _ = run(ds, delta, LsConfig(k=k, iterations=80, seed=s))
@@ -206,49 +233,64 @@ class TestFlloydRun:
         assert refined.total_cost == trace[-1]
 
     def test_one_kernel_pass_per_round(self, monkeypatch):
-        # the entry pass finds every row's nearest center; a round measures
-        # the centers that moved only against the rows whose nearest center
-        # stayed, and gives the rows whose nearest center moved one nearest
-        # pass against every center; the first round where none moved is
-        # the fixed point, after which the kernel is not called again; one
-        # nearest-two pass at the final positions gives the caches
+        # the searched solution's caches are the entry state, so a solution
+        # without ties gets no entry pass; a round takes one pair pass, each
+        # row against its own cluster's candidate, and one nearest-two pass
+        # over exactly the rows whose bound cannot keep their nearest
+        # center; after the fixed point the kernel is not called again, and
+        # one nearest-two pass at the final positions gives the caches
         ds, delta, k = gaussian_instance(31, n=200)
         sol, _ = run(ds, delta, LsConfig(k=k, iterations=20, seed=1))
-        calls = []
-
-        def spy(name):
-            def counting(points, centers, *ids, original=getattr(refine, name)):
-                calls.append((name, points, centers.shape[0], *ids))
-                return original(points, centers, *ids)
-
-            monkeypatch.setattr(refine, name, counting)
-
-        for name in ("nearest", "sq_dist_blocks", "two_nearest"):
-            spy(name)
+        assert np.all(sol.d1sq < sol.d2sq)
+        calls = spy_passes(monkeypatch)
         _, trace = flloyd_run(ds, sol, cfg=FlConfig(iterations=5))
-        _, want, _, moved = reference_lloyd_rounds(
-            ds.points, sol.center_pos, sol.anchor_set, 5, 0.0
-        )
+        X, rows = ds.points, np.arange(ds.n)
+        _, want, _, moved = reference_lloyd_rounds(X, sol.center_pos, sol.anchor_set, 5, 0.0)
         assert 0 in moved and moved[0] > 0
-        expected = [("nearest", ds.points, k)]
-        both = 0
-        for r in range(moved.index(0)):
-            before = reference_lloyd_rounds(ds.points, sol.center_pos, sol.anchor_set, r, 0.0)
-            after = reference_lloyd_rounds(ds.points, sol.center_pos, sol.anchor_set, r + 1, 0.0)
+        bound = FarBound(sol.d2sq, ds.d)
+        expected, kept = [], []
+        for r in range(moved.index(0) + 1):
+            before = reference_lloyd_rounds(X, sol.center_pos, sol.anchor_set, r, 0.0)
+            after = reference_lloyd_rounds(X, sol.center_pos, sol.anchor_set, r + 1, 0.0)
+            labels = np.argmin(before[2], axis=1)
+            means, sizes = cluster_means(X, labels, k)
+            means[sizes == 0] = before[0][sizes == 0]
+            candidates = clamped_moves(sol.anchor_set, before[0], means)
+            if (candidates != before[0]).any():
+                expected.append(("_pair_sq_dists", X, candidates, rows, labels))
             slots = np.flatnonzero((after[0] != before[0]).any(axis=1))
-            left = np.isin(np.argmin(before[2], axis=1), slots)
-            expected.append(("sq_dist_blocks", ds.points, slots.size, np.flatnonzero(~left)))
-            if left.any():
-                expected.append(("nearest", ds.points[left], k))
-            both += left.any() and not left.all()
-        expected.append(("two_nearest", ds.points, k))
-        assert both > 0
-        assert len(calls) == len(expected)
-        for got, wanted in zip(calls, expected):
-            assert got[0] == wanted[0] and got[2] == wanted[2]
-            for a, b in zip(got[1:2] + got[3:], wanted[1:2] + wanted[3:]):
-                assert np.array_equal(a, b), got[0]
+            if not slots.size:
+                break
+            bound.move(before[0], after[0], slots, labels)
+            redo = np.flatnonzero(~bound.keeps(after[2][rows, labels]))
+            # the bound never keeps a row whose nearest center changed
+            assert np.isin(np.flatnonzero(np.argmin(after[2], axis=1) != labels), redo).all()
+            if redo.size:
+                expected.append(("two_nearest", X[redo], after[0]))
+                bound.reset(redo, reference_nearest_two(after[2][redo])[3])
+            keep = ~np.isin(rows, redo)
+            kept.append((keep.sum(), (keep & np.isin(labels, slots)).sum()))
+        expected.append(("two_nearest", X, after[0]))
+        # some round keeps most rows, and rows of moved centers are kept
+        assert max(all_kept for all_kept, _ in kept) > ds.n // 2
+        assert sum(moved_kept for _, moved_kept in kept) > 0
+        assert_calls(calls, expected)
         assert hexes(trace) == hexes(want)
+
+    def test_entry_pass_only_for_tied_rows(self, monkeypatch):
+        # the point at 1 is as far from both centers; the search may hold
+        # either slot for it, so it alone gets a nearest pass on entry
+        ds = Dataset(np.array([[0.0], [1.0], [2.0], [3.0], [6.0]]))
+        delta = RadiusBounds(np.full(5, 1e9))
+        sol = Solution.build(ds, seed(ds, delta, gamma=3.0), center_ids=np.array([0, 2]))
+        sol.assign[1] = 1
+        calls = spy_passes(monkeypatch)
+        refined, trace = flloyd_run(ds, sol, cfg=FlConfig(iterations=3))
+        assert calls[0][0] == "nearest" and np.array_equal(calls[0][1], ds.points[[1]])
+        assert sum(call[0] == "nearest" for call in calls) == 1
+        want = reference_lloyd_rounds(ds.points, sol.center_pos, sol.anchor_set, 3, 0.0)
+        assert np.array_equal(refined.center_pos, want[0])
+        assert hexes(trace) == hexes(want[1])
 
     def test_foreign_dataset_rejected(self):
         ds, delta, k = gaussian_instance(9, n=120)
@@ -263,45 +305,93 @@ class TestFlloydRun:
         assert np.array_equal(trace_a, trace_b)
 
 
+def blob_points(rng, n=150, d=2, blobs=5):
+    return rng.uniform(-8, 8, (blobs, d))[rng.integers(0, blobs, n)] + rng.standard_normal((n, d))
+
+
+def with_ids(X, k, rng, scale=1.0):
+    return X, rng.choice(X.shape[0], size=k, replace=False), scale
+
+
+def equidistant(rng):
+    # a 9 x 9 integer lattice, each row twice, with centers on lattice
+    # points: whole lines of rows are as far from two centers
+    grid = np.stack(np.meshgrid(np.arange(9.0), np.arange(9.0), indexing="ij"), -1).reshape(-1, 2)
+    X = np.concatenate([grid, grid])
+    return X, np.array([0, 8, 72, 80, 40, 4]), 1.0
+
+
+# Instances beyond the Gaussian seeds: (points, center ids, zone scale).
+CORPUS = {
+    "duplicates": lambda rng: with_ids(np.repeat(blob_points(rng, 30, 3), 6, axis=0), 6, rng),
+    "equidistant": equidistant,
+    "offset 1e15": lambda rng: with_ids(1e15 + blob_points(rng), 5, rng),
+    "scale 2**500": lambda rng: with_ids(2.0**500 * blob_points(rng, d=3), 5, rng, 2.0**500),
+    "scale 2**-500": lambda rng: with_ids(2.0**-500 * blob_points(rng), 5, rng, 2.0**-500),
+    "k=1": lambda rng: with_ids(blob_points(rng), 1, rng),
+    "k=n": lambda rng: with_ids(np.repeat(blob_points(rng, 20), 2, axis=0), 40, rng),
+    **{
+        f"vanilla {s}": lambda rng, s=s: (
+            (X := blob_points(rng, 300, 1 + s, 8)), kmeanspp_init(Dataset(X), 6, s), 1.0
+        )
+        for s in range(3)
+    },
+}
+
+
 def lloyd_instance(s):
     """Points, start centers at data points, and zones around half of them
-    small enough that clamped moves occur."""
-    ds, _, k = gaussian_instance(200 + s, n=60 + 17 * s, d=1 + s % 4)
-    rng = np.random.default_rng(s)
-    ids = rng.choice(ds.n, size=k, replace=False)
-    zones = ids[: (k + 1) // 2]
+    small enough that clamped moves occur: a Gaussian instance for an
+    integer ``s``, else ``CORPUS[s]``."""
+    rng = np.random.default_rng(s if isinstance(s, int) else sorted(CORPUS).index(s))
+    if isinstance(s, int):
+        ds, _, k = gaussian_instance(200 + s, n=60 + 17 * s, d=1 + s % 4)
+        X, ids, scale = with_ids(ds.points, k, rng)
+    else:
+        X, ids, scale = CORPUS[s](rng)
+    zones = ids[: (ids.size + 1) // 2]
     anchor_set = AnchorSet(
         anchors=zones,
-        positions=ds.points[zones].copy(),
-        zone_radius=rng.uniform(0.2, 2.0, zones.size),
+        positions=X[zones].copy(),
+        zone_radius=scale * rng.uniform(0.2, 2.0, zones.size),
         gamma=3.0,
     )
-    return ds.points, ds.points[ids], anchor_set
+    return X, X[ids], anchor_set
+
+
+def cached_start(X, centers):
+    """A solution's caches at ``centers`` as the search may hold them: each
+    tied row in the higher slot of its tie."""
+    assign, assign2, d1sq, d2sq = two_nearest(X, centers)
+    tied = d1sq == d2sq
+    assign[tied] = assign2[tied]
+    return assign, d1sq, d2sq
 
 
 class TestLloydRounds:
     """``lloyd_rounds`` against the full-recompute loop it replaced."""
 
-    @pytest.mark.parametrize("s", range(20))
+    @pytest.mark.parametrize("s", [*range(20), *CORPUS])
     @pytest.mark.parametrize("zoned", [True, False])
     def test_matches_full_recompute(self, s, zoned):
         X, centers, anchor_set = lloyd_instance(s)
         anchor_set = anchor_set if zoned else None
-        for iterations in (0, 1, 60):
-            for rel_tol in (0.0, 1e-6):
-                positions, trace, nearest = lloyd_rounds(
-                    X, centers, anchor_set, iterations, rel_tol
-                )
-                want = reference_lloyd_rounds(X, centers, anchor_set, iterations, rel_tol)
-                case = (iterations, rel_tol)
-                assert np.array_equal(positions, want[0]), case
-                assert hexes(trace) == hexes(want[1]), case
-                # the read-off of the last matrix, as the full kernel gives it
-                expected = reference_nearest_two(sq_dist_matrix(X, positions))
-                for field, a, b in zip(NEAREST_TWO, nearest, expected):
-                    assert a.dtype == b.dtype and np.array_equal(a, b), (case, field)
-                if rel_tol == 0:
-                    assert len(trace) == iterations + 1, case
+        for iterations, rel_tol, start in itertools.product(
+            (0, 1, 60), (0.0, 1e-6), (None, cached_start(X, centers))
+        ):
+            positions, trace, nearest = lloyd_rounds(
+                X, centers, anchor_set, iterations, rel_tol, start
+            )
+            want = reference_lloyd_rounds(X, centers, anchor_set, iterations, rel_tol)
+            case = (iterations, rel_tol, start is None)
+            assert np.array_equal(positions, want[0]), case
+            assert hexes(trace) == hexes(want[1]), case
+            # the read-off of the last matrix, as the full kernel gives it
+            expected = reference_nearest_two(sq_dist_matrix(X, positions))
+            for field, a, b in zip(NEAREST_TWO, nearest, expected):
+                assert a.dtype == b.dtype and np.array_equal(a, b), (case, field)
+            if rel_tol == 0:
+                assert len(trace) == iterations + 1, case
 
     @pytest.mark.parametrize("start", [[[0.0], [5.0]], [[5.0], [0.0]]])
     def test_ties_with_moved_centers_go_to_the_lower_slot(self, start):
