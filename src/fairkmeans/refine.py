@@ -164,7 +164,8 @@ def _rounds(X, positions, anchor_set, iterations, rel_tol, start=None) -> np.nda
 
 def flloyd_run(ds: Dataset, sol: Solution, *, cfg: FlConfig | None = None):
     """Refine a solution for ``cfg.iterations`` rounds within the zones of
-    ``sol.anchor_set``.
+    ``sol.anchor_set``, starting from the solution's own nearest-two
+    caches.
 
     Returns the refined solution (centers now continuous positions) and the
     cost trace, one entry on entry plus one per round; the trace is
