@@ -44,10 +44,10 @@ filter serves, through one core:
   (:func:`near_sq_dists`);
 * every nearest-two pass (:func:`two_nearest`, its rank-2 cut, read off
   one row block at a time by :func:`_nearest_two` before it leaves the
-  module): ``solution.Solution.build``, so ``init_solution``,
-  ``greedy_baseline`` and ``check_solution``; an accepted swap's k-scan;
-  refinement's entry without caches, the rows its bound cannot keep and
-  the refined solution's caches;
+  module): the ``solution.Solution`` constructor, so ``init_solution``,
+  ``greedy_baseline``, ``check_solution`` and the refined solution's
+  caches; an accepted swap's k-scan; refinement's entry without caches and
+  the rows its bound cannot keep;
 * every nearest pass (:func:`nearest`, its rank-1 cut, read off by
   ``argmin``): ``refine.assign``, every score (``metrics.cost``,
   ``metrics.bound_ratio`` and the harness's trial scores) and refinement's

@@ -29,6 +29,7 @@ covered at the start of a round is still covered at its end.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,9 +42,14 @@ BISECTION_STEPS = 40
 
 
 def _check_gamma(gamma: float) -> None:
-    """ValueError unless ``gamma`` is a finite number above 2.  An infinite
-    gamma makes the reach ``gamma * delta`` nan where delta is 0, and seeding
+    """TypeError naming ``gamma`` unless it is a real scalar, Python's or
+    numpy's (text, None and arrays would fail inside the comparison below
+    with a message that names no input), and ValueError unless it is a
+    finite number above 2 (a bool is never above 2).  An infinite gamma
+    makes the reach ``gamma * delta`` nan where delta is 0, and seeding
     would pick such a point forever."""
+    if not isinstance(gamma, numbers.Real):
+        raise TypeError(f"gamma must be a real number, got {gamma!r}")
     if not (gamma > 2 and math.isfinite(gamma)):
         raise ValueError(f"gamma must be a finite number above 2, got {gamma}")
 

@@ -27,7 +27,7 @@ from .dataset import (
 from .local_search import _d2_draw, init_solution
 from .metrics import cost as metrics_cost
 from .metrics import fairness_ratios
-from .refine import _rounds
+from .refine import lloyd_rounds
 from .solution import Solution
 
 BRUTE_FORCE_SUBSET_LIMIT = 1_000_000
@@ -76,9 +76,8 @@ def kmeanspp_init(ds: Dataset, k: int, seed) -> np.ndarray:
 def vanilla_kmeans(ds: Dataset, k: int, seed) -> tuple[np.ndarray, np.ndarray]:
     """D^2 seeding (:func:`kmeanspp_init`) plus plain Lloyd rounds, the
     refinement loop with no zone constraint
-    (:func:`fairkmeans.refine.lloyd_rounds` without its nearest-two pass at
-    the end), capped at 100 rounds or a relative improvement of at most
-    1e-6.  The non-fair reference point.
+    (:func:`fairkmeans.refine.lloyd_rounds`), capped at 100 rounds or a
+    relative improvement of at most 1e-6.  The non-fair reference point.
 
     Returns the final positions and the cost trace (entry cost plus one
     value per round).  An empty cluster keeps its center, and a center only
@@ -87,7 +86,7 @@ def vanilla_kmeans(ds: Dataset, k: int, seed) -> tuple[np.ndarray, np.ndarray]:
     moves ends it.
     """
     positions = ds.points[kmeanspp_init(ds, k, seed)]
-    return positions, _rounds(ds.points, positions, None, 100, 1e-6)
+    return positions, lloyd_rounds(ds.points, positions, None, 100, 1e-6)
 
 
 def brute_force_opt(

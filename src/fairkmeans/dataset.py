@@ -375,10 +375,10 @@ def check_distance_overflow(sq) -> None:
 def check_cost_scale(total: float) -> None:
     """ValueError when a total cost (a sum of squared distances to the
     nearest center) overflowed float64: every cost compared with it would
-    read inf, and the search and refinement would stall on it.  Run on
-    ``Solution.build``'s total, on the Lloyd loop's entry cost and on the
-    D² draw's total weight (the search's and k-means++ seeding's), which is
-    the total cost of the centers drawn from."""
+    read inf, and the search and refinement would stall on it.  Run on the
+    ``Solution`` constructor's total, on the Lloyd loop's entry cost and on
+    the D² draw's total weight (the search's and k-means++ seeding's), which
+    is the total cost of the centers drawn from."""
     if not math.isfinite(total):
         raise ValueError(
             "the total cost (sum of squared distances to the nearest center) "
@@ -420,8 +420,12 @@ def as_floats(name: str, values) -> np.ndarray:
     ``str`` or ``bytes`` entries of an object array, are a TypeError naming
     ``name``: numpy would drop the imaginary parts behind a ComplexWarning,
     and would parse numeric text as numbers but fail on other text with a
-    message that names no input."""
-    arr = np.asarray(values)
+    message that names no input.  Ragged rows are a ValueError naming
+    ``name``, where numpy's names none."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:
+        raise ValueError(f"{name} must be a rectangular array; its rows differ in length") from None
     text = arr.dtype.kind in "US" or (
         arr.dtype == object and any(isinstance(v, (str, bytes)) for v in arr.flat)
     )

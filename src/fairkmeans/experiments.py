@@ -228,10 +228,11 @@ def _jsonable(obj):
 
 
 def parse_delta_mode(mode: str) -> tuple[str, int]:
-    """Parse "exact" or "sampled:<m>" into (mode, sample_size)."""
+    """Parse "exact" or "sampled:<m>" into (mode, sample_size); anything
+    else, a value that is not a string included, is a ValueError."""
     if mode == "exact":
         return "exact", 0
-    if mode.startswith("sampled:"):
+    if isinstance(mode, str) and mode.startswith("sampled:"):
         try:
             m = int(mode.split(":", 1)[1])
         except ValueError:

@@ -29,7 +29,7 @@ or every row.  At d <= 2 the search reads the solution's caches in the
 layout's order and each box's largest ``d2^2`` (``Solution.boxed`` and
 ``Solution.reach``), which the solution builds with its other caches.  An
 accepted swap re-scans the points whose nearest or second-nearest center
-left with the nearest-two pass of ``Solution.build``
+left with the nearest-two pass the ``Solution`` constructor makes
 (:func:`fairkmeans._dist.two_nearest`, whose filter ``_dist`` chooses from
 the centers).  The D^2 draw reads the solution's cumsum cache
 (``Solution.cum``) and the certificate below its removal costs
@@ -171,7 +171,8 @@ def init_solution(ds: Dataset, anchor_set: AnchorSet, k: int, seed) -> Solution:
     ``anchor_set`` is :func:`anchors.seed`'s output for ``ds``, and
     ``seed`` may be an int or a numpy Generator.  Raises
     InfeasibleInstanceError when there are more anchors than k, and
-    :meth:`Solution.build`'s ValueError for a total cost that overflows.
+    the :class:`Solution` constructor's ValueError for a total cost that
+    overflows.
     """
     _check_integer("k", k, 1, ds.n)
     rng = _rng(seed)
@@ -183,7 +184,7 @@ def init_solution(ds: Dataset, anchor_set: AnchorSet, k: int, seed) -> Solution:
         pool = np.setdiff1d(np.arange(ds.n), ids)
         fill = rng.choice(pool, size=k - m, replace=False)
         ids = np.concatenate([ids, np.sort(fill)])
-    sol = Solution.build(ds, anchor_set, center_ids=ids)
+    sol = Solution(ds, anchor_set, center_ids=ids)
     check_guarantee(sol)
     return sol
 

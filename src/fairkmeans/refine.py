@@ -9,7 +9,10 @@ through because zone coverage is preserved.
 Each round's candidate moves, with the pins that clamp them, come from
 :func:`anchors.clamped_moves`; this module decides only which moves pay.
 
-The same loop with no zones is plain Lloyd (:func:`baselines.vanilla_kmeans`).
+:func:`lloyd_rounds` is the package's one Lloyd loop: with zones it refines
+a solution (:func:`flloyd_run`, which builds the refined solution from its
+final positions with the :class:`solution.Solution` constructor), and with no
+zones it is plain Lloyd (:func:`baselines.vanilla_kmeans`).
 """
 
 from __future__ import annotations
@@ -64,27 +67,24 @@ def cluster_means(X: np.ndarray, labels: np.ndarray, k: int):
 
 def lloyd_rounds(
     X: np.ndarray,
-    centers: np.ndarray,
+    positions: np.ndarray,
     anchor_set: AnchorSet | None,
     iterations: int,
     rel_tol: float,
     start: tuple | None = None,
-) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """Up to ``iterations`` Lloyd rounds from ``centers``, each move clamped
-    to the zones of ``anchor_set`` pinned to the center (none when
-    ``anchor_set`` is None).  ``start``, when given, is ``(assign, d1sq,
-    d2sq)`` of ``centers``, a solution's nearest-two caches, which spare
-    the entry pass (:func:`_rounds`).
+) -> np.ndarray:
+    """Up to ``iterations`` Lloyd rounds, each move clamped to the zones of
+    ``anchor_set`` pinned to the center (none when ``anchor_set`` is None).
+    Moves the (k, d) float array ``positions`` in place and returns the
+    cost trace: the entry cost plus one value per round.  ``start``, when
+    given, is ``(assign, d1sq, d2sq)`` of ``positions``, a solution's
+    nearest-two caches, which spare the entry pass.
 
-    Returns the final positions, the cost trace (the entry cost plus one
-    value per round) and each point's nearest and second-nearest center at
-    the final positions, ``(assign, assign2, d1sq, d2sq)``, from one
-    nearest-two pass (``_dist.two_nearest``) after the rounds.  An empty
-    cluster keeps its center, and a move is kept only when its cluster's
-    recomputed cost strictly improves, which makes the trace non-increasing
-    in float arithmetic as well as in exact arithmetic.  A positive
-    ``rel_tol`` stops once a round's relative improvement drops to it or
-    below.  An entry cost that overflows float64 is a ValueError
+    An empty cluster keeps its center, and a move is kept only when its
+    cluster's recomputed cost strictly improves, which makes the trace
+    non-increasing in float arithmetic as well as in exact arithmetic.  A
+    positive ``rel_tol`` stops once a round's relative improvement drops to
+    it or below.  An entry cost that overflows float64 is a ValueError
     (:func:`dataset.check_cost_scale`).
 
     A round in which no center moves is a fixed point: positions, and so
@@ -93,15 +93,6 @@ def lloyd_rounds(
     ``rel_tol = 0`` the trace still gets one entry per remaining round (the
     unchanged cost), so it always has ``iterations + 1`` entries; with a
     positive ``rel_tol`` it gets one, the zero-improvement stop.
-    """
-    positions = centers.copy()
-    trace = _rounds(X, positions, anchor_set, iterations, rel_tol, start)
-    return positions, trace, two_nearest(X, positions)
-
-
-def _rounds(X, positions, anchor_set, iterations, rel_tol, start=None) -> np.ndarray:
-    """The loop of :func:`lloyd_rounds`, with its arguments: moves
-    ``positions`` in place and returns the trace.
 
     The loop keeps each point's nearest slot and squared distance, as
     ``argmin`` reads them off ``sq_dist_matrix(X, positions)``, and never
@@ -164,19 +155,17 @@ def _rounds(X, positions, anchor_set, iterations, rel_tol, start=None) -> np.nda
 
 def flloyd_run(ds: Dataset, sol: Solution, *, cfg: FlConfig | None = None):
     """Refine a solution for ``cfg.iterations`` rounds within the zones of
-    ``sol.anchor_set``, starting from the solution's own nearest-two
-    caches.
+    ``sol.anchor_set`` (:func:`lloyd_rounds`), starting from the solution's
+    own nearest-two caches.
 
     Returns the refined solution (centers now continuous positions) and the
     cost trace, one entry on entry plus one per round; the trace is
     non-increasing.  Refinement stops computing at its fixed point, the
     first round in which no center moves; the rounds after it repeat the
-    last cost in the trace (:func:`lloyd_rounds`).  The refined solution's
-    nearest-two caches are those of :func:`lloyd_rounds`' one nearest-two
-    pass at the final positions, equal to :meth:`Solution.build`'s, its D²
-    cumsum is built from them, and its ``total_cost`` is the trace's last,
-    correctly rounded, entry.  ``ds`` must be ``sol.ds``, else a
-    ValueError.
+    last cost in the trace.  The refined solution is built from its final
+    positions by the :class:`Solution` constructor, which derives its caches,
+    and its ``total_cost`` is then the trace's last, correctly rounded,
+    entry.  ``ds`` must be ``sol.ds``, else a ValueError.
 
     ``iterations = 0`` returns the input solution unchanged.
     """
@@ -184,14 +173,13 @@ def flloyd_run(ds: Dataset, sol: Solution, *, cfg: FlConfig | None = None):
         raise ValueError("ds must be the dataset the solution was built on (sol.ds)")
     cfg = FlConfig() if cfg is None else cfg
     cfg.validate()
+    positions = sol.center_pos.copy()
     start = (sol.assign, sol.d1sq, sol.d2sq)
-    positions, trace, nearest = lloyd_rounds(
-        ds.points, sol.center_pos, sol.anchor_set, cfg.iterations, 0.0, start
-    )
+    trace = lloyd_rounds(ds.points, positions, sol.anchor_set, cfg.iterations, 0.0, start)
     if cfg.iterations == 0:
         return sol, trace
 
-    # the read-off's (assign, assign2, d1sq, d2sq) are the fields in order
-    refined = Solution(ds, sol.anchor_set, None, positions, *nearest, float(trace[-1]))
+    refined = Solution(ds, sol.anchor_set, center_pos=positions)
+    refined.total_cost = float(trace[-1])
     check_guarantee(refined)
     return refined, trace

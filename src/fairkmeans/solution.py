@@ -1,14 +1,13 @@
 """A center set with the caches the search and refinement stages share.
 
-:class:`Solution` holds the centers plus each point's nearest and
-second-nearest center, which :meth:`Solution.build` and a refined solution
-take from the one nearest-two pass (``_dist.two_nearest``).  The D² cumsum
-the search draws from, the per-slot removal costs its certificate reads and
-the anchor-zone coverage table are built from those fields by the constructor
-itself, never passed in, and so are, for a solution with ids at d <= 2, the
-search's box-ordered copies; the points' filter lift and box layout depend
-on the points alone and belong to the dataset (``Dataset.lift``,
-``Dataset.boxes``).
+:class:`Solution` is built from its centers alone, ids or positions.  Its
+constructor derives every cache from them: each point's nearest and
+second-nearest center from the one nearest-two pass (``_dist.two_nearest``),
+the total cost, the D² cumsum the search draws from, the per-slot removal
+costs its certificate reads, the anchor-zone coverage table and, for a
+solution with ids at d <= 2, the search's box-ordered copies.  The points'
+filter lift and box layout depend on the points alone and belong to the
+dataset (``Dataset.lift``, ``Dataset.boxes``).
 :func:`check_solution` is the debug oracle that compares a solution's
 caches against a fresh rebuild, and :func:`check_guarantee` is the one
 check that a solution keeps the promise: a center in every anchor zone, and
@@ -17,7 +16,7 @@ each point served within ``2 * gamma * delta(p)``.
 
 from __future__ import annotations
 
-import dataclasses
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,22 +39,34 @@ RADIUS_SLACK = 1 + 1e-9  # float headroom on the 2*gamma postcondition
 class Solution:
     """A k-center solution with the caches the search loop maintains.
 
-    ``center_ids`` are dataset point ids, or ``None`` once a refinement stage
-    has moved centers off the data points; ``center_pos`` is always valid.
-    ``assign``/``assign2`` hold the slot of each point's nearest and
-    second-nearest center and ``d1sq``/``d2sq`` the matching squared
-    distances (``assign2 = -1`` and ``d2sq = inf`` when k = 1).
-    ``total_cost`` is the k-means cost, kept consistent with a from-scratch
-    recomputation to 1e-9 relative; each constructor rounds it its own way
-    (:meth:`build` sums ``d1sq``, refinement takes its trace's correctly
-    rounded last entry, the search its swap formula).
+    Built from its centers alone: ``center_ids``, a 1-D array of point ids
+    (:func:`dataset.point_ids`), or ``center_pos``, a (k, d) array of the
+    points' d columns (:func:`dataset.check_positions`); both, neither or
+    anything else is a ValueError.  The solution holds the checked copies
+    those return, float64 positions and int64 ids, so the search never
+    writes to the caller's arrays nor truncates a new center to an integer
+    dtype.  ``center_ids`` stays ``None`` for a solution built from
+    positions, such as a refined one whose centers left the data points;
+    ``center_pos`` is always valid.  ``anchor_set`` is
+    :func:`anchors.seed`'s output.
 
-    The other caches are not constructor arguments: they are built from
-    the fields, so no caller can hand in a table that disagrees with the
-    centers.  ``covers`` is the (k, m) zone table of
-    :func:`anchors._coverage`: ``covers[j, z]`` is True when center j lies
-    in anchor zone z, and a valid solution has a True in every column.
-    The sums of ``_refresh_sums`` read the distance caches:
+    Every other field is derived, never passed in, so no caller can hand in
+    a cache that disagrees with the centers.  ``assign``/``assign2`` hold
+    the slot of each point's nearest and second-nearest center and
+    ``d1sq``/``d2sq`` the matching squared distances (``assign2 = -1`` and
+    ``d2sq = inf`` when k = 1), from one nearest-two pass
+    (``_dist.two_nearest``).  ``total_cost`` is the k-means cost, their
+    ``d1sq.sum()``; a total that overflows
+    (:func:`dataset.check_cost_scale`) is a ValueError, and points whose
+    squared distances underflow are rejected by the :class:`dataset.Dataset`
+    constructor, so no solution reads a cost of 0 or inf that the points do
+    not have.  Its single owner may round it another way later and keep it
+    within 1e-9 relative of a recomputation: refinement sets its trace's
+    correctly rounded last entry, the search its swap formula.
+    ``covers`` is the (k, m) zone table of :func:`anchors._coverage`:
+    ``covers[j, z]`` is True when center j lies in anchor zone z, and a
+    valid solution has a True in every column.  The sums of
+    ``_refresh_sums`` read the distance caches:
 
     * ``cum`` is ``np.cumsum(d1sq)``, the running total the search's D²
       draw reads;
@@ -64,37 +75,28 @@ class Solution:
       ``np.bincount``;
     * ``boxed`` is ``(d1sq, d2sq, assign)`` laid out as the points' box
       layout, ``np.take(values, ds.boxes.order)``, and ``reach`` the
-      largest ``d2sq`` in each box: the search's copies, which the
-      constructor builds for a solution with ``center_ids`` on a dataset
-      with a box layout (d <= 2); None at d > 2 and for a solution without
-      ids (refined, or built from positions), which the search cannot
-      swap.
+      largest ``d2sq`` in each box: the search's copies, which exist for a
+      solution with ``center_ids`` on a dataset with a box layout (d <= 2);
+      None at d > 2 and for a solution without ids, which the search
+      cannot swap.
 
     ``loss``, ``boxed`` and ``reach`` are what the search's certificate and
     its finder read (``local_search._certified``).  Only this class decides
     whether ``boxed`` and ``reach`` exist; an accepted swap refreshes every
     sum present.
 
-    ``anchor_set`` is :func:`anchors.seed`'s output, ``center_pos`` must
-    be a (k, d) array of the points' d columns
-    (:func:`dataset.check_positions`) and ``center_ids``, if given, point
-    ids (:func:`dataset.point_ids`), else a ValueError.  The solution holds
-    the checked copies those return, float64 positions and int64 ids, so
-    the search never writes to the caller's arrays nor truncates a new
-    center to an integer dtype.
-
     Solutions are single-owner: only the loop that created one mutates it.
     """
 
     ds: Dataset
     anchor_set: AnchorSet
-    center_ids: np.ndarray | None
-    center_pos: np.ndarray
-    assign: np.ndarray
-    assign2: np.ndarray
-    d1sq: np.ndarray
-    d2sq: np.ndarray
-    total_cost: float
+    center_ids: np.ndarray | None = None
+    center_pos: np.ndarray | None = None
+    assign: np.ndarray = field(init=False)
+    assign2: np.ndarray = field(init=False)
+    d1sq: np.ndarray = field(init=False)
+    d2sq: np.ndarray = field(init=False)
+    total_cost: float = field(init=False)
     cum: np.ndarray = field(init=False)
     covers: np.ndarray = field(init=False)
     loss: np.ndarray = field(init=False)
@@ -102,76 +104,39 @@ class Solution:
     reach: np.ndarray | None = field(init=False)
 
     def __post_init__(self):
-        self.center_pos = check_positions(self.center_pos, self.ds.d)
-        if self.center_ids is not None:
+        if self.center_pos is None:
+            if self.center_ids is None:
+                raise ValueError("need center ids or positions")
             self.center_ids = point_ids(self.ds, self.center_ids)
+            self.center_pos = self.ds.points[self.center_ids]
+        elif self.center_ids is not None:
+            raise ValueError("pass center_ids or center_pos, not both")
+        else:
+            self.center_pos = check_positions(self.center_pos, self.ds.d)
+        nearest = two_nearest(self.ds.points, self.center_pos)
+        self.assign, self.assign2, self.d1sq, self.d2sq = nearest
+        with np.errstate(over="ignore"):  # an inf total is the check's ValueError
+            self.total_cost = float(self.d1sq.sum())
+        check_cost_scale(self.total_cost)
         self.covers = _coverage(self.anchor_set, self.center_pos)
-        self.cum = np.empty(self.ds.n)
-        self.loss = np.empty(self.k)
-        self.boxed = self.reach = None
-        if self.center_ids is not None and self.ds.boxes is not None:
-            shape = self.ds.boxes.order.shape
-            self.boxed = (np.empty(shape), np.empty(shape), np.empty(shape, self.assign.dtype))
-            self.reach = np.empty(shape[0])
         self._refresh_sums()
 
     def _refresh_sums(self) -> None:
-        """Rebuild ``cum``, ``loss`` and, where present, ``boxed`` and
-        ``reach`` in place from the distance caches and slots, as the
-        constructor does and an accepted swap does after updating them."""
-        np.cumsum(self.d1sq, out=self.cum)
-        self.loss[:] = np.bincount(self.assign, weights=self.d2sq - self.d1sq, minlength=self.k)
-        if self.boxed is not None:
-            for copy, values in zip(self.boxed, (self.d1sq, self.d2sq, self.assign)):
-                np.take(values, self.ds.boxes.order, out=copy)
-            np.max(self.boxed[1], axis=1, out=self.reach)
+        """Rebuild ``cum``, ``loss`` and, for a solution with ids on a
+        dataset with a box layout, ``boxed`` and ``reach`` from the distance
+        caches and slots, as the constructor does and an accepted swap does
+        after updating them."""
+        self.cum = np.cumsum(self.d1sq)
+        self.loss = np.bincount(self.assign, weights=self.d2sq - self.d1sq, minlength=self.k)
+        self.boxed = self.reach = None
+        if self.center_ids is not None and self.ds.boxes is not None:
+            order = self.ds.boxes.order
+            self.boxed = tuple(np.take(v, order) for v in (self.d1sq, self.d2sq, self.assign))
+            self.reach = self.boxed[1].max(axis=1)
 
     @property
     def k(self) -> int:
         return self.center_pos.shape[0]
-
-    @classmethod
-    def build(
-        cls,
-        ds: Dataset,
-        anchor_set: AnchorSet,
-        center_ids: np.ndarray | None = None,
-        center_pos: np.ndarray | None = None,
-    ) -> "Solution":
-        """From-scratch construction of every cache; the oracle the
-        incremental updates are checked against.  ``anchor_set`` is
-        :func:`anchors.seed`'s output.  Takes either
-        ``center_ids``, a 1-D array of point ids (:func:`dataset.point_ids`),
-        or ``center_pos``, a (k, d) array (:func:`dataset.check_positions`);
-        both, neither or anything else is a ValueError.  A total cost
-        that overflows (:func:`dataset.check_cost_scale`) is a ValueError
-        too, and points whose squared distances underflow are rejected by
-        the :class:`dataset.Dataset` constructor, so no solution built
-        here, for ``init_solution`` or :func:`check_solution`, reads a
-        cost of 0 or inf that the points do not have."""
-        if center_pos is None:
-            if center_ids is None:
-                raise ValueError("need center ids or positions")
-            center_pos = ds.points[point_ids(ds, center_ids)]
-        elif center_ids is not None:
-            raise ValueError("pass center_ids or center_pos, not both")
-        else:
-            center_pos = check_positions(center_pos, ds.d)
-        assign, assign2, d1sq, d2sq = two_nearest(ds.points, center_pos)
-        with np.errstate(over="ignore"):  # an inf total is the check's ValueError
-            total_cost = float(d1sq.sum())
-        check_cost_scale(total_cost)
-        return cls(
-            ds=ds,
-            anchor_set=anchor_set,
-            center_ids=center_ids,
-            center_pos=center_pos,
-            assign=assign,
-            assign2=assign2,
-            d1sq=d1sq,
-            d2sq=d2sq,
-            total_cost=total_cost,
-        )
 
 
 def check_solution(sol: Solution, delta: RadiusBounds | None = None) -> None:
@@ -183,14 +148,14 @@ def check_solution(sol: Solution, delta: RadiusBounds | None = None) -> None:
     slots (:func:`_slots_hold`), cost coherence at 1e-9 relative, and then
     the promise
     (:func:`check_guarantee`, with the 2*gamma service bound when radii are
-    supplied).  The rebuild from the positions (:meth:`Solution.build`)
-    raises its float-range ValueErrors.
+    supplied).  The rebuild from the positions (the :class:`Solution`
+    constructor) raises its float-range ValueErrors.
     """
     if sol.center_ids is not None:
         at_ids = sol.ds.points[point_ids(sol.ds, sol.center_ids)]
         if not np.array_equal(at_ids, sol.center_pos):
             raise AssertionError("center ids out of sync with the center positions")
-    fresh = Solution.build(sol.ds, sol.anchor_set, center_pos=sol.center_pos)
+    fresh = Solution(sol.ds, sol.anchor_set, center_pos=sol.center_pos)
     if not np.array_equal(fresh.d1sq, sol.d1sq):
         raise AssertionError("d1 cache out of sync with the center set")
     if not np.array_equal(fresh.d2sq, sol.d2sq):
@@ -204,8 +169,9 @@ def check_solution(sol: Solution, delta: RadiusBounds | None = None) -> None:
     if not second:
         raise AssertionError("second-nearest slots out of sync with the d2 cache")
     # the slots may keep either center of a tie, so the sums are rebuilt on
-    # the solution's own fields, whose distances are checked above
-    rebuilt = dataclasses.replace(sol)
+    # a copy of the solution's own fields, whose distances are checked above
+    rebuilt = copy.copy(sol)
+    rebuilt._refresh_sums()
     sums = {"D² cumsum": "cum", "removal-cost": "loss", "box-ordered": "boxed", "box reach": "reach"}
     for name, cache in sums.items():
         if not _same(getattr(sol, cache), getattr(rebuilt, cache)):

@@ -180,7 +180,7 @@ def test_criterion_6_d2_sampler():
     ds = Dataset(pts)
     delta = RadiusBounds(np.full(10, 1e9))
     aset = seed(ds, delta, GAMMA)
-    sol = Solution.build(ds, aset, center_ids=np.array([0, 9]))
+    sol = Solution(ds, aset, center_ids=np.array([0, 9]))
     probs = sol.d1sq / sol.d1sq.sum()
     rng = np.random.default_rng(9)
     n_draws = 100_000

@@ -58,10 +58,11 @@ class TestSeed:
         with pytest.raises(ValueError, match="gamma"):
             seed(ds, RadiusBounds(np.ones(2)), gamma=2.0)
 
-    @pytest.mark.parametrize("gamma", [2.0, math.inf, math.nan])
+    @pytest.mark.parametrize("gamma", [2.0, math.inf, math.nan, True])
     def test_gamma_must_be_finite_above_two(self, gamma):
         # every radius is positive, so an infinite gamma covers every point
-        # with the first anchor instead of hanging on a nan reach
+        # with the first anchor instead of hanging on a nan reach; a bool is
+        # a number, and never above 2
         ds = Dataset(np.arange(4.0)[:, None])
         delta = RadiusBounds(np.ones(4))
         message = "gamma must be a finite number above 2"
@@ -69,6 +70,20 @@ class TestSeed:
             seed(ds, delta, gamma=gamma)
         with pytest.raises(ValueError, match=message):
             LsConfig(k=2, gamma=gamma).validate()
+
+    @pytest.mark.parametrize(
+        "gamma", ["3", None, np.array([3.0, 4.0])], ids=["str", "None", "array"]
+    )
+    def test_gamma_must_be_a_real_number(self, gamma):
+        # each used to fail inside the comparison with gamma, naming no input:
+        # "'>' not supported between ..." or "truth value of an array ..."
+        ds = Dataset(np.arange(4.0)[:, None])
+        delta = RadiusBounds(np.ones(4))
+        message = "^gamma must be a real number, got "
+        with pytest.raises(TypeError, match=message):
+            seed(ds, delta, gamma=gamma)
+        with pytest.raises(TypeError, match=message):
+            run(ds, delta, LsConfig(k=2, gamma=gamma))
 
     def test_tie_breaks_to_lowest_id(self):
         ds = Dataset(np.array([[0.0], [50.0], [100.0]]))
@@ -142,7 +157,7 @@ class TestBuildCoverage:
         aset = make_anchor_set(ds, [0], [3.0])
         covers = _coverage(aset, ds.points[[1, 2]])
         assert covers.tolist() == [[True], [False]]
-        assert Solution.build(ds, aset, center_ids=[1, 2]).covers.tolist() == covers.tolist()
+        assert Solution(ds, aset, center_ids=[1, 2]).covers.tolist() == covers.tolist()
 
     def test_uncovered_zone_detected(self):
         ds = Dataset(np.array([[0.0], [10.0]]))
@@ -166,9 +181,8 @@ class TestBuildCoverage:
         # column alone and give a table
         ds = Dataset(np.arange(20.0).reshape(10, 2))
         aset = make_anchor_set(ds, [0, 5], [3.0, 3.0])
-        ids, zeros = np.zeros(ds.n, dtype=np.int64), np.zeros(ds.n)
         with pytest.raises(ValueError, match=message):
-            Solution(ds, aset, None, np.array(positions), ids, ids + 1, zeros, zeros, 0.0)
+            Solution(ds, aset, center_pos=np.array(positions))
 
 
 def test_anchor_set_accepts_seed_output_and_no_zones():

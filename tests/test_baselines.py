@@ -97,14 +97,16 @@ class TestLloyd:
 
     def test_line_fixture_converges(self):
         ds = Dataset(np.array([[0.0], [1.0], [10.0], [11.0]]))
-        pos, trace, _ = lloyd_rounds(ds.points, np.array([[0.0], [10.0]]), None, 10, 0.0)
+        pos = np.array([[0.0], [10.0]])
+        trace = lloyd_rounds(ds.points, pos, None, 10, 0.0)
         assert np.allclose(np.sort(pos.ravel()), [0.5, 10.5])
         assert trace[-1] == 1.0
 
     def test_zero_iterations(self):
         ds = Dataset(np.array([[0.0], [2.0]]))
         start = np.array([[1.5]])
-        pos, trace, _ = lloyd_rounds(ds.points, start, None, 0, 0.0)
+        pos = start.copy()
+        trace = lloyd_rounds(ds.points, pos, None, 0, 0.0)
         assert np.array_equal(pos, start)
         assert trace.size == 1
 
@@ -116,7 +118,7 @@ class TestLloyd:
             pts = rng.normal(size=(n, 2))
             ds = Dataset(pts)
             start = pts[rng.choice(n, size=k, replace=False)]
-            _, trace, _ = lloyd_rounds(ds.points, start, None, 8, 0.0)
+            trace = lloyd_rounds(ds.points, start, None, 8, 0.0)
             assert np.all(np.diff(trace) <= 0)
 
     def test_vanilla_pipeline(self):

@@ -601,7 +601,7 @@ def non_finite_cases():
         "bound_ratio": lambda: fk.bound_ratio(ds, compute_radii(ds, 2), nan),
         "bound_ratio-d4": lambda: fk.bound_ratio(ds4, compute_radii(ds4, 2), [[np.nan] * 4]),
         "assign": lambda: fk.assign(ds, [[0.0, 1.0], [np.nan, np.nan]]),
-        "Solution.build": lambda: fk.Solution.build(ds, aset, center_pos=nan),
+        "Solution.build": lambda: fk.Solution(ds, aset, center_pos=nan),
     }
 
 
@@ -626,11 +626,6 @@ def underflow_cases():
     def aset(ds):
         return make_anchor_set(ds, [0], [1.0])
 
-    def built(ds):
-        zeros = np.zeros(ds.n)
-        ids = zeros.astype(int)
-        return fk.Solution(ds, aset(ds), None, ds.points[[0, 1]], ids, ids + 1, zeros, zeros, 0.0)
-
     return {
         "kmeanspp_init": lambda ds: fk.kmeanspp_init(ds, 3, 0),
         "vanilla_kmeans": lambda ds: fk.vanilla_kmeans(ds, 3, 0),
@@ -638,12 +633,14 @@ def underflow_cases():
         "bound_ratio": lambda ds: fk.bound_ratio(ds, delta, [0, 1]),
         "aspect_ratio": lambda ds: fk.aspect_ratio(ds),
         "assign": lambda ds: fk.assign(ds, [0, 1]),
-        "Solution.build-ids": lambda ds: fk.Solution.build(ds, aset(ds), center_ids=[0, 1]),
-        "Solution.build-positions": lambda ds: fk.Solution.build(
+        "Solution.build-ids": lambda ds: fk.Solution(ds, aset(ds), center_ids=[0, 1]),
+        "Solution.build-positions": lambda ds: fk.Solution(
             ds, aset(ds), center_pos=ds.points[[0, 1]]
         ),
         "init_solution": lambda ds: fk.init_solution(ds, aset(ds), 3, 0),
-        "check_solution": lambda ds: check_solution(built(ds)),
+        "check_solution": lambda ds: check_solution(
+            fk.Solution(ds, aset(ds), center_pos=ds.points[[0, 1]])
+        ),
         "brute_force_opt": lambda ds: brute_force_without_its_loop(ds, delta),
     }
 
@@ -749,8 +746,8 @@ def cost_overflow_cases():
     return {
         "kmeanspp_init": lambda: fk.kmeanspp_init(ds, 3, 0),
         "vanilla_kmeans": lambda: fk.vanilla_kmeans(ds, 3, 0),
-        "Solution.build-ids": lambda: fk.Solution.build(ds, aset, center_ids=[0, 1]),
-        "Solution.build-positions": lambda: fk.Solution.build(
+        "Solution.build-ids": lambda: fk.Solution(ds, aset, center_ids=[0, 1]),
+        "Solution.build-positions": lambda: fk.Solution(
             ds, aset, center_pos=ds.points[[0, 1]]
         ),
     }
@@ -793,6 +790,23 @@ def complex_cases():
 def test_complex_input_named(name):
     with pytest.raises(TypeError, match=f"^{name} must be real numbers, got complex128$"):
         complex_cases()[name]()
+
+
+def ragged_cases():
+    """One call per place outside values become floats as a whole, each
+    given rows of different lengths, which numpy refused with "setting an
+    array element with a sequence ... inhomogeneous shape", naming no
+    input."""
+    return {
+        "points": lambda: Dataset([[1, 2], [3]]),
+        "delta": lambda: RadiusBounds([[1.0], [2.0, 3.0]]),
+    }
+
+
+@pytest.mark.parametrize("name", list(ragged_cases()))
+def test_ragged_input_named(name):
+    with pytest.raises(ValueError, match=f"^{name} must be a rectangular array; its rows differ"):
+        ragged_cases()[name]()
 
 
 def text_cases():

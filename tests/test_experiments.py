@@ -195,6 +195,10 @@ class TestRunExperiment:
         [
             ("gamma", math.inf, ValueError, "gamma must be a finite number above 2"),
             ("gamma", 1.0, ValueError, "gamma must be a finite number above 2"),
+            ("gamma", "3", TypeError, "gamma must be a real number, got '3'"),
+            ("gamma", None, TypeError, "gamma must be a real number, got None"),
+            ("gamma", np.array([3.0, 4.0]), TypeError, r"gamma must be a real number, got array"),
+            ("delta_mode", 5, ValueError, "bad delta mode 5; use exact or sampled:<m>"),
             ("trials", 2.5, TypeError, "trials must be an integer, got 2.5"),
             ("sample", 20.0, TypeError, "sample must be an integer, got 20.0"),
             ("k", 4.0, TypeError, "k must be an integer, got 4.0"),
@@ -212,7 +216,8 @@ class TestRunExperiment:
             ("out", ".", ValueError, "out='.' is a directory"),
         ],
         ids=[
-            "gamma-inf", "gamma-1", "trials-float", "sample-float", "k-float",
+            "gamma-inf", "gamma-1", "gamma-str", "gamma-None", "gamma-array", "delta-mode-int",
+            "trials-float", "sample-float", "k-float",
             "flloyd-iters-float", "flloyd-iters-negative", "seed-negative", "seed-float",
             "out-missing-directory", "out-directory",
         ],

@@ -1,7 +1,7 @@
 """Import structure of the package: every import sits at module level and
-is used, the public names are exactly what ``__init__.py`` imports (both
-they and ``RunTrace``'s fields are pinned), and numpy is the only package
-outside the standard library that it imports.
+is used, the public names are exactly what ``__init__.py`` imports (they,
+``RunTrace``'s fields and ``Solution``'s constructor arguments are pinned),
+and numpy is the only package outside the standard library that it imports.
 
 A function-level import is how a circular import gets dodged; keeping them
 out means the module graph stays acyclic and visible at the top of each file.
@@ -118,6 +118,13 @@ RUN_TRACE_FIELDS = [
 def test_run_trace_fields_pinned():
     # the trace's fields are public too: a counter added or dropped shows up here
     assert [f.name for f in dataclasses.fields(fairkmeans.RunTrace)] == RUN_TRACE_FIELDS
+
+
+def test_solution_is_built_from_its_centers():
+    # one door: the constructor takes the centers and derives every cache
+    init = [f.name for f in dataclasses.fields(fairkmeans.Solution) if f.init]
+    assert init == ["ds", "anchor_set", "center_ids", "center_pos"]
+    assert not hasattr(fairkmeans.Solution, "build")
 
 
 def package_reads(tree: ast.AST) -> set[tuple[str, ...]]:

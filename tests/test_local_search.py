@@ -99,7 +99,7 @@ class TestD2Sample:
     def test_probabilities_line(self):
         ds = Dataset(np.array([[0.0], [1.0], [3.0]]))
         aset = make_anchor_set(ds, [0], [1e9])
-        sol = Solution.build(ds, aset, center_ids=np.array([0]))
+        sol = Solution(ds, aset, center_ids=np.array([0]))
         assert np.allclose(sol.d1sq, [0.0, 1.0, 9.0])
         rng = np.random.default_rng(0)
         draws = np.array([d2_sample(sol, rng) for _ in range(20_000)])
@@ -111,7 +111,7 @@ class TestD2Sample:
     def test_zero_cost_is_an_error(self):
         ds = Dataset(np.array([[0.0], [1.0]]))
         aset = make_anchor_set(ds, [0], [1e9])
-        sol = Solution.build(ds, aset, center_ids=np.array([0, 1]))
+        sol = Solution(ds, aset, center_ids=np.array([0, 1]))
         with pytest.raises(ValueError, match="zero"):
             d2_sample(sol, np.random.default_rng(0))
 
@@ -136,7 +136,7 @@ class TestD2Sample:
     def test_symmetric_pair_within_3_sigma(self):
         ds = Dataset(np.array([[0.0], [-2.0], [2.0]]))
         aset = make_anchor_set(ds, [0], [1e9])
-        sol = Solution.build(ds, aset, center_ids=np.array([0]))
+        sol = Solution(ds, aset, center_ids=np.array([0]))
         rng = np.random.default_rng(1)
         draws = np.array([d2_sample(sol, rng) for _ in range(10_000)])
         count = np.count_nonzero(draws == 1)
@@ -236,7 +236,7 @@ class TestSolutionBuild:
         aset = make_anchor_set(ds, [0], [1e9])
         empty = {"center_ids": [], "center_pos": np.empty((0, 2))}[given]
         with pytest.raises(ValueError, match="center set is empty"):
-            Solution.build(ds, aset, **{given: empty})
+            Solution(ds, aset, **{given: empty})
 
     @pytest.mark.parametrize("bad", [-1, 10])
     def test_center_id_out_of_range(self, bad):
@@ -244,14 +244,14 @@ class TestSolutionBuild:
         ds = Dataset(np.arange(10.0))
         aset = make_anchor_set(ds, [0], [1e9])
         with pytest.raises(ValueError, match=f"center id {bad} is outside"):
-            Solution.build(ds, aset, center_ids=[bad, 3])
+            Solution(ds, aset, center_ids=[bad, 3])
 
     @pytest.mark.parametrize("cols", [1, 3])
     def test_center_columns_mismatch(self, cols):
         ds = Dataset(np.arange(20.0).reshape(10, 2))
         aset = make_anchor_set(ds, [0], [1e9])
         with pytest.raises(ValueError, match=f"centers have {cols} columns but the points have 2"):
-            Solution.build(ds, aset, center_pos=np.arange(1.0, cols + 1)[None])
+            Solution(ds, aset, center_pos=np.arange(1.0, cols + 1)[None])
 
     @pytest.mark.parametrize("ids", [[1.5, 2.0], np.array([1.0, 2.0]), [[0, 1]]])
     def test_ids_must_be_a_1d_integer_array(self, ids):
@@ -260,14 +260,14 @@ class TestSolutionBuild:
         ds = Dataset(np.arange(20.0).reshape(10, 2))
         aset = make_anchor_set(ds, [0], [1e9])
         with pytest.raises(ValueError, match="center ids must be a 1-D integer array"):
-            Solution.build(ds, aset, center_ids=ids)
+            Solution(ds, aset, center_ids=ids)
 
     def test_ids_copied(self):
         # the search writes to sol.center_ids, never to the caller's array
         ds, delta, aset, _ = ls_fixture(66, n=120, k=4)
         ids = init_solution(ds, aset, 4, 0).center_ids.copy()
         given = ids.copy()
-        sol = Solution.build(ds, aset, center_ids=given)
+        sol = Solution(ds, aset, center_ids=given)
         rng = np.random.default_rng(1)
         for _ in range(60):
             ls_step(sol, aset, rng)
@@ -277,7 +277,8 @@ class TestSolutionBuild:
     def test_constructor_holds_checked_copies(self):
         # a directly built solution holds float64 and int64 copies: the
         # search writes its swaps into neither of the caller's arrays, and
-        # int64 positions do not truncate a new center off its id
+        # int64 positions are held as float64 ones, so that no new center
+        # is truncated off its id
         X = np.random.default_rng(8).integers(-8, 8, size=(150, 2)) + 0.25
         ds = Dataset(np.concatenate([X, [[-20.0, -20.0], [20.0, 20.0]]]))
         ids = np.array([150, 151], dtype=np.int32)
@@ -285,8 +286,11 @@ class TestSolutionBuild:
         given_ids, given_pos = ids.copy(), pos.copy()
         nearest = _dist.two_nearest(ds.points, ds.points[ids])
         no_zones = AnchorSet(np.empty(0, dtype=np.int64), np.empty((0, 2)), np.empty(0), 3.0)
-        sol = Solution(ds, no_zones, ids, pos, *nearest, float(nearest[2].sum()))
+        sol = Solution(ds, no_zones, center_ids=ids)
         assert sol.center_pos.dtype == np.float64 and sol.center_ids.dtype == np.int64
+        placed = Solution(ds, no_zones, center_pos=pos)
+        assert placed.center_pos.dtype == np.float64
+        assert np.array_equal(placed.d1sq, nearest[2]) and np.array_equal(placed.d2sq, nearest[3])
         rng = np.random.default_rng(1)
         took = [ls_step(sol, None, rng)[1] for _ in range(100)]
         assert sum(took) >= 2
@@ -302,7 +306,7 @@ class TestSolutionBuild:
         aset = make_anchor_set(ds, [0], [1e9])
         for ids in (np.array([-7, 2.5, 1e9, 0]), np.array([0, 1, 2, 3])):
             with pytest.raises(ValueError, match="pass center_ids or center_pos, not both"):
-                Solution.build(ds, aset, center_ids=ids, center_pos=ds.points[[5, 6, 7, 8]])
+                Solution(ds, aset, center_ids=ids, center_pos=ds.points[[5, 6, 7, 8]])
 
     def test_init_solution_k_must_be_integer(self):
         ds = Dataset(np.arange(20.0).reshape(10, 2))
@@ -355,7 +359,7 @@ class TestEvaluateSwaps:
         # zone around point 0 only holds center 0; candidate 4 is outside
         ds = Dataset(np.array([[0.0], [4.0], [10.0]]))
         aset = make_anchor_set(ds, [0], [3.0])
-        sol = Solution.build(ds, aset, center_ids=np.array([0, 2]))
+        sol = Solution(ds, aset, center_ids=np.array([0, 2]))
         costs, admissible = swap_costs(sol, 1)
         assert not admissible[0] and admissible[1]
         # the filter, not the cost, rules out removing center 0
@@ -366,7 +370,7 @@ class TestEvaluateSwaps:
     def test_no_admissible_swap(self):
         ds = Dataset(np.array([[0.0], [4.0]]))
         aset = make_anchor_set(ds, [0], [3.0])
-        sol = Solution.build(ds, aset, center_ids=np.array([0]))
+        sol = Solution(ds, aset, center_ids=np.array([0]))
         _, admissible = swap_costs(sol, 1)
         assert not admissible.any()
         # every draw is point 1, and no swap may take it
@@ -385,7 +389,7 @@ class TestLsStep:
             for _ in range(40):
                 _, took = ls_step(sol, aset, rng)
                 took_any = took_any or took
-            fresh = Solution.build(ds, aset, center_pos=sol.center_pos)
+            fresh = Solution(ds, aset, center_pos=sol.center_pos)
             assert np.array_equal(fresh.d1sq, sol.d1sq)
             assert np.array_equal(fresh.d2sq, sol.d2sq)
             assert np.array_equal(fresh.assign, sol.assign)
@@ -398,7 +402,7 @@ class TestLsStep:
         ds = Dataset(np.array([[0.0], [1.0], [10.0], [11.0]]))
         delta = RadiusBounds(np.full(4, 1e6))
         aset = seed(ds, delta, gamma=3.0)
-        sol = Solution.build(ds, aset, center_ids=np.array([0, 2]))
+        sol = Solution(ds, aset, center_ids=np.array([0, 2]))
         for p in range(4):
             costs, admissible = swap_costs(sol, p)
             assert np.all(costs[admissible] >= sol.total_cost - 1e-12)
@@ -446,7 +450,7 @@ class TestLsStep:
         ds = Dataset(np.array([-1.0, 0.0, 0.0, 0.0, 1.0]))
         aset = make_anchor_set(ds, [2], [10.0])
         for s in range(5):
-            sol = Solution.build(ds, aset, center_ids=np.array([4, 0]))
+            sol = Solution(ds, aset, center_ids=np.array([4, 0]))
             assert sol.total_cost == 3.0
             _, took = ls_step(sol, aset, np.random.default_rng(s))
             assert took and sol.total_cost == 1.0
@@ -459,7 +463,7 @@ class TestLsStep:
         ds = Dataset(np.array([0.0, 5.0, 5.0, 5.0, 20.0]))
         aset = make_anchor_set(ds, [0], [1.0])
         for s in range(5):
-            sol = Solution.build(ds, aset, center_ids=np.array([0, 4]))
+            sol = Solution(ds, aset, center_ids=np.array([0, 4]))
             assert sol.total_cost == 75.0
             _, took = ls_step(sol, aset, np.random.default_rng(s))
             assert not took
@@ -507,7 +511,7 @@ class TestSearchState:
         rng = np.random.default_rng(0)
         while ls_step(sol, aset, rng)[1]:
             pass
-        fresh = Solution.build(ds, aset, center_ids=sol.center_ids)
+        fresh = Solution(ds, aset, center_ids=sol.center_ids)
         refined, _ = flloyd_run(ds, sol, cfg=FlConfig(iterations=3))
         for each in (sol, fresh, refined):
             check_solution(each, delta)
@@ -609,10 +613,10 @@ class TestSearchState:
             # takes the full pass, on the same finder's rows
             m.setattr(local_search, "_certified", lambda *args: False)
             uncertified = self.solve(ds, delta, k, iterations)
-            # and no finder anywhere: the candidate pass, the k-scan and
-            # Solution.build (init and the debug oracle) all run the plain
-            # kernel.  A fresh dataset, since ds keeps the lift and boxes it
-            # has built.
+            # and no finder anywhere: the candidate pass, the k-scan and the
+            # Solution constructor (init and the debug oracle) all run the
+            # plain kernel.  A fresh dataset, since ds keeps the lift and
+            # boxes it has built.
             plain_ds = Dataset(ds.points)
             m.setattr(dataset, "lift_points", lambda points: None)
             m.setattr(dataset, "box_layout", lambda points: None)
@@ -875,18 +879,18 @@ class TestCheckGuarantee:
 
     def test_flloyd_run(self):
         ds = self.line4()
-        sol = Solution.build(ds, self.zone_off_its_anchor(), center_ids=[0, 2])
+        sol = Solution(ds, self.zone_off_its_anchor(), center_ids=[0, 2])
         with pytest.raises(AssertionError, match="anchor zone 0 .* holds no center"):
             flloyd_run(ds, sol, cfg=FlConfig(iterations=2))
 
     def test_check_solution_zone(self):
-        sol = Solution.build(self.line4(), self.zone_off_its_anchor(), center_ids=[0, 2])
+        sol = Solution(self.line4(), self.zone_off_its_anchor(), center_ids=[0, 2])
         with pytest.raises(AssertionError, match="anchor zone 0 .* holds no center"):
             check_solution(sol)
 
     def test_check_solution_radii(self):
         ds = self.line4()
-        sol = Solution.build(ds, self.no_zones(), center_ids=[0])
+        sol = Solution(ds, self.no_zones(), center_ids=[0])
         check_solution(sol, RadiusBounds(np.full(4, 11 / 6)))
         with pytest.raises(AssertionError, match="point 3 served at 11.000x"):
             check_solution(sol, RadiusBounds(np.ones(4)))
@@ -900,7 +904,7 @@ class TestCheckSolution:
     def tie_line():
         # point 1 lies at squared distance 1 from both centers
         ds = Dataset(np.array([[0.0], [1.0], [2.0], [5.0]]))
-        return Solution.build(ds, TestCheckGuarantee.no_zones(), center_ids=[0, 2])
+        return Solution(ds, TestCheckGuarantee.no_zones(), center_ids=[0, 2])
 
     @staticmethod
     def stepped():
@@ -997,40 +1001,41 @@ class TestCheckSolution:
 
     def test_one_center_has_no_second_slot(self):
         ds = Dataset(np.array([[0.0], [1.0], [2.0]]))
-        sol = Solution.build(ds, TestCheckGuarantee.no_zones(), center_ids=[1])
+        sol = Solution(ds, TestCheckGuarantee.no_zones(), center_ids=[1])
         check_solution(sol)
         sol.assign2[0] = 0
         with pytest.raises(AssertionError, match="second-nearest slots out of sync"):
             check_solution(sol)
 
     def test_ids_off_their_positions_detected(self):
-        # a hand-built solution whose ids name other points than its
+        # a solution whose ids were changed to name other points than its
         # positions hold; its distance caches match the positions
         ds = TestCheckGuarantee.line4()
-        pos = ds.points[[0, 2]]
-        nearest = _dist.two_nearest(ds.points, pos)
-        sol = Solution(ds, TestCheckGuarantee.no_zones(), np.array([0, 3]), pos, *nearest, 2.0)
+        sol = Solution(ds, TestCheckGuarantee.no_zones(), center_ids=[0, 2])
+        sol.center_ids = np.array([0, 3])
         with pytest.raises(AssertionError, match="center ids out of sync with the center positions"):
             check_solution(sol)
         sol.center_ids = np.array([0, 2])
         check_solution(sol)
 
     def test_constructor_builds_cumsum_and_coverage(self):
-        # a hand-built solution used to take both tables, and one whose
-        # coverage table marked every zone covered passed check_guarantee
-        # with no center in zone 0
+        # the constructor derives every cache from the centers: a hand-built
+        # solution used to take both tables, and one whose coverage table
+        # marked every zone covered passed check_guarantee with no center in
+        # zone 0
         ds = TestCheckGuarantee.line4()
         aset = TestCheckGuarantee.zone_off_its_anchor()
         pos = ds.points[[0, 2]]
         nearest = _dist.two_nearest(ds.points, pos)
-        sol = Solution(ds, aset, None, pos, *nearest, float(nearest[2].sum()))
+        sol = Solution(ds, aset, center_pos=pos)
         assert np.array_equal(sol.cum, np.cumsum(nearest[2]))
         assert not sol.covers.any()
         with pytest.raises(AssertionError, match="anchor zone 0 .* holds no center"):
             check_guarantee(sol)
-        for name in ("cum", "covers"):
+        derived = ["assign", "assign2", "d1sq", "d2sq", "total_cost"]
+        for name in derived + ["cum", "covers", "loss", "boxed", "reach"]:
             with pytest.raises(TypeError, match=name):
-                Solution(ds, aset, None, pos, *nearest, 0.0, **{name: np.ones((2, 1), bool)})
+                Solution(ds, aset, center_pos=pos, **{name: np.ones((2, 1), bool)})
 
 
 class TestRun:

@@ -78,9 +78,9 @@ def test_search_takes_only_the_filter_from_dist():
 
 @pytest.mark.parametrize("module", ["solution.py", "metrics.py"])
 def test_builds_and_scores_take_the_filtered_pass(module):
-    # Solution.build and the scores read only each row's nearest or two
-    # nearest centers, so they go through the filter's cut, never the full
-    # (n, k) kernel matrix
+    # the Solution constructor and the scores read only each row's nearest
+    # or two nearest centers, so they go through the filter's cut, never the
+    # full (n, k) kernel matrix
     assert not dist_imports(module) & {"sq_dist_matrix", "sq_dist_blocks"}
 
 

@@ -125,14 +125,14 @@ def test_overflowing_total_cost_is_only_the_named_error():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="total cost .* overflows float64"):
-            Solution.build(ds, no_zones(1), center_ids=[0])
+            Solution(ds, no_zones(1), center_ids=[0])
 
 
 def test_swap_cost_above_the_float_range_is_inf():
     # trading slot 1 for point 2, a twin of the center in slot 0, leaves
     # points 1 and 3 a cost above float64's range
     ds = Dataset(np.array([[-2.0, -2.0], [-2.0, 0.0], [-2.0, -2.0], [0.0, 1.0]]) * 2.0**510)
-    sol = Solution.build(ds, no_zones(2), center_ids=[0, 1])
+    sol = Solution(ds, no_zones(2), center_ids=[0, 1])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         new_costs, admissible = swap_costs(sol, 2)

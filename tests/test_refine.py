@@ -22,7 +22,7 @@ from fairkmeans import (
 )
 from fairkmeans._dist import FarBound, sq_dist_matrix, sq_dists, two_nearest
 from fairkmeans.anchors import AnchorSet, _move, clamped_moves
-from fairkmeans import refine
+from fairkmeans import refine, solution
 from fairkmeans.baselines import kmeanspp_init
 from fairkmeans.refine import cluster_means, lloyd_rounds
 from fairkmeans.solution import RADIUS_SLACK
@@ -149,15 +149,16 @@ def spy_passes(monkeypatch):
     arguments (the loop updates its labels and positions in place)."""
     calls = []
 
-    def spy(name):
-        def recording(*args, original=getattr(refine, name)):
+    def spy(module, name):
+        def recording(*args, original=getattr(module, name)):
             calls.append((name, *map(np.copy, args)))
             return original(*args)
 
-        monkeypatch.setattr(refine, name, recording)
+        monkeypatch.setattr(module, name, recording)
 
     for name in ("nearest", "two_nearest", "_pair_sq_dists"):
-        spy(name)
+        spy(refine, name)
+    spy(solution, "two_nearest")  # the refined solution's constructor
     return calls
 
 
@@ -206,7 +207,8 @@ class TestFlloydRun:
         delta = RadiusBounds(np.full(50, 1e9))
         sol, _ = run(ds, delta, LsConfig(k=2, iterations=30, seed=2))
         refined, _ = flloyd_run(ds, sol, cfg=FlConfig(iterations=60))
-        plain, _, _ = lloyd_rounds(ds.points, sol.center_pos, None, 60, 0.0)
+        plain = sol.center_pos.copy()
+        lloyd_rounds(ds.points, plain, None, 60, 0.0)
         assert np.array_equal(refined.center_pos, plain)
 
     def test_empty_cluster_center_stays(self):
@@ -216,7 +218,7 @@ class TestFlloydRun:
         aset = seed(ds, delta, gamma=3.0)
         from fairkmeans.local_search import Solution
 
-        sol = Solution.build(ds, aset, center_pos=np.array([[1.0], [50.0]]))
+        sol = Solution(ds, aset, center_pos=np.array([[1.0], [50.0]]))
         refined, _ = flloyd_run(ds, sol, cfg=FlConfig(iterations=3))
         assert refined.center_pos[1, 0] == 50.0
 
@@ -225,7 +227,7 @@ class TestFlloydRun:
         ds, delta, _ = gaussian_instance(60 + k, n=200, k=k)
         sol, _ = run(ds, delta, LsConfig(k=k, iterations=40, seed=k))
         refined, trace = flloyd_run(ds, sol, cfg=FlConfig(iterations=6))
-        fresh = Solution.build(ds, sol.anchor_set, center_pos=refined.center_pos)
+        fresh = Solution(ds, sol.anchor_set, center_pos=refined.center_pos)
         for name in ("assign", "assign2", "d1sq", "d2sq"):
             assert np.array_equal(getattr(refined, name), getattr(fresh, name)), name
         assert np.array_equal(refined.covers, fresh.covers)
@@ -282,7 +284,7 @@ class TestFlloydRun:
         # either slot for it, so it alone gets a nearest pass on entry
         ds = Dataset(np.array([[0.0], [1.0], [2.0], [3.0], [6.0]]))
         delta = RadiusBounds(np.full(5, 1e9))
-        sol = Solution.build(ds, seed(ds, delta, gamma=3.0), center_ids=np.array([0, 2]))
+        sol = Solution(ds, seed(ds, delta, gamma=3.0), center_ids=np.array([0, 2]))
         sol.assign[1] = 1
         calls = spy_passes(monkeypatch)
         refined, trace = flloyd_run(ds, sol, cfg=FlConfig(iterations=3))
@@ -379,16 +381,17 @@ class TestLloydRounds:
         for iterations, rel_tol, start in itertools.product(
             (0, 1, 60), (0.0, 1e-6), (None, cached_start(X, centers))
         ):
-            positions, trace, nearest = lloyd_rounds(
-                X, centers, anchor_set, iterations, rel_tol, start
-            )
+            positions = centers.copy()
+            trace = lloyd_rounds(X, positions, anchor_set, iterations, rel_tol, start)
             want = reference_lloyd_rounds(X, centers, anchor_set, iterations, rel_tol)
             case = (iterations, rel_tol, start is None)
             assert np.array_equal(positions, want[0]), case
             assert hexes(trace) == hexes(want[1]), case
-            # the read-off of the last matrix, as the full kernel gives it
+            # the nearest-two pass at the final positions, which the refined
+            # solution's constructor makes, is the read-off of the last
+            # matrix, as the full kernel gives it
             expected = reference_nearest_two(sq_dist_matrix(X, positions))
-            for field, a, b in zip(NEAREST_TWO, nearest, expected):
+            for field, a, b in zip(NEAREST_TWO, two_nearest(X, positions), expected):
                 assert a.dtype == b.dtype and np.array_equal(a, b), (case, field)
             if rel_tol == 0:
                 assert len(trace) == iterations + 1, case
@@ -404,7 +407,8 @@ class TestLloydRounds:
         first = reference_lloyd_rounds(X, centers, None, 1, 0.0)
         tie = reference_nearest_two(first[2])
         assert first[3] == [1] and tie[0][2] == 0 and tie[2][2] == tie[3][2] == 4.0
-        positions, trace, _ = lloyd_rounds(X, centers, None, 3, 0.0)
+        positions = centers.copy()
+        trace = lloyd_rounds(X, positions, None, 3, 0.0)
         want = reference_lloyd_rounds(X, centers, None, 3, 0.0)
         assert np.array_equal(positions, want[0])
         assert hexes(trace) == hexes(want[1])
@@ -423,12 +427,14 @@ class TestLloydRounds:
         assert clamped >= 10 and partial >= 10 and fixed >= 10
 
     def test_input_centers_untouched(self):
-        # accepted moves are written in place, into the loop's own copy
+        # accepted moves are written in place, into flloyd_run's own copy of
+        # the solution's centers
         X, centers, anchor_set = lloyd_instance(5)
-        before = centers.copy()
-        positions, _, _ = lloyd_rounds(X, centers, anchor_set, 5, 0.0)
-        assert np.array_equal(centers, before)
-        assert not np.array_equal(positions, before)
+        sol = Solution(Dataset(X), anchor_set, center_pos=centers)
+        before = sol.center_pos.copy()
+        refined, _ = flloyd_run(sol.ds, sol, cfg=FlConfig(iterations=5))
+        assert np.array_equal(sol.center_pos, before)
+        assert not np.array_equal(refined.center_pos, before)
 
 
 def scaled_pipeline(points, k, mode, seed):
