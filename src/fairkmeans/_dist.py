@@ -50,8 +50,8 @@ filter serves, through one core:
   the rows its bound cannot keep;
 * every nearest pass (:func:`nearest`, its rank-1 cut, read off by
   ``argmin``): ``refine.assign``, every score (``metrics.cost``,
-  ``metrics.bound_ratio`` and the harness's trial scores) and refinement's
-  tied rows on entry.
+  ``metrics.bound_ratio`` and the harness's trial scores), refinement's
+  tied rows on entry and the rows' leaders in the radii's leader cut.
 
 :func:`lift_points` alone decides where the filter applies, and every
 filtered function returns the kernel's values where it declines;
@@ -64,17 +64,24 @@ as an estimate.  There the radii (ranks above 2) take the second filter,
 the exact box cut: each block of nearby rows ranks only the references
 whose distance to the block's bounding box can decide a radius
 (:func:`_boxed_ranks`, with bounds in the kernel's own rounding, so no
-slack).  :func:`ranked_sq_dist` is the one place that chooses between the
-two filters and the plain kernel, from d, the rank and whether the lift
-declined.  The same bounds serve the search's distance pass for a candidate
-at d <= 2: the points' box layout (:func:`box_layout`, built once per
-dataset and shared with the radii) keeps the boxes whose lower bound to the
-candidate is at most the largest bound of their rows.
+slack).  At d > 2 the radii take a third filter in front of the lift, the
+leader cut: rows are grouped around leaders among the references, and each
+group ranks, through the lift, only the references whose distance to its
+ball can decide a radius (:func:`_led_ranks`, with bounds widened by the
+kernel's rounding slack, :class:`_Slack`); it declines where it would keep
+too many pairs, and the lift then ranks every row.
+:func:`ranked_sq_dist` is the one place that chooses among the three
+filters and the plain kernel, from d, the rank and whether the lift or
+the leader cut declined.  The box cut's bounds serve the search's distance
+pass for a candidate at d <= 2: the points' box layout
+(:func:`box_layout`, built once per dataset and shared with the radii)
+keeps the boxes whose lower bound to the candidate is at most the largest
+bound of their rows.
 :func:`near_sq_dists` is the one place that chooses the candidate pass's
 finder: the lift, the box layout, or every row.
 
-Refinement's filter is a third one, a lower bound per row on its distance
-to every center but its own (:class:`FarBound`, whose docstring proves its
+Refinement's filter is a fourth one, a lower bound per row on its distance
+to every center but its own (:class:`FarBound`, with the leader cut's
 slack): a row whose kernel value to its own center, from the rounds' pair
 pass, lies strictly below the bound keeps that center without a nearest-two
 pass.
@@ -105,6 +112,40 @@ GEMM_PRODUCTS = 1 << 18
 # against 1,000 references at rank 100, boxes of 128 rows keep about 14% of
 # the pairs; 128 to 512 rows ran equally fast, 32 rows 1.8x slower.
 BOX_ROWS = 128
+
+# The leader cut (d > 2) takes min(max(n // LEAD_ROWS, m // rank),
+# m // LEAD_REFS, n·m // LEAD_PAIRS) groups, and declines below two.
+# Measured on a 2-core machine against the lift alone:
+# * LEAD_ROWS: on radii-exact-d16 (6,000 16-d points in 20 blobs, rank
+#   300) groups of 96, 192 and 384 rows took 100, 76 and 111 ms, against
+#   160 ms.  m // rank groups keep a group no larger than a radius holds:
+#   on the many-centers layout with exact radii at n = 10k (rank 100), 52
+#   groups of 192 rows took 450 ms and 100 groups 183 ms, against 359 ms.
+# * LEAD_REFS: on csv-harness's full set (100k rows, 1,000 references,
+#   rank 100), where the cut declines, caps of 8 and 1 references per
+#   leader (125 and 381 leaders) took 558 and 665 ms, 32 (31 leaders)
+#   521 ms.
+# * LEAD_PAIRS: each group pays its own lift and ranking calls; on the
+#   d16 layout at n = 2,400 (rank 120), 20 groups of 288k pairs took
+#   22 ms against 33, and 10 groups (a cap of 2**19) 33 ms; at n = 1,600,
+#   20 groups of 128k pairs took 15.4 ms against 14.5.
+LEAD_ROWS = 192
+LEAD_REFS = 32
+LEAD_PAIRS = 1 << 18
+
+# The leader cut declines where it would rank more than LEAD_SHARE of the
+# pairs between the cells of its leaders and a strided sample of at most
+# LEAD_SAMPLE references.  Forced on every input, the cut took about
+# 2.2 times the lift's time per pair it ranked; over 26 inputs of the
+# bench layouts at n = 3,200 to 20,000 and ranks 32 to 1,200, a share up
+# to 0.24 ran in 0.30-0.58 of the lift's time, and one of 0.41 or more in
+# 1.12-1.88 of it.  Taking the leaders and the share costs 1-2.5 ms (on
+# 6,000 Gaussian 16-d points, 1.2% of the pass); a sample of 256 cost
+# up to 0.9 ms less, but its leaders kept twice the pairs on the
+# many-centers layout (36% against 17%), and one of 1,024 cost 3.5 ms
+# more and kept the same.
+LEAD_SHARE = 0.3
+LEAD_SAMPLE = 512
 
 
 def fsum(a: np.ndarray) -> float:
@@ -263,15 +304,19 @@ def ranked_sq_dist(
     after a per-row ``partition``, bit for bit; the radii's pass.
     ``boxes`` is :func:`box_layout` of ``points`` (``Dataset.boxes``).
 
-    This function alone chooses how, from d, ``rank`` and whether
-    :func:`lift_points` declines:
+    This function alone chooses how, from d, ``rank`` and whether the
+    leader cut declines:
 
-    * the lift applies (d > 2, more than two references, a finite bound
-      below): a dot-product estimate decides which references can hold the
-      answer, and only those pairs get kernel values
-      (:func:`_filtered_ranks`);
-    * it declines at d <= 2 and rank above 2: the box cut below decides
-      which references each block of rows ranks (:func:`_boxed_ranks`);
+    * d > 2: the leader cut below decides which references each group of
+      nearby rows ranks (:func:`_led_ranks`).  The rows of each group, or
+      every row where the cut declines, are ranked through the lift
+      (:func:`_lifted_ranks`): where it applies (more than two references,
+      a finite bound below), a dot-product estimate decides which
+      references can hold the answer, and only those pairs get kernel
+      values (:func:`_filtered_ranks`);
+    * d <= 2 and rank above 2 (where the lift declines): the box cut below
+      decides which references each block of rows ranks
+      (:func:`_boxed_ranks`);
     * otherwise (d <= 2 at ranks 1 and 2, or d > 2 where the lift
       declines) every pair gets its kernel value, in row blocks of
       :func:`sq_dist_blocks`, and ``_nth_smallest`` reads the rank.
@@ -346,12 +391,41 @@ def ranked_sq_dist(
     as with the dot-product bound, the cut excludes pairs and the kernel
     supplies every value.  Boxes of ``BOX_ROWS`` rows are cut from the
     rows in a spatial order (:func:`_box_order`), so that they are small.
+
+    **The leader cut.**  At d > 2 the same argument runs on balls.  The
+    rows are grouped around leaders, references chosen by farthest-point
+    traversal (:func:`_leaders`), each row with its nearest leader
+    (:func:`nearest`).  Let l be a group's leader and ρ = ``root_above``
+    of the largest kernel value between l and a row of the group, at least
+    the exact distance |x - l| of each of its rows x.  For a reference y let
+    s = |l - y|, with ``s_lo = root_below(K(l, y)) <= s <= s_hi =
+    root_above(K(l, y))``.  By the triangle inequality s - ρ <= |x - y| <=
+    s + ρ, so for every row x of the group (:func:`_cut_bounds`)
+    ``near = square_below(lowered(s_lo, ρ)) <= K(x, y) <= far =
+    square_above(fl(s_hi + ρ))``.  The methods of :class:`_Slack` prove
+    each rounding's direction: ``lowered(s_lo, ρ) <= s_lo - ρ <= |x - y|``,
+    and ``fl(s_hi + ρ) >= (1 - u)·|x - y|``, which ``square_above``
+    allows for.  Let U be the group's rank-th smallest far and V its
+    rank-th smallest near.  As in the box cut, every row's answer v is at
+    most U, and a reference whose near is above U is strictly farther: it
+    is dropped.  At least m - rank + 1 references have K >= near >= V for
+    every row, so v >= V, and a reference whose far is below V has
+    K <= far < V <= v: strictly closer, for every row.  Fewer than rank
+    references are (their near lies below V too); with c of them, v is
+    the (rank - c)-th smallest of the rest, and dropping the strictly
+    farther ones leaves it so.  Each group therefore ranks the references
+    with near <= U and far >= V, at least rank - c of them (those with
+    V <= far <= U), at rank - c, through the lift on that subset or, where
+    it declines, from every pair (:func:`_lifted_ranks`).  The cut
+    excludes pairs, and the kernel supplies every value.  It declines
+    before ranking any group where it would keep too many pairs
+    (:func:`_led_ranks`), and the lift then ranks every row.
     """
-    lift = lift_points(refs, rows=points)
-    if lift is not None:
-        return _filtered_ranks(points, refs, rank, lift)
+    if points.shape[1] > 2:
+        led = _led_ranks(points, refs, rank)
+        return _lifted_ranks(points, refs, rank) if led is None else led
     out = np.empty(points.shape[0])
-    if points.shape[1] <= 2 and rank > 2:
+    if rank > 2:
         _boxed_ranks(points, refs, rank, out, boxes)
     else:
         _plain_ranks(points, refs, rank, out)
@@ -584,6 +658,88 @@ def _pair_sq_dists(
     return values
 
 
+class _Slack:
+    """The kernel's rounding slack at d dimensions, and the ways
+    :class:`FarBound` and :func:`ranked_sq_dist`'s leader cut widen a
+    kernel value or a distance by it.  ``rel`` and ``tiny`` are read from
+    here alone.
+
+    Let r be the exact distance between two rows, D = r², K the pair's
+    kernel value and u = 2**-53.  Where K is finite, |K - D| <=
+    gamma_{d+2}·D (:func:`ranked_sq_dist`), plus at most 2**-1075 for each
+    of the d squares that underflows; a K that overflows to inf has
+    D >= MAX/(1 + gamma_{d+2}), MAX the largest float.  The slack is
+    ``rel = (d + 8)·2**-50``, (8d + 64)u, which covers gamma_{d+2} and the
+    roundings of each step below (at most five) to first order in u, and
+    ``tiny = (d + 8)·2**-1070`` for the absolute terms.
+
+    * :meth:`root_below`: ``fl(sqrt(max(fl(fl((1 - rel)·min(K, MAX)) -
+      tiny), 0)))``, whose square is at most (1 - gamma_{d+2})·K -
+      d·2**-1075 <= D, so at most r.
+    * :meth:`root_above`: ``fl(sqrt(fl(fl((1 + rel)·K) + tiny)))``, whose
+      square is at least (1 + gamma_{d+2})·K + d·2**-1075 >= D, so at least
+      r; inf where K is.
+    * :meth:`lowered`: ``fl(fl(low·(1 - 2u)) - S)`` is at most low - S for
+      S >= 0: with S = 0 it is at most low, as rounding is monotone; else a
+      positive result needs low > S, and with S >= sqrt(tiny) a normal low,
+      so ``fl(low·(1 - 2u)) <= low·(1 - u)``, and the difference rounds up
+      by at most u times itself.  The callers' S are :meth:`root_above`
+      values, at least sqrt(tiny).
+    * :meth:`square_below`, for low <= r: ``fl(fl(fl(max(low, 0)²)·(1 -
+      rel)) - tiny)`` is at most (1 - gamma_{d+2})·low² - d·2**-1075 <= K.
+    * :meth:`square_above`, for high >= (1 - u)·r, a sum of two bounds
+      rounded once: ``fl(fl(fl(high²)·(1 + rel)) + tiny)``.  Each rounding
+      of a normal result loses at most a factor 1 - u, and a subnormal
+      square at most 2**-1075, so it is at least (1 + gamma_{d+2})·D +
+      d·2**-1075 >= K; inf where high² overflows.
+    """
+
+    def __init__(self, d: int):
+        self.rel = (d + 8) * 2.0**-50
+        self.tiny = (d + 8) * 2.0**-1070
+
+    def root_below(self, sq: np.ndarray) -> np.ndarray:
+        """A lower bound on the distances of kernel values ``sq``, fresh."""
+        low = np.minimum(sq, np.finfo(np.float64).max)
+        low *= 1 - self.rel
+        low -= self.tiny
+        np.maximum(low, 0, out=low)
+        return np.sqrt(low, out=low)
+
+    def root_above(self, sq: np.ndarray) -> np.ndarray:
+        """An upper bound on the distances of kernel values ``sq``, in
+        place."""
+        with np.errstate(over="ignore"):
+            sq *= 1 + self.rel
+            sq += self.tiny
+        return np.sqrt(sq, out=sq)
+
+    @staticmethod
+    def lowered(low: np.ndarray, step) -> np.ndarray:
+        """At most ``low - step``, in place."""
+        low *= 1 - 2.0**-52
+        low -= step
+        return low
+
+    def square_below(self, low: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """A lower bound on the kernel values of pairs at least ``low``
+        apart, into ``out`` (fresh when None)."""
+        bar = np.maximum(low, 0, out=out)
+        bar *= bar
+        bar *= 1 - self.rel
+        bar -= self.tiny
+        return bar
+
+    def square_above(self, high: np.ndarray) -> np.ndarray:
+        """An upper bound on the kernel values of pairs at most ``high``
+        apart (to within a factor 1 - u), in place."""
+        with np.errstate(over="ignore"):
+            high *= high
+            high *= 1 + self.rel
+            high += self.tiny
+        return high
+
+
 class FarBound:
     """Per row, a lower bound ``low`` on the distance (not squared) to
     every center but the row's own: Hamerly's one bound per point (SDM
@@ -592,53 +748,37 @@ class FarBound:
     to its own center, which the caller has, is argmin's strict winner.
 
     **The bound.**  Let r be the exact distance between a row x and a
-    center c, D = r², K the pair's kernel value and u = 2**-53.  Where K is
-    finite, |K - D| <= gamma_{d+2}·D (:func:`ranked_sq_dist`), plus at
-    most 2**-1075 for each of the d squares that underflows; a K that
-    overflows to inf has D >= MAX/(1 + gamma_{d+2}), MAX the largest
-    float.  The slack is ``rel = (d + 8)·2**-50``, (8d + 64)u, which covers
-    gamma_{d+2} and the three roundings of each step below to first order
-    in u, and ``tiny = (d + 8)·2**-1070`` for the absolute terms.  The
-    invariant: ``low[i] <= r`` for row i and every center but its own.
+    center c.  The invariant: ``low[i] <= r`` for row i and every center
+    but its own.  Each step widens by the slack of :class:`_Slack`, whose
+    docstring proves the direction of its roundings.
 
     * :meth:`reset`, from the row's second-smallest kernel value K2, at
-      most the K of every center but the nearest: ``low = fl(sqrt(max(
-      fl(fl((1 - rel)·min(K2, MAX)) - tiny), 0)))``, whose square is at
-      most (1 - gamma_{d+2})·K - d·2**-1075 <= D.
+      most the K of every center but the nearest: ``low =
+      root_below(K2)``, at most r.
     * :meth:`move`: a center moved by m = |c - c'| <= S, with ``S =
-      fl(sqrt(fl(fl((1 + rel)·Ks) + tiny)))`` and Ks the kernel value of
-      the move, so r' >= r - m >= low - S by the triangle inequality for
-      every other center, with S their largest move.  The new bound
-      ``fl(fl(low·(1 - 2u)) - S)`` is at most low - S: with S = 0 it is
-      at most low, as rounding is monotone; else a positive result needs
-      low > S >= sqrt(tiny), a normal low, so ``fl(low·(1 - 2u)) <=
-      low·(1 - u)``, and the difference rounds up by at most u times
-      itself.  A negative bound holds trivially; one at -inf (an S of inf)
-      keeps no row.
-    * :meth:`keeps`: ``B = fl(fl(fl(max(low, 0)²)·(1 - rel)) - tiny)`` is
-      at most (1 - gamma_{d+2})·low² - d·2**-1075 <= K for every center
-      but the row's own, so a row whose own value is strictly below B has
-      its own center as argmin's strict winner, and its own kernel value as
-      the nearest one.  A tie is never kept.
+      root_above(Ks)`` and Ks the kernel value of the move, so r' >= r - m
+      >= low - S by the triangle inequality for every other center, with S
+      their largest move.  The new bound ``lowered(low, S)`` is at most
+      low - S.  A negative bound holds trivially; one at -inf (an S of
+      inf) keeps no row.
+    * :meth:`keeps`: ``B = square_below(low)`` is at most K for every
+      center but the row's own, so a row whose own value is strictly below
+      B has its own center as argmin's strict winner, and its own kernel
+      value as the nearest one.  A tie is never kept.
 
     No value here can overflow: low <= sqrt(MAX), and a move whose kernel
     value is inf gives S = inf and a bound of -inf.
     """
 
     def __init__(self, d2sq: np.ndarray, d: int):
-        self.rel = (d + 8) * 2.0**-50
-        self.tiny = (d + 8) * 2.0**-1070
+        self.slack = _Slack(d)
         self.low = np.empty(d2sq.size)
         self.reset(slice(None), d2sq)
 
     def reset(self, rows, d2sq: np.ndarray) -> None:
         """The bounds of ``rows`` from their second-smallest kernel values
         ``d2sq`` (inf with one center)."""
-        low = np.minimum(d2sq, np.finfo(np.float64).max)
-        low *= 1 - self.rel
-        low -= self.tiny
-        np.maximum(low, 0, out=low)
-        self.low[rows] = np.sqrt(low, out=low)
+        self.low[rows] = self.slack.root_below(d2sq)
 
     def move(self, old: np.ndarray, new: np.ndarray, moved: np.ndarray, labels: np.ndarray) -> None:
         """Lower every bound by the largest move among the other centers,
@@ -646,26 +786,17 @@ class FarBound:
         the (k, d) positions, to those of ``new``; ``labels`` holds each
         row's own slot."""
         shift = np.zeros(old.shape[0])
-        with np.errstate(over="ignore"):
-            step = _pair_sq_dists(old, new, moved, moved)
-            step *= 1 + self.rel
-            step += self.tiny
-            shift[moved] = np.sqrt(step)
+        shift[moved] = self.slack.root_above(_pair_sq_dists(old, new, moved, moved))
         top = np.argmax(shift)
         others = np.full(shift.size, shift[top])
         shift[top] = 0
         others[top] = shift.max()
-        self.low *= 1 - 2.0**-52
-        self.low -= np.take(others, labels)
+        self.slack.lowered(self.low, np.take(others, labels))
 
     def keeps(self, own: np.ndarray) -> np.ndarray:
         """Whether each row's kernel value ``own`` to its own center is
         strictly below its bound's: its own center is then its nearest."""
-        bar = np.maximum(self.low, 0)
-        bar *= bar
-        bar *= 1 - self.rel
-        bar -= self.tiny
-        return own < bar
+        return own < self.slack.square_below(self.low)
 
 
 def _ranked_estimates(points: np.ndarray, lift: Lift, rank: int):
@@ -689,11 +820,14 @@ def _ranked_estimates(points: np.ndarray, lift: Lift, rank: int):
         yield start, rows, est, _nth_smallest(sel, rank)[:, None]
 
 
-def _filtered_ranks(points: np.ndarray, refs: np.ndarray, rank: int, lift: Lift) -> np.ndarray:
-    """:func:`ranked_sq_dist` through the dot-product filter, in row blocks
-    of ``chunk_rows(m)`` rows; ``lift`` is :func:`lift_points` of ``refs``
-    with ``points`` as its rows."""
-    m = refs.shape[0]
+def _filtered_ranks(
+    points: np.ndarray, refs: np.ndarray, rank: int, lift: Lift, ids: np.ndarray | None = None
+) -> np.ndarray:
+    """:func:`ranked_sq_dist` through the dot-product filter against the
+    references ``refs[ids]`` (every one when None), in row blocks of
+    ``chunk_rows(m)`` rows; ``lift`` is :func:`lift_points` of those
+    references with ``points`` as its rows."""
+    m = lift.cols.shape[1]
     out = np.empty(points.shape[0])
     for start, rows, est, T in _ranked_estimates(points, lift, rank):
         b = rows.shape[0]
@@ -703,7 +837,7 @@ def _filtered_ranks(points: np.ndarray, refs: np.ndarray, rank: int, lift: Lift)
         band = (est >= low) & (est <= high)
         flat = np.flatnonzero(band)
         owner, col = np.divmod(flat, m)
-        values = _pair_sq_dists(rows, refs, owner, col)
+        values = _pair_sq_dists(rows, refs, owner, col if ids is None else ids[col])
         res = out[start : start + b]
         res[owner] = values  # the answer where a row's band holds one reference
         if flat.size > b:
@@ -711,6 +845,133 @@ def _filtered_ranks(points: np.ndarray, refs: np.ndarray, rank: int, lift: Lift)
             fill = np.where(est[many] < low[many], -np.inf, np.inf)
             fill[band[many]] = values[many[owner]]
             res[many] = _nth_smallest(fill, rank)
+    return out
+
+
+def _led_ranks(points: np.ndarray, refs: np.ndarray, rank: int) -> np.ndarray | None:
+    """:func:`ranked_sq_dist` through the leader cut (d > 2); None, before
+    any group is ranked, where the input is too small for two groups or
+    the cut would rank more than ``LEAD_SHARE`` of the pairs of the
+    leaders' sample.
+
+    Leaders are taken from a strided sample of at most ``LEAD_SAMPLE``
+    references (:func:`_leaders`), whose cells, each sample reference with
+    its nearest leader, stand in for the groups: the share is that of the
+    pairs the cut keeps between the cells and the sample at the rank scaled
+    to the sample.  Otherwise each row joins the group of its nearest
+    leader (:func:`nearest`), and each group is ranked against the
+    references it keeps (:func:`_cut_bounds`)."""
+    n, m = points.shape[0], refs.shape[0]
+    count = min(max(n // LEAD_ROWS, m // rank), m // LEAD_REFS, n * m // LEAD_PAIRS)
+    if count < 2:
+        return None
+    stride = -(-m // LEAD_SAMPLE)
+    sample = refs[::stride]
+    s = sample.shape[0]
+    leaders, cells, gap = _leaders(sample, count)
+    slack = _Slack(points.shape[1])
+    reach = np.zeros(leaders.size)
+    np.maximum.at(reach, cells, gap)
+    slack.root_above(reach)
+    sizes = np.bincount(cells, minlength=leaders.size)
+    pairs = 0
+    scaled = -(-rank * s // m)
+    for first, near, far, high, low in _cut_bounds(sample, leaders, reach, scaled, slack):
+        counts = ((near <= high[:, None]) & (far >= low[:, None])).sum(axis=1)
+        pairs += int((counts * sizes[first : first + counts.size]).sum())
+    if pairs > LEAD_SHARE * s * s:
+        return None
+    leaders *= stride
+    groups, used, reach = _groups(points, refs[leaders], slack)
+    out = np.empty(n)
+    for first, near, far, high, low in _cut_bounds(refs, leaders[used], reach, rank, slack):
+        for ids, lo, hi, u, v in zip(groups[first:], near, far, high, low):
+            closer = np.count_nonzero(hi < v)
+            rows = np.take(points, ids, axis=0)
+            kept = np.flatnonzero((lo <= u) & (hi >= v))
+            out[ids] = _lifted_ranks(rows, refs, rank - closer, kept)
+    return out
+
+
+def _leaders(refs: np.ndarray, count: int):
+    """``(leaders, cells, gap)``: the ids of at most ``count`` references,
+    by farthest-point traversal (Gonzalez, 1985) from reference 0, each
+    next leader a reference farthest, in kernel values, from the leaders
+    before it (the lowest id on ties), stopping early once every reference
+    sits on a leader; and for each reference, the slot of its nearest
+    leader (the first on ties) and its kernel value to it."""
+    ids = [0]
+    gap = sq_dists(refs, refs[0])
+    cells = np.zeros(refs.shape[0], dtype=np.intp)
+    while len(ids) < count:
+        far = int(np.argmax(gap))
+        if gap[far] == 0:
+            break
+        new = sq_dists(refs, refs[far])
+        cells[new < gap] = len(ids)
+        np.minimum(gap, new, out=gap)
+        ids.append(far)
+    return np.array(ids), cells, gap
+
+
+def _groups(points: np.ndarray, leads: np.ndarray, slack: _Slack):
+    """``(groups, used, reach)``: the ids of the rows that have each leader
+    of ``leads`` as their nearest (:func:`nearest`, the first on ties), one
+    ascending array per leader that has rows; the slots of those leaders;
+    and for each of them ρ, ``root_above`` of the largest kernel value
+    between the leader and a row of its group."""
+    labels, own = nearest(points, leads)
+    order = np.argsort(labels, kind="stable")
+    sizes = np.bincount(labels, minlength=leads.shape[0])
+    used = np.flatnonzero(sizes)
+    ends = np.cumsum(sizes[used])
+    reach = slack.root_above(np.maximum.reduceat(own[order], ends - sizes[used]))
+    return np.split(order, ends[:-1]), used, reach
+
+
+def _cut_bounds(refs: np.ndarray, leaders: np.ndarray, reach: np.ndarray, rank: int, slack: _Slack):
+    """Yield ``(first, near, far, high, low)`` for the groups ``first``,
+    ``first + 1``, ... of a chunk: the (groups, m) lower and upper bounds
+    of :func:`ranked_sq_dist`'s leader cut on the kernel values of any row
+    of a group with reference j, for groups whose leaders are the
+    references ``leaders`` and whose rows lie at most ``reach`` from them,
+    and per group U (``high``), the rank-th smallest far, and V (``low``),
+    the rank-th smallest near.  A chunk takes as many groups as keep six
+    (groups, m) arrays within ``CHUNK_ELEMENTS``: it makes three at once,
+    and its bounds stay alive while each of its groups is ranked with
+    scratch of its own.  On radii-exact-d16 (m = 6,000; a 2-core x86
+    machine), chunks of three groups raised the benchmark's peak RSS by
+    0.7 MB more than chunks of one."""
+    group = chunk_rows(6 * refs.shape[0])
+    for first in range(0, leaders.size, group):
+        part = slice(first, first + group)
+        # references as rows: the kernel's scratch then stays within a chunk
+        far = np.ascontiguousarray(sq_dist_matrix(refs, refs[leaders[part]]).T)
+        near = slack.root_below(far)
+        slack.root_above(far)
+        slack.lowered(near, reach[part, None])
+        slack.square_below(near, out=near)
+        far += reach[part, None]
+        slack.square_above(far)
+        # copies, so that the partitioned arrays are freed at once
+        high = np.partition(far, rank - 1, axis=1)[:, rank - 1].copy()
+        low = np.partition(near, rank - 1, axis=1)[:, rank - 1].copy()
+        yield first, near, far, high, low
+
+
+def _lifted_ranks(
+    points: np.ndarray, refs: np.ndarray, rank: int, ids: np.ndarray | None = None
+) -> np.ndarray:
+    """:func:`ranked_sq_dist` at d > 2 against the references ``refs[ids]``
+    (every one when None), without the leader cut: through the dot-product
+    filter, or from every pair where the lift declines.  The filter reads
+    the kept references' coordinates through ``ids``, so that no copy of
+    them outlives its lift."""
+    lift = lift_points(refs if ids is None else refs[ids], rows=points)
+    if lift is not None:
+        return _filtered_ranks(points, refs, rank, lift, ids)
+    out = np.empty(points.shape[0])
+    _plain_ranks(points, refs if ids is None else refs[ids], rank, out)
     return out
 
 
@@ -741,8 +1002,8 @@ def lift_points(refs: np.ndarray, rows: np.ndarray | None = None) -> Lift | None
     where the dot-product filter applies; the filtered functions below take
     None and then return the kernel's values, except that
     :func:`ranked_sq_dist` and :func:`near_sq_dists`, the places that
-    choose between the two filters, take the box cut instead at d <= 2 (for
-    the radii, at ranks above 2).
+    choose among the filters, take the box cut instead at d <= 2 (for the
+    radii, at ranks above 2).
 
     A row's A is the centered norm the lift computes for it as a reference,
     or, for separate rows, the kernel's squared distance to the mean."""

@@ -318,11 +318,13 @@ def compute_radii(
     mode : {"exact", "sampled"}
         ``exact``: delta(p) is the ``ceil(n/k)``-th smallest distance from p
         to all n points, self-distance included.  Quadratic in n, through
-        ``_dist.ranked_sq_dist``'s filters: at d > 2 every pair gets a
-        dot-product estimate, at d <= 2 each block of nearby points gets
-        bounds against every point (the box cut), and only the pairs that
-        can decide a radius get kernel distances (in row chunks either
-        way); fine up to ~50k points.
+        ``_dist.ranked_sq_dist``'s filters: at d > 2 each group of points
+        around a leader gets ball bounds against every point (the leader
+        cut), and the points it keeps, or every pair where it declines,
+        get a dot-product estimate; at d <= 2 each block of nearby points
+        gets bounds against every point (the box cut); only the pairs that
+        can decide a radius get kernel distances (in row or group chunks
+        either way); fine up to ~50k points.
         ``sampled``: the same rank statistic over one fixed uniform sample of
         ``s = min(sample_size, n)`` points shared by every p, at rank
         ``ceil(s / k)``.  With ``sample_size >= n`` the sample is the whole
@@ -413,6 +415,15 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _rectangular(name: str, values) -> np.ndarray:
+    """``np.asarray(values)``, with ragged rows a ValueError naming
+    ``name``, where numpy's "inhomogeneous shape" names none."""
+    try:
+        return np.asarray(values)
+    except ValueError:
+        raise ValueError(f"{name} must be a rectangular array; its rows differ in length") from None
+
+
 def as_floats(name: str, values) -> np.ndarray:
     """The one conversion of outside values to floats: a fresh C-ordered
     float64 array, never the caller's own, so that freezing or writing it
@@ -421,11 +432,8 @@ def as_floats(name: str, values) -> np.ndarray:
     ``name``: numpy would drop the imaginary parts behind a ComplexWarning,
     and would parse numeric text as numbers but fail on other text with a
     message that names no input.  Ragged rows are a ValueError naming
-    ``name``, where numpy's names none."""
-    try:
-        arr = np.asarray(values)
-    except ValueError:
-        raise ValueError(f"{name} must be a rectangular array; its rows differ in length") from None
+    ``name`` (:func:`_rectangular`)."""
+    arr = _rectangular(name, values)
     text = arr.dtype.kind in "US" or (
         arr.dtype == object and any(isinstance(v, (str, bytes)) for v in arr.flat)
     )
@@ -455,7 +463,7 @@ def point_ids(ds: Dataset, ids) -> np.ndarray:
     each id in ``[0, n)`` (numpy indexing would wrap a negative id around to
     a point from the end).  Returns a fresh int64 array; anything else is a
     ValueError that names the fault."""
-    arr = np.asarray(ids)
+    arr = _rectangular("center ids", ids)
     if arr.size == 0:
         raise ValueError("center set is empty")
     if arr.ndim != 1 or not np.issubdtype(arr.dtype, np.integer):
@@ -477,7 +485,7 @@ def check_positions(positions, d: int) -> np.ndarray:
     are NaN, which argmin picks as nearest and no comparison rejects).
     Returns a fresh float64 array (:func:`as_floats`); anything else is a
     ValueError that names the fault."""
-    arr = np.asarray(positions)
+    arr = _rectangular("positions", positions)
     if arr.size == 0:
         raise ValueError("center set is empty")
     if arr.ndim != 2:
@@ -497,7 +505,7 @@ def center_positions(ds: Dataset, centers) -> np.ndarray:
     a ValueError that names it.  Points whose squared distances underflow
     never reach a center set: the :class:`Dataset` constructor rejects
     them."""
-    arr = np.asarray(centers)
+    arr = _rectangular("positions", centers)
     if arr.ndim == 1:
         return ds.points[point_ids(ds, arr)]
     return check_positions(arr, ds.d)

@@ -38,6 +38,21 @@ def tiny_instance(seed, n_lo=8, n_hi=12, k_hi=3, sigma=0.25, spread=6.0):
     return ds, compute_radii(ds, k), k
 
 
+def d16_layout(seed, n):
+    """(n, 16) points in the layout of the radii-exact-d16 benchmark
+    workload: 20 blobs, their centers uniform in [-10, 10]^16 and their
+    sizes Dirichlet(0.5) shares of n, both fixed, with unit normal noise
+    drawn from ``seed``."""
+    layout = np.random.default_rng(20240210)
+    centers = layout.uniform(-10.0, 10.0, size=(20, 16))
+    weights = layout.dirichlet(np.full(20, 0.5))
+    sizes = np.floor(weights * n).astype(np.int64)
+    sizes[np.argsort(sizes - weights * n)[: n - sizes.sum()]] += 1
+    rng = np.random.default_rng(seed)
+    labels = rng.permutation(np.repeat(np.arange(20), sizes))
+    return centers[labels] + rng.normal(size=(n, 16))
+
+
 def record_draws(monkeypatch, module):
     """Wrap ``module._d2_draw`` so that every draw it makes is kept as
     ``(index, weight of that index, total)``; returns the list."""

@@ -793,20 +793,31 @@ def test_complex_input_named(name):
 
 
 def ragged_cases():
-    """One call per place outside values become floats as a whole, each
+    """One call per place outside values become arrays as a whole, each
     given rows of different lengths, which numpy refused with "setting an
     array element with a sequence ... inhomogeneous shape", naming no
-    input."""
+    input: per case, the name the error gives and the call."""
+    import fairkmeans as fk
+
+    ds = Dataset(np.arange(20.0).reshape(10, 2))
+    aset = make_anchor_set(ds, [0, 5], [3.0, 3.0])
+    ragged = [[0.0, 1.0], [2.0]]
     return {
-        "points": lambda: Dataset([[1, 2], [3]]),
-        "delta": lambda: RadiusBounds([[1.0], [2.0, 3.0]]),
+        "points": ("points", lambda: Dataset([[1, 2], [3]])),
+        "delta": ("delta", lambda: RadiusBounds([[1.0], [2.0, 3.0]])),
+        "cost": ("positions", lambda: fk.cost(ds, ragged)),
+        "assign": ("positions", lambda: fk.assign(ds, ragged)),
+        "bound_ratio": ("positions", lambda: fk.bound_ratio(ds, compute_radii(ds, 2), ragged)),
+        "Solution-pos": ("positions", lambda: fk.Solution(ds, aset, center_pos=ragged)),
+        "Solution-ids": ("center ids", lambda: fk.Solution(ds, aset, center_ids=[[0, 1], [2]])),
     }
 
 
-@pytest.mark.parametrize("name", list(ragged_cases()))
-def test_ragged_input_named(name):
+@pytest.mark.parametrize("case", list(ragged_cases()))
+def test_ragged_input_named(case):
+    name, call = ragged_cases()[case]
     with pytest.raises(ValueError, match=f"^{name} must be a rectangular array; its rows differ"):
-        ragged_cases()[name]()
+        call()
 
 
 def text_cases():

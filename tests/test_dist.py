@@ -44,6 +44,8 @@ from fairkmeans._dist import (
 )
 from fairkmeans.anchors import AnchorSet, _coverage, _pins, clamped_moves
 
+from conftest import d16_layout
+
 
 def reference(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """(n, k) squared distances, one per-row einsum per center."""
@@ -696,6 +698,189 @@ def test_box_cut_equals_the_plain_path(d, n, m, rank, spread, jitter, scale, off
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_dist, "BOX_ROWS", rows)
         assert np.array_equal(ranked_sq_dist(P, R, rank, box_layout(P)), want)
+
+
+# The leader cut: at d > 2 the radii group the rows around leaders among
+# the references and rank each group against the references its ball
+# bounds cannot rule out.  Its bounds are widened by the kernel's rounding
+# slack, so the cases below put distances at the edges of float64's range,
+# ties at the rank and groups of one row or none.  Small constants make the
+# cut run on small inputs, and a share of 1 makes it run whatever it keeps.
+
+
+def lead_knobs(patch, rows=1, refs=1, share=1.0, sample=512):
+    patch.setattr(_dist, "LEAD_ROWS", rows)
+    patch.setattr(_dist, "LEAD_REFS", refs)
+    patch.setattr(_dist, "LEAD_PAIRS", 1)
+    patch.setattr(_dist, "LEAD_SHARE", share)
+    patch.setattr(_dist, "LEAD_SAMPLE", sample)
+
+
+def spy_cut(patch):
+    """Record the calls of the leader cut: ``led`` holds whether each call
+    of ``_led_ranks`` ranked (True) or declined (False), ``ranked`` the
+    (rows, references, rank) of each ``_lifted_ranks`` call (one per group,
+    or one for every row where the cut declines), and ``lifted`` the number
+    of rows of each ``_filtered_ranks`` call."""
+    calls = {"led": [], "ranked": [], "lifted": []}
+
+    def led(points, refs, rank, original=_dist._led_ranks):
+        out = original(points, refs, rank)
+        calls["led"].append(out is not None)
+        return out
+
+    def lifted(points, refs, rank, ids=None, original=_dist._lifted_ranks):
+        calls["ranked"].append((points.shape[0], refs.shape[0] if ids is None else ids.size, rank))
+        return original(points, refs, rank, ids)
+
+    def filtered(points, refs, rank, lift, ids=None, original=_dist._filtered_ranks):
+        calls["lifted"].append(points.shape[0])
+        return original(points, refs, rank, lift, ids)
+
+    patch.setattr(_dist, "_led_ranks", led)
+    patch.setattr(_dist, "_lifted_ranks", lifted)
+    patch.setattr(_dist, "_filtered_ranks", filtered)
+    return calls
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    d=st.integers(3, 20),
+    n=st.integers(1, 200),
+    m=st.integers(3, 80),
+    exact=st.booleans(),
+    rank=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    blobs=st.sampled_from([0, 1, 3, 8]),
+    distinct=st.sampled_from([None, 1, 2, 5]),
+    scale=st.sampled_from([1.0, 1e-150, 2.0**-30, 1e8, 1e150]),
+    offset=st.sampled_from([0.0, 1e8]),
+    rows=st.sampled_from([1, 4, 40]),
+    sample=st.sampled_from([4, 512]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_leader_cut_equals_the_full_partition(
+    d, n, m, exact, rank, blobs, distinct, scale, offset, rows, sample, seed
+):
+    # blobs of unit noise around far centers, or unclustered points with
+    # no blobs; with ``distinct`` every row repeats one of a few points;
+    # sampled references are drawn with repeats, some off the rows
+    rng = np.random.default_rng(seed)
+    P = rng.standard_normal((n, d))
+    if blobs:
+        P += rng.uniform(-30, 30, size=(blobs, d))[rng.integers(0, blobs, size=n)]
+    if distinct:
+        P = P[rng.integers(0, min(distinct, n), size=n)]
+    if exact:
+        R = P
+    else:
+        R = np.concatenate([P[rng.integers(0, n, size=m // 2)], rng.standard_normal((m - m // 2, d))])
+    P, R = offset + P * scale, offset + R * scale
+    rank = 1 + int(rank * (R.shape[0] - 1))
+    want = _dist._nth_smallest(sq_dist_matrix(P, R), rank)
+    with pytest.MonkeyPatch.context() as patch:
+        lead_knobs(patch, rows=rows, sample=sample)
+        assert np.array_equal(ranked_sq_dist(P, R, rank, box_layout(P)), want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    d=st.integers(3, 12),
+    rows=st.integers(1, 20),
+    m=st.integers(1, 30),
+    scale=st.sampled_from([1.0, 1e-160, 2.0**-500, 1e100, 2.0**500]),
+    offset=st.sampled_from([0.0, 1e6]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cut_bounds_hold(d, rows, m, scale, offset, seed):
+    # rows and references on a few lines through the leader, where the
+    # triangle inequality is tight: near <= K <= far for every row of the
+    # group and every reference, each K the kernel's own value
+    rng = np.random.default_rng(seed)
+    lead = rng.standard_normal(d)
+    lines = rng.standard_normal((3, d))
+    X = lead + rng.uniform(-1, 1, size=(rows, 1)) * lines[rng.integers(0, 3, size=rows)]
+    R = lead + rng.uniform(-5, 5, size=(m, 1)) * lines[rng.integers(0, 3, size=m)]
+    X, R = offset + X * scale, offset + R * scale
+    refs = np.concatenate([(offset + lead * scale)[None], R])
+    slack = _dist._Slack(d)
+    reach = slack.root_above(sq_dists(X, refs[0]).max(keepdims=True))
+    rank = 1 + int(rng.integers(0, m + 1))
+    for _, near, far, high, low in _dist._cut_bounds(refs, np.array([0]), reach, rank, slack):
+        K = sq_dist_matrix(X, refs)
+        assert np.all(near <= K) and np.all(K <= far)
+        assert high == np.sort(far[0])[rank - 1] and low == np.sort(near[0])[rank - 1]
+
+
+def test_leader_cut_one_row_and_empty_groups(monkeypatch):
+    # the traversal picks far references first: three off the rows lead
+    # groups without rows, and an outlying row leads a group of itself
+    rng = np.random.default_rng(40)
+    X = np.concatenate([rng.standard_normal((300, 5)), [[60.0, 0, 0, 0, 0]]])
+    R = np.concatenate([X, 100 * np.eye(5)[:3]])
+    lead_knobs(monkeypatch, rows=30)
+    calls = spy_cut(monkeypatch)
+    leaders = []
+
+    def spy(refs, count, original=_dist._leaders):
+        leaders.append(original(refs, count)[0].size)
+        return original(refs, count)
+
+    monkeypatch.setattr(_dist, "_leaders", spy)
+    for rank in (1, 2, 40, R.shape[0]):
+        calls["ranked"].clear()
+        got = ranked_sq_dist(X, R, rank, None)
+        assert np.array_equal(got, ranked_reference(X, R, rank)), rank
+        sizes = [rows for rows, _, _ in calls["ranked"]]
+        assert 1 in sizes and sum(sizes) == X.shape[0]
+        assert len(sizes) <= leaders[-1] - 3  # groups without rows are skipped
+
+
+def test_leader_cut_ranks_few_pairs_of_blobs(monkeypatch):
+    # twenty 16-d blobs (the radii-exact-d16 layout): each group ranks a
+    # fraction of the references, each row once, at a rank lowered by the
+    # references that are closer for every row of its group
+    X = d16_layout(41, 3000)
+    rank = 150
+    calls = spy_cut(monkeypatch)
+    got = ranked_sq_dist(X, X, rank, None)
+    want = np.empty(X.shape[0])
+    _dist._plain_ranks(X, X, rank, want)
+    assert np.array_equal(got, want)
+    assert calls["led"] == [True]
+    pairs = sum(rows * refs for rows, refs, _ in calls["ranked"])
+    assert 0 < pairs <= 0.4 * X.shape[0] ** 2, pairs
+    assert sum(rows for rows, _, _ in calls["ranked"]) == X.shape[0]
+    assert sum(calls["lifted"]) == X.shape[0]
+    assert min(r for _, _, r in calls["ranked"]) < rank
+
+
+def test_leader_cut_declines_on_gaussian_points(monkeypatch):
+    # one 16-d Gaussian: a group's ball is as wide as a radius, so the cut
+    # declines before ranking any group, and the lift ranks each row once
+    X = points(42, 3000, 16)
+    calls = spy_cut(monkeypatch)
+    got = ranked_sq_dist(X, X, 150, None)
+    want = np.empty(X.shape[0])
+    _dist._plain_ranks(X, X, 150, want)
+    assert np.array_equal(got, want)
+    assert calls["led"] == [False]
+    assert calls["ranked"] == [(X.shape[0], X.shape[0], 150)]
+    assert calls["lifted"] == [X.shape[0]]
+
+
+def test_leader_cut_declines_small_inputs(monkeypatch):
+    # below two groups of LEAD_PAIRS pairs the cut takes no leaders
+    calls = spy_cut(monkeypatch)
+    monkeypatch.setattr(_dist, "_leaders", None)
+    X = d16_layout(43, 700)
+    assert np.array_equal(ranked_sq_dist(X, X, 35, None), ranked_reference(X, X, 35))
+    assert calls["led"] == [False]
+
+
+def test_slack_constants_are_shared():
+    # the leader cut and refinement's bound widen by the same slack
+    bound = FarBound(np.ones(3), 7)
+    assert (bound.slack.rel, bound.slack.tiny) == ((7 + 8) * 2.0**-50, (7 + 8) * 2.0**-1070)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 8])
